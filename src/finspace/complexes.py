@@ -92,21 +92,31 @@ class SimplicialComplex:
             (-1) ** d * len(level) for d, level in enumerate(self.simplices)
         )
 
-    def boundary_matrix(self, dim):
-        """The matrix of the boundary operator C_dim -> C_{dim-1}.
+    def boundary_columns(self, dim):
+        """The boundary operator C_dim -> C_{dim-1} as sparse columns.
 
-        Columns index dim-simplices; the face omitting vertex k carries
-        sign (-1)^k.  dim = 0 gives a matrix with zero rows.
+        One fresh dict {face index: sign} per dim-simplex, in simplex
+        order; the face omitting vertex k carries sign (-1)^k.  Vertices
+        have empty columns.
         """
-        cols = self.n_simplices(dim)
-        rows = self.n_simplices(dim - 1) if dim > 0 else 0
-        M = intmat.zeros(rows, cols)
         if dim <= 0 or dim >= len(self.simplices):
-            return M
-        for j, s in enumerate(self.simplices[dim]):
-            for k in range(dim + 1):
-                face = s[:k] + s[k + 1:]
-                M[self._sindex[dim - 1][face]][j] += (-1) ** k
+            return [{} for _ in range(self.n_simplices(dim))]
+        index = self._sindex[dim - 1]
+        return [
+            {index[s[:k] + s[k + 1:]]: -1 if k % 2 else 1 for k in range(dim + 1)}
+            for s in self.simplices[dim]
+        ]
+
+    def boundary_matrix(self, dim):
+        """The dense matrix of boundary_columns(dim).
+
+        dim = 0 gives a matrix with zero rows.
+        """
+        rows = self.n_simplices(dim - 1) if dim > 0 else 0
+        M = intmat.zeros(rows, self.n_simplices(dim))
+        for j, col in enumerate(self.boundary_columns(dim)):
+            for i, v in col.items():
+                M[i][j] = v
         return M
 
     def export_text(self):

@@ -1,12 +1,20 @@
 """Exact integer simplicial homology and induced maps on free parts.
 
-Everything runs over the integers through the Smith normal form, so
-torsion is computed exactly.  Induced maps and Lefschetz numbers act on
-the torsion-free part of homology, in the deterministic cycle basis
-produced by the decomposition itself.
+homology() works on sparse boundary columns.  It first eliminates
+reduction pairs: a face a of a cell b whose boundary coefficient is a
+unit (Kaczynski-Mischaikow-Mrozek, *Computational Homology*, 2004).
+Each elimination is an exact chain equivalence, so torsion stays exact.
+Order-complex boundaries are +-1 matrices, so almost every cell is
+paired.  The dense Smith normal form then runs only on the small residual
+complex that is left.  The reduction records its two chain maps.  The
+inclusion lifts the residual free basis to cycles of the complex, and the
+projection sends any cycle to its free-part coordinates.  Induced maps
+and Lefschetz numbers act on the torsion-free part of homology, in that
+deterministic basis.
 """
 
 import functools
+import heapq
 
 from . import intmat
 from .complexes import chain_map_of, induced_simplicial_map, order_complex
@@ -33,13 +41,39 @@ __all__ = [
 ]
 
 
+def _add_scaled(y, q, x):
+    """y += q * x on sparse dicts; returns the keys added to and dropped from y."""
+    added, dropped = [], []
+    for k, v in x.items():
+        old = y.get(k, 0)
+        new = old + q * v
+        if new:
+            y[k] = new
+            if not old:
+                added.append(k)
+        else:
+            del y[k]
+            dropped.append(k)
+    return added, dropped
+
+
+def _apply(columns, chain):
+    """Image of a sparse chain {cell: coefficient} under sparse columns."""
+    out = {}
+    for j, x in chain.items():
+        _add_scaled(out, x, columns[j])
+    return out
+
+
 class HomologyProfile:
     """Per-dimension Betti numbers, torsion and a free-part cycle basis.
 
     For each dimension i the profile keeps:
       * betti[i] and torsion[i] (invariant factors > 1, divisibility chain)
       * free_basis[i]: an n_i x betti[i] matrix of cycle representatives
-      * a projection matrix sending any cycle to its free-part coordinates
+      * betti[i] sparse projection rows sending any cycle to its free-part
+        coordinates
+      * boundaries[i]: the sparse boundary columns of dimension i
     which is what induced maps are computed from.
     """
 
@@ -59,14 +93,19 @@ class HomologyProfile:
 
     def class_of(self, dim, cycle):
         """Free-part coordinates of a cycle given in chain coordinates."""
+        return self._class_of_chain(dim, {i: x for i, x in enumerate(cycle) if x})
+
+    def _class_of_chain(self, dim, chain):
         if dim >= len(self.betti):
-            if any(cycle):
+            if chain:
                 raise BasisSolveFailure("nonzero chain above the top dimension")
             return []
-        bd = self.boundaries[dim]
-        if intmat.shape(bd)[0] and any(intmat.matvec(bd, cycle)):
+        if _apply(self.boundaries[dim], chain):
             raise BasisSolveFailure("chain is not a cycle")
-        return intmat.matvec(self._free_proj[dim], cycle)
+        return [
+            sum(v * chain[i] for i, v in row.items() if i in chain)
+            for row in self._free_proj[dim]
+        ]
 
     def is_acyclic(self):
         if not self.betti:
@@ -99,45 +138,168 @@ class HomologyProfile:
         return f"HomologyProfile(betti={self.betti}, torsion={self.torsion})"
 
 
-def homology(K):
-    """Integral homology of a simplicial complex, with free-basis data.
+class _Reduction:
+    """Reduction pairs eliminated from a chain complex given by sparse columns.
 
-    For each i the kernel of the boundary is read off the Smith form of
-    d_i (the trailing columns of V span it integrally); the image of
-    d_{i+1} is expressed in that kernel basis and a second Smith form
-    splits the quotient into free part and torsion.
+    Eliminating a pair (a, b) with <d b, a> = eps = +-1 removes a from
+    dimension d-1 and b from dimension d.  Every other cell c of
+    dimension d with <d c, a> = lam becomes c - eps*lam*b, whose boundary
+    misses a; cells of dimension d+1 drop their b coefficient.  The
+    remaining cells with their updated columns form the residual complex,
+    chain equivalent to the original one through
+      * the inclusion: lift[d][c] is the chain of the original complex
+        that a surviving cell c stands for (c itself when absent), and
+      * the projection: x -> x - eps * x_a * d b, then drop a, for every
+        pair in elimination order; pulls[d-1] records (a, eps, d b) with
+        the column as it was at elimination.
     """
-    dims = len(K.simplices)
-    betti, torsion, free_basis, free_proj, boundaries = [], [], [], [], []
-    if dims == 0:
-        return HomologyProfile(K, [], [], [], [], [])
 
-    bmats = [K.boundary_matrix(d) for d in range(dims + 1)]
-    # Smith form of each boundary (d_i: C_i -> C_{i-1})
-    sfs = [smith_normal_form(bmats[d], ncols=K.n_simplices(d)) for d in range(dims + 1)]
+    def __init__(self, boundaries):
+        top = len(boundaries)
+        self.cols = [
+            {c: dict(col) for c, col in enumerate(level)} for level in boundaries
+        ]
+        self.cob = [{} for _ in range(top)]
+        for d in range(1, top):
+            cob = self.cob[d - 1]
+            for c, col in self.cols[d].items():
+                for f in col:
+                    cob.setdefault(f, set()).add(c)
+        self.lift = [{} for _ in range(top)]
+        self.pulls = [[] for _ in range(top)]
+        # top-down: eliminating (d-1, d) pairs only deletes entries of
+        # dimension d+1, so no unit entry reappears where pairs are exhausted
+        for d in range(top - 1, 0, -1):
+            self._eliminate(d)
 
-    for i in range(dims):
-        n_i = K.n_simplices(i)
-        sf = sfs[i]
+    def _eliminate(self, d):
+        """Eliminate (d-1, d) pairs until no column has a unit entry.
+
+        The face with the smallest coboundary goes first and pairs with
+        its shortest unit column, which keeps fill-in small.
+        """
+        cols, cob, lift = self.cols[d], self.cob[d - 1], self.lift[d]
+        heap = [(len(s), a) for a, s in cob.items()]
+        heapq.heapify(heap)
+        while heap:
+            size, a = heapq.heappop(heap)
+            coface = cob.get(a)
+            if coface is None or len(coface) != size:
+                continue  # a is gone, or a fresher entry is queued
+            units = [b for b in coface if cols[b][a] in (1, -1)]
+            if not units:
+                continue
+            b = min(units, key=lambda b: (len(cols[b]), b))
+            col_b = cols.pop(b)
+            lift_b = lift.pop(b, {b: 1})
+            eps = col_b[a]
+            for f in col_b:
+                cob[f].discard(b)
+            del cob[a]
+            touched = set(col_b)
+            for c in coface:
+                col_c = cols[c]
+                q = -eps * col_c[a]
+                added, dropped = _add_scaled(col_c, q, col_b)
+                for f in added:
+                    cob[f].add(c)
+                for f in dropped:
+                    if f != a:
+                        cob[f].discard(c)
+                _add_scaled(lift.setdefault(c, {c: 1}), q, lift_b)
+            touched.discard(a)
+            for f in touched:
+                heapq.heappush(heap, (len(cob[f]), f))
+            # a leaves dimension d-1, b leaves the rows of dimension d+1
+            for f in self.cols[d - 1].pop(a):
+                self.cob[d - 2][f].discard(a)
+            if d + 1 < len(self.cols):
+                for e in self.cob[d].pop(b, ()):
+                    del self.cols[d + 1][e][b]
+            self.pulls[d - 1].append((a, eps, col_b))
+
+    def lifted(self, d, coords):
+        """The chain of the original complex standing for a residual chain."""
+        out = {}
+        for c, x in coords.items():
+            _add_scaled(out, x, self.lift[d].get(c, {c: 1}))
+        return out
+
+    def pulled_back(self, d, row):
+        """A functional on residual d-chains, composed with the projection."""
+        row = dict(row)
+        for a, eps, col in reversed(self.pulls[d]):
+            s = sum(v * row[f] for f, v in col.items() if f in row)
+            if s:
+                row[a] = -eps * s
+        return row
+
+
+def _residual_homology(R, sizes):
+    """Smith-form homology of a small dense complex.
+
+    R[i] is the dense boundary C_i -> C_{i-1} (R[0] has zero rows) and
+    sizes[i] the rank of C_i.  For each i the kernel of R[i] is read off
+    its Smith form (the trailing columns of V span it integrally); the
+    image of R[i+1] is expressed in that kernel basis and a second Smith
+    form splits the quotient into free part and torsion.  Returns Betti
+    numbers, torsion, and per dimension the free basis (sizes[i] x betti)
+    and its projection (betti x sizes[i]).
+    """
+    betti, torsion, bases, projs = [], [], [], []
+    for i in range(len(sizes)):
+        n_i = sizes[i]
+        sf = smith_normal_form(R[i], ncols=n_i)
         r = sf.rank
         z = n_i - r  # kernel rank
-        # kernel basis: last z columns of V; coordinates via rows of Vinv
         Z = intmat.hstack_cols(sf.V, list(range(r, n_i)))
         Kproj = intmat.stack_rows(sf.Vinv, list(range(r, n_i)))
         # boundaries from above, in kernel coordinates
-        A = intmat.matmul(Kproj, bmats[i + 1]) if K.n_simplices(i + 1) else intmat.zeros(z, 0)
+        if i + 1 < len(sizes) and sizes[i + 1]:
+            A = intmat.matmul(Kproj, R[i + 1])
+        else:
+            A = intmat.zeros(z, 0)
         sfa = smith_normal_form(A, ncols=intmat.shape(A)[1])
         s = sfa.rank
-        d = sfa.invariant_factors
         betti.append(z - s)
-        torsion.append([x for x in d if x > 1])
-        Fproj = intmat.matmul(
-            intmat.stack_rows(sfa.U, list(range(s, z))), Kproj
-        )
-        B = intmat.matmul(Z, intmat.hstack_cols(sfa.Uinv, list(range(s, z))))
+        torsion.append([x for x in sfa.invariant_factors if x > 1])
+        projs.append(intmat.matmul(intmat.stack_rows(sfa.U, list(range(s, z))), Kproj))
+        bases.append(intmat.matmul(Z, intmat.hstack_cols(sfa.Uinv, list(range(s, z)))))
+    return betti, torsion, bases, projs
+
+
+def homology(K):
+    """Integral homology of a simplicial complex, with free-basis data.
+
+    Reduction pairs are eliminated on sparse boundary columns; the Smith
+    form runs on the residual complex only, and its free basis and
+    projection are carried back through the reduction's chain maps.
+    """
+    dims = len(K.simplices)
+    if dims == 0:
+        return HomologyProfile(K, [], [], [], [], [])
+    boundaries = [K.boundary_columns(d) for d in range(dims)]
+    red = _Reduction(boundaries)
+    cells = [sorted(red.cols[d]) for d in range(dims)]
+    R = [intmat.zeros(0, len(cells[0]))] + [
+        [[red.cols[d][c].get(f, 0) for c in cells[d]] for f in cells[d - 1]]
+        for d in range(1, dims)
+    ]
+    betti, torsion, bases, projs = _residual_homology(R, [len(c) for c in cells])
+
+    free_basis, free_proj = [], []
+    for i in range(dims):
+        n_i = K.n_simplices(i)
+        B = intmat.zeros(n_i, betti[i])
+        for j in range(betti[i]):
+            coords = {c: bases[i][r][j] for r, c in enumerate(cells[i]) if bases[i][r][j]}
+            for k, x in red.lifted(i, coords).items():
+                B[k][j] = x
         free_basis.append(B)
-        free_proj.append(Fproj)
-        boundaries.append(bmats[i])
+        free_proj.append([
+            red.pulled_back(i, {c: x for c, x in zip(cells[i], row) if x})
+            for row in projs[i]
+        ])
     return HomologyProfile(K, betti, torsion, free_basis, free_proj, boundaries)
 
 
@@ -194,13 +356,14 @@ def identity_induced(profile):
 def induced_on_homology(chain_matrices, src, dst):
     """Induced map on free homology from per-dimension chain-map matrices.
 
-    Verifies the chain-map condition against both boundary sequences, then
-    pushes every source free-basis cycle through and reads its class in
-    the destination basis.
+    The matrices are read once into sparse columns.  The chain-map
+    condition is verified column by column against both boundary
+    sequences, then every source free-basis cycle is pushed through and
+    its class read in the destination basis.
     """
     dims = max(len(src.betti), len(dst.betti))
 
-    def cmat(d):
+    def columns(d):
         rows = dst.complex.n_simplices(d)
         cols = src.complex.n_simplices(d)
         if d < len(chain_matrices):
@@ -208,37 +371,34 @@ def induced_on_homology(chain_matrices, src, dst):
             if intmat.shape(M) != (rows, cols):
                 # tolerate empty placeholders for missing dimensions
                 if rows == 0 or cols == 0:
-                    return intmat.zeros(rows, cols)
+                    return [{} for _ in range(cols)]
                 raise NotAChainMap(
                     f"chain matrix in dimension {d} has shape {intmat.shape(M)}, "
                     f"expected {(rows, cols)}"
                 )
-            return M
-        return intmat.zeros(rows, cols)
+            if rows:
+                return [{i: x for i, x in enumerate(col) if x} for col in zip(*M)]
+        return [{} for _ in range(cols)]
 
-    for d in range(1, dims):
-        ns = src.complex.n_simplices(d)
-        nd1 = dst.complex.n_simplices(d - 1)
-        if ns == 0 or nd1 == 0:
-            continue
-        if dst.complex.n_simplices(d):
-            lhs = intmat.matmul(dst.complex.boundary_matrix(d), cmat(d))
-        else:
-            lhs = intmat.zeros(nd1, ns)  # chain map is forced zero here
-        rhs = intmat.matmul(cmat(d - 1), src.complex.boundary_matrix(d))
-        if not intmat.eq(lhs, rhs):
-            raise NotAChainMap(f"boundary does not commute in dimension {d}")
+    fmaps = [columns(d) for d in range(dims)]
+
+    for d in range(1, len(src.boundaries)):
+        for j, col in enumerate(src.boundaries[d]):
+            # a nonempty image column means dst has d-simplices
+            lhs = _apply(dst.boundaries[d], fmaps[d][j]) if fmaps[d][j] else {}
+            if lhs != _apply(fmaps[d - 1], col):
+                raise NotAChainMap(f"boundary does not commute in dimension {d}")
 
     mats = []
     for d in range(dims):
         bs = src.betti_at(d)
         bt = dst.betti_at(d)
         M = intmat.zeros(bt, bs)
-        if bs and d < len(src.free_basis):
-            images = intmat.matmul(cmat(d), src.free_basis[d])
+        if bs and bt and d < len(src.free_basis):
+            basis = src.free_basis[d]
             for j in range(bs):
-                col = [images[i][j] for i in range(len(images))]
-                coords = dst.class_of(d, col) if bt else []
+                cycle = {i: row[j] for i, row in enumerate(basis) if row[j]}
+                coords = dst._class_of_chain(d, _apply(fmaps[d], cycle))
                 for i in range(bt):
                     M[i][j] = coords[i]
         mats.append(M)

@@ -1,8 +1,11 @@
-"""Exact integer matrix helpers and the Smith normal form.
+"""Exact integer matrix helpers and the dense Smith normal form.
 
 Matrices are plain lists of lists of Python ints, so every computation is
-arbitrary precision.  The sizes that show up here (boundary matrices of
-order complexes of desk-sized posets) never justify anything fancier.
+arbitrary precision.  The Smith form scans and updates whole matrices,
+so homology does not hand it full boundary matrices: it first eliminates
+unit-pivot reduction pairs on sparse columns and calls the Smith form
+only on the small residual complex.  Induced maps, their inverses and
+the tests' reference computations use it directly.
 """
 
 from .errors import NotInvertible

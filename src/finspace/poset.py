@@ -192,7 +192,7 @@ class FinitePoset:
         """Hasse diagram edges (x, y) with x strictly covered by y."""
         n = len(self)
         strict = self._leq & ~np.eye(n, dtype=bool)
-        via = (strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0
+        via = strict @ strict  # boolean product: no fixed-width counts to wrap
         cov = strict & ~via
         return [
             (self.elements[i], self.elements[j])
@@ -231,13 +231,11 @@ class FinitePoset:
 
 
 def _transitive_closure(mat):
-    reach = mat.astype(np.uint8)
-    n = reach.shape[0]
+    reach = mat.astype(bool)
     while True:
-        new = ((reach @ reach) > 0) | (reach > 0)
-        new = new.astype(np.uint8)
+        new = (reach @ reach) | reach  # boolean product: no counts to wrap
         if np.array_equal(new, reach):
-            return reach.astype(bool)
+            return reach
         reach = new
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from finspace import intmat
 from finspace.complexes import (
     SimplicialComplex,
+    barycentric_subdivision_space,
     chain_map_of,
     induced_simplicial_map,
     order_complex,
@@ -29,8 +30,10 @@ from finspace.homology import (
     lefschetz_number,
     poset_homology,
 )
+from finspace.dynamics import build_tower
+from finspace.formats import serialize_map, serialize_poset
 from finspace.poset import PosetMap, build_poset, constant_map, identity_map
-from finspace.random_instances import random_poset
+from finspace.random_instances import random_endomorphism, random_poset
 
 
 def _betti(hp):
@@ -166,8 +169,6 @@ def test_subdivision_invariance_sample():
     rng = random.Random(11)
     for _ in range(20):
         X = random_poset(rng, 5)
-        from finspace.complexes import barycentric_subdivision_space
-
         X1 = barycentric_subdivision_space(X)
         a, b = poset_homology(X), poset_homology(X1.core())
         assert a.same_shape(b), (X.elements, a.summary(), b.summary())
@@ -180,3 +181,85 @@ def test_euler_characteristic_matches_betti(seed):
     X = random_poset(rng, 5)
     hp = poset_homology(X)
     assert hp.euler_characteristic() == X.euler_characteristic()
+
+
+# -- differential checks against independent oracles ------------------------
+
+SPHERE = build_poset(
+    "abcdef",
+    [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+     ("c", "e"), ("c", "f"), ("d", "e"), ("d", "f")],
+)
+RP2_FACETS = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 2, 6), (1, 5, 6),
+    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+]
+
+
+def _dense_profile(K):
+    """Betti numbers and torsion read straight off dense Smith forms."""
+    top = len(K.simplices)
+    factors = [
+        intmat.smith_normal_form(K.boundary_matrix(d), ncols=K.n_simplices(d))
+        .invariant_factors
+        for d in range(top + 1)
+    ]
+    betti = [K.n_simplices(d) - len(factors[d]) - len(factors[d + 1]) for d in range(top)]
+    torsion = [[x for x in factors[d + 1] if x > 1] for d in range(top)]
+    return betti, torsion
+
+
+def _check_against_smith_forms(K, label):
+    hp = homology(K)
+    assert (hp.betti, hp.torsion) == _dense_profile(K), label
+    for d, B in enumerate(hp.free_basis):
+        D = K.boundary_matrix(d)
+        # the boundary of a fixed (d+1)-chain, added to get homologous cycles
+        w = [k % 3 - 1 for k in range(K.n_simplices(d + 1))]
+        shift = intmat.matvec(K.boundary_matrix(d + 1), w) if w else [0] * len(B)
+        for j in range(hp.betti[d]):
+            col = [row[j] for row in B]
+            assert not any(intmat.matvec(D, col)), f"{label}: basis {d}.{j} is no cycle"
+            unit = [int(i == j) for i in range(hp.betti[d])]
+            assert hp.class_of(d, col) == unit, f"{label}: class of basis {d}.{j}"
+            col = [x + y for x, y in zip(col, shift)]
+            assert hp.class_of(d, col) == unit, f"{label}: class of shifted {d}.{j}"
+
+
+def _hopf_trace(f):
+    cm = chain_map_of(induced_simplicial_map(f))
+    return sum((-1) ** d * sum(M[i][i] for i in range(len(M))) for d, M in enumerate(cm))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_homology_matches_dense_smith_forms(seed):
+    rng = random.Random(seed)
+    for i in range(12):
+        X = random_poset(rng, 7)
+        label = f"seed {seed} instance {i}: {serialize_poset(X)!r}"
+        _check_against_smith_forms(order_complex(X), label)
+
+
+def test_homology_matches_dense_smith_forms_on_rp2_and_sphere_level1():
+    _check_against_smith_forms(SimplicialComplex.from_simplices(RP2_FACETS), "RP2")
+    level1 = barycentric_subdivision_space(SPHERE)
+    _check_against_smith_forms(order_complex(level1), "S2 tower level 1")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lefschetz_number_equals_hopf_trace(seed):
+    rng = random.Random(100 + seed)
+    spaces = [random_poset(rng, 7) for _ in range(8)] + [SPHERE]
+    for i, X in enumerate(spaces):
+        f = random_endomorphism(rng, X)
+        label = f"seed {100 + seed} instance {i}: {serialize_poset(X)!r} {serialize_map(f)!r}"
+        assert lefschetz_number(induced_map_of_poset_map(f)) == _hopf_trace(f), label
+
+
+def test_sphere_tower_level3_homology():
+    # 866 points, f-vector [866, 2592, 1728]
+    level3 = build_tower(SPHERE, 3).levels[3]
+    assert len(level3) == 866
+    hp = poset_homology(level3)
+    assert _betti(hp) == [1, 0, 1]
+    assert not any(hp.torsion)

@@ -98,6 +98,27 @@ def test_covers_is_transitive_reduction():
     assert sorted(X.covers()) == [("x", "y"), ("y", "z")]
 
 
+def _bot_mid_top(n_mid, direct):
+    mids = [f"m{i}" for i in range(n_mid)]
+    rels = [("bot", m) for m in mids] + [(m, "top") for m in mids]
+    if direct:
+        rels.append(("bot", "top"))
+    return build_poset(["bot", *mids, "top"], rels)
+
+
+def test_closure_through_256_middle_points():
+    # 256 paths bot < m_i < top: a uint8 product counts them and wraps to 0
+    X = _bot_mid_top(256, direct=False)
+    assert X.leq("bot", "top")
+
+
+def test_covers_with_256_middle_points():
+    X = _bot_mid_top(256, direct=True)
+    cov = X.covers()
+    assert ("bot", "top") not in cov
+    assert len(cov) == 2 * 256
+
+
 def test_core_and_contractibility(circle, wedge):
     assert wedge.is_contractible()
     assert len(circle.core()) == 4 and not circle.is_contractible()
