@@ -21,6 +21,7 @@ from .complexes import (
     barycentric_subdivision_complex,
     barycentric_subdivision_space,
     chain_map_of,
+    chain_max_map,
     face_poset,
     induced_simplicial_map,
     order_complex,

@@ -9,7 +9,7 @@ against; run_all() is what the CLI paper-suite verb executes.
 from dataclasses import dataclass
 from importlib import resources
 
-from .complexes import barycentric_subdivision_space
+from .complexes import barycentric_subdivision_space, chain_max_map
 from .dynamics import build_tower, compose_h
 from .formats import parse_map_text, parse_multimap_text, parse_poset_text
 from .homology import (
@@ -30,7 +30,7 @@ from .maps import (
     is_vietoris_like_map,
     is_vietoris_like_multimap,
 )
-from .poset import are_homotopic, check_continuous, PosetMap
+from .poset import are_homotopic, check_continuous
 
 
 @dataclass
@@ -290,7 +290,6 @@ def run_property_suites(seed, count=30):
     """
     import random
 
-    from .complexes import barycentric_subdivision_space
     from .homology import is_acyclic
     from .lefschetz import classical_lefschetz
     from .maps import selector_from_maxima
@@ -336,9 +335,9 @@ def run_property_suites(seed, count=30):
         X1 = barycentric_subdivision_space(X)
         if len(X1) > 12:
             continue
-        h1 = PosetMap(X1, X, {c: X.maximum(set(c)) for c in X1.elements})
+        h1 = chain_max_map(X1, X)
         X2 = barycentric_subdivision_space(X1)
-        h2 = PosetMap(X2, X1, {c: X1.maximum(set(c)) for c in X2.elements})
+        h2 = chain_max_map(X2, X1)
         ok = ok and is_vietoris_like_map(h1).ok and is_vietoris_like_map(h2).ok
         ok = ok and is_vietoris_like_map(h2.then(h1)).ok
         done += 1

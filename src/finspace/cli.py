@@ -7,7 +7,6 @@ RunReport emitted as JSON or indented text.  Exit codes: 0 success,
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -15,7 +14,6 @@ from .casebook import run_all, run_property_suites
 from .dynamics import (
     attach_level_maps,
     build_tower,
-    compose_h,
     fiber_H,
     fixed_chain_search,
     fixed_points_of_level,
@@ -34,15 +32,9 @@ from .formats import (
     parse_multimap_text,
     parse_poset_text,
 )
-from .homology import (
-    induced_map_of_poset_map,
-    invert,
-    lefschetz_number,
-    poset_homology,
-)
+from .homology import poset_homology
 from .lefschetz import (
     classical_lefschetz,
-    coincidence_points,
     corollary_multimap_coincidence,
     theorem_310,
     theorem_A,
@@ -198,11 +190,7 @@ def cmd_compose(args):
 
 def _build_tower_from_args(args):
     X0 = _load_poset(args.poset)
-    budget = args.size_budget
-    env = os.environ.get("FINSPACE_BUDGET")
-    if env and args.size_budget == DEFAULT_SIZE_BUDGET:
-        budget = int(env)
-    return build_tower(X0, args.depth, size_budget=budget)
+    return build_tower(X0, args.depth, size_budget=args.size_budget)
 
 
 def _attach_from_dir(t, maps_dir):

@@ -6,8 +6,7 @@ inclusion.  Composing them either way gives barycentric subdivision.
 """
 
 from . import intmat
-from .errors import NotContinuous
-from .poset import FinitePoset, PosetMap, require_continuous
+from .poset import PosetMap, require_continuous
 
 
 class SimplicialComplex:
@@ -209,6 +208,16 @@ def face_poset(K):
 def barycentric_subdivision_space(X):
     """X' = X(K(X)): elements are the nonempty chains of X under inclusion."""
     return face_poset(order_complex(X))
+
+
+def chain_max_map(X1, X):
+    """The comparison map h: X1 -> X sending each chain of X to its maximum.
+
+    X1 is barycentric_subdivision_space(X).  Its chains are stored in
+    element order, which need not follow the order of X, so the maximum
+    is looked up rather than read off the end of the tuple.
+    """
+    return PosetMap(X1, X, {c: X.maximum(c) for c in X1.elements})
 
 
 def barycentric_subdivision_complex(K):

@@ -18,10 +18,9 @@ from .errors import (
     SizeBudgetExceeded,
 )
 from .homology import induced_map_of_poset_map, invert, lefschetz_number
-from .lefschetz import coincidence_points
 from .maps import MultiMap, is_vietoris_like_multimap
-from .complexes import barycentric_subdivision_space
-from .poset import PosetMap, identity_map, require_continuous
+from .complexes import barycentric_subdivision_space, chain_max_map
+from .poset import identity_map, require_continuous
 
 DEFAULT_SIZE_BUDGET = 20000
 _WARN_LEVEL_SIZE = 5000
@@ -67,24 +66,26 @@ def build_tower(X0, depth, size_budget=DEFAULT_SIZE_BUDGET):
                 f"subdivision level {n + 1} has {len(Xn1)} elements; "
                 "deeper levels grow super-exponentially"
             )
-        # subdivision elements are chains of Xn stored in element order,
-        # which need not respect the partial order; take the true maximum
-        h = PosetMap(Xn1, Xn, {c: Xn.maximum(set(c)) for c in Xn1.elements})
         levels.append(Xn1)
-        h_maps.append(require_continuous(h))
+        h_maps.append(require_continuous(chain_max_map(Xn1, Xn)))
     return Tower(levels, h_maps)
 
 
-def compose_h(t, n, m):
-    """h_{n,m}: X^m -> X^n, the stacked comparison map (identity for n=m)."""
+def _stack(t, maps, n, m):
+    """maps[n] o ... o maps[m-1]: X^m -> X^n (identity for n=m)."""
     t._check_level(n)
     t._check_level(m)
     if n > m:
         raise IndexRange(f"need n <= m, got {n} > {m}")
     f = identity_map(t.levels[m])
     for k in range(m - 1, n - 1, -1):
-        f = f.then(t.h_maps[k])
+        f = f.then(maps[k])
     return f
+
+
+def compose_h(t, n, m):
+    """h_{n,m}: X^m -> X^n, the stacked comparison map (identity for n=m)."""
+    return _stack(t, t.h_maps, n, m)
 
 
 def fiber_H(t, n, m):
@@ -154,15 +155,7 @@ def attach_level_maps(t, f_maps, certify=True):
 
 def compose_f(seq, n, m):
     """f_{n,m}: X^m -> X^n by stacking the level maps (identity for n=m)."""
-    t = seq.tower
-    t._check_level(n)
-    t._check_level(m)
-    if n > m:
-        raise IndexRange(f"need n <= m, got {n} > {m}")
-    f = identity_map(t.levels[m])
-    for k in range(m - 1, n - 1, -1):
-        f = f.then(seq.f_maps[k])
-    return f
+    return _stack(seq.tower, seq.f_maps, n, m)
 
 
 def lambda_nm(seq, n, m):

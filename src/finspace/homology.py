@@ -126,13 +126,12 @@ class HomologyProfile:
         }
 
     def same_shape(self, other):
-        pad = lambda xs, n: list(xs) + [0] * (n - len(xs))
-        n = max(len(self.betti), len(other.betti))
-        return pad(self.betti, n) == pad(other.betti, n) and [
-            list(t) for t in self.torsion
-        ] + [[]] * (n - len(self.torsion)) == [list(t) for t in other.torsion] + [
-            []
-        ] * (n - len(other.torsion))
+        """Equal Betti numbers and torsion in every dimension."""
+        return all(
+            self.betti_at(d) == other.betti_at(d)
+            and list(self.torsion_at(d)) == list(other.torsion_at(d))
+            for d in range(max(len(self.betti), len(other.betti)))
+        )
 
     def __repr__(self):
         return f"HomologyProfile(betti={self.betti}, torsion={self.torsion})"

@@ -8,24 +8,17 @@ fixed points.
 
 from dataclasses import dataclass, field
 
-from .errors import HypothesisFailed, NotComposable
-from .homology import (
-    induced_map_of_poset_map,
-    invert,
-    lefschetz_number,
-    poset_homology,
-)
+from .errors import HypothesisFailed, NoSelector, NotComposable
+from .homology import induced_map_of_poset_map, invert, lefschetz_number
 from .maps import (
-    as_multimap,
     compose_multimaps,
-    enumerate_selectors,
     graph,
     induced_multimap_homology,
     is_vietoris_like_map,
     is_vietoris_like_multimap,
+    projections_on_core,
 )
-from .errors import NoSelector
-from .poset import check_continuous, require_continuous
+from .poset import DEFAULT_BUDGET, order_preserving_maps, require_continuous
 
 
 @dataclass
@@ -180,8 +173,7 @@ def corollary_multimap_coincidence(f, F, mode):
             raise HypothesisFailed(
                 f"second projection is not Vietoris-like: {cert.as_dict()}"
             )
-        p_star = induced_map_of_poset_map(gs.p)
-        q_star = induced_map_of_poset_map(gs.q)
+        p_star, q_star = projections_on_core(gs)
         F_inv = invert(q_star).then(p_star)  # F_*^-1 = p_* q_*^-1
         lam = lefschetz_number(F_inv.then(induced_map_of_poset_map(f)))
         certs = ["q Vietoris-like"]
@@ -191,15 +183,16 @@ def corollary_multimap_coincidence(f, F, mode):
     return _finish(lam, certs, witnesses)
 
 
-def _find_selector(G, vietoris_required, budget=None):
-    for g in enumerate_selectors(G, budget=budget):
+def _find_selector(G, vietoris_required, budget):
+    """The first selector of G, in generation order, that qualifies."""
+    for g in order_preserving_maps(G.source, G.target, G, budget):
         if not vietoris_required or is_vietoris_like_map(g).ok:
             return g
     kind = "Vietoris-like selector" if vietoris_required else "continuous selector"
     raise NoSelector(f"no {kind} exists")
 
 
-def theorem_310(F, G, case, budget=None):
+def theorem_310(F, G, case, budget=DEFAULT_BUDGET):
     """Three-case coincidence theorem for two multimaps.
 
     case 1: F Vietoris-like multimap, G with a Vietoris-like selector g,
@@ -208,6 +201,9 @@ def theorem_310(F, G, case, budget=None):
             selector g, Lambda(g_* F_*^-1).
     case 3: G with a Vietoris-like selector g, F with any selector f,
             Lambda(f_* g_*^-1).
+
+    Selectors are searched lazily under the budget; the search stops at
+    the first selector that qualifies.
     """
     if F.source != G.source or F.target != G.target:
         raise ValueError("multimaps must share source and target")
@@ -228,9 +224,8 @@ def theorem_310(F, G, case, budget=None):
                 f"second projection of F is not Vietoris-like: {cert.as_dict()}"
             )
         g = _find_selector(G, vietoris_required=False, budget=budget)
-        p_star = induced_map_of_poset_map(gs.p)
-        q_star = induced_map_of_poset_map(gs.q)
-        F_inv = invert(q_star).then(p_star)
+        p_star, q_star = projections_on_core(gs)
+        F_inv = invert(q_star).then(p_star)  # F_*^-1 = p_* q_*^-1
         lam = lefschetz_number(F_inv.then(induced_map_of_poset_map(g)))
         certs = ["q of Gamma(F) Vietoris-like", "G has selector"]
     elif case == 3:

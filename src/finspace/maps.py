@@ -5,16 +5,15 @@ pairs); everything homological about a multimap flows through its two
 projections.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import intmat
 from .errors import (
-    BudgetExceeded,
     EmptyValue,
     NoMaximum,
     NotComposable,
+    NotInvertible,
     NotSurjective,
     NotUsc,
     ProjectionNotIso,
@@ -24,8 +23,13 @@ from .homology import (
     invert,
     poset_homology,
 )
-from .errors import NotInvertible
-from .poset import FinitePoset, PosetMap, require_continuous
+from .poset import (
+    DEFAULT_BUDGET,
+    FinitePoset,
+    PosetMap,
+    order_preserving_maps,
+    require_continuous,
+)
 
 
 class MultiMap:
@@ -89,11 +93,9 @@ class GraphSpace:
             for x in X.elements
             for y in sorted(F(x), key=Y.index)
         ]
-        n = len(pairs)
-        mat = np.zeros((n, n), dtype=bool)
-        for i, (x1, y1) in enumerate(pairs):
-            for j, (x2, y2) in enumerate(pairs):
-                mat[i, j] = X.leq(x1, x2) and Y.leq(y1, y2)
+        ix = [X.index(x) for x, _ in pairs]
+        iy = [Y.index(y) for _, y in pairs]
+        mat = X.leq_matrix()[np.ix_(ix, ix)] & Y.leq_matrix()[np.ix_(iy, iy)]
         self.space = FinitePoset(pairs, mat)
         self.p = PosetMap(self.space, X, {pr: pr[0] for pr in pairs})
         self.q = PosetMap(self.space, Y, {pr: pr[1] for pr in pairs})
@@ -188,21 +190,24 @@ def is_vietoris_like_multimap(F):
     return is_vietoris_like_map(graph(F).p)
 
 
-def induced_multimap_homology(F, gs=None):
-    """F_* = q_* o p_*^-1 on free homology, via the graph projections.
+def projections_on_core(gs):
+    """(p_*, q_*) for the graph projections restricted to the graph's core.
 
-    The projections are restricted to the Stong core of the graph first:
-    the core inclusion i induces isomorphisms, so (q o i)_* (p o i)_*^-1
-    equals q_* p_*^-1 while the chain complexes stay small.
+    The Stong core inclusion i induces isomorphisms, so (q o i)_* (p o i)_*^-1
+    equals q_* p_*^-1 and (p o i)_* (q o i)_*^-1 equals p_* q_*^-1, while
+    the chain complexes stay small.
     """
-    gs = gs or graph(F)
     p, q = gs.p, gs.q
     core = gs.space.core()
     if len(core) < len(gs.space):
         inc = PosetMap(core, gs.space, {x: x for x in core.elements})
         p, q = inc.then(p), inc.then(q)
-    p_star = induced_map_of_poset_map(p)
-    q_star = induced_map_of_poset_map(q)
+    return induced_map_of_poset_map(p), induced_map_of_poset_map(q)
+
+
+def induced_multimap_homology(F, gs=None):
+    """F_* = q_* o p_*^-1 on free homology, via the graph projections."""
+    p_star, q_star = projections_on_core(gs or graph(F))
     try:
         p_inv = invert(p_star)
     except NotInvertible as exc:
@@ -256,32 +261,6 @@ def selector_from_maxima(F):
     return require_continuous(PosetMap(F.source, F.target, assignment))
 
 
-def enumerate_selectors(F, budget=None):
-    """All continuous sections x -> y in F(x), by backtracking.
-
-    Elements are processed in a linear extension of the source; only
-    partial assignments that are already order-preserving are extended.
-    """
-    X, Y = F.source, F.target
-    order = X.linear_extension()
-    preds = {x: [y for y in order[: order.index(x)] if X.lt(y, x)] for x in order}
-    out = []
-    count = 0
-
-    def rec(i, partial):
-        nonlocal count
-        if i == len(order):
-            out.append(PosetMap(X, Y, dict(partial)))
-            return
-        x = order[i]
-        for y in sorted(F(x), key=Y.index):
-            count += 1
-            if budget is not None and count > budget:
-                raise BudgetExceeded("selector enumeration budget exhausted")
-            if all(Y.leq(partial[p], y) for p in preds[x]):
-                partial[x] = y
-                rec(i + 1, partial)
-                del partial[x]
-
-    rec(0, {})
-    return out
+def enumerate_selectors(F, budget=DEFAULT_BUDGET):
+    """All continuous sections x -> y in F(x), in order_preserving_maps order."""
+    return list(order_preserving_maps(F.source, F.target, F, budget))

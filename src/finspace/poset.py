@@ -6,8 +6,6 @@ sets are down-sets and continuity is order preservation.  Everything here
 is immutable after construction.
 """
 
-import itertools
-
 import numpy as np
 
 from .errors import (
@@ -18,7 +16,7 @@ from .errors import (
     UnknownElement,
 )
 
-DEFAULT_HOMOTOPY_BUDGET = 10 ** 6
+DEFAULT_BUDGET = 10 ** 6
 
 
 class FinitePoset:
@@ -349,12 +347,16 @@ def constant_map(X, Y, y):
 
 
 def check_continuous(f):
-    """(True, None) if order-preserving, else (False, first violating pair)."""
+    """(True, None) if order-preserving, else (False, first violating pair).
+
+    Pairs are scanned row-major in source element order.
+    """
     X, Y = f.source, f.target
-    for x in X.elements:
-        for y in X.elements:
-            if x != y and X.leq(x, y) and not Y.leq(f(x), f(y)):
-                return False, (x, y)
+    idx = [Y.index(f(x)) for x in X.elements]
+    bad = np.argwhere(X._leq & ~Y._leq[np.ix_(idx, idx)])
+    if len(bad):
+        i, j = bad[0]
+        return False, (X.elements[i], X.elements[j])
     return True, None
 
 
@@ -365,74 +367,92 @@ def require_continuous(f):
     return f
 
 
-def _comparable_neighbors(f, direction, counter, budget):
-    """Continuous maps g with g <= f (direction -1) or g >= f (+1).
+def extension_plan(X):
+    """A linear extension of X and, per point, its strict predecessors.
 
-    Generated by backtracking in a linear extension of the source, so only
-    order-preserving assignments are ever expanded.
+    A linear extension lists every strict predecessor of x before x, so a
+    left-to-right assignment has always fixed them when x is reached.
     """
-    X, Y = f.source, f.target
     order = X.linear_extension()
-    preds = {
-        x: [y for y in order[: order.index(x)] if X.lt(y, x)] for x in order
-    }
+    return order, {x: X.strict_down_set(x) for x in order}
 
-    def candidates(x, partial):
-        base = Y.down_set(f(x)) if direction < 0 else Y.up_set(f(x))
-        return [
-            y
-            for y in sorted(base, key=Y.index)
-            if all(Y.leq(partial[p], y) for p in preds[x])
-        ]
 
-    results = []
+def order_preserving_maps(X, Y, candidates, budget=DEFAULT_BUDGET):
+    """Lazily yield every order-preserving f: X -> Y with f(x) in candidates(x).
 
-    def rec(i, partial):
+    Backtracks over X in extension_plan order with an explicit stack of
+    value iterators, so the depth of X costs no recursion.  Values are
+    tried in Y.index order; a value is kept only if it lies above the
+    values of all strict predecessors.  Every kept value (a partial
+    assignment expanded by one point) counts against the budget, and the
+    assignment after the budget-th one raises BudgetExceeded.
+    """
+    order, preds = extension_plan(X)
+    leq = Y.leq_matrix()
+    allowed = []
+    for x in order:
+        mask = np.zeros(len(Y), dtype=bool)
+        mask[[Y.index(y) for y in candidates(x)]] = True
+        allowed.append(mask)
+    value = {}  # point of X -> index of its value in Y
+    stack = []
+    expanded = 0
+    while True:
+        i = len(stack)
         if i == len(order):
-            counter[0] += 1
-            if counter[0] > budget:
-                raise BudgetExceeded("homotopy fence search budget exhausted")
-            g = PosetMap(X, Y, dict(partial))
-            results.append(g)
+            yield PosetMap(X, Y, {x: Y.elements[value[x]] for x in order})
+        else:
+            mask = allowed[i].copy()
+            for p in preds[order[i]]:
+                mask &= leq[value[p]]
+            stack.append(iter(np.flatnonzero(mask).tolist()))
+        while stack:
+            j = next(stack[-1], None)
+            if j is not None:
+                break
+            stack.pop()
+        else:
             return
-        x = order[i]
-        for y in candidates(x, partial):
-            partial[x] = y
-            rec(i + 1, partial)
-            del partial[x]
-
-    rec(0, {})
-    return results
+        expanded += 1
+        if expanded > budget:
+            raise BudgetExceeded(
+                f"order-preserving map search exceeded its budget of {budget}"
+            )
+        value[order[len(stack) - 1]] = j
 
 
-def are_homotopic(f, g, budget=None):
+def are_homotopic(f, g, budget=DEFAULT_BUDGET):
     """Whether f and g are joined by a fence of continuous comparable maps.
 
-    Breadth-first search over the comparability graph of continuous maps,
-    generating neighbors lazily; raises BudgetExceeded rather than
-    returning a silent False when the search space is too large.
+    Breadth-first search over the comparability graph of continuous maps;
+    the neighbours of m are the maps below m (values in down_set(m(x)))
+    and above it.  Each neighbour search runs under the budget, and so
+    does the count of neighbours generated over the whole search: too
+    large a search raises BudgetExceeded rather than a silent False.
     """
     if f.source != g.source or f.target != g.target:
         raise ValueError("maps must share source and target")
     require_continuous(f)
     require_continuous(g)
-    if budget is None:
-        budget = DEFAULT_HOMOTOPY_BUDGET
     if f == g:
         return True
+    X, Y = f.source, f.target
 
     def key(m):
-        return tuple(m(x) for x in m.source.elements)
+        return tuple(m(x) for x in X.elements)
 
-    counter = [0]
+    generated = 0
     seen = {key(f)}
     frontier = [f]
     target_key = key(g)
     while frontier:
         nxt = []
         for m in frontier:
-            for direction in (-1, 1):
-                for nb in _comparable_neighbors(m, direction, counter, budget):
+            for bound in (Y.down_set, Y.up_set):
+                for nb in order_preserving_maps(X, Y, lambda x: bound(m(x)), budget):
+                    generated += 1
+                    if generated > budget:
+                        raise BudgetExceeded("homotopy fence search budget exhausted")
                     k = key(nb)
                     if k == target_key:
                         return True
@@ -443,27 +463,6 @@ def are_homotopic(f, g, budget=None):
     return False
 
 
-def all_monotone_maps(X, Y, budget=None):
-    """Every continuous map X -> Y, by backtracking in a linear extension."""
-    order = X.linear_extension()
-    preds = {x: [y for y in order[: order.index(x)] if X.lt(y, x)] for x in order}
-    out = []
-    count = 0
-
-    def rec(i, partial):
-        nonlocal count
-        if i == len(order):
-            out.append(PosetMap(X, Y, dict(partial)))
-            return
-        x = order[i]
-        for y in Y.elements:
-            if all(Y.leq(partial[p], y) for p in preds[x]):
-                count += 1
-                if budget is not None and count > budget:
-                    raise BudgetExceeded("map enumeration budget exhausted")
-                partial[x] = y
-                rec(i + 1, partial)
-                del partial[x]
-
-    rec(0, {})
-    return out
+def all_monotone_maps(X, Y, budget=DEFAULT_BUDGET):
+    """Every continuous map X -> Y, in order_preserving_maps order."""
+    return list(order_preserving_maps(X, Y, lambda x: Y.elements, budget))

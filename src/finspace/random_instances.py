@@ -6,11 +6,9 @@ hypothesis by design or propose-and-filter with the real checkers; the
 test suites re-certify hypotheses before asserting conclusions.
 """
 
-import random
-
-from .complexes import barycentric_subdivision_space
+from .complexes import barycentric_subdivision_space, chain_max_map
 from .maps import MultiMap, classify_continuity
-from .poset import FinitePoset, PosetMap, build_poset, identity_map
+from .poset import PosetMap, build_poset, extension_plan, identity_map
 
 __all__ = [
     "random_poset",
@@ -41,8 +39,7 @@ def random_monotone_map(rng, X, Y, attempts=200):
     Samples greedily in a linear extension, choosing uniformly among the
     values compatible with the already-assigned strict predecessors.
     """
-    order = X.linear_extension()
-    preds = {x: [y for y in order[: order.index(x)] if X.lt(y, x)] for x in order}
+    order, preds = extension_plan(X)
     for _ in range(attempts):
         partial = {}
         for x in order:
@@ -108,11 +105,11 @@ def vietoris_map_corpus(rng, count, max_size=4, density=0.4):
             out.append(identity_map(X))
             continue
         X1 = barycentric_subdivision_space(X)
-        h1 = PosetMap(X1, X, {c: X.maximum(set(c)) for c in X1.elements})
+        h1 = chain_max_map(X1, X)
         if kind == 1 or len(X1) > 12:
             out.append(h1)
             continue
         X2 = barycentric_subdivision_space(X1)
-        h2 = PosetMap(X2, X1, {c: X1.maximum(set(c)) for c in X2.elements})
+        h2 = chain_max_map(X2, X1)
         out.append(h2.then(h1))
     return out

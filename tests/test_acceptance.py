@@ -17,7 +17,11 @@ import pytest
 
 from finspace import intmat
 from finspace.casebook import ALL_CASES, _multimap, _map, _poset
-from finspace.complexes import barycentric_subdivision_space, order_complex
+from finspace.complexes import (
+    barycentric_subdivision_space,
+    chain_max_map,
+    order_complex,
+)
 from finspace.dynamics import (
     attach_level_maps,
     build_tower,
@@ -53,7 +57,6 @@ from finspace.maps import (
     is_vietoris_like_multimap,
     selector_from_maxima,
 )
-from finspace.poset import PosetMap, identity_map
 from finspace.formats import serialize_map, serialize_multimap, serialize_poset
 from finspace.random_instances import (
     random_endomorphism,
@@ -205,9 +208,9 @@ def test_criterion_4_certification_implication_suites():
             X1 = barycentric_subdivision_space(X)
             if len(X1) > 12:
                 continue
-            h1 = PosetMap(X1, X, {c: X.maximum(set(c)) for c in X1.elements})
+            h1 = chain_max_map(X1, X)
             X2 = barycentric_subdivision_space(X1)
-            h2 = PosetMap(X2, X1, {c: X1.maximum(set(c)) for c in X2.elements})
+            h2 = chain_max_map(X2, X1)
             assert is_vietoris_like_map(h1).ok, _dump_map(h1)
             assert is_vietoris_like_map(h2).ok, _dump_map(h2)
             assert is_vietoris_like_map(h2.then(h1)).ok, _dump_map(h2.then(h1))
@@ -221,7 +224,7 @@ def test_criterion_4_certification_implication_suites():
             X1 = barycentric_subdivision_space(X)
             if len(X1) > 12:
                 continue
-            f = PosetMap(X1, X, {c: X.maximum(set(c)) for c in X1.elements})
+            f = chain_max_map(X1, X)
             G = susc_acyclic_multimap(rng, X)
             GF = compose_map_then_multimap(f, G)
             assert is_vietoris_like_multimap(GF).ok, _dump_multimap(GF)
@@ -258,7 +261,7 @@ def test_criterion_5_fixed_point_theorems_as_implications():
             X1 = barycentric_subdivision_space(X)
             if len(X1) > 12:
                 continue
-            f = PosetMap(X1, X, {c: X.maximum(set(c)) for c in X1.elements})
+            f = chain_max_map(X1, X)
             g = random_monotone_map(rng, X1, X, attempts=40)
             if g is None:
                 continue

@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from finspace.errors import HypothesisFailed, NoSelector, NotComposable
+from finspace.errors import (
+    BudgetExceeded,
+    HypothesisFailed,
+    NoSelector,
+    NotComposable,
+)
 from finspace.lefschetz import (
     classical_lefschetz,
     coincidence_points,
@@ -138,6 +143,19 @@ def test_theorem_310_cases(wedge):
     assert rep.witnesses == ["A", "B", "C"]
     rep = theorem_310(down, down, case=3)
     assert rep.lambda_ == 1 and rep.witnesses == ["A", "B", "C"]
+
+
+def test_theorem_310_stops_at_first_selector():
+    # G allows every value, so its selectors are all 126 monotone self-maps
+    # of the 5-chain; the first one (constant p0) takes 5 assignments
+    names = [f"p{i}" for i in range(5)]
+    X = build_poset(names, list(zip(names, names[1:])))
+    F = MultiMap(X, X, {x: {x} for x in names})
+    G = MultiMap(X, X, {x: set(names) for x in names})
+    rep = theorem_310(F, G, case=2, budget=5)
+    assert rep.lambda_ == 1 and rep.witnesses == names
+    with pytest.raises(BudgetExceeded):
+        theorem_310(F, G, case=2, budget=4)
 
 
 def test_theorem_310_no_selector():

@@ -1,5 +1,9 @@
 """Finite posets as T0 spaces: order, topology, cores, homotopy."""
 
+import itertools
+import random
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +26,11 @@ from finspace.poset import (
     identity_map,
     min_closed_set,
     min_open_set,
+    order_preserving_maps,
     require_continuous,
 )
+from finspace.formats import serialize_map, serialize_poset
+from finspace.random_instances import random_poset
 
 
 @pytest.fixture
@@ -181,6 +188,126 @@ def test_all_monotone_maps_counts():
     assert len(maps) == 3
     with pytest.raises(BudgetExceeded):
         all_monotone_maps(chain2, chain2, budget=1)
+
+
+def _instance(seed, k, X, Y, cands=None):
+    text = f"seed {seed}, instance {k}\nX:\n{serialize_poset(X)}Y:\n{serialize_poset(Y)}"
+    if cands is not None:
+        text += f"candidates: {cands!r}\n"
+    return text
+
+
+def _random_candidates(rng, X, Y):
+    """Per point a nonempty random set of values, or all of Y."""
+    if rng.random() < 0.5:
+        return {x: list(Y.elements) for x in X.elements}
+    return {
+        x: rng.sample(Y.elements, rng.randint(1, len(Y))) for x in X.elements
+    }
+
+
+def _brute_force(X, Y, cands):
+    out = []
+    for values in itertools.product(*(cands[x] for x in X.elements)):
+        f = PosetMap(X, Y, dict(zip(X.elements, values)))
+        if check_continuous(f)[0]:
+            out.append(tuple(values))
+    return out
+
+
+def _key(f):
+    return tuple(f(x) for x in f.source.elements)
+
+
+def test_order_preserving_maps_match_brute_force():
+    seed = 31
+    rng = random.Random(seed)
+    for k in range(200):
+        X = random_poset(rng, 4, density=0.4)
+        Y = random_poset(rng, 5, density=0.4)
+        cands = _random_candidates(rng, X, Y)
+        got = [_key(f) for f in order_preserving_maps(X, Y, cands.get)]
+        want = _brute_force(X, Y, cands)
+        msg = _instance(seed, k, X, Y, cands)
+        assert len(got) == len(set(got)), "duplicate map\n" + msg
+        assert sorted(got) == sorted(want), msg
+
+
+def test_order_preserving_maps_budget_counts_expanded_assignments():
+    # the budget is the number of partial assignments on a prefix of the
+    # linear extension that get expanded: per prefix length, the number of
+    # order-preserving maps on that prefix
+    seed = 32
+    rng = random.Random(seed)
+    for k in range(40):
+        X = random_poset(rng, 4, density=0.4)
+        Y = random_poset(rng, 4, density=0.4)
+        cands = _random_candidates(rng, X, Y)
+        order = X.linear_extension()
+        nodes = sum(
+            len(_brute_force(X.subposet(order[:i]), Y, cands))
+            for i in range(1, len(order) + 1)
+        )
+        msg = _instance(seed, k, X, Y, cands) + f"nodes: {nodes}\n"
+        full = list(order_preserving_maps(X, Y, cands.get, budget=nodes))
+        assert len(full) == len(_brute_force(X, Y, cands)), msg
+        if nodes:
+            with pytest.raises(BudgetExceeded):
+                list(order_preserving_maps(X, Y, cands.get, budget=nodes - 1))
+    chain2 = build_poset("xy", [("x", "y")])
+    # x->x, y->x, y->y, x->y, y->y
+    assert len(all_monotone_maps(chain2, chain2, budget=5)) == 3
+    with pytest.raises(BudgetExceeded):
+        all_monotone_maps(chain2, chain2, budget=4)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_order_preserving_maps_need_no_recursion():
+    names = [f"p{i}" for i in range(300)]
+    X = build_poset(names, list(zip(names, names[1:])))
+    point = build_poset(["*"], [])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        maps = all_monotone_maps(X, point)
+        first_below = next(order_preserving_maps(X, X, X.down_set, budget=300))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(maps) == 1 and maps[0].image() == {"*"}
+    # the first map below the identity takes the least value everywhere,
+    # one expanded assignment per point
+    assert _key(first_below) == ("p0",) * 300
+
+
+def _first_violation(f):
+    """The pairwise oracle check_continuous replaced."""
+    X, Y = f.source, f.target
+    for x in X.elements:
+        for y in X.elements:
+            if x != y and X.leq(x, y) and not Y.leq(f(x), f(y)):
+                return False, (x, y)
+    return True, None
+
+
+def test_check_continuous_matches_pairwise_loop():
+    seed = 33
+    rng = random.Random(seed)
+    hits = 0
+    for k in range(300):
+        X = random_poset(rng, 7, density=0.4)
+        Y = random_poset(rng, 5, density=0.4)
+        f = PosetMap(X, Y, {x: rng.choice(Y.elements) for x in X.elements})
+        want = _first_violation(f)
+        hits += want[0]
+        msg = _instance(seed, k, X, Y) + f"f:\n{serialize_map(f)}"
+        assert check_continuous(f) == want, msg
+    assert hits, "the corpus should contain continuous maps too"
 
 
 posets = st.integers(1, 6).flatmap(
