@@ -17,7 +17,7 @@ import functools
 import heapq
 
 from . import intmat
-from .complexes import chain_map_of, induced_simplicial_map, order_complex
+from .complexes import SimplicialMap, chain_map_of, order_complex
 from .errors import (
     BasisSolveFailure,
     EmptySubspace,
@@ -26,6 +26,7 @@ from .errors import (
     ProfileMismatch,
 )
 from .intmat import smith_normal_form
+from .poset import require_continuous
 
 __all__ = [
     "HomologyProfile",
@@ -405,10 +406,15 @@ def induced_on_homology(chain_matrices, src, dst):
 
 
 def induced_map_of_poset_map(f):
-    """f_* on free homology, computed through K(f)."""
+    """f_* on free homology, computed through K(f).
+
+    K(f) runs between the cached profiles' own complexes: an equal poset
+    cached first may list its simplices in another order than f.source.
+    """
+    require_continuous(f)
     src = poset_homology(f.source)
     dst = poset_homology(f.target)
-    cm = chain_map_of(induced_simplicial_map(f))
+    cm = chain_map_of(SimplicialMap(src.complex, dst.complex, f.assignment))
     return induced_on_homology(cm, src, dst)
 
 

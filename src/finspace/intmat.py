@@ -44,13 +44,6 @@ def matvec(A, v):
     return [sum(a * b for a, b in zip(row, v) if a) for row in A]
 
 
-def transpose(M):
-    m, n = shape(M)
-    if m == 0:
-        return zeros(n, 0)
-    return [list(col) for col in zip(*M)]
-
-
 def is_zero(M):
     return all(all(x == 0 for x in row) for row in M)
 

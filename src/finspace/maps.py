@@ -7,8 +7,6 @@ projections.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     EmptyValue,
     NoMaximum,
@@ -25,9 +23,9 @@ from .homology import (
 )
 from .poset import (
     DEFAULT_BUDGET,
-    FinitePoset,
     PosetMap,
     order_preserving_maps,
+    product_subposet,
     require_continuous,
 )
 
@@ -93,10 +91,7 @@ class GraphSpace:
             for x in X.elements
             for y in sorted(F(x), key=Y.index)
         ]
-        ix = [X.index(x) for x, _ in pairs]
-        iy = [Y.index(y) for _, y in pairs]
-        mat = X.leq_matrix()[np.ix_(ix, ix)] & Y.leq_matrix()[np.ix_(iy, iy)]
-        self.space = FinitePoset(pairs, mat)
+        self.space = product_subposet(X, Y, pairs)
         self.p = PosetMap(self.space, X, {pr: pr[0] for pr in pairs})
         self.q = PosetMap(self.space, Y, {pr: pr[1] for pr in pairs})
         self.multimap = F

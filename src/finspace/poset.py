@@ -22,35 +22,35 @@ DEFAULT_BUDGET = 10 ** 6
 class FinitePoset:
     """A finite poset: element ids plus a dense boolean leq matrix.
 
-    The matrix is reflexive, antisymmetric and transitive; construction
-    via :func:`build_poset` closes arbitrary relations and rejects cycles.
+    Orders are checked once, where raw data enters: this constructor
+    rejects duplicate ids and a matrix of the wrong shape or not
+    reflexive, antisymmetric (CycleError) and transitive; build_poset
+    closes raw relations and hands them here.  Orders derived from a
+    valid one (subposet, opposite, core, product_subposet) skip the check.
+    ``core`` finds beat points by counting points below and above.
     """
 
     __slots__ = ("elements", "_index", "_leq", "_hash")
 
     def __init__(self, elements, leq_matrix):
-        self.elements = tuple(elements)
-        self._index = {x: i for i, x in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
-            raise DuplicateElement("duplicate element ids")
+        elements = tuple(elements)
+        index = {x: i for i, x in enumerate(elements)}
+        if len(index) != len(elements):
+            dup = next(x for i, x in enumerate(elements) if index[x] != i)
+            raise DuplicateElement(f"duplicate element {dup!r}")
         leq = np.asarray(leq_matrix, dtype=bool)
-        n = len(self.elements)
+        n = len(elements)
         if leq.shape != (n, n):
             raise ValueError("leq matrix shape does not match element count")
         if not leq.diagonal().all():
             raise ValueError("leq is not reflexive")
-        both = leq & leq.T
-        if (both & ~np.eye(n, dtype=bool)).any():
-            i, j = np.argwhere(both & ~np.eye(n, dtype=bool))[0]
-            raise CycleError(
-                f"antisymmetry fails: {self.elements[i]!r} and {self.elements[j]!r}"
-            )
-        closed = _transitive_closure(leq)
-        if not np.array_equal(closed, leq):
+        both = np.argwhere(leq & leq.T & ~np.eye(n, dtype=bool))
+        if len(both):
+            i, j = both[0]
+            raise CycleError(f"cycle through {elements[i]!r} and {elements[j]!r}")
+        if (leq @ leq & ~leq).any():  # boolean product: no counts to wrap
             raise ValueError("leq is not transitive")
-        leq.setflags(write=False)
-        self._leq = leq
-        self._hash = None
+        _fill(self, elements, index, leq)
 
     # -- basic queries ---------------------------------------------------
 
@@ -88,13 +88,9 @@ class FinitePoset:
 
     def __hash__(self):
         if self._hash is None:
-            rels = frozenset(
-                (x, y)
-                for i, x in enumerate(self.elements)
-                for j, y in enumerate(self.elements)
-                if self._leq[i, j]
-            )
-            self._hash = hash((frozenset(self.elements), rels))
+            els = self.elements
+            rels = frozenset((els[i], els[j]) for i, j in np.argwhere(self._leq))
+            self._hash = hash((frozenset(els), rels))
         return self._hash
 
     def __repr__(self):
@@ -115,36 +111,35 @@ class FinitePoset:
     def strict_down_set(self, x):
         return self.down_set(x) - {x}
 
-    def strict_up_set(self, x):
-        return self.up_set(x) - {x}
-
     def opposite(self):
         """The same points with the order (hence the topology) reversed."""
-        return FinitePoset(self.elements, self._leq.T.copy())
+        return _derived(self.elements, self._leq.T.copy())
 
     def subposet(self, subset):
         """Induced subposet on the given elements, keeping element order."""
-        keep = [i for i, x in enumerate(self.elements) if x in subset]
-        missing = set(subset) - set(self.elements)
-        if missing:
+        keep = sorted({self._index.get(x, -1) for x in subset})
+        if keep and keep[0] < 0:
+            missing = set(subset) - self._index.keys()
             raise UnknownElement(f"unknown elements {sorted(map(repr, missing))}")
-        els = [self.elements[i] for i in keep]
-        return FinitePoset(els, self._leq[np.ix_(keep, keep)].copy())
+        return self._restrict(keep)
+
+    def _restrict(self, keep):
+        return _derived([self.elements[i] for i in keep], self._leq[np.ix_(keep, keep)])
 
     def maximum(self, subset=None):
         """The maximum of the subset (default: whole space), or None."""
-        cand = list(subset) if subset is not None else list(self.elements)
-        for m in cand:
-            if all(self.leq(y, m) for y in cand):
-                return m
-        return None
+        return self._extremum(self._leq, subset)
 
     def minimum(self, subset=None):
-        cand = list(subset) if subset is not None else list(self.elements)
-        for m in cand:
-            if all(self.leq(m, y) for y in cand):
-                return m
-        return None
+        """The minimum of the subset (default: whole space), or None."""
+        return self._extremum(self._leq.T, subset)
+
+    def _extremum(self, leq, subset):
+        """The m of the subset with leq[y, m] for every y in it, or None."""
+        idx = np.arange(len(self)) if subset is None else np.array(
+            [self.index(x) for x in subset], dtype=np.intp)
+        hit = np.flatnonzero(leq[idx[:, None], idx].all(axis=0))
+        return self.elements[idx[hit[0]]] if len(hit) else None
 
     def linear_extension(self):
         """Elements in a topological order compatible with leq (stable)."""
@@ -160,44 +155,37 @@ class FinitePoset:
     def all_chains(self):
         """Every nonempty chain, as leq-increasing tuples.
 
-        Enumeration order is deterministic: depth-first from each element
-        in element order, extending to strictly greater elements.
+        Deterministic depth-first preorder (an explicit stack, no recursion)
+        from each element in element order, extending to strictly greater
+        elements.  More than DEFAULT_BUDGET chains raise BudgetExceeded.
         """
-        n = len(self)
-        strict = self._leq & ~np.eye(n, dtype=bool)
-        succ = [list(np.flatnonzero(strict[i, :])) for i in range(n)]
+        els = self.elements
+        strict = self._leq & ~np.eye(len(els), dtype=bool)
+        succ = [np.flatnonzero(row)[::-1].tolist() for row in strict]
+        stack = [((els[i],), i) for i in reversed(range(len(els)))]
         out = []
-
-        def extend(prefix, last):
+        while stack:
+            prefix, last = stack.pop()
             out.append(prefix)
-            for j in succ[last]:
-                extend(prefix + (self.elements[j],), j)
-
-        for i in range(n):
-            extend((self.elements[i],), i)
+            if len(out) > DEFAULT_BUDGET:
+                raise BudgetExceeded(
+                    f"chain enumeration exceeded its budget of {DEFAULT_BUDGET}"
+                )
+            stack.extend((prefix + (els[j],), j) for j in succ[last])
         return out
 
     def euler_characteristic(self):
         """Alternating sum of the chain counts per length."""
-        chi = 0
-        for c in self.all_chains():
-            chi += -1 if len(c) % 2 == 0 else 1
-        return chi
+        return sum(1 if len(c) % 2 else -1 for c in self.all_chains())
 
     # -- cover relation ---------------------------------------------------
 
     def covers(self):
         """Hasse diagram edges (x, y) with x strictly covered by y."""
-        n = len(self)
-        strict = self._leq & ~np.eye(n, dtype=bool)
+        els = self.elements
+        strict = self._leq & ~np.eye(len(els), dtype=bool)
         via = strict @ strict  # boolean product: no fixed-width counts to wrap
-        cov = strict & ~via
-        return [
-            (self.elements[i], self.elements[j])
-            for i in range(n)
-            for j in range(n)
-            if cov[i, j]
-        ]
+        return [(els[i], els[j]) for i, j in np.argwhere(strict & ~via)]
 
     # -- Stong core -------------------------------------------------------
 
@@ -207,22 +195,29 @@ class FinitePoset:
         A point is a down-beat point if its strict down-set has a maximum,
         an up-beat point if its strict up-set has a minimum.  Removal order
         is lowest element position first, for reproducibility.
+
+        Runs on the leq matrix with counts of the live points strictly
+        below and above each point: x is a down-beat point iff some live
+        m < x has one point fewer below it (then m is the maximum below
+        x); dually for up-beat points.
         """
-        current = self
+        n = len(self)
+        strict = self._leq & ~np.eye(n, dtype=bool)  # live strict order
+        below = strict.sum(axis=0)
+        above = strict.sum(axis=1)
+        alive = np.ones(n, dtype=bool)
         while True:
-            beat = None
-            for x in current.elements:
-                down = current.strict_down_set(x)
-                if down and current.maximum(down) is not None:
-                    beat = x
-                    break
-                up = current.strict_up_set(x)
-                if up and current.minimum(up) is not None:
-                    beat = x
-                    break
-            if beat is None:
-                return current
-            current = current.subposet(set(current.elements) - {beat})
+            down = (strict & (below[:, None] + 1 == below)).any(axis=0)
+            up = (strict & (above + 1 == above[:, None])).any(axis=1)
+            beat = np.flatnonzero(down | up)
+            if not len(beat):
+                break
+            x = beat[0]
+            below -= strict[x]
+            above -= strict[:, x]
+            strict[x, :] = strict[:, x] = False
+            alive[x] = False
+        return self if alive.all() else self._restrict(np.flatnonzero(alive))
 
     def is_contractible(self):
         return len(self.core()) == 1
@@ -237,35 +232,43 @@ def _transitive_closure(mat):
         reach = new
 
 
+def _fill(P, elements, index, leq):
+    leq.setflags(write=False)
+    P.elements, P._index, P._leq, P._hash = elements, index, leq, None
+    return P
+
+
+def _derived(elements, leq):
+    """A poset on an order derived from a valid one, taken without a check."""
+    elements = tuple(elements)
+    index = {x: i for i, x in enumerate(elements)}
+    return _fill(object.__new__(FinitePoset), elements, index, leq)
+
+
+def product_subposet(X, Y, pairs):
+    """Distinct pairs (x, y) of X x Y under the (already valid) product order."""
+    ix = [X.index(x) for x, _ in pairs]
+    iy = [Y.index(y) for _, y in pairs]
+    return _derived(pairs, X._leq[np.ix_(ix, ix)] & Y._leq[np.ix_(iy, iy)])
+
+
 def build_poset(elements, relations):
     """Build a FinitePoset from raw relations (pairs meaning x < y).
 
-    The relations are closed reflexively and transitively; a cycle raises
-    CycleError, duplicate ids DuplicateElement, undeclared ids
+    The relations are closed reflexively and transitively and handed to
+    the FinitePoset constructor, which raises CycleError for a cycle and
+    DuplicateElement for duplicate ids; undeclared ids raise
     UnknownElement.
     """
     elements = list(elements)
     index = {x: i for i, x in enumerate(elements)}
-    if len(index) != len(elements):
-        seen = set()
-        for x in elements:
-            if x in seen:
-                raise DuplicateElement(f"duplicate element {x!r}")
-            seen.add(x)
-    n = len(elements)
-    mat = np.eye(n, dtype=bool)
+    mat = np.eye(len(elements), dtype=bool)
     for a, b in relations:
-        if a not in index:
-            raise UnknownElement(f"relation references undeclared element {a!r}")
-        if b not in index:
-            raise UnknownElement(f"relation references undeclared element {b!r}")
+        for x in (a, b):
+            if x not in index:
+                raise UnknownElement(f"relation references undeclared element {x!r}")
         mat[index[a], index[b]] = True
-    closed = _transitive_closure(mat)
-    both = closed & closed.T & ~np.eye(n, dtype=bool)
-    if both.any():
-        i, j = np.argwhere(both)[0]
-        raise CycleError(f"cycle through {elements[i]!r} and {elements[j]!r}")
-    return FinitePoset(elements, closed)
+    return FinitePoset(elements, _transitive_closure(mat))
 
 
 def min_open_set(X, x):

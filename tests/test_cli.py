@@ -164,6 +164,17 @@ def test_exit_code_budget(capsys):
     assert code == 3
 
 
+def test_exit_code_chain_budget(capsys, tmp_path):
+    # 2**25 - 1 chains: the enumeration stops at its budget instead
+    names = [f"p{i}" for i in range(25)]
+    text = "elements: " + " ".join(names) + "\n"
+    text += "".join(f"rel: {a} < {b}\n" for a, b in zip(names, names[1:]))
+    path = tmp_path / "chain25.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "homology", "--poset", str(path))
+    assert code == 3 and "budget" in err
+
+
 def test_text_emit_mode(capsys):
     code, out, err = run(capsys, "homology", "--poset", fixture("circle4.txt"))
     assert code == 0

@@ -29,7 +29,9 @@ from finspace.poset import (
     order_preserving_maps,
     require_continuous,
 )
+from finspace.complexes import barycentric_subdivision_space
 from finspace.formats import serialize_map, serialize_poset
+from finspace.maps import MultiMap, graph
 from finspace.random_instances import random_poset
 
 
@@ -52,10 +54,30 @@ def test_build_closes_transitively():
 def test_build_rejects_bad_input():
     with pytest.raises(CycleError):
         build_poset("ab", [("a", "b"), ("b", "a")])
-    with pytest.raises(DuplicateElement):
+    with pytest.raises(DuplicateElement, match="'a'"):
         build_poset("aa", [])
     with pytest.raises(UnknownElement):
         build_poset("ab", [("a", "q")])
+
+
+def test_constructor_checks_raw_matrices():
+    eye = np.eye(3, dtype=bool)
+    with pytest.raises(ValueError, match="not reflexive"):
+        FinitePoset("abc", np.zeros((3, 3), dtype=bool))
+    cycle = eye.copy()
+    cycle[1, 2] = cycle[2, 1] = True
+    with pytest.raises(CycleError, match="'b' and 'c'"):
+        FinitePoset("abc", cycle)
+    gap = eye.copy()
+    gap[0, 1] = gap[1, 2] = True  # a < b < c without a < c
+    with pytest.raises(ValueError, match="not transitive"):
+        FinitePoset("abc", gap)
+    with pytest.raises(ValueError, match="shape"):
+        FinitePoset("ab", eye.copy())
+    with pytest.raises(DuplicateElement, match="'b'"):
+        FinitePoset("abb", eye.copy())
+    gap[0, 2] = True
+    assert FinitePoset("abc", gap) == build_poset("abc", [("a", "b"), ("b", "c")])
 
 
 def test_down_up_sets(circle):
@@ -89,6 +111,27 @@ def test_chains_and_euler(circle):
     assert circle.chains(2) == []
     assert len(circle.all_chains()) == 8
     assert circle.euler_characteristic() == 0
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_all_chains_needs_no_recursion():
+    names = [f"p{i}" for i in range(16)]
+    X = build_poset(names, list(zip(names, names[1:])))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 12)
+    try:
+        chains = X.all_chains()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(chains) == 2 ** 16 - 1
+    assert chains[:3] == [("p0",), ("p0", "p1"), ("p0", "p1", "p2")]
+    assert chains[15] == tuple(names) and chains[-1] == ("p15",)
 
 
 def test_linear_extension_is_topological(circle):
@@ -128,9 +171,70 @@ def test_covers_with_256_middle_points():
 
 def test_core_and_contractibility(circle, wedge):
     assert wedge.is_contractible()
-    assert len(circle.core()) == 4 and not circle.is_contractible()
+    assert circle.core() is circle and not circle.is_contractible()
     chain = build_poset("pqr", [("p", "q"), ("q", "r")])
-    assert len(chain.core()) == 1
+    assert chain.core().elements == ("r",)
+
+
+def _is_beat_point(P, x):
+    down = [y for y in P.elements if P.lt(y, x)]
+    up = [y for y in P.elements if P.lt(x, y)]
+    return any(all(P.leq(y, m) for y in down) for m in down) or any(
+        all(P.leq(m, y) for y in up) for m in up
+    )
+
+
+def _core_by_rescanning(X):
+    """The beat-point loop core() replaced: rescan, remove the first, restrict."""
+    current = X
+    while True:
+        beat = next((x for x in current.elements if _is_beat_point(current, x)), None)
+        if beat is None:
+            return current
+        current = current.subposet(set(current.elements) - {beat})
+
+
+def _seeded_posets(seed, count):
+    """Random posets, every fourth one replaced by a small subdivision."""
+    rng = random.Random(seed)
+    for k in range(count):
+        if k % 4 == 3:
+            yield k, barycentric_subdivision_space(random_poset(rng, 4, density=0.5))
+        else:
+            yield k, random_poset(rng, 9, density=rng.choice([0.2, 0.4, 0.7]))
+
+
+def test_core_matches_the_beat_point_loop():
+    seed = 34
+    removed = 0
+    for k, X in _seeded_posets(seed, 400):
+        got, want = X.core(), _core_by_rescanning(X)
+        msg = f"seed {seed}, instance {k}\nX:\n{serialize_poset(X)}"
+        assert got.elements == want.elements, msg
+        assert got == want, msg
+        removed += len(X) - len(got)
+    assert removed, "the corpus should contain beat points"
+
+
+def test_derived_orders_pass_the_constructor_checks():
+    seed = 35
+    rng = random.Random(seed)
+    for k, X in _seeded_posets(seed, 200):
+        Y = random_poset(rng, 5, density=0.4)
+        F = MultiMap(X, Y, {
+            x: rng.sample(Y.elements, rng.randint(1, len(Y))) for x in X.elements
+        })
+        subset = rng.sample(X.elements, rng.randint(0, len(X)))
+        derived = {
+            "subposet": X.subposet(subset),
+            "opposite": X.opposite(),
+            "core": X.core(),
+            "graph": graph(F).space,
+        }
+        for name, D in derived.items():
+            msg = (f"seed {seed}, instance {k}, {name}\nX:\n{serialize_poset(X)}"
+                   f"Y:\n{serialize_poset(Y)}F: {F!r}\nsubset: {subset!r}")
+            assert FinitePoset(D.elements, D.leq_matrix()) == D, msg
 
 
 def test_equality_up_to_element_order():
@@ -259,13 +363,6 @@ def test_order_preserving_maps_budget_counts_expanded_assignments():
     assert len(all_monotone_maps(chain2, chain2, budget=5)) == 3
     with pytest.raises(BudgetExceeded):
         all_monotone_maps(chain2, chain2, budget=4)
-
-
-def _stack_depth():
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
 
 
 def test_order_preserving_maps_need_no_recursion():
