@@ -8,10 +8,12 @@ against; run_all() is what the CLI paper-suite verb executes.
 
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
 
 from .complexes import barycentric_subdivision_space, chain_max_map
 from .dynamics import build_tower, compose_h
 from .formats import parse_map_text, parse_multimap_text, parse_poset_text
+from .formats import serialize_map, serialize_multimap, serialize_poset
 from .homology import (
     induced_map_of_poset_map,
     invert,
@@ -30,7 +32,7 @@ from .maps import (
     is_vietoris_like_map,
     is_vietoris_like_multimap,
 )
-from .poset import are_homotopic, check_continuous
+from .poset import FinitePoset, PosetMap, are_homotopic, check_continuous
 
 
 @dataclass
@@ -281,12 +283,34 @@ def case_ex4_3():
     return CaseResult("ex4_3", checks)
 
 
+def _property_suite(name, label, seed, instances):
+    """One CaseResult for a property suite, naming its first counterexample.
+
+    instances yields (holds, parts), parts naming the posets, maps and
+    multimaps of the instance; the first that does not hold ends the suite.
+    """
+    for i, (holds, parts) in enumerate(instances):
+        if not holds:
+            text = "".join(f"{k}:\n{_serialized(v)}" for k, v in parts.items())
+            label = f"counterexample: seed {seed}, instance {i}\n{text}"
+            return CaseResult(name, [(label, False)])
+    return CaseResult(name, [(label, True)])
+
+
+def _serialized(obj):
+    kinds = {
+        FinitePoset: serialize_poset, PosetMap: serialize_map, MultiMap: serialize_multimap
+    }
+    return kinds[type(obj)](obj)
+
+
 def run_property_suites(seed, count=30):
     """Seeded randomized property suites, one CaseResult per implication.
 
     Smaller counterparts of the acceptance corpora: every instance is
     generated from the seed, its hypotheses re-certified, and the claimed
-    conclusion checked; a single counterexample fails the suite.
+    conclusion checked; a single counterexample fails the suite and is
+    named in its label.
     """
     import random
 
@@ -300,78 +324,60 @@ def run_property_suites(seed, count=30):
         usc_maxima_multimap,
     )
 
-    results = []
+    def susc_acyclic(rng):
+        while True:
+            X = random_poset(rng, 7)
+            F = susc_acyclic_multimap(rng, X)
+            holds = classify_continuity(F).susc and all(
+                is_acyclic(X.subposet(F(x))) for x in X.elements
+            ) and is_vietoris_like_multimap(F).ok
+            yield holds, {"X": X, "F": F}
 
-    rng = random.Random(seed)
-    ok = True
-    for _ in range(count):
-        X = random_poset(rng, 7)
-        F = susc_acyclic_multimap(rng, X)
-        ok = ok and classify_continuity(F).susc
-        ok = ok and all(is_acyclic(X.subposet(F(x))) for x in X.elements)
-        ok = ok and is_vietoris_like_multimap(F).ok
-    results.append(CaseResult(
-        "susc_acyclic_implies_vietoris_like",
-        [(f"{count} instances, zero counterexamples", ok)],
-    ))
+    def usc_maxima(rng):
+        while True:
+            X = random_poset(rng, 7)
+            F = usc_maxima_multimap(rng, X)
+            if F is not None:
+                yield is_vietoris_like_multimap(F).ok, {"X": X, "F": F}
 
-    rng = random.Random(seed + 1)
-    ok, done = True, 0
-    while done < count:
-        F = usc_maxima_multimap(rng, random_poset(rng, 7))
-        if F is None:
-            continue
-        ok = ok and is_vietoris_like_multimap(F).ok
-        done += 1
-    results.append(CaseResult(
-        "usc_with_maxima_implies_vietoris_like",
-        [(f"{count} instances, zero counterexamples", ok)],
-    ))
+    def composition(rng):
+        while True:
+            X = random_poset(rng, 4, density=0.4)
+            X1 = barycentric_subdivision_space(X)
+            if len(X1) > 12:
+                continue
+            h1 = chain_max_map(X1, X)
+            h2 = chain_max_map(barycentric_subdivision_space(X1), X1)
+            yield all(is_vietoris_like_map(h).ok for h in (h1, h2, h2.then(h1))), {"X": X}
 
-    rng = random.Random(seed + 2)
-    ok, done = True, 0
-    while done < count:
-        X = random_poset(rng, 4, density=0.4)
-        X1 = barycentric_subdivision_space(X)
-        if len(X1) > 12:
-            continue
-        h1 = chain_max_map(X1, X)
-        X2 = barycentric_subdivision_space(X1)
-        h2 = chain_max_map(X2, X1)
-        ok = ok and is_vietoris_like_map(h1).ok and is_vietoris_like_map(h2).ok
-        ok = ok and is_vietoris_like_map(h2.then(h1)).ok
-        done += 1
-    results.append(CaseResult(
-        "vietoris_like_closed_under_composition",
-        [(f"{count} instances, zero counterexamples", ok)],
-    ))
+    def lefschetz(rng):
+        while True:
+            X = random_poset(rng, 8)
+            f = random_endomorphism(rng, X)
+            rep = classical_lefschetz(f)
+            yield rep.lambda_ == rep.chi_fix, {"X": X, "f": f}
 
-    rng = random.Random(seed + 3)
-    ok = True
-    for _ in range(count):
-        X = random_poset(rng, 8)
-        rep = classical_lefschetz(random_endomorphism(rng, X))
-        ok = ok and rep.lambda_ == rep.chi_fix
-    results.append(CaseResult(
-        "lefschetz_number_equals_euler_of_fixed_set",
-        [(f"{count} instances, exact equality", ok)],
-    ))
+    def selector(rng):
+        while True:
+            X = random_poset(rng, 7)
+            F = susc_acyclic_multimap(rng, X)
+            lam_g = lefschetz_number(induced_map_of_poset_map(selector_from_maxima(F)))
+            lam_F = lefschetz_number(induced_multimap_homology(F))
+            yield lam_g == lam_F, {"X": X, "F": F}
 
-    rng = random.Random(seed + 4)
-    ok = True
-    for _ in range(count):
-        X = random_poset(rng, 7)
-        F = susc_acyclic_multimap(rng, X)
-        g = selector_from_maxima(F)
-        lam_g = lefschetz_number(induced_map_of_poset_map(g))
-        lam_F = lefschetz_number(induced_multimap_homology(F))
-        ok = ok and lam_g == lam_F
-    results.append(CaseResult(
-        "selector_has_same_lefschetz_number",
-        [(f"{count} instances, exact equality", ok)],
-    ))
-
-    return results
+    none = f"{count} instances, zero counterexamples"
+    equal = f"{count} instances, exact equality"
+    suites = [
+        ("susc_acyclic_implies_vietoris_like", none, susc_acyclic),
+        ("usc_with_maxima_implies_vietoris_like", none, usc_maxima),
+        ("vietoris_like_closed_under_composition", none, composition),
+        ("lefschetz_number_equals_euler_of_fixed_set", equal, lefschetz),
+        ("selector_has_same_lefschetz_number", equal, selector),
+    ]
+    return [
+        _property_suite(name, label, seed, islice(gen(random.Random(seed + k)), count))
+        for k, (name, label, gen) in enumerate(suites)
+    ]
 
 
 ALL_CASES = [

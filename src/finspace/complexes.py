@@ -3,6 +3,11 @@
 The two functors at work: K sends a poset to the simplicial complex of
 its chains, X sends a complex to the poset of its simplices under
 inclusion.  Composing them either way gives barycentric subdivision.
+
+Chain-level data has one format: per dimension, a list with one sparse
+column {simplex index: coefficient} per simplex.  boundary_columns and
+chain_map_of return it; boundary_matrix is the dense version, kept as an
+oracle for tests.
 """
 
 from . import intmat
@@ -107,7 +112,7 @@ class SimplicialComplex:
         ]
 
     def boundary_matrix(self, dim):
-        """The dense matrix of boundary_columns(dim).
+        """The dense matrix of boundary_columns(dim), a reference for tests.
 
         dim = 0 gives a matrix with zero rows.
         """
@@ -245,25 +250,23 @@ def _perm_sign(seq):
 
 
 def chain_map_of(sm):
-    """Per-dimension integer matrices of the chain map of a simplicial map.
+    """Per-dimension sparse columns of the chain map of a simplicial map.
 
-    A simplex whose image degenerates maps to zero; otherwise the entry is
-    the sign of the permutation that sorts the image vertices.
+    The format of boundary_columns: one {image index: sign} dict per
+    source simplex.  A simplex whose image degenerates maps to {};
+    otherwise the sign is that of the permutation sorting the image
+    vertices.
     """
-    src, dst = sm.source, sm.target
-    dims = len(src.simplices)
-    mats = []
-    for d in range(dims):
-        rows = dst.n_simplices(d)
-        cols = src.n_simplices(d)
-        M = intmat.zeros(rows, cols)
-        for j, s in enumerate(src.simplices[d]):
-            images = [sm(v) for v in s]
-            if len(set(images)) != len(images):
-                continue  # degenerate: zero column
-            keys = [dst._vindex[v] for v in images]
-            sign = _perm_sign(keys)
-            t = tuple(v for _, v in sorted(zip(keys, images)))
-            M[dst.simplex_index(t)][j] = sign
-        mats.append(M)
-    return mats
+    dst = sm.target
+    out = []
+    for level in sm.source.simplices:
+        cols = []
+        for s in level:
+            keys = [dst._vindex[sm(v)] for v in s]
+            if len(set(keys)) != len(keys):
+                cols.append({})  # degenerate
+                continue
+            t = tuple(dst.vertices[k] for k in sorted(keys))
+            cols.append({dst.simplex_index(t): _perm_sign(keys)})
+        out.append(cols)
+    return out

@@ -11,6 +11,12 @@ inclusion lifts the residual free basis to cycles of the complex, and the
 projection sends any cycle to its free-part coordinates.  Induced maps
 and Lefschetz numbers act on the torsion-free part of homology, in that
 deterministic basis.
+
+Chains, cycles and chain maps are sparse, in the format of
+SimplicialComplex.boundary_columns: a chain is a dict {simplex index:
+coefficient}, a chain map one such column per source simplex.  Dense
+matrices appear only as the residual Smith-form input and the
+betti-sized InducedMap matrices.
 """
 
 import functools
@@ -71,7 +77,7 @@ class HomologyProfile:
 
     For each dimension i the profile keeps:
       * betti[i] and torsion[i] (invariant factors > 1, divisibility chain)
-      * free_basis[i]: an n_i x betti[i] matrix of cycle representatives
+      * free_basis[i]: betti[i] sparse cycles {simplex index: coefficient}
       * betti[i] sparse projection rows sending any cycle to its free-part
         coordinates
       * boundaries[i]: the sparse boundary columns of dimension i
@@ -92,11 +98,8 @@ class HomologyProfile:
     def torsion_at(self, dim):
         return self.torsion[dim] if 0 <= dim < len(self.torsion) else []
 
-    def class_of(self, dim, cycle):
-        """Free-part coordinates of a cycle given in chain coordinates."""
-        return self._class_of_chain(dim, {i: x for i, x in enumerate(cycle) if x})
-
-    def _class_of_chain(self, dim, chain):
+    def class_of(self, dim, chain):
+        """Free-part coordinates of a sparse cycle {simplex index: coefficient}."""
         if dim >= len(self.betti):
             if chain:
                 raise BasisSolveFailure("nonzero chain above the top dimension")
@@ -240,9 +243,12 @@ def _residual_homology(R, sizes):
 
     R[i] is the dense boundary C_i -> C_{i-1} (R[0] has zero rows) and
     sizes[i] the rank of C_i.  For each i the kernel of R[i] is read off
-    its Smith form (the trailing columns of V span it integrally); the
-    image of R[i+1] is expressed in that kernel basis and a second Smith
-    form splits the quotient into free part and torsion.  Returns Betti
+    its Smith form (the trailing columns of V span it integrally, the
+    trailing rows of V^-1 give kernel coordinates); the image of R[i+1] is
+    expressed in that kernel basis and a second Smith form splits the
+    quotient into free part and torsion (its U gives the projection, U^-1
+    the basis).  The inverses come from unimodular_inverse: the matrices
+    here are residual-sized.  Returns Betti
     numbers, torsion, and per dimension the free basis (sizes[i] x betti)
     and its projection (betti x sizes[i]).
     """
@@ -253,7 +259,7 @@ def _residual_homology(R, sizes):
         r = sf.rank
         z = n_i - r  # kernel rank
         Z = intmat.hstack_cols(sf.V, list(range(r, n_i)))
-        Kproj = intmat.stack_rows(sf.Vinv, list(range(r, n_i)))
+        Kproj = intmat.stack_rows(intmat.unimodular_inverse(sf.V), list(range(r, n_i)))
         # boundaries from above, in kernel coordinates
         if i + 1 < len(sizes) and sizes[i + 1]:
             A = intmat.matmul(Kproj, R[i + 1])
@@ -264,7 +270,8 @@ def _residual_homology(R, sizes):
         betti.append(z - s)
         torsion.append([x for x in sfa.invariant_factors if x > 1])
         projs.append(intmat.matmul(intmat.stack_rows(sfa.U, list(range(s, z))), Kproj))
-        bases.append(intmat.matmul(Z, intmat.hstack_cols(sfa.Uinv, list(range(s, z)))))
+        Uinv = intmat.unimodular_inverse(sfa.U)
+        bases.append(intmat.matmul(Z, intmat.hstack_cols(Uinv, list(range(s, z)))))
     return betti, torsion, bases, projs
 
 
@@ -289,13 +296,10 @@ def homology(K):
 
     free_basis, free_proj = [], []
     for i in range(dims):
-        n_i = K.n_simplices(i)
-        B = intmat.zeros(n_i, betti[i])
-        for j in range(betti[i]):
-            coords = {c: bases[i][r][j] for r, c in enumerate(cells[i]) if bases[i][r][j]}
-            for k, x in red.lifted(i, coords).items():
-                B[k][j] = x
-        free_basis.append(B)
+        free_basis.append([
+            red.lifted(i, {c: row[j] for c, row in zip(cells[i], bases[i]) if row[j]})
+            for j in range(betti[i])
+        ])
         free_proj.append([
             red.pulled_back(i, {c: x for c, x in zip(cells[i], row) if x})
             for row in projs[i]
@@ -353,54 +357,40 @@ def identity_induced(profile):
     return InducedMap(profile, profile, mats)
 
 
-def induced_on_homology(chain_matrices, src, dst):
-    """Induced map on free homology from per-dimension chain-map matrices.
+def induced_on_homology(chain_columns, src, dst):
+    """Induced map on free homology of a chain map given as sparse columns.
 
-    The matrices are read once into sparse columns.  The chain-map
+    chain_columns[d] holds one column {target index: coefficient} per
+    source d-simplex, as chain_map_of returns them.  The chain-map
     condition is verified column by column against both boundary
     sequences, then every source free-basis cycle is pushed through and
     its class read in the destination basis.
     """
-    dims = max(len(src.betti), len(dst.betti))
-
-    def columns(d):
+    sizes = [len(level) for level in src.complex.simplices]
+    got = [len(cols) for cols in chain_columns]
+    if got != sizes:
+        raise NotAChainMap(f"chain map has {got} columns per dimension, expected {sizes}")
+    for d, cols in enumerate(chain_columns):
         rows = dst.complex.n_simplices(d)
-        cols = src.complex.n_simplices(d)
-        if d < len(chain_matrices):
-            M = chain_matrices[d]
-            if intmat.shape(M) != (rows, cols):
-                # tolerate empty placeholders for missing dimensions
-                if rows == 0 or cols == 0:
-                    return [{} for _ in range(cols)]
-                raise NotAChainMap(
-                    f"chain matrix in dimension {d} has shape {intmat.shape(M)}, "
-                    f"expected {(rows, cols)}"
-                )
-            if rows:
-                return [{i: x for i, x in enumerate(col) if x} for col in zip(*M)]
-        return [{} for _ in range(cols)]
-
-    fmaps = [columns(d) for d in range(dims)]
+        if any(not 0 <= i < rows for col in cols for i in col):
+            raise NotAChainMap(f"chain map leaves the {rows} target {d}-simplices")
 
     for d in range(1, len(src.boundaries)):
         for j, col in enumerate(src.boundaries[d]):
             # a nonempty image column means dst has d-simplices
-            lhs = _apply(dst.boundaries[d], fmaps[d][j]) if fmaps[d][j] else {}
-            if lhs != _apply(fmaps[d - 1], col):
+            image = chain_columns[d][j]
+            lhs = _apply(dst.boundaries[d], image) if image else {}
+            if lhs != _apply(chain_columns[d - 1], col):
                 raise NotAChainMap(f"boundary does not commute in dimension {d}")
 
     mats = []
-    for d in range(dims):
-        bs = src.betti_at(d)
-        bt = dst.betti_at(d)
+    for d in range(max(len(src.betti), len(dst.betti))):
+        bs, bt = src.betti_at(d), dst.betti_at(d)
         M = intmat.zeros(bt, bs)
-        if bs and bt and d < len(src.free_basis):
-            basis = src.free_basis[d]
-            for j in range(bs):
-                cycle = {i: row[j] for i, row in enumerate(basis) if row[j]}
-                coords = dst._class_of_chain(d, _apply(fmaps[d], cycle))
-                for i in range(bt):
-                    M[i][j] = coords[i]
+        if bs and bt:
+            for j, cycle in enumerate(src.free_basis[d]):
+                for i, x in enumerate(dst.class_of(d, _apply(chain_columns[d], cycle))):
+                    M[i][j] = x
         mats.append(M)
     return InducedMap(src, dst, mats)
 

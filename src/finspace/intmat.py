@@ -1,11 +1,13 @@
 """Exact integer matrix helpers and the dense Smith normal form.
 
 Matrices are plain lists of lists of Python ints, so every computation is
-arbitrary precision.  The Smith form scans and updates whole matrices,
-so homology does not hand it full boundary matrices: it first eliminates
-unit-pivot reduction pairs on sparse columns and calls the Smith form
-only on the small residual complex.  Induced maps, their inverses and
-the tests' reference computations use it directly.
+arbitrary precision.  Chain-level data does not live here: boundaries,
+chain maps and cycles are sparse columns, and homology eliminates
+unit-pivot reduction pairs on them before it calls the Smith form on the
+small dense residual complex.  The other dense matrices are the
+betti-sized induced maps, their inverses and the tests' reference
+computations.  The Smith form keeps S, U and V only; a caller that needs
+U^-1 or V^-1 takes unimodular_inverse of it.
 """
 
 from .errors import NotInvertible
@@ -64,17 +66,15 @@ def stack_rows(M, rows):
 class SmithForm:
     """Result of a Smith decomposition S = U * M * V.
 
-    U and V are unimodular; Uinv and Vinv are their exact inverses.  The
-    diagonal of S carries the invariant factors d1 | d2 | ... followed by
-    zeros.
+    U and V are unimodular.  The diagonal of S carries the invariant
+    factors d1 | d2 | ... followed by zeros.  A caller that needs an
+    inverse transform takes unimodular_inverse(U) or unimodular_inverse(V).
     """
 
-    def __init__(self, S, U, V, Uinv, Vinv):
+    def __init__(self, S, U, V):
         self.S = S
         self.U = U
         self.V = V
-        self.Uinv = Uinv
-        self.Vinv = Vinv
 
     @property
     def rank(self):
@@ -87,43 +87,35 @@ class SmithForm:
         return [self.S[t][t] for t in range(min(m, n)) if self.S[t][t] != 0]
 
 
-def _row_swap(S, U, Ui, i, j):
+def _row_swap(S, U, i, j):
     S[i], S[j] = S[j], S[i]
     U[i], U[j] = U[j], U[i]
-    for r in Ui:
-        r[i], r[j] = r[j], r[i]
 
 
-def _col_swap(S, V, Vi, i, j):
+def _col_swap(S, V, i, j):
     for r in S:
         r[i], r[j] = r[j], r[i]
     for r in V:
         r[i], r[j] = r[j], r[i]
-    Vi[i], Vi[j] = Vi[j], Vi[i]
 
 
-def _row_negate(S, U, Ui, i):
+def _row_negate(S, U, i):
     S[i] = [-x for x in S[i]]
     U[i] = [-x for x in U[i]]
-    for r in Ui:
-        r[i] = -r[i]
 
 
-def _row_addmul(S, U, Ui, i, j, k):
+def _row_addmul(S, U, i, j, k):
     # row i += k * row j
     S[i] = [a + k * b for a, b in zip(S[i], S[j])]
     U[i] = [a + k * b for a, b in zip(U[i], U[j])]
-    for r in Ui:
-        r[j] -= k * r[i]
 
 
-def _col_addmul(S, V, Vi, j, i, k):
+def _col_addmul(S, V, j, i, k):
     # col j += k * col i
     for r in S:
         r[j] += k * r[i]
     for r in V:
         r[j] += k * r[i]
-    Vi[i] = [a - k * b for a, b in zip(Vi[i], Vi[j])]
 
 
 def smith_normal_form(M, ncols=None):
@@ -137,8 +129,7 @@ def smith_normal_form(M, ncols=None):
     if m == 0 and ncols is not None:
         n = ncols
     S = copy(M)
-    U, Ui = identity(m), identity(m)
-    V, Vi = identity(n), identity(n)
+    U, V = identity(m), identity(n)
 
     t = 0
     while t < min(m, n):
@@ -160,11 +151,11 @@ def smith_normal_form(M, ncols=None):
             break
         i, j = pivot
         if i != t:
-            _row_swap(S, U, Ui, t, i)
+            _row_swap(S, U, t, i)
         if j != t:
-            _col_swap(S, V, Vi, t, j)
+            _col_swap(S, V, t, j)
         if S[t][t] < 0:
-            _row_negate(S, U, Ui, t)
+            _row_negate(S, U, t)
 
         # clear row and column t; remainders restart the elimination
         while True:
@@ -172,23 +163,23 @@ def smith_normal_form(M, ncols=None):
             for i in range(t + 1, m):
                 if S[i][t] != 0:
                     q = S[i][t] // S[t][t]
-                    _row_addmul(S, U, Ui, i, t, -q)
+                    _row_addmul(S, U, i, t, -q)
                     if S[i][t] != 0:
-                        _row_swap(S, U, Ui, t, i)
+                        _row_swap(S, U, t, i)
                         if S[t][t] < 0:
-                            _row_negate(S, U, Ui, t)
+                            _row_negate(S, U, t)
                         dirty = True
             for j in range(t + 1, n):
                 if S[t][j] != 0:
                     q = S[t][j] // S[t][t]
-                    _col_addmul(S, V, Vi, j, t, -q)
+                    _col_addmul(S, V, j, t, -q)
                     if S[t][j] != 0:
-                        _col_swap(S, V, Vi, t, j)
+                        _col_swap(S, V, t, j)
                         dirty = True
             if not dirty:
                 break
         if S[t][t] < 0:
-            _row_negate(S, U, Ui, t)
+            _row_negate(S, U, t)
 
         # enforce the divisibility chain
         d = S[t][t]
@@ -201,11 +192,11 @@ def smith_normal_form(M, ncols=None):
             if fix is not None:
                 break
         if fix is not None:
-            _row_addmul(S, U, Ui, t, fix, 1)
+            _row_addmul(S, U, t, fix, 1)
             continue  # redo elimination at the same t
         t += 1
 
-    return SmithForm(S, U, V, Ui, Vi)
+    return SmithForm(S, U, V)
 
 
 def unimodular_inverse(M):

@@ -78,13 +78,17 @@ def _finish(lam, certs, witnesses, details=None):
     )
 
 
+def _require(cert, hypothesis, **kwargs):
+    """Raise HypothesisFailed naming the hypothesis unless cert certifies it."""
+    if not cert.ok:
+        raise HypothesisFailed(f"{hypothesis}: {cert.as_dict()}", **kwargs)
+
+
 def theorem_A(f, g):
     """Coincidence theorem: f Vietoris-like, Lambda(g_* f_*^-1) != 0
     forces a point with f(x) = g(x)."""
     require_continuous(g)
-    cert = is_vietoris_like_map(f)
-    if not cert.ok:
-        raise HypothesisFailed(f"f is not Vietoris-like: {cert.as_dict()}")
+    _require(is_vietoris_like_map(f), "f is not Vietoris-like")
     f_star = induced_map_of_poset_map(f)
     g_star = induced_map_of_poset_map(g)
     lam = lefschetz_number(invert(f_star).then(g_star))
@@ -96,9 +100,7 @@ def theorem_B(F):
     if F.source != F.target:
         raise ValueError("theorem needs an endo-multimap")
     gs = graph(F)
-    cert = is_vietoris_like_map(gs.p)
-    if not cert.ok:
-        raise HypothesisFailed(f"F is not a Vietoris-like multimap: {cert.as_dict()}")
+    _require(is_vietoris_like_map(gs.p), "F is not a Vietoris-like multimap")
     lam = lefschetz_number(induced_multimap_homology(F, gs))
     witnesses = [x for x in F.source.elements if x in F(x)]
     return _finish(lam, ["F Vietoris-like multimap"], witnesses)
@@ -119,11 +121,11 @@ def theorem_C(chain):
         raise NotComposable("composition is not an endo-multimap")
     certs = []
     for i, G in enumerate(chain):
-        cert = is_vietoris_like_multimap(G)
-        if not cert.ok:
-            raise HypothesisFailed(
-                f"link {i} is not a Vietoris-like multimap: {cert.as_dict()}", index=i
-            )
+        _require(
+            is_vietoris_like_multimap(G),
+            f"link {i} is not a Vietoris-like multimap",
+            index=i,
+        )
         certs.append(f"G{i} Vietoris-like multimap")
     induced = induced_multimap_homology(chain[0])
     for G in chain[1:]:
@@ -160,19 +162,13 @@ def corollary_multimap_coincidence(f, F, mode):
     require_continuous(f)
     gs = graph(F)
     if mode == 1:
-        cert = is_vietoris_like_map(f)
-        if not cert.ok:
-            raise HypothesisFailed(f"f is not Vietoris-like: {cert.as_dict()}")
+        _require(is_vietoris_like_map(f), "f is not Vietoris-like")
         lam = lefschetz_number(
             invert(induced_map_of_poset_map(f)).then(induced_multimap_homology(F, gs))
         )
         certs = ["f Vietoris-like"]
     elif mode == 2:
-        cert = is_vietoris_like_map(gs.q)
-        if not cert.ok:
-            raise HypothesisFailed(
-                f"second projection is not Vietoris-like: {cert.as_dict()}"
-            )
+        _require(is_vietoris_like_map(gs.q), "second projection is not Vietoris-like")
         p_star, q_star = projections_on_core(gs)
         F_inv = invert(q_star).then(p_star)  # F_*^-1 = p_* q_*^-1
         lam = lefschetz_number(F_inv.then(induced_map_of_poset_map(f)))
@@ -209,20 +205,16 @@ def theorem_310(F, G, case, budget=DEFAULT_BUDGET):
         raise ValueError("multimaps must share source and target")
     gs = graph(F)
     if case == 1:
-        cert = is_vietoris_like_map(gs.p)
-        if not cert.ok:
-            raise HypothesisFailed(f"F is not a Vietoris-like multimap: {cert.as_dict()}")
+        _require(is_vietoris_like_map(gs.p), "F is not a Vietoris-like multimap")
         g = _find_selector(G, vietoris_required=True, budget=budget)
         lam = lefschetz_number(
             invert(induced_map_of_poset_map(g)).then(induced_multimap_homology(F, gs))
         )
         certs = ["F Vietoris-like multimap", "G has Vietoris-like selector"]
     elif case == 2:
-        cert = is_vietoris_like_map(gs.q)
-        if not cert.ok:
-            raise HypothesisFailed(
-                f"second projection of F is not Vietoris-like: {cert.as_dict()}"
-            )
+        _require(
+            is_vietoris_like_map(gs.q), "second projection of F is not Vietoris-like"
+        )
         g = _find_selector(G, vietoris_required=False, budget=budget)
         p_star, q_star = projections_on_core(gs)
         F_inv = invert(q_star).then(p_star)  # F_*^-1 = p_* q_*^-1

@@ -7,6 +7,8 @@ projections.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     EmptyValue,
     NoMaximum,
@@ -113,23 +115,25 @@ class ContinuityFlags:
 
 
 def classify_continuity(F):
-    """Order-theoretic (strong) upper/lower semicontinuity flags."""
+    """Order-theoretic (strong) upper/lower semicontinuity flags.
+
+    M[x, y] says y is in F(x) and up[x, y] that y lies below some point
+    of F(x).  For every pair x1 <= x2: usc asks F(x1) to lie below F(x2)
+    (in up[x2]), lsc asks F(x2) to lie below F(x1); susc and slsc ask for
+    F(x1) <= F(x2) and F(x2) <= F(x1) as sets.
+    """
     X, Y = F.source, F.target
-    usc = lsc = susc = slsc = True
-    for x1 in X.elements:
-        for x2 in X.elements:
-            if not X.leq(x1, x2):
-                continue
-            # x1 <= x2
-            if not F(x1) <= F(x2):
-                susc = False
-            if not F(x2) <= F(x1):
-                slsc = False
-            if not all(any(Y.leq(y1, y2) for y2 in F(x2)) for y1 in F(x1)):
-                usc = False
-            if not all(any(Y.leq(y2, y1) for y1 in F(x1)) for y2 in F(x2)):
-                lsc = False
-    return ContinuityFlags(usc=usc, lsc=lsc, susc=susc, slsc=slsc)
+    M = np.zeros((len(X), len(Y)), dtype=bool)
+    for i, x in enumerate(X.elements):
+        M[i, [Y.index(y) for y in F(x)]] = True
+    up = (M[:, None, :] & Y.leq_matrix()[None, :, :]).any(axis=2)
+    pairs = X.leq_matrix()[:, :, None]  # pairs[x1, x2] is x1 <= x2
+    return ContinuityFlags(
+        usc=not (pairs & M[:, None] & ~up[None]).any(),
+        lsc=not (pairs & ~up[:, None] & M[None]).any(),
+        susc=not (pairs & M[:, None] & ~M[None]).any(),
+        slsc=not (pairs & ~M[:, None] & M[None]).any(),
+    )
 
 
 @dataclass

@@ -157,20 +157,27 @@ class FinitePoset:
 
         Deterministic depth-first preorder (an explicit stack, no recursion)
         from each element in element order, extending to strictly greater
-        elements.  More than DEFAULT_BUDGET chains raise BudgetExceeded.
+        elements.  The chains are counted before any is built: more than
+        DEFAULT_BUDGET raise BudgetExceeded.
         """
         els = self.elements
         strict = self._leq & ~np.eye(len(els), dtype=bool)
         succ = [np.flatnonzero(row)[::-1].tolist() for row in strict]
+        if 2 ** len(els) - 1 > DEFAULT_BUDGET:  # else no poset can exceed it
+            # chains starting at x: 1 + those starting above x (Python ints)
+            starting = [0] * len(els)
+            for x in reversed(self.linear_extension()):
+                i = self.index(x)
+                starting[i] = 1 + sum(starting[j] for j in succ[i])
+            if sum(starting) > DEFAULT_BUDGET:
+                raise BudgetExceeded(
+                    f"chain enumeration exceeded its budget of {DEFAULT_BUDGET}"
+                )
         stack = [((els[i],), i) for i in reversed(range(len(els)))]
         out = []
         while stack:
             prefix, last = stack.pop()
             out.append(prefix)
-            if len(out) > DEFAULT_BUDGET:
-                raise BudgetExceeded(
-                    f"chain enumeration exceeded its budget of {DEFAULT_BUDGET}"
-                )
             stack.extend((prefix + (els[j],), j) for j in succ[last])
         return out
 

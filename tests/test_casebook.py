@@ -1,8 +1,14 @@
 """Every named regression case must pass end to end."""
 
+import dataclasses
+import random
+
 import pytest
 
+from finspace import casebook
 from finspace.casebook import ALL_CASES, run_all, run_property_suites
+from finspace.formats import serialize_multimap, serialize_poset
+from finspace.random_instances import random_poset, susc_acyclic_multimap
 
 
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda fn: fn.__name__)
@@ -28,3 +34,31 @@ def test_property_suites_pass_and_are_seed_deterministic():
     assert first == second
     assert all(r["passed"] for r in first)
     assert len(first) == 5
+
+
+def test_property_suite_names_its_first_counterexample(monkeypatch):
+    calls = []
+    classify = casebook.classify_continuity
+
+    def susc_fails_on_third_call(F):
+        calls.append(F)
+        flags = classify(F)
+        return dataclasses.replace(flags, susc=flags.susc and len(calls) != 3)
+
+    monkeypatch.setattr(casebook, "classify_continuity", susc_fails_on_third_call)
+    results = run_property_suites(11, count=10)
+    rng = random.Random(11)
+    for _ in range(3):
+        X = random_poset(rng, 7)
+        F = susc_acyclic_multimap(rng, X)
+    assert results[0].as_dict() == {
+        "name": "susc_acyclic_implies_vietoris_like",
+        "passed": False,
+        "checks": [{
+            "label": "counterexample: seed 11, instance 2\n"
+                     f"X:\n{serialize_poset(X)}F:\n{serialize_multimap(F)}",
+            "ok": False,
+        }],
+    }
+    assert len(calls) == 3  # the suite stops at its first counterexample
+    assert all(r.passed for r in results[1:])

@@ -21,6 +21,7 @@ from finspace.errors import (
     ProfileMismatch,
 )
 from finspace.homology import (
+    _residual_homology,
     homology,
     identity_induced,
     induced_map_of_poset_map,
@@ -81,14 +82,13 @@ def test_disjoint_points():
 def test_class_of_and_errors():
     circle = build_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
     hp = poset_homology(circle)
-    K = hp.complex
-    # the generating cycle coordinates round-trip through the basis
-    col = [hp.free_basis[1][i][0] for i in range(K.n_simplices(1))]
-    assert hp.class_of(1, col) in ([1], [-1])
+    # the generating cycle round-trips through the basis
+    assert hp.class_of(1, hp.free_basis[1][0]) == [1]
+    assert hp.class_of(1, {i: -x for i, x in hp.free_basis[1][0].items()}) == [-1]
     with pytest.raises(BasisSolveFailure):
-        hp.class_of(1, [1, 0, 0, 0])  # a single edge is not a cycle
+        hp.class_of(1, {0: 1})  # a single edge is not a cycle
     with pytest.raises(BasisSolveFailure):
-        hp.class_of(5, [1])
+        hp.class_of(5, {0: 1})
 
 
 def test_is_acyclic():
@@ -171,10 +171,17 @@ def test_induced_on_homology_rejects_non_chain_maps():
     circle = build_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
     hp = poset_homology(circle)
     cm = chain_map_of(induced_simplicial_map(identity_map(circle)))
-    broken = [row[:] for row in cm[1]]
-    broken[0][0] += 1
+    assert induced_on_homology(cm, hp, hp).matrix_at(1) == [[1]]
+    broken = [dict(col) for col in cm[1]]
+    broken[0][0] = broken[0].get(0, 0) + 1
     with pytest.raises(NotAChainMap):
         induced_on_homology([cm[0], broken], hp, hp)
+    with pytest.raises(NotAChainMap):  # a column missing
+        induced_on_homology([cm[0], cm[1][:-1]], hp, hp)
+    with pytest.raises(NotAChainMap):  # a dimension missing
+        induced_on_homology([cm[0]], hp, hp)
+    with pytest.raises(NotAChainMap):  # a row outside the target
+        induced_on_homology([cm[0], cm[1][:-1] + [{len(cm[1]): 1}]], hp, hp)
 
 
 def test_subdivision_invariance_sample():
@@ -211,36 +218,106 @@ RP2_FACETS = [
 def _dense_profile(K):
     """Betti numbers and torsion read straight off dense Smith forms."""
     top = len(K.simplices)
+    return _smith_profile(
+        [K.boundary_matrix(d) for d in range(top + 1)],
+        [K.n_simplices(d) for d in range(top + 1)],
+    )
+
+
+def _smith_profile(R, sizes):
+    """The same for dense boundaries R[d]: Z^sizes[d] -> Z^sizes[d-1], d <= top + 1."""
     factors = [
-        intmat.smith_normal_form(K.boundary_matrix(d), ncols=K.n_simplices(d))
-        .invariant_factors
-        for d in range(top + 1)
+        intmat.smith_normal_form(M, ncols=n).invariant_factors for M, n in zip(R, sizes)
     ]
-    betti = [K.n_simplices(d) - len(factors[d]) - len(factors[d + 1]) for d in range(top)]
+    top = len(sizes) - 1
+    betti = [sizes[d] - len(factors[d]) - len(factors[d + 1]) for d in range(top)]
     torsion = [[x for x in factors[d + 1] if x > 1] for d in range(top)]
     return betti, torsion
+
+
+def _random_chain_complex(rng):
+    """Dense boundaries Z^m <- Z^n <- Z^l with R[1] R[2] = 0 and non-unit entries.
+
+    Q is a random unimodular matrix, built with its inverse Qi from
+    elementary column operations.  R[1] = [M 0] Qi kills the last k
+    columns of Q, and R[2] = (those columns) T.
+    """
+    m, n, l = rng.randint(1, 4), rng.randint(2, 5), rng.randint(1, 3)
+    k = rng.randint(1, n - 1)
+    Q, Qi = intmat.identity(n), intmat.identity(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        for row in Q:  # Q <- Q E, E adding c * column i to column j
+            row[j] += c * row[i]
+        Qi[i] = [a - c * b for a, b in zip(Qi[i], Qi[j])]  # Qi <- E^-1 Qi
+    M = [[rng.randint(-3, 3) for _ in range(n - k)] + [0] * k for _ in range(m)]
+    T = [[rng.randint(-3, 3) for _ in range(l)] for _ in range(k)]
+    R = [intmat.zeros(0, m), intmat.matmul(M, Qi),
+         intmat.matmul(intmat.hstack_cols(Q, range(n - k, n)), T)]
+    return R, [m, n, l]
 
 
 def _check_against_smith_forms(K, label):
     hp = homology(K)
     assert (hp.betti, hp.torsion) == _dense_profile(K), label
-    for d, B in enumerate(hp.free_basis):
+    for d, basis in enumerate(hp.free_basis):
+        assert len(basis) == hp.betti[d], label
+        n = K.n_simplices(d)
         D = K.boundary_matrix(d)
         # the boundary of a fixed (d+1)-chain, added to get homologous cycles
         w = [k % 3 - 1 for k in range(K.n_simplices(d + 1))]
-        shift = intmat.matvec(K.boundary_matrix(d + 1), w) if w else [0] * len(B)
-        for j in range(hp.betti[d]):
-            col = [row[j] for row in B]
+        shift = intmat.matvec(K.boundary_matrix(d + 1), w) if w else [0] * n
+        for j, cycle in enumerate(basis):
+            assert all(0 <= i < n and x for i, x in cycle.items()), label
+            col = [cycle.get(i, 0) for i in range(n)]
             assert not any(intmat.matvec(D, col)), f"{label}: basis {d}.{j} is no cycle"
             unit = [int(i == j) for i in range(hp.betti[d])]
-            assert hp.class_of(d, col) == unit, f"{label}: class of basis {d}.{j}"
-            col = [x + y for x, y in zip(col, shift)]
+            assert hp.class_of(d, cycle) == unit, f"{label}: class of basis {d}.{j}"
+            col = {i: x + y for i, (x, y) in enumerate(zip(col, shift)) if x + y}
             assert hp.class_of(d, col) == unit, f"{label}: class of shifted {d}.{j}"
+
+
+def _rank_mod_p(M, p):
+    """Rank over GF(p) of an integer matrix, by row reduction."""
+    rows = [[x % p for x in row] for row in M]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for r in range(rank + 1, len(rows)):
+            k = rows[r][c] * inv % p
+            if k:
+                rows[r] = [(x - k * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _check_against_ranks_mod_p(K, label):
+    """dim H_d(K; GF(p)) = b_d + t_d(p) + t_{d-1}(p) (universal coefficients).
+
+    t_d(p) counts the invariant factors of H_d divisible by p.
+    """
+    hp = homology(K)
+    top = len(K.simplices)
+    for p in (2, 3):
+        ranks = [_rank_mod_p(K.boundary_matrix(d), p) for d in range(top + 1)]
+        # t[-1] = 0 stands for the torsion of H_{-1}
+        t = [sum(1 for x in hp.torsion[d] if x % p == 0) for d in range(top)] + [0]
+        for d in range(top):
+            lhs = K.n_simplices(d) - ranks[d] - ranks[d + 1]
+            assert lhs == hp.betti[d] + t[d] + t[d - 1], f"{label}: p = {p}, d = {d}"
 
 
 def _hopf_trace(f):
     cm = chain_map_of(induced_simplicial_map(f))
-    return sum((-1) ** d * sum(M[i][i] for i in range(len(M))) for d, M in enumerate(cm))
+    return sum(
+        (-1) ** d * sum(col.get(j, 0) for j, col in enumerate(cols))
+        for d, cols in enumerate(cm)
+    )
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -256,6 +333,42 @@ def test_homology_matches_dense_smith_forms_on_rp2_and_sphere_level1():
     _check_against_smith_forms(SimplicialComplex.from_simplices(RP2_FACETS), "RP2")
     level1 = barycentric_subdivision_space(SPHERE)
     _check_against_smith_forms(order_complex(level1), "S2 tower level 1")
+
+
+def test_residual_smith_stage_on_unreduced_complexes():
+    # whole complexes with non-unit entries, so that U, V and their
+    # inverses are far from identities
+    rng = random.Random(300)
+    K = SimplicialComplex.from_simplices(RP2_FACETS)
+    corpus = [("RP2", [K.boundary_matrix(d) for d in range(3)], [6, 15, 10])]
+    for i in range(60):
+        R, sizes = _random_chain_complex(rng)
+        corpus.append((f"seed 300 instance {i}: {R!r}", R, sizes))
+    for label, R, sizes in corpus:
+        betti, torsion, bases, projs = _residual_homology(R, sizes)
+        above = intmat.zeros(sizes[-1], 0)
+        assert (betti, torsion) == _smith_profile(R + [above], sizes + [0]), label
+        for d, (B, P) in enumerate(zip(bases, projs)):
+            assert intmat.eq(intmat.matmul(P, B), intmat.identity(betti[d])), label
+            if d:
+                assert intmat.is_zero(intmat.matmul(R[d], B)), f"{label}: cycles {d}"
+            if d + 1 < len(sizes):
+                assert intmat.is_zero(intmat.matmul(P, R[d + 1])), f"{label}: boundaries {d}"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_homology_matches_ranks_mod_p(seed):
+    rng = random.Random(200 + seed)
+    for i in range(12):
+        X = random_poset(rng, 7)
+        label = f"seed {200 + seed} instance {i}: {serialize_poset(X)!r}"
+        _check_against_ranks_mod_p(order_complex(X), label)
+
+
+def test_homology_matches_ranks_mod_p_on_rp2_and_sphere_level1():
+    _check_against_ranks_mod_p(SimplicialComplex.from_simplices(RP2_FACETS), "RP2")
+    level1 = barycentric_subdivision_space(SPHERE)
+    _check_against_ranks_mod_p(order_complex(level1), "S2 tower level 1")
 
 
 @pytest.mark.parametrize("seed", range(5))

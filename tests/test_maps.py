@@ -15,6 +15,7 @@ from finspace.errors import (
     ProjectionNotIso,
     UnknownElement,
 )
+from finspace.formats import serialize_multimap, serialize_poset
 from finspace.homology import lefschetz_number, poset_homology
 from finspace.maps import (
     MultiMap,
@@ -74,6 +75,42 @@ def test_classify_continuity(chain2, circle):
     up = MultiMap(circle, circle, {x: circle.up_set(x) for x in circle.elements})
     flags = classify_continuity(up)
     assert flags.slsc and flags.lsc and not flags.susc
+
+
+def _continuity_by_pairs(F):
+    """Reference flags from the pairwise loop over x1 <= x2."""
+    X, Y = F.source, F.target
+    usc = lsc = susc = slsc = True
+    for x1 in X.elements:
+        for x2 in X.elements:
+            if not X.leq(x1, x2):
+                continue
+            if not F(x1) <= F(x2):
+                susc = False
+            if not F(x2) <= F(x1):
+                slsc = False
+            if not all(any(Y.leq(y1, y2) for y2 in F(x2)) for y1 in F(x1)):
+                usc = False
+            if not all(any(Y.leq(y2, y1) for y1 in F(x1)) for y2 in F(x2)):
+                lsc = False
+    return {"usc": usc, "lsc": lsc, "susc": susc, "slsc": slsc}
+
+
+def test_classify_continuity_matches_pairwise_loop():
+    rng = random.Random(31)
+    for k in range(1000):
+        X = random_poset(rng, rng.randint(1, 6), density=rng.choice([0.2, 0.5, 0.8]))
+        Y = random_poset(rng, rng.randint(1, 5), density=rng.choice([0.2, 0.5, 0.8]))
+        ys = list(Y.elements)
+        F = MultiMap(X, Y, {
+            x: rng.sample(ys, rng.randint(1, min(3, len(ys)))) for x in X.elements
+        })
+        if k % 4 == 0:  # down-closed values are usc far more often
+            down = {x: set().union(*map(Y.down_set, F(x))) for x in X.elements}
+            F = MultiMap(X, Y, down)
+        msg = (f"seed 31, instance {k}\nX:\n{serialize_poset(X)}Y:\n{serialize_poset(Y)}"
+               f"F:\n{serialize_multimap(F)}")
+        assert classify_continuity(F).as_dict() == _continuity_by_pairs(F), msg
 
 
 def test_vietoris_like_map_certificates(chain2):

@@ -3,11 +3,13 @@
 import itertools
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finspace import poset
 from finspace.errors import (
     BudgetExceeded,
     CycleError,
@@ -132,6 +134,36 @@ def test_all_chains_needs_no_recursion():
     assert len(chains) == 2 ** 16 - 1
     assert chains[:3] == [("p0",), ("p0", "p1"), ("p0", "p1", "p2")]
     assert chains[15] == tuple(names) and chains[-1] == ("p15",)
+
+
+def test_all_chains_fails_before_it_allocates():
+    # 2**25 - 1 chains: counted, not built, before the budget trips
+    names = [f"p{i}" for i in range(25)]
+    X = build_poset(names, list(zip(names, names[1:])))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            X.all_chains()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_all_chains_budget_is_the_exact_chain_count(monkeypatch):
+    rng = random.Random(7)
+    budget = poset.DEFAULT_BUDGET
+    for k in range(40):
+        X = random_poset(rng, rng.randint(1, 9), density=rng.choice([0.2, 0.5, 0.8]))
+        monkeypatch.setattr(poset, "DEFAULT_BUDGET", budget)
+        n = len(X.all_chains())
+        msg = f"seed 7, instance {k}\nX:\n{serialize_poset(X)}"
+        monkeypatch.setattr(poset, "DEFAULT_BUDGET", n)
+        assert len(X.all_chains()) == n, msg
+        monkeypatch.setattr(poset, "DEFAULT_BUDGET", n - 1)
+        with pytest.raises(BudgetExceeded):
+            X.all_chains()
+            pytest.fail(msg)
 
 
 def test_linear_extension_is_topological(circle):
