@@ -10,8 +10,11 @@ chain_map_of return it; boundary_matrix is the dense version, kept as an
 oracle for tests.
 """
 
+import numpy as np
+
 from . import intmat
-from .poset import PosetMap, require_continuous
+from .errors import UnknownElement
+from .poset import PosetMap, _derived, require_continuous
 
 
 class SimplicialComplex:
@@ -198,16 +201,32 @@ def order_complex(X):
 
 
 def face_poset(K):
-    """X(K): simplices of K ordered by face inclusion."""
-    els = K.all_simplices()
-    rels = []
-    for dim in range(1, len(K.simplices)):
-        for s in K.simplices[dim]:
-            for k in range(dim + 1):
-                rels.append((s[:k] + s[k + 1:], s))
-    from .poset import build_poset
+    """X(K): simplices of K ordered by face inclusion.
 
-    return build_poset(els, rels)
+    leq[a, s] is set for every nonempty vertex subset a of every simplex
+    s, so the matrix is face inclusion itself and goes to the poset with
+    no closure and no check.  It is a partial order by construction:
+    reflexive (s is a face of itself), antisymmetric (faces of each other
+    have the same vertices, and K holds each simplex once) and transitive
+    (a face of a face of s is a face of s, and its entry is set too).
+    That needs K closed under faces: a face K lacks raises UnknownElement.
+    """
+    els = K.all_simplices()
+    start = [0]  # position of the first simplex of each dimension in els
+    for level in K.simplices:
+        start.append(start[-1] + len(level))
+    rows, cols = [], []
+    for j, s in enumerate(els):
+        for mask in range(1, 1 << len(s)):
+            face = tuple(v for k, v in enumerate(s) if mask >> k & 1)
+            i = K._sindex[len(face) - 1].get(face)
+            if i is None:
+                raise UnknownElement(f"face {face!r} of {s!r} is not a simplex of K")
+            rows.append(start[len(face) - 1] + i)
+            cols.append(j)
+    leq = np.zeros((len(els), len(els)), dtype=bool)
+    leq[np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)] = True
+    return _derived(els, leq)
 
 
 def barycentric_subdivision_space(X):

@@ -90,10 +90,7 @@ def compose_h(t, n, m):
 
 def fiber_H(t, n, m):
     """H_{n,m}(x) = preimage of x under h_{n,m}; each value has a minimum."""
-    h = compose_h(t, n, m)
-    return MultiMap(
-        t.levels[n], t.levels[m], {x: h.preimage(x) for x in t.levels[n].elements}
-    )
+    return MultiMap(t.levels[n], t.levels[m], compose_h(t, n, m).fibers())
 
 
 class ApproximativeSequence:

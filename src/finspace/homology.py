@@ -248,9 +248,10 @@ def _residual_homology(R, sizes):
     expressed in that kernel basis and a second Smith form splits the
     quotient into free part and torsion (its U gives the projection, U^-1
     the basis).  The inverses come from unimodular_inverse: the matrices
-    here are residual-sized.  Returns Betti
-    numbers, torsion, and per dimension the free basis (sizes[i] x betti)
-    and its projection (betti x sizes[i]).
+    here are residual-sized.  An inverse is taken only when some of its
+    rows or columns are read, that is, when the kernel or the free part
+    is nonzero.  Returns Betti numbers, torsion, and per dimension the
+    free basis (sizes[i] x betti) and its projection (betti x sizes[i]).
     """
     betti, torsion, bases, projs = [], [], [], []
     for i in range(len(sizes)):
@@ -258,8 +259,10 @@ def _residual_homology(R, sizes):
         sf = smith_normal_form(R[i], ncols=n_i)
         r = sf.rank
         z = n_i - r  # kernel rank
-        Z = intmat.hstack_cols(sf.V, list(range(r, n_i)))
-        Kproj = intmat.stack_rows(intmat.unimodular_inverse(sf.V), list(range(r, n_i)))
+        kernel = list(range(r, n_i))
+        Z = intmat.hstack_cols(sf.V, kernel)
+        Vinv = intmat.unimodular_inverse(sf.V) if kernel else []
+        Kproj = intmat.stack_rows(Vinv, kernel)
         # boundaries from above, in kernel coordinates
         if i + 1 < len(sizes) and sizes[i + 1]:
             A = intmat.matmul(Kproj, R[i + 1])
@@ -270,8 +273,9 @@ def _residual_homology(R, sizes):
         betti.append(z - s)
         torsion.append([x for x in sfa.invariant_factors if x > 1])
         projs.append(intmat.matmul(intmat.stack_rows(sfa.U, list(range(s, z))), Kproj))
-        Uinv = intmat.unimodular_inverse(sfa.U)
-        bases.append(intmat.matmul(Z, intmat.hstack_cols(Uinv, list(range(s, z)))))
+        free = list(range(s, z))
+        Uinv = intmat.unimodular_inverse(sfa.U) if free else intmat.zeros(z, z)
+        bases.append(intmat.matmul(Z, intmat.hstack_cols(Uinv, free)))
     return betti, torsion, bases, projs
 
 

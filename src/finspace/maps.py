@@ -159,15 +159,18 @@ class Certificate:
 def is_vietoris_like_map(f):
     """Check that every union of fibers over a chain of the target is acyclic.
 
-    All chains are enumerated (acyclicity over maximal chains does not
-    imply it for subchains); fiber unions are memoized by their element
-    set and reduced to their Stong core before homology, which leaves the
-    Betti numbers and torsion of the union unchanged.  The first failing
-    chain, in enumeration order, is reported.
+    The fibers come from one pass over the map (PosetMap.fibers).  All
+    chains are enumerated (acyclicity over maximal chains does not imply
+    it for subchains), shortest first; fiber unions are memoized by their
+    element set and reduced to their Stong core before homology, which
+    leaves the Betti numbers and torsion of the union unchanged (a core
+    is a strong deformation retract: Stong, Trans. AMS 1966).  A core of
+    one point is acyclic without a homology computation.  The first
+    failing chain, in enumeration order, is reported.
     """
     require_continuous(f)
     X, Y = f.source, f.target
-    fibers = {y: f.preimage(y) for y in Y.elements}
+    fibers = f.fibers()
     cache = {}
     for chain in sorted(Y.all_chains(), key=lambda c: (len(c), tuple(map(Y.index, c)))):
         union = frozenset().union(*(fibers[y] for y in chain))
@@ -237,9 +240,7 @@ def fiber_multimap(f):
     require_continuous(f)
     if not f.is_surjective():
         raise NotSurjective("fiber multimap needs a surjective map")
-    return MultiMap(
-        f.target, f.source, {y: f.preimage(y) for y in f.target.elements}
-    )
+    return MultiMap(f.target, f.source, f.fibers())
 
 
 def selector_from_maxima(F):

@@ -6,6 +6,8 @@ sets are down-sets and continuity is order preservation.  Everything here
 is immutable after construction.
 """
 
+import heapq
+
 import numpy as np
 
 from .errors import (
@@ -26,8 +28,9 @@ class FinitePoset:
     rejects duplicate ids and a matrix of the wrong shape or not
     reflexive, antisymmetric (CycleError) and transitive; build_poset
     closes raw relations and hands them here.  Orders derived from a
-    valid one (subposet, opposite, core, product_subposet) skip the check.
-    ``core`` finds beat points by counting points below and above.
+    valid one (subposet, opposite, core, product_subposet) and face
+    inclusion (complexes.face_poset), a partial order by construction,
+    skip the check.
     """
 
     __slots__ = ("elements", "_index", "_leq", "_hash")
@@ -203,31 +206,59 @@ class FinitePoset:
         an up-beat point if its strict up-set has a minimum.  Removal order
         is lowest element position first, for reproducibility.
 
-        Runs on the leq matrix with counts of the live points strictly
-        below and above each point: x is a down-beat point iff some live
-        m < x has one point fewer below it (then m is the maximum below
-        x); dually for up-beat points.
+        x is a down-beat point iff some m < x has one point fewer below it
+        (then m is the maximum below x); dually for up-beat points.  One
+        matrix scan finds the first beat points (none: the poset is its
+        own core).  Then each point keeps the sets of live points strictly
+        below and above it, and a heap holds the beat points.  Removing x
+        re-tests only the points comparable to x: a down-beat test reads
+        the points below y and their counts, which change only if x < y,
+        and dually an up-beat test changes only if y < x.
         """
         n = len(self)
-        strict = self._leq & ~np.eye(n, dtype=bool)  # live strict order
+        strict = self._leq & ~np.eye(n, dtype=bool)
         below = strict.sum(axis=0)
         above = strict.sum(axis=1)
-        alive = np.ones(n, dtype=bool)
-        while True:
-            down = (strict & (below[:, None] + 1 == below)).any(axis=0)
-            up = (strict & (above + 1 == above[:, None])).any(axis=1)
-            beat = np.flatnonzero(down | up)
-            if not len(beat):
-                break
-            x = beat[0]
-            below -= strict[x]
-            above -= strict[:, x]
-            strict[x, :] = strict[:, x] = False
-            alive[x] = False
-        return self if alive.all() else self._restrict(np.flatnonzero(alive))
+        down = (strict & (below[:, None] + 1 == below)).any(axis=0).tolist()
+        up = (strict & (above + 1 == above[:, None])).any(axis=1).tolist()
+        heap = [i for i in range(n) if down[i] or up[i]]  # sorted: a heap
+        if not heap:
+            return self
+        lo = [set() for _ in range(n)]  # live points strictly below
+        hi = [set() for _ in range(n)]  # live points strictly above
+        rows, cols = np.nonzero(strict)
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            hi[i].add(j)
+            lo[j].add(i)
+        alive = [True] * n
+        while heap:
+            x = heapq.heappop(heap)
+            if not (down[x] or up[x]):
+                continue  # stale entry: x stopped being a beat point
+            down[x] = up[x] = alive[x] = False
+            for y in hi[x]:
+                lo[y].discard(x)
+            for y in lo[x]:
+                hi[y].discard(x)
+            for flags, sets, ys in ((down, lo, hi[x]), (up, hi, lo[x])):
+                for y in ys:
+                    was = down[y] or up[y]
+                    flags[y] = _has_extremum(sets, y)
+                    if flags[y] and not was:
+                        heapq.heappush(heap, y)
+        return self._restrict([i for i in range(n) if alive[i]])
 
     def is_contractible(self):
         return len(self.core()) == 1
+
+
+def _has_extremum(sets, y):
+    """Whether sets[y] (the points below or above y) has a greatest or least point.
+
+    A j in sets[y] is that point iff its own set is sets[y] minus j, that
+    is, iff it has one point fewer.
+    """
+    return len(sets[y]) - 1 in map(len, map(sets.__getitem__, sets[y]))
 
 
 def _transitive_closure(mat):
@@ -246,7 +277,7 @@ def _fill(P, elements, index, leq):
 
 
 def _derived(elements, leq):
-    """A poset on an order derived from a valid one, taken without a check."""
+    """A poset on an order that is one by construction, taken without a check."""
     elements = tuple(elements)
     index = {x: i for i, x in enumerate(elements)}
     return _fill(object.__new__(FinitePoset), elements, index, leq)
@@ -341,6 +372,13 @@ class PosetMap:
 
     def preimage(self, y):
         return {x for x in self.source.elements if self(x) == y}
+
+    def fibers(self):
+        """{y: preimage(y)} for every y of the target, in one pass."""
+        out = {y: set() for y in self.target.elements}
+        for x, y in self.assignment.items():
+            out[y].add(x)
+        return out
 
     def fixed_points(self):
         if self.source != self.target:

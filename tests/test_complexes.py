@@ -1,5 +1,8 @@
 """Order complexes, face posets, subdivisions and chain maps."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +17,9 @@ from finspace.complexes import (
     induced_simplicial_map,
     order_complex,
 )
+from finspace.dynamics import build_tower
+from finspace.errors import UnknownElement
+from finspace.formats import serialize_poset
 from finspace.poset import PosetMap, build_poset, identity_map
 
 
@@ -45,6 +51,51 @@ def test_face_poset_roundtrip(circle):
     assert len(FP) == 8
     assert FP.leq(("a",), ("a", "c"))
     assert not FP.leq(("a", "c"), ("a",))
+
+
+def _face_poset_by_closure(K):
+    """Face inclusion through build_poset: codimension-one faces, closed up."""
+    rels = [
+        (s[:k] + s[k + 1:], s)
+        for level in K.simplices[1:]
+        for s in level
+        for k in range(len(s))
+    ]
+    return build_poset(K.all_simplices(), rels)
+
+
+def test_face_poset_matches_the_closure():
+    sphere = build_poset(
+        "abcdef",
+        [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+         ("c", "e"), ("c", "f"), ("d", "e"), ("d", "f")],
+    )
+    complexes = [(f"S2 level {n}", order_complex(X))
+                 for n, X in enumerate(build_tower(sphere, 2).levels)]
+    seed = 37
+    rng = random.Random(seed)
+    for k in range(60):
+        facets = [rng.sample(range(7), rng.randint(1, 4))
+                  for _ in range(rng.randint(1, 6))]
+        complexes.append((f"seed {seed}, instance {k}: facets {facets}",
+                          SimplicialComplex.from_simplices(facets)))
+    for label, K in complexes:
+        got, want = face_poset(K), _face_poset_by_closure(K)
+        assert got.elements == want.elements, label
+        assert np.array_equal(got.leq_matrix(), want.leq_matrix()), (
+            f"{label}\n{serialize_poset(want)}")
+
+
+def test_face_poset_rejects_a_complex_missing_a_face():
+    K = SimplicialComplex.from_simplices([("a", "b", "c")])
+    # drop the edge (a, b), bypassing the constructor's own face check
+    broken = object.__new__(SimplicialComplex)
+    broken.vertices, broken._vindex = K.vertices, K._vindex
+    broken.simplices = tuple(
+        tuple(s for s in level if s != ("a", "b")) for level in K.simplices)
+    broken._sindex = [{s: i for i, s in enumerate(level)} for level in broken.simplices]
+    with pytest.raises(UnknownElement, match=r"\('a', 'b'\)"):
+        face_poset(broken)
 
 
 def test_subdivision_space_and_complex(circle):

@@ -33,6 +33,7 @@ from finspace.homology import (
 )
 from finspace.dynamics import build_tower
 from finspace.formats import serialize_map, serialize_poset
+from finspace.maps import is_vietoris_like_map
 from finspace.poset import PosetMap, build_poset, constant_map, identity_map
 from finspace.random_instances import random_endomorphism, random_poset
 
@@ -381,10 +382,21 @@ def test_lefschetz_number_equals_hopf_trace(seed):
         assert lefschetz_number(induced_map_of_poset_map(f)) == _hopf_trace(f), label
 
 
-def test_sphere_tower_level3_homology():
+@pytest.fixture(scope="module")
+def sphere_tower3():
+    return build_tower(SPHERE, 3)
+
+
+def test_sphere_tower_level3_homology(sphere_tower3):
     # 866 points, f-vector [866, 2592, 1728]
-    level3 = build_tower(SPHERE, 3).levels[3]
+    level3 = sphere_tower3.levels[3]
     assert len(level3) == 866
     hp = poset_homology(level3)
     assert _betti(hp) == [1, 0, 1]
     assert not any(hp.torsion)
+
+
+def test_sphere_tower_level3_comparison_map_is_vietoris_like(sphere_tower3):
+    h = sphere_tower3.h_maps[2]
+    assert (len(h.source), len(h.target)) == (866, 146)
+    assert is_vietoris_like_map(h).ok

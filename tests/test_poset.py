@@ -32,6 +32,7 @@ from finspace.poset import (
     require_continuous,
 )
 from finspace.complexes import barycentric_subdivision_space
+from finspace.dynamics import attach_level_maps, build_tower
 from finspace.formats import serialize_map, serialize_poset
 from finspace.maps import MultiMap, graph
 from finspace.random_instances import random_poset
@@ -236,16 +237,58 @@ def _seeded_posets(seed, count):
             yield k, random_poset(rng, 9, density=rng.choice([0.2, 0.4, 0.7]))
 
 
+SPHERE = build_poset(
+    "abcdef",
+    [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+     ("c", "e"), ("c", "f"), ("d", "e"), ("d", "f")],
+)
+
+
+def _sphere_fiber_unions(seed, count, min_size=20):
+    """A seeded sample of the large fiber unions a certificate reduces.
+
+    On the S^2 model at depth 2, certifying F_2 = H o h checks the
+    graph projection p: G(F_2) -> X^2 over every chain of X^2; the unions
+    of p's fibers over those chains have up to 39 points, most of them
+    beat points.
+    """
+    t = build_tower(SPHERE, 2)
+    p = graph(attach_level_maps(t, t.h_maps, certify=False).F_maps[1]).p
+    fibers = p.fibers()
+    unions = {frozenset().union(*(fibers[y] for y in c)) for c in p.target.all_chains()}
+    index = p.source.index
+    large = sorted((sorted(u, key=index) for u in unions if len(u) >= min_size),
+                   key=lambda u: [index(x) for x in u])
+    for k, u in enumerate(random.Random(seed).sample(large, count)):
+        yield f"fiber union {k}", p.source.subposet(u)
+
+
 def test_core_matches_the_beat_point_loop():
     seed = 34
     removed = 0
-    for k, X in _seeded_posets(seed, 400):
+    corpus = itertools.chain(_seeded_posets(seed, 400), _sphere_fiber_unions(seed, 40))
+    for k, X in corpus:
         got, want = X.core(), _core_by_rescanning(X)
-        msg = f"seed {seed}, instance {k}\nX:\n{serialize_poset(X)}"
-        assert got.elements == want.elements, msg
-        assert got == want, msg
+        assert got.elements == want.elements and got == want, (
+            f"seed {seed}, instance {k}\nX:\n{serialize_poset(X)}")
         removed += len(X) - len(got)
     assert removed, "the corpus should contain beat points"
+
+
+def test_fibers_match_preimages():
+    seed = 36
+    rng = random.Random(seed)
+    empty = 0
+    for k in range(200):
+        X, Y = random_poset(rng, 8), random_poset(rng, 6)
+        f = PosetMap(X, Y, {x: rng.choice(Y.elements) for x in X.elements})
+        fibers = f.fibers()
+        msg = (f"seed {seed}, instance {k}\nX:\n{serialize_poset(X)}"
+               f"Y:\n{serialize_poset(Y)}f: {serialize_map(f)}")
+        assert list(fibers) == list(Y.elements), msg
+        assert all(fibers[y] == f.preimage(y) for y in Y.elements), msg
+        empty += sum(not fibers[y] for y in Y.elements)
+    assert empty, "the corpus should have points outside the image"
 
 
 def test_derived_orders_pass_the_constructor_checks():
