@@ -18,7 +18,7 @@ from .errors import (
     SizeBudgetExceeded,
 )
 from .homology import induced_map_of_poset_map, invert, lefschetz_number
-from .maps import MultiMap, is_vietoris_like_multimap
+from .maps import MultiMap, is_vietoris_like_map
 from .complexes import barycentric_subdivision_space, chain_max_map
 from .poset import identity_map, require_continuous
 
@@ -112,8 +112,28 @@ def attach_level_maps(t, f_maps, certify=True):
     """Validate level maps and derive the fixed-point multimaps.
 
     Each f must be continuous from X^{n+1} to X^n (same direction as h).
-    F_{n+1}(x) = H_{n,n+1}(f(x)) is certified Vietoris-like unless
-    certify=False.
+    F_{n+1}(x) = H_{n,n+1}(f(x)) is the fiber of h = h_{n,n+1} over f(x).
+    Unless certify=False, F_{n+1} is certified Vietoris-like by certifying
+    h (as ``tower build`` does), without building the graph of F:
+
+    * For a chain c of X^{n+1}, the fiber union of the graph projection
+      over c is U_c = {(x, y) : x in c, h(y) = f(x)}, and the second
+      projection q maps it onto V = h^{-1}(f(c)).  For y in V,
+      q^{-1}(V_{<=y}) has the maximum (x_max, y), x_max the largest x in
+      c with f(x) = h(y): a point (x, y') of it with x > x_max would give
+      f(x) = h(y') <= h(y) = f(x_max) <= f(x), so f(x) = h(y) against
+      the choice of x_max.  By Quillen's fiber lemma for finite spaces
+      (Quillen, Adv. Math. 1978; Barmak, LNM 2032, ch. 4) q is a weak
+      homotopy equivalence: U_c is acyclic exactly when h^{-1}(f(c)) is.
+    * f is continuous, so f(c) is a chain of X^n, and every F_{n+1} is
+      Vietoris-like if h is.
+    * A chain-maximum h always is: for a chain d of X^n, adding max d to
+      each chain of h^{-1}(d) is a self-map of h^{-1}(d) lying above both
+      the identity and a constant, so h^{-1}(d) is contractible.
+
+    So CertificationFailed (level n + 1) names h_n and its failing chain;
+    only a hand-built Tower whose h_maps break the chain-maximum contract
+    reaches it.
     """
     if len(f_maps) != t.depth:
         raise IndexRange(
@@ -132,21 +152,17 @@ def attach_level_maps(t, f_maps, certify=True):
                 f"level map {n} is not continuous at pair {exc.pair!r}",
                 pair=exc.pair,
             ) from exc
-        H = fiber_H(t, n, n + 1)
-        F = MultiMap(
-            t.levels[n + 1],
-            t.levels[n + 1],
-            {x: H(f(x)) for x in t.levels[n + 1].elements},
-        )
         if certify:
-            cert = is_vietoris_like_multimap(F)
+            cert = is_vietoris_like_map(t.h_maps[n])
             if not cert.ok:
                 raise CertificationFailed(
-                    f"derived multimap at level {n + 1} is not Vietoris-like: "
-                    f"{cert.as_dict()}",
+                    f"derived multimap at level {n + 1} is not certified: "
+                    f"h_{n} is not Vietoris-like: {cert.as_dict()}",
                     level=n + 1,
                 )
-        F_maps.append(F)
+        H = t.h_maps[n].fibers()
+        X = t.levels[n + 1]
+        F_maps.append(MultiMap(X, X, {x: H[f(x)] for x in X.elements}))
     return ApproximativeSequence(t, f_maps, F_maps)
 
 

@@ -430,7 +430,8 @@ def invert(m):
     """Exact inverse of an induced map that is unimodular in every dimension.
 
     Raises NotInvertible otherwise, which for certified Vietoris-like maps
-    signals an inconsistency upstream.
+    signals an inconsistency upstream.  A dimension with Betti number 0
+    has the empty matrix as its own inverse and needs no Smith form.
     """
     dims = max(len(m.source.betti), len(m.target.betti))
     mats = []
@@ -442,7 +443,7 @@ def invert(m):
                 f"betti numbers differ in dimension {d} ({c} vs {r})", dimension=d
             )
         try:
-            mats.append(intmat.unimodular_inverse(M))
+            mats.append(intmat.unimodular_inverse(M) if r else [])
         except NotInvertible as exc:
             raise NotInvertible(
                 f"induced matrix not unimodular in dimension {d}", dimension=d

@@ -209,13 +209,16 @@ class FinitePoset:
         x is a down-beat point iff some m < x has one point fewer below it
         (then m is the maximum below x); dually for up-beat points.  One
         matrix scan finds the first beat points (none: the poset is its
-        own core).  Then each point keeps the sets of live points strictly
+        own core, as is any poset of fewer than two points, which skips
+        the scan).  Then each point keeps the sets of live points strictly
         below and above it, and a heap holds the beat points.  Removing x
         re-tests only the points comparable to x: a down-beat test reads
         the points below y and their counts, which change only if x < y,
         and dually an up-beat test changes only if y < x.
         """
         n = len(self)
+        if n < 2:
+            return self
         strict = self._leq & ~np.eye(n, dtype=bool)
         below = strict.sum(axis=0)
         above = strict.sum(axis=1)

@@ -1,8 +1,13 @@
 """Subdivision towers and approximative sequences."""
 
+import random
+from importlib import resources
+
 import pytest
 
+from finspace import maps
 from finspace.dynamics import (
+    Tower,
     attach_level_maps,
     build_tower,
     compose_f,
@@ -18,6 +23,12 @@ from finspace.errors import (
     NotContinuous,
     SizeBudgetExceeded,
 )
+from finspace.formats import (
+    parse_map_text,
+    parse_poset_text,
+    serialize_map,
+    serialize_poset,
+)
 from finspace.homology import (
     induced_map_of_poset_map,
     invert,
@@ -31,6 +42,11 @@ from finspace.maps import (
     is_vietoris_like_multimap,
 )
 from finspace.poset import PosetMap, build_poset, constant_map
+from finspace.random_instances import random_monotone_map, random_poset
+
+
+def _fixture(name):
+    return resources.files("finspace.fixtures").joinpath(name).read_text()
 
 
 @pytest.fixture
@@ -135,6 +151,68 @@ def test_attach_certification_failure(circle):
     if not check_continuous(f)[0]:
         with pytest.raises(NotContinuous):
             attach_level_maps(t, [f])
+
+
+def test_attach_certification_failure_names_h_chain():
+    # a hand-built tower whose comparison map is the ex2_3 collapse of the
+    # sphere model onto M < N, not a chain-maximum map: both fibers are
+    # contractible, but their union over (M, N) is the whole sphere
+    X = parse_poset_text(_fixture("ex2_3_X.txt"))
+    Y = parse_poset_text(_fixture("ex2_3_Y.txt"))
+    f = parse_map_text(_fixture("ex2_3_f.txt"), X, Y)
+    t = Tower([Y, X], [f])
+    with pytest.raises(CertificationFailed) as info:
+        attach_level_maps(t, [f])
+    assert info.value.level == 1
+    message = str(info.value)
+    assert "h_0 is not Vietoris-like" in message
+    assert "'failing_chain': ['M', 'N']" in message
+    # the graph scan rejects the same F
+    F = attach_level_maps(t, [f], certify=False).F_maps[0]
+    assert not is_vietoris_like_multimap(F).ok
+
+
+def test_certified_attach_builds_no_graph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certified attach built the graph of F")
+
+    monkeypatch.setattr(maps, "product_subposet", refuse)
+    t = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 2)
+    seq = attach_level_maps(t, t.h_maps)
+    assert [len(F.source) for F in seq.F_maps] == [26, 146]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_attach_certificate_agrees_with_graph_scan(seed):
+    # certifying h stands in for the graph scan of each F = H o f, which
+    # stays the oracle here: whenever attach certifies, the scan must too
+    rng = random.Random(700 + seed)
+    checked = 0
+    for i in range(25):
+        X0 = random_poset(rng, 5)
+        depth = rng.randint(1, 2)
+        try:
+            t = build_tower(X0, depth, size_budget=60)
+        except SizeBudgetExceeded:
+            continue
+        f_maps = []
+        for n in range(depth):
+            f = random_monotone_map(rng, t.levels[n + 1], t.levels[n], attempts=30)
+            f_maps.append(f if f is not None else t.h_maps[n])
+        try:
+            seq = attach_level_maps(t, f_maps)
+        except CertificationFailed:
+            continue
+        for n, (f, F) in enumerate(zip(f_maps, seq.F_maps)):
+            label = (
+                f"seed {700 + seed} instance {i} level {n + 1}: "
+                f"X0 = {serialize_poset(X0)!r} f_{n} = {serialize_map(f)!r}"
+            )
+            H = fiber_H(t, n, n + 1)
+            assert all(F(x) == H(f(x)) for x in F.source.elements), label
+            assert is_vietoris_like_multimap(F).ok, label
+            checked += 1
+    assert checked >= 20, f"seed {700 + seed}: only {checked} levels checked"
 
 
 def test_lambda_with_h_is_euler_characteristic(circle, chain2):

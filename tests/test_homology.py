@@ -31,7 +31,12 @@ from finspace.homology import (
     lefschetz_number,
     poset_homology,
 )
-from finspace.dynamics import build_tower
+from finspace.dynamics import (
+    attach_level_maps,
+    build_tower,
+    fixed_points_of_level,
+    lambda_nm,
+)
 from finspace.formats import serialize_map, serialize_poset
 from finspace.maps import is_vietoris_like_map
 from finspace.poset import PosetMap, build_poset, constant_map, identity_map
@@ -400,3 +405,11 @@ def test_sphere_tower_level3_comparison_map_is_vietoris_like(sphere_tower3):
     h = sphere_tower3.h_maps[2]
     assert (len(h.source), len(h.target)) == (866, 146)
     assert is_vietoris_like_map(h).ok
+
+
+def test_sphere_tower_level3_certified_attach(sphere_tower3):
+    # f = h at every level: every point is fixed and Λ = χ(S²)
+    seq = attach_level_maps(sphere_tower3, sphere_tower3.h_maps)
+    assert len(seq.F_maps) == 3
+    assert fixed_points_of_level(seq, 3) == list(sphere_tower3.levels[3].elements)
+    assert lambda_nm(seq, 2, 3) == 2
