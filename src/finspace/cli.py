@@ -60,6 +60,14 @@ def _read_file(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _required(args, dest, verb):
+    """The value of the option --dest, which verb needs here."""
+    value = getattr(args, dest)
+    if value is None:
+        raise InputError(f"{verb} needs --{dest.replace('_', '-')}")
+    return value
+
+
 def _load_poset(path):
     return parse_poset_text(_read_file(path))
 
@@ -152,21 +160,25 @@ def _theorem_report(rep):
 def cmd_coincide(args):
     src = _load_poset(args.source)
     dst = _load_poset(args.target) if args.target else src
+
+    def read(dest):  # the file of --dest, which this variant needs
+        return _read_file(_required(args, dest, f"coincide {variant}"))
+
     if args.g:  # two single-valued maps: coincidence theorem
-        f = parse_map_text(_read_file(args.f), src, dst)
-        g = parse_map_text(_read_file(args.g), src, dst)
-        rep = theorem_A(f, g)
         variant = "map-map"
+        f = parse_map_text(read("f"), src, dst)
+        g = parse_map_text(read("g"), src, dst)
+        rep = theorem_A(f, g)
     elif args.multimap and args.f:
-        f = parse_map_text(_read_file(args.f), src, dst)
-        F = parse_multimap_text(_read_file(args.multimap), src, dst)
-        rep = corollary_multimap_coincidence(f, F, mode=args.mode)
         variant = f"map-multimap mode {args.mode}"
+        f = parse_map_text(read("f"), src, dst)
+        F = parse_multimap_text(read("multimap"), src, dst)
+        rep = corollary_multimap_coincidence(f, F, mode=args.mode)
     else:
-        F = parse_multimap_text(_read_file(args.multimap), src, dst)
-        G = parse_multimap_text(_read_file(args.multimap_g), src, dst)
-        rep = theorem_310(F, G, case=args.case)
         variant = f"multimap-multimap case {args.case}"
+        F = parse_multimap_text(read("multimap"), src, dst)
+        G = parse_multimap_text(read("multimap_g"), src, dst)
+        rep = theorem_310(F, G, case=args.case)
     report = {"command": "coincide", "variant": variant}
     report.update(_theorem_report(rep))
     code = EXIT_OK if rep.conclusion_verified else EXIT_FALSIFIED
@@ -204,6 +216,8 @@ def _attach_from_dir(t, maps_dir):
 
 
 def cmd_tower(args):
+    if args.tower_cmd != "build":
+        _required(args, "maps", f"tower {args.tower_cmd}")
     t = _build_tower_from_args(args)
     report = {
         "command": f"tower {args.tower_cmd}",

@@ -26,6 +26,8 @@ from .homology import (
 from .poset import (
     DEFAULT_BUDGET,
     PosetMap,
+    _stong_core,
+    _strict_neighbours,
     order_preserving_maps,
     product_subposet,
     require_continuous,
@@ -120,19 +122,22 @@ def classify_continuity(F):
     M[x, y] says y is in F(x) and up[x, y] that y lies below some point
     of F(x).  For every pair x1 <= x2: usc asks F(x1) to lie below F(x2)
     (in up[x2]), lsc asks F(x2) to lie below F(x1); susc and slsc ask for
-    F(x1) <= F(x2) and F(x2) <= F(x1) as sets.
+    F(x1) <= F(x2) and F(x2) <= F(x1) as sets.  Each condition is one
+    boolean matrix product over the points y of Y, masked by the leq
+    matrix of X: (M @ ~up.T)[x1, x2] says some y of F(x1) is not in
+    up[x2], so no array is larger than |X| x max(|X|, |Y|).
     """
     X, Y = F.source, F.target
     M = np.zeros((len(X), len(Y)), dtype=bool)
     for i, x in enumerate(X.elements):
         M[i, [Y.index(y) for y in F(x)]] = True
-    up = (M[:, None, :] & Y.leq_matrix()[None, :, :]).any(axis=2)
-    pairs = X.leq_matrix()[:, :, None]  # pairs[x1, x2] is x1 <= x2
+    up = M @ Y.leq_matrix().T  # boolean products: no counts to wrap
+    L = X.leq_matrix()
     return ContinuityFlags(
-        usc=not (pairs & M[:, None] & ~up[None]).any(),
-        lsc=not (pairs & ~up[:, None] & M[None]).any(),
-        susc=not (pairs & M[:, None] & ~M[None]).any(),
-        slsc=not (pairs & ~M[:, None] & M[None]).any(),
+        usc=not (L & (M @ ~up.T)).any(),
+        lsc=not (L & (~up @ M.T)).any(),
+        susc=not (L & (M @ ~M.T)).any(),
+        slsc=not (L & (~M @ M.T)).any(),
     )
 
 
@@ -159,18 +164,21 @@ class Certificate:
 def is_vietoris_like_map(f):
     """Check that every union of fibers over a chain of the target is acyclic.
 
-    The fibers come from one pass over the map (PosetMap.fibers).  All
-    chains are enumerated (acyclicity over maximal chains does not imply
-    it for subchains), shortest first; fiber unions are memoized by their
-    element set and reduced to their Stong core before homology, which
-    leaves the Betti numbers and torsion of the union unchanged (a core
-    is a strong deformation retract: Stong, Trans. AMS 1966).  A core of
-    one point is acyclic without a homology computation.  The first
-    failing chain, in enumeration order, is reported.
+    All chains are enumerated (acyclicity over maximal chains does not
+    imply it for subchains), shortest first.  The fibers come from one
+    pass over the map (PosetMap.fibers) as sets of source indices, and the
+    source's strict neighbour sets are built once, so each distinct union
+    is reduced to its Stong core on its index set (poset._stong_core) and
+    memoized by it, without building a subposet.  A core leaves the Betti
+    numbers and torsion of the union unchanged (it is a strong
+    deformation retract: Stong, Trans. AMS 1966).  A core of one point is
+    acyclic; only a larger one becomes a poset, for its homology.  The
+    first failing chain, in enumeration order, is reported.
     """
     require_continuous(f)
     X, Y = f.source, f.target
-    fibers = f.fibers()
+    below, above = _strict_neighbours(X.leq_matrix())
+    fibers = {y: frozenset(map(X.index, xs)) for y, xs in f.fibers().items()}
     cache = {}
     for chain in sorted(Y.all_chains(), key=lambda c: (len(c), tuple(map(Y.index, c)))):
         union = frozenset().union(*(fibers[y] for y in chain))
@@ -179,8 +187,8 @@ def is_vietoris_like_map(f):
                 ok=False, failing_chain=chain, reason="empty fiber union (f not surjective)"
             )
         if union not in cache:
-            core = X.subposet(union).core()
-            cache[union] = poset_homology(core) if len(core) > 1 else None
+            keep = _stong_core(below, above, union)
+            cache[union] = poset_homology(X._restrict(keep)) if len(keep) > 1 else None
         hp = cache[union]
         if hp is not None and not hp.is_acyclic():
             return Certificate(ok=False, failing_chain=chain, profile=hp)

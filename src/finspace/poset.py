@@ -203,56 +203,74 @@ class FinitePoset:
         """Iteratively remove beat points; the result is a minimal model.
 
         A point is a down-beat point if its strict down-set has a maximum,
-        an up-beat point if its strict up-set has a minimum.  Removal order
-        is lowest element position first, for reproducibility.
-
-        x is a down-beat point iff some m < x has one point fewer below it
-        (then m is the maximum below x); dually for up-beat points.  One
-        matrix scan finds the first beat points (none: the poset is its
-        own core, as is any poset of fewer than two points, which skips
-        the scan).  Then each point keeps the sets of live points strictly
-        below and above it, and a heap holds the beat points.  Removing x
-        re-tests only the points comparable to x: a down-beat test reads
-        the points below y and their counts, which change only if x < y,
-        and dually an up-beat test changes only if y < x.
+        an up-beat point if its strict up-set has a minimum.  The beat
+        points go lowest element position first, for reproducibility, and
+        a poset that has none (such as any poset of fewer than two points)
+        is returned itself.  Otherwise _stong_core, the one beat-point
+        worklist, runs on all points and the matrix is restricted once.
         """
         n = len(self)
         if n < 2:
             return self
-        strict = self._leq & ~np.eye(n, dtype=bool)
-        below = strict.sum(axis=0)
-        above = strict.sum(axis=1)
-        down = (strict & (below[:, None] + 1 == below)).any(axis=0).tolist()
-        up = (strict & (above + 1 == above[:, None])).any(axis=1).tolist()
-        heap = [i for i in range(n) if down[i] or up[i]]  # sorted: a heap
-        if not heap:
-            return self
-        lo = [set() for _ in range(n)]  # live points strictly below
-        hi = [set() for _ in range(n)]  # live points strictly above
-        rows, cols = np.nonzero(strict)
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            hi[i].add(j)
-            lo[j].add(i)
-        alive = [True] * n
-        while heap:
-            x = heapq.heappop(heap)
-            if not (down[x] or up[x]):
-                continue  # stale entry: x stopped being a beat point
-            down[x] = up[x] = alive[x] = False
-            for y in hi[x]:
-                lo[y].discard(x)
-            for y in lo[x]:
-                hi[y].discard(x)
-            for flags, sets, ys in ((down, lo, hi[x]), (up, hi, lo[x])):
-                for y in ys:
-                    was = down[y] or up[y]
-                    flags[y] = _has_extremum(sets, y)
-                    if flags[y] and not was:
-                        heapq.heappush(heap, y)
-        return self._restrict([i for i in range(n) if alive[i]])
+        keep = _stong_core(*_strict_neighbours(self._leq), set(range(n)))
+        return self if len(keep) == n else self._restrict(keep)
 
     def is_contractible(self):
         return len(self.core()) == 1
+
+
+def _strict_neighbours(leq):
+    """(below, above): per point index, the indices strictly below and above it."""
+    n = len(leq)
+    below = [set() for _ in range(n)]
+    above = [set() for _ in range(n)]
+    rows, cols = np.divmod(np.flatnonzero(leq), n)  # 2-D nonzero is far slower
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if i != j:
+            above[i].add(j)
+            below[j].add(i)
+    return below, above
+
+
+def _stong_core(below, above, keep):
+    """Sorted indices of the Stong core of the points `keep` of a poset.
+
+    below and above are the poset's _strict_neighbours and keep is a set of
+    its point indices, so the core of any subposet is found without
+    building it.  Beat points are removed lowest index first, which is
+    lowest position first in the subposet, as FinitePoset.core promises.
+
+    Each point keeps the sets of live points strictly below and above it,
+    and a heap holds the beat points.  x is a down-beat point iff some
+    m < x has one point fewer below it (then m is the maximum below x);
+    dually for up-beat points.  Removing x re-tests only the points
+    comparable to x: a down-beat test reads the points below y and their
+    counts, which change only if x < y, and dually an up-beat test
+    changes only if y < x.
+    """
+    lo = {y: below[y] & keep for y in keep}  # live points strictly below
+    hi = {y: above[y] & keep for y in keep}  # live points strictly above
+    down = {y: _has_extremum(lo, y) for y in keep}
+    up = {y: _has_extremum(hi, y) for y in keep}
+    heap = sorted(y for y in keep if down[y] or up[y])  # sorted: a heap
+    alive = set(keep)
+    while heap:
+        x = heapq.heappop(heap)
+        if not (down[x] or up[x]):
+            continue  # stale entry: x stopped being a beat point
+        down[x] = up[x] = False
+        alive.remove(x)
+        for y in hi[x]:
+            lo[y].discard(x)
+        for y in lo[x]:
+            hi[y].discard(x)
+        for flags, sets, ys in ((down, lo, hi[x]), (up, hi, lo[x])):
+            for y in ys:
+                was = down[y] or up[y]
+                flags[y] = _has_extremum(sets, y)
+                if flags[y] and not was:
+                    heapq.heappush(heap, y)
+    return sorted(alive)
 
 
 def _has_extremum(sets, y):

@@ -186,3 +186,26 @@ def test_deterministic_json(capsys):
     _, rep1, _ = run_json(capsys, *args)
     _, rep2, _ = run_json(capsys, *args)
     assert rep1 == rep2
+
+
+@pytest.mark.parametrize("verb", ["attach", "lambda", "fixed-chains"])
+def test_tower_without_maps_is_an_input_error(capsys, verb):
+    code, out, err = run(
+        capsys, "tower", verb, "--poset", fixture("circle4.txt"), "--depth", "1",
+    )
+    assert code == 2 and out == ""
+    assert f"tower {verb} needs --maps" in err
+
+
+@pytest.mark.parametrize("given, missing", [
+    ((), "--multimap"),
+    (("--multimap", "ex2_12_F.txt"), "--multimap-g"),
+    (("--g", "ex_postA_g.txt"), "--f"),
+])
+def test_coincide_without_its_files_is_an_input_error(capsys, given, missing):
+    options = [fixture(a) if a.endswith(".txt") else a for a in given]
+    code, out, err = run(
+        capsys, "coincide", "--source", fixture("ex2_12_X.txt"), *options,
+    )
+    assert code == 2 and out == ""
+    assert f"needs {missing}" in err

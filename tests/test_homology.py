@@ -1,6 +1,7 @@
 """Exact integral homology, induced maps, Lefschetz numbers, inverses."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,7 +39,7 @@ from finspace.dynamics import (
     lambda_nm,
 )
 from finspace.formats import serialize_map, serialize_poset
-from finspace.maps import is_vietoris_like_map
+from finspace.maps import classify_continuity, is_vietoris_like_map
 from finspace.poset import PosetMap, build_poset, constant_map, identity_map
 from finspace.random_instances import random_endomorphism, random_poset
 
@@ -413,3 +414,18 @@ def test_sphere_tower_level3_certified_attach(sphere_tower3):
     assert len(seq.F_maps) == 3
     assert fixed_points_of_level(seq, 3) == list(sphere_tower3.levels[3].elements)
     assert lambda_nm(seq, 2, 3) == 2
+
+
+def test_classify_continuity_of_level3_multimap_in_small_memory(sphere_tower3):
+    # F_3 = H o h on the 866-point level 3: broadcasting over (|X|, |Y|, |Y|)
+    # peaked above 1 GiB here, the matrix products stay near |X| x |Y|
+    F = attach_level_maps(sphere_tower3, sphere_tower3.h_maps, certify=False).F_maps[2]
+    assert (len(F.source), len(F.target)) == (866, 866)
+    tracemalloc.start()
+    try:
+        flags = classify_continuity(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flags.as_dict() == {"usc": True, "lsc": False, "susc": False, "slsc": False}
+    assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"

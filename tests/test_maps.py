@@ -15,9 +15,11 @@ from finspace.errors import (
     ProjectionNotIso,
     UnknownElement,
 )
-from finspace.formats import serialize_multimap, serialize_poset
+from finspace.dynamics import build_tower
+from finspace.formats import serialize_map, serialize_multimap, serialize_poset
 from finspace.homology import lefschetz_number, poset_homology
 from finspace.maps import (
+    Certificate,
     MultiMap,
     as_multimap,
     classify_continuity,
@@ -31,12 +33,21 @@ from finspace.maps import (
     is_vietoris_like_multimap,
     selector_from_maxima,
 )
-from finspace.poset import PosetMap, build_poset, constant_map, identity_map
+from finspace.poset import (
+    FinitePoset,
+    PosetMap,
+    build_poset,
+    constant_map,
+    identity_map,
+    require_continuous,
+)
 from finspace.random_instances import (
     random_endomorphism,
+    random_monotone_map,
     random_poset,
     susc_acyclic_multimap,
     usc_maxima_multimap,
+    vietoris_map_corpus,
 )
 
 
@@ -132,6 +143,75 @@ def test_vietoris_like_needs_surjectivity(chain2):
     f = constant_map(chain2, chain2, "N")
     cert = is_vietoris_like_map(f)
     assert not cert.ok and "surjective" in cert.reason
+
+
+def _vietoris_by_subposets(f):
+    """The certificate as computed before cores ran on index sets: one
+    subposet per distinct fiber union, then its core and homology."""
+    require_continuous(f)
+    X, Y = f.source, f.target
+    fibers = f.fibers()
+    cache = {}
+    for chain in sorted(Y.all_chains(), key=lambda c: (len(c), tuple(map(Y.index, c)))):
+        union = frozenset().union(*(fibers[y] for y in chain))
+        if not union:
+            return Certificate(
+                ok=False, failing_chain=chain, reason="empty fiber union (f not surjective)"
+            )
+        if union not in cache:
+            core = X.subposet(union).core()
+            cache[union] = poset_homology(core) if len(core) > 1 else None
+        hp = cache[union]
+        if hp is not None and not hp.is_acyclic():
+            return Certificate(ok=False, failing_chain=chain, profile=hp)
+    return Certificate(ok=True)
+
+
+def _certificate_fields(cert):
+    summary = cert.profile.summary() if cert.profile is not None else None
+    return cert.ok, cert.failing_chain, cert.reason, summary
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_vietoris_certificate_matches_subposet_cores(seed):
+    rng = random.Random(900 + seed)
+    corpus = [("corpus", f) for f in vietoris_map_corpus(rng, 8)]
+    while len(corpus) < 48:
+        X = random_poset(rng, 8, density=rng.choice([0.2, 0.4]))
+        Y = random_poset(rng, 4, density=0.5)
+        if len(corpus) % 2:  # a graph projection, surjective by construction
+            F = MultiMap(X, Y, {
+                x: rng.sample(Y.elements, rng.randint(1, len(Y))) for x in X.elements
+            })
+            corpus.append(("graph projection", graph(F).p))
+        else:
+            f = random_monotone_map(rng, X, Y)
+            if f is not None:
+                corpus.append(("random map", f))
+    outcomes = set()
+    for i, (kind, f) in enumerate(corpus):
+        got = _certificate_fields(is_vietoris_like_map(f))
+        want = _certificate_fields(_vietoris_by_subposets(f))
+        assert got == want, (
+            f"seed {900 + seed} instance {i} ({kind})\n"
+            f"X:\n{serialize_poset(f.source)}Y:\n{serialize_poset(f.target)}"
+            f"f:\n{serialize_map(f)}")
+        outcomes.add("ok" if got[0] else got[2] or "not acyclic")
+    assert outcomes == {"ok", "not acyclic", "empty fiber union (f not surjective)"}
+
+
+def test_certificate_builds_no_subposet(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("certification built a subposet")
+
+    t = build_tower(build_poset("abcdef", [
+        ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+        ("c", "e"), ("c", "f"), ("d", "e"), ("d", "f"),
+    ]), 2)
+    monkeypatch.setattr(FinitePoset, "subposet", refuse)
+    h1 = t.h_maps[1]
+    assert (len(h1.source), len(h1.target)) == (146, 26)
+    assert is_vietoris_like_map(h1).ok
 
 
 def test_composition_lemmas(circle):

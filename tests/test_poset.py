@@ -264,15 +264,25 @@ def _sphere_fiber_unions(seed, count, min_size=20):
 
 
 def test_core_matches_the_beat_point_loop():
+    # whole posets through core(), random subsets through the index-set
+    # worklist on the enclosing poset's neighbour sets
     seed = 34
-    removed = 0
+    rng = random.Random(seed)
+    removed = removed_in_subsets = 0
     corpus = itertools.chain(_seeded_posets(seed, 400), _sphere_fiber_unions(seed, 40))
     for k, X in corpus:
         got, want = X.core(), _core_by_rescanning(X)
         assert got.elements == want.elements and got == want, (
             f"seed {seed}, instance {k}\nX:\n{serialize_poset(X)}")
         removed += len(X) - len(got)
-    assert removed, "the corpus should contain beat points"
+        subset = set(rng.sample(range(len(X)), rng.randint(1, len(X))))
+        keep = poset._stong_core(*poset._strict_neighbours(X.leq_matrix()), subset)
+        want = _core_by_rescanning(X.subposet([X.elements[i] for i in subset]))
+        assert [X.elements[i] for i in keep] == list(want.elements), (
+            f"seed {seed}, instance {k}, subset {sorted(subset)}\n"
+            f"X:\n{serialize_poset(X)}")
+        removed_in_subsets += len(subset) - len(keep)
+    assert removed and removed_in_subsets, "the corpus should contain beat points"
 
 
 def test_fibers_match_preimages():
