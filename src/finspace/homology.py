@@ -320,11 +320,16 @@ def poset_homology(X):
 def is_acyclic(X):
     """Whether a poset (or subposet) has the integral homology of a point.
 
-    The Stong core is a deformation retract, so homology is computed on
-    the core; a singleton core short-circuits to True.
+    A poset with a maximum or a minimum is contractible (Stong, Trans. AMS
+    1966), so it is acyclic without a core.  Otherwise the Stong core is a
+    deformation retract, so homology is computed on the core; a singleton
+    core short-circuits to True.
     """
     if len(X) == 0:
         raise EmptySubspace("the empty subspace is not acyclic")
+    leq = X.leq_matrix()
+    if leq.all(axis=0).any() or leq.all(axis=1).any():
+        return True
     core = X.core()
     if len(core) == 1:
         return True

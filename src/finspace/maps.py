@@ -169,9 +169,13 @@ def is_vietoris_like_map(f):
     pass over the map (PosetMap.fibers) as sets of source indices, and the
     source's strict neighbour sets are built once, so each distinct union
     is reduced to its Stong core on its index set (poset._stong_core) and
-    memoized by it, without building a subposet.  A core leaves the Betti
-    numbers and torsion of the union unchanged (it is a strong
-    deformation retract: Stong, Trans. AMS 1966).  A core of one point is
+    memoized by it, without building a subposet.  A union with a maximum
+    or a minimum (a cone: some m in it has every other point of it
+    strictly below it, or strictly above it) is acyclic without that
+    worklist, because a space with a maximum or a minimum is contractible
+    (Stong, Trans. AMS 1966); most unions are cones.  Otherwise a core
+    leaves the Betti numbers and torsion of the union unchanged (it is a
+    strong deformation retract, same reference).  A core of one point is
     acyclic; only a larger one becomes a poset, for its homology.  The
     first failing chain, in enumeration order, is reported.
     """
@@ -187,8 +191,13 @@ def is_vietoris_like_map(f):
                 ok=False, failing_chain=chain, reason="empty fiber union (f not surjective)"
             )
         if union not in cache:
-            keep = _stong_core(below, above, union)
-            cache[union] = poset_homology(X._restrict(keep)) if len(keep) > 1 else None
+            n = len(union) - 1  # a cone: some point has the n others below or above it
+            if any(len(s) >= n and len(union & s) == n  # cheap length test first
+                   for m in union for s in (below[m], above[m])):
+                cache[union] = None
+            else:
+                keep = _stong_core(below, above, union)
+                cache[union] = poset_homology(X._restrict(keep)) if len(keep) > 1 else None
         hp = cache[union]
         if hp is not None and not hp.is_acyclic():
             return Certificate(ok=False, failing_chain=chain, profile=hp)

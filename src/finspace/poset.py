@@ -422,9 +422,9 @@ def check_continuous(f):
     """
     X, Y = f.source, f.target
     idx = [Y.index(f(x)) for x in X.elements]
-    bad = np.argwhere(X._leq & ~Y._leq[np.ix_(idx, idx)])
-    if len(bad):
-        i, j = bad[0]
+    mask = X._leq & ~Y._leq.take(idx, axis=0).take(idx, axis=1)  # far faster than np.ix_
+    if mask.any():
+        i, j = np.argwhere(mask)[0]
         return False, (X.elements[i], X.elements[j])
     return True, None
 

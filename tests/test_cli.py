@@ -59,6 +59,16 @@ def test_check_verb_multimap(capsys):
     assert rep["continuity"]["usc"] is True
     assert rep["continuity"]["susc"] is False
     assert rep["vietoris_like"]["ok"] is False
+    assert rep["vietoris_like"]["failing_chain"] == ["A", "E"]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_paper_suite_matches_golden_output(capsys, seed):
+    """The JSON report, byte for byte, against a committed copy."""
+    golden = Path(__file__).parent / "data" / f"paper_suite_seed{seed}.json"
+    code, out, _ = run(capsys, "--emit", "json", "--seed", str(seed), "paper-suite")
+    assert code == 0
+    assert out.encode() == golden.read_bytes()
 
 
 def test_lefschetz_verb(capsys):

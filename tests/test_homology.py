@@ -107,6 +107,30 @@ def test_is_acyclic():
         is_acyclic(wedge.subposet(set()))
 
 
+def _is_acyclic_by_core(X):
+    """is_acyclic as computed before its maximum/minimum test."""
+    core = X.core()
+    if len(core) == 1:
+        return True
+    return poset_homology(core).is_acyclic()
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_is_acyclic_matches_core_oracle(seed):
+    rng = random.Random(1300 + seed)
+    outcomes = set()
+    for i in range(120):
+        P = random_poset(rng, 8, density=rng.choice([0.15, 0.3, 0.5]))
+        S = P.subposet(rng.sample(P.elements, rng.randint(1, len(P))))
+        for kind, X in (("poset", P), ("subposet", S)):
+            got = is_acyclic(X)
+            assert got == _is_acyclic_by_core(X), (
+                f"seed {1300 + seed} instance {i} ({kind})\n{serialize_poset(X)}")
+            outcomes.add((X.maximum() is not None or X.minimum() is not None, got))
+    # cones, acyclic posets without an extremum and non-acyclic ones all occur
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
 def test_induced_identity_and_composition():
     circle = build_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
     ident = induced_map_of_poset_map(identity_map(circle))

@@ -15,6 +15,7 @@ from finspace.errors import (
     ProjectionNotIso,
     UnknownElement,
 )
+from finspace import maps
 from finspace.dynamics import build_tower
 from finspace.formats import serialize_map, serialize_multimap, serialize_poset
 from finspace.homology import lefschetz_number, poset_homology
@@ -145,13 +146,13 @@ def test_vietoris_like_needs_surjectivity(chain2):
     assert not cert.ok and "surjective" in cert.reason
 
 
-def _vietoris_by_subposets(f):
+def _vietoris_by_subposets(f, cache):
     """The certificate as computed before cores ran on index sets: one
-    subposet per distinct fiber union, then its core and homology."""
+    subposet per distinct fiber union, then its core and homology.  cache
+    collects each union it reduced, mapped to None for a one-point core."""
     require_continuous(f)
     X, Y = f.source, f.target
     fibers = f.fibers()
-    cache = {}
     for chain in sorted(Y.all_chains(), key=lambda c: (len(c), tuple(map(Y.index, c)))):
         union = frozenset().union(*(fibers[y] for y in chain))
         if not union:
@@ -173,7 +174,7 @@ def _certificate_fields(cert):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_vietoris_certificate_matches_subposet_cores(seed):
+def test_vietoris_certificate_matches_subposet_cores(seed, monkeypatch):
     rng = random.Random(900 + seed)
     corpus = [("corpus", f) for f in vietoris_map_corpus(rng, 8)]
     while len(corpus) < 48:
@@ -188,16 +189,55 @@ def test_vietoris_certificate_matches_subposet_cores(seed):
             f = random_monotone_map(rng, X, Y)
             if f is not None:
                 corpus.append(("random map", f))
+    reached = []  # index sets of the unions that get past the cone test
+    real_stong_core = maps._stong_core
+
+    def counting_stong_core(below, above, keep):
+        reached.append(frozenset(keep))
+        return real_stong_core(below, above, keep)
+
+    monkeypatch.setattr(maps, "_stong_core", counting_stong_core)
     outcomes = set()
+    skipped = passed_on = 0
     for i, (kind, f) in enumerate(corpus):
+        reached.clear()
+        unions = {}
         got = _certificate_fields(is_vietoris_like_map(f))
-        want = _certificate_fields(_vietoris_by_subposets(f))
-        assert got == want, (
+        want = _certificate_fields(_vietoris_by_subposets(f, unions))
+        label = (
             f"seed {900 + seed} instance {i} ({kind})\n"
             f"X:\n{serialize_poset(f.source)}Y:\n{serialize_poset(f.target)}"
             f"f:\n{serialize_map(f)}")
+        assert got == want, label
         outcomes.add("ok" if got[0] else got[2] or "not acyclic")
+        unions = {frozenset(map(f.source.index, u)): hp for u, hp in unions.items()}
+        assert len(set(reached)) == len(reached) and set(reached) <= unions.keys(), label
+        # a union skips the worklist iff it has a maximum or a minimum, and
+        # then the oracle must have found it acyclic
+        for u in unions:
+            pts = [f.source.elements[k] for k in u]
+            cone = f.source.maximum(pts) is not None or f.source.minimum(pts) is not None
+            assert cone == (u not in reached), label
+            assert unions[u] is None or not cone, label
+        skipped += len(unions) - len(reached)
+        passed_on += len(reached)
     assert outcomes == {"ok", "not acyclic", "empty fiber union (f not surjective)"}
+    assert skipped and passed_on  # the cone test both short-circuits and passes on
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_identity_certificates_need_no_stong_core(seed, monkeypatch):
+    """Under the identity each chain's fiber union is the chain, which has a
+    maximum, so the cone test certifies every union."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cone reached the Stong-core worklist")
+
+    monkeypatch.setattr(maps, "_stong_core", refuse)
+    rng = random.Random(1100 + seed)
+    for i in range(40):
+        X = random_poset(rng, 8, density=rng.choice([0.2, 0.4, 0.6]))
+        assert is_vietoris_like_map(identity_map(X)).ok, (
+            f"seed {1100 + seed} instance {i}\n{serialize_poset(X)}")
 
 
 def test_certificate_builds_no_subposet(monkeypatch):
