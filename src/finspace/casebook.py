@@ -1,11 +1,22 @@
-"""Named regression cases over the shipped fixture files.
+"""Named regression cases and seeded property suites.
 
 Each case loads its fixtures, runs the relevant checks and returns a
-CaseResult listing every assertion with its outcome.  The suite is the
+CaseResult listing every assertion with its outcome.  The cases are the
 executable record of the worked examples the library is calibrated
 against; run_all() is what the CLI paper-suite verb executes.
+
+This module is also the one home of the five seeded property suites (the
+implications checked on random corpora: strongly usc with acyclic values
+and usc with maxima give Vietoris-like multimaps, composites of
+comparison maps stay Vietoris-like, Lambda(f) = chi(Fix f), and a selector
+has its multimap's Lambda).  run_property_suites(seed) runs each on 30
+instances for paper-suite; the acceptance criteria run the same suites
+on their larger corpora.  A failing suite's label reads
+"counterexample: seed S, instance i" followed by the serialized posets,
+maps and multimaps of that instance.
 """
 
+import random
 from dataclasses import dataclass
 from importlib import resources
 from itertools import islice
@@ -17,11 +28,16 @@ from .formats import serialize_map, serialize_multimap, serialize_poset
 from .homology import (
     induced_map_of_poset_map,
     invert,
+    is_acyclic,
     lefschetz_number,
     poset_homology,
 )
 from .errors import NotInvertible
-from .lefschetz import coincidence_points, corollary_multimap_coincidence
+from .lefschetz import (
+    classical_lefschetz,
+    coincidence_points,
+    corollary_multimap_coincidence,
+)
 from .maps import (
     MultiMap,
     classify_continuity,
@@ -31,8 +47,15 @@ from .maps import (
     induced_multimap_homology,
     is_vietoris_like_map,
     is_vietoris_like_multimap,
+    selector_from_maxima,
 )
 from .poset import FinitePoset, PosetMap, are_homotopic, check_continuous
+from .random_instances import (
+    random_endomorphism,
+    random_poset,
+    susc_acyclic_multimap,
+    usc_maxima_multimap,
+)
 
 
 @dataclass
@@ -283,18 +306,86 @@ def case_ex4_3():
     return CaseResult("ex4_3", checks)
 
 
-def _property_suite(name, label, seed, instances):
-    """One CaseResult for a property suite, naming its first counterexample.
+def _susc_acyclic(rng):
+    while True:
+        X = random_poset(rng, 7)
+        F = susc_acyclic_multimap(rng, X)
+        holds = classify_continuity(F).susc and all(
+            is_acyclic(X.subposet(F(x))) for x in X.elements
+        ) and is_vietoris_like_multimap(F).ok
+        yield holds, {"X": X, "F": F}
 
-    instances yields (holds, parts), parts naming the posets, maps and
-    multimaps of the instance; the first that does not hold ends the suite.
+
+def _usc_maxima(rng):
+    while True:
+        X = random_poset(rng, 7)
+        F = usc_maxima_multimap(rng, X)
+        if F is not None:
+            holds = classify_continuity(F).usc and all(
+                X.maximum(F(x)) is not None for x in X.elements
+            ) and is_vietoris_like_multimap(F).ok
+            yield holds, {"X": X, "F": F}
+
+
+def _composition(rng):
+    while True:
+        X = random_poset(rng, 4, density=0.4)
+        X1 = barycentric_subdivision_space(X)
+        if len(X1) > 12:
+            continue
+        h1 = chain_max_map(X1, X)
+        h2 = chain_max_map(barycentric_subdivision_space(X1), X1)
+        yield all(is_vietoris_like_map(h).ok for h in (h1, h2, h2.then(h1))), {"X": X}
+
+
+def _lefschetz(rng):
+    while True:
+        X = random_poset(rng, 8)
+        f = random_endomorphism(rng, X)
+        rep = classical_lefschetz(f)
+        yield rep.lambda_ == rep.chi_fix and rep.conclusion_verified, {"X": X, "f": f}
+
+
+def _selector(rng):
+    while True:
+        X = random_poset(rng, 7)
+        F = susc_acyclic_multimap(rng, X)
+        g = selector_from_maxima(F)
+        lam_g = lefschetz_number(induced_map_of_poset_map(g))
+        lam_F = lefschetz_number(induced_multimap_homology(F))
+        holds = all(g(x) in F(x) for x in X.elements) and lam_g == lam_F
+        yield holds, {"X": X, "F": F}
+
+
+_NONE = "{} instances, zero counterexamples"
+_EQUAL = "{} instances, exact equality"
+
+# name -> (label, generator of (holds, parts)); run_property_suites draws
+# suite k from random.Random(seed + k) in this order
+_SUITES = {
+    "susc_acyclic_implies_vietoris_like": (_NONE, _susc_acyclic),
+    "usc_with_maxima_implies_vietoris_like": (_NONE, _usc_maxima),
+    "vietoris_like_closed_under_composition": (_NONE, _composition),
+    "lefschetz_number_equals_euler_of_fixed_set": (_EQUAL, _lefschetz),
+    "selector_has_same_lefschetz_number": (_EQUAL, _selector),
+}
+
+
+def _property_suite(name, seed, rng, count):
+    """One CaseResult for the named suite on count instances drawn from rng.
+
+    Each instance yields (holds, parts), parts naming the posets, maps and
+    multimaps of the instance; the first that does not hold ends the suite,
+    and its label names seed (the seed rng was made from), the instance's
+    index in this suite and the serialized parts.
     """
-    for i, (holds, parts) in enumerate(instances):
+    label, generate = _SUITES[name]
+    for i, (holds, parts) in enumerate(islice(generate(rng), count)):
         if not holds:
             text = "".join(f"{k}:\n{_serialized(v)}" for k, v in parts.items())
-            label = f"counterexample: seed {seed}, instance {i}\n{text}"
-            return CaseResult(name, [(label, False)])
-    return CaseResult(name, [(label, True)])
+            found = f"counterexample: seed {seed}, instance {i}\n{text}"
+            return CaseResult(name, [(found, False)])
+    return CaseResult(name, [(label.format(count), True)])
 
 
 def _serialized(obj):
@@ -304,79 +395,16 @@ def _serialized(obj):
     return kinds[type(obj)](obj)
 
 
-def run_property_suites(seed, count=30):
+def run_property_suites(seed):
     """Seeded randomized property suites, one CaseResult per implication.
 
-    Smaller counterparts of the acceptance corpora: every instance is
-    generated from the seed, its hypotheses re-certified, and the claimed
-    conclusion checked; a single counterexample fails the suite and is
-    named in its label.
+    Suite k runs 30 instances drawn from random.Random(seed + k); every
+    instance re-certifies its hypotheses and checks the claimed conclusion,
+    and a single counterexample fails the suite and is named in its label.
     """
-    import random
-
-    from .homology import is_acyclic
-    from .lefschetz import classical_lefschetz
-    from .maps import selector_from_maxima
-    from .random_instances import (
-        random_endomorphism,
-        random_poset,
-        susc_acyclic_multimap,
-        usc_maxima_multimap,
-    )
-
-    def susc_acyclic(rng):
-        while True:
-            X = random_poset(rng, 7)
-            F = susc_acyclic_multimap(rng, X)
-            holds = classify_continuity(F).susc and all(
-                is_acyclic(X.subposet(F(x))) for x in X.elements
-            ) and is_vietoris_like_multimap(F).ok
-            yield holds, {"X": X, "F": F}
-
-    def usc_maxima(rng):
-        while True:
-            X = random_poset(rng, 7)
-            F = usc_maxima_multimap(rng, X)
-            if F is not None:
-                yield is_vietoris_like_multimap(F).ok, {"X": X, "F": F}
-
-    def composition(rng):
-        while True:
-            X = random_poset(rng, 4, density=0.4)
-            X1 = barycentric_subdivision_space(X)
-            if len(X1) > 12:
-                continue
-            h1 = chain_max_map(X1, X)
-            h2 = chain_max_map(barycentric_subdivision_space(X1), X1)
-            yield all(is_vietoris_like_map(h).ok for h in (h1, h2, h2.then(h1))), {"X": X}
-
-    def lefschetz(rng):
-        while True:
-            X = random_poset(rng, 8)
-            f = random_endomorphism(rng, X)
-            rep = classical_lefschetz(f)
-            yield rep.lambda_ == rep.chi_fix, {"X": X, "f": f}
-
-    def selector(rng):
-        while True:
-            X = random_poset(rng, 7)
-            F = susc_acyclic_multimap(rng, X)
-            lam_g = lefschetz_number(induced_map_of_poset_map(selector_from_maxima(F)))
-            lam_F = lefschetz_number(induced_multimap_homology(F))
-            yield lam_g == lam_F, {"X": X, "F": F}
-
-    none = f"{count} instances, zero counterexamples"
-    equal = f"{count} instances, exact equality"
-    suites = [
-        ("susc_acyclic_implies_vietoris_like", none, susc_acyclic),
-        ("usc_with_maxima_implies_vietoris_like", none, usc_maxima),
-        ("vietoris_like_closed_under_composition", none, composition),
-        ("lefschetz_number_equals_euler_of_fixed_set", equal, lefschetz),
-        ("selector_has_same_lefschetz_number", equal, selector),
-    ]
     return [
-        _property_suite(name, label, seed, islice(gen(random.Random(seed + k)), count))
-        for k, (name, label, gen) in enumerate(suites)
+        _property_suite(name, seed, random.Random(seed + k), 30)
+        for k, name in enumerate(_SUITES)
     ]
 
 

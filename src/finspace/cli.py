@@ -229,9 +229,8 @@ def cmd_tower(args):
             is_vietoris_like_map(h).ok for h in t.h_maps
         ]
         report["H_has_minima"] = [
-            all(t.levels[n + 1].minimum(fiber_H(t, n, n + 1)(x)) is not None
-                for x in t.levels[n].elements)
-            for n in range(t.depth)
+            all(H.target.minimum(H(x)) is not None for x in H.source.elements)
+            for H in (fiber_H(t, n, n + 1) for n in range(t.depth))
         ]
         code = EXIT_OK if all(report["h_vietoris_like"]) else EXIT_FALSIFIED
         return report, code

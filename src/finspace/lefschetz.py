@@ -152,6 +152,21 @@ def classical_lefschetz(f):
     return report
 
 
+def _map_multimap_lambda(f, gs, mode):
+    """The Lefschetz number of a map f against the multimap F of graph gs.
+
+    mode 1: Lambda(F_* f_*^-1); mode 2: Lambda(f_* F_*^-1) with
+    F_*^-1 = p_* q_*^-1.  Callers certify what makes f_* (mode 1) or
+    q_* (mode 2) invertible.
+    """
+    if mode == 1:
+        f_inv = invert(induced_map_of_poset_map(f))
+        return lefschetz_number(f_inv.then(induced_multimap_homology(gs.multimap, gs)))
+    p_star, q_star = projections_on_core(gs)
+    F_inv = invert(q_star).then(p_star)
+    return lefschetz_number(F_inv.then(induced_map_of_poset_map(f)))
+
+
 def corollary_multimap_coincidence(f, F, mode):
     """Coincidence f(x) in F(x) between a map and a multimap.
 
@@ -163,18 +178,13 @@ def corollary_multimap_coincidence(f, F, mode):
     gs = graph(F)
     if mode == 1:
         _require(is_vietoris_like_map(f), "f is not Vietoris-like")
-        lam = lefschetz_number(
-            invert(induced_map_of_poset_map(f)).then(induced_multimap_homology(F, gs))
-        )
         certs = ["f Vietoris-like"]
     elif mode == 2:
         _require(is_vietoris_like_map(gs.q), "second projection is not Vietoris-like")
-        p_star, q_star = projections_on_core(gs)
-        F_inv = invert(q_star).then(p_star)  # F_*^-1 = p_* q_*^-1
-        lam = lefschetz_number(F_inv.then(induced_map_of_poset_map(f)))
         certs = ["q Vietoris-like"]
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    lam = _map_multimap_lambda(f, gs, mode)
     witnesses = [x for x in f.source.elements if f(x) in F(x)]
     return _finish(lam, certs, witnesses)
 
@@ -207,18 +217,14 @@ def theorem_310(F, G, case, budget=DEFAULT_BUDGET):
     if case == 1:
         _require(is_vietoris_like_map(gs.p), "F is not a Vietoris-like multimap")
         g = _find_selector(G, vietoris_required=True, budget=budget)
-        lam = lefschetz_number(
-            invert(induced_map_of_poset_map(g)).then(induced_multimap_homology(F, gs))
-        )
+        lam = _map_multimap_lambda(g, gs, 1)
         certs = ["F Vietoris-like multimap", "G has Vietoris-like selector"]
     elif case == 2:
         _require(
             is_vietoris_like_map(gs.q), "second projection of F is not Vietoris-like"
         )
         g = _find_selector(G, vietoris_required=False, budget=budget)
-        p_star, q_star = projections_on_core(gs)
-        F_inv = invert(q_star).then(p_star)  # F_*^-1 = p_* q_*^-1
-        lam = lefschetz_number(F_inv.then(induced_map_of_poset_map(g)))
+        lam = _map_multimap_lambda(g, gs, 2)
         certs = ["q of Gamma(F) Vietoris-like", "G has selector"]
     elif case == 3:
         g = _find_selector(G, vietoris_required=True, budget=budget)

@@ -87,7 +87,7 @@ class FinitePoset:
         if set(self.elements) != set(other.elements):
             return False
         perm = [other._index[x] for x in self.elements]
-        return np.array_equal(self._leq, other._leq[np.ix_(perm, perm)])
+        return np.array_equal(self._leq, _gather(other._leq, perm))
 
     def __hash__(self):
         if self._hash is None:
@@ -127,7 +127,7 @@ class FinitePoset:
         return self._restrict(keep)
 
     def _restrict(self, keep):
-        return _derived([self.elements[i] for i in keep], self._leq[np.ix_(keep, keep)])
+        return _derived([self.elements[i] for i in keep], _gather(self._leq, keep))
 
     def maximum(self, subset=None):
         """The maximum of the subset (default: whole space), or None."""
@@ -297,6 +297,11 @@ def _fill(P, elements, index, leq):
     return P
 
 
+def _gather(leq, idx):
+    """leq[idx][:, idx]: two takes, several times faster than np.ix_ indexing."""
+    return leq.take(idx, axis=0).take(idx, axis=1)
+
+
 def _derived(elements, leq):
     """A poset on an order that is one by construction, taken without a check."""
     elements = tuple(elements)
@@ -308,7 +313,7 @@ def product_subposet(X, Y, pairs):
     """Distinct pairs (x, y) of X x Y under the (already valid) product order."""
     ix = [X.index(x) for x, _ in pairs]
     iy = [Y.index(y) for _, y in pairs]
-    return _derived(pairs, X._leq[np.ix_(ix, ix)] & Y._leq[np.ix_(iy, iy)])
+    return _derived(pairs, _gather(X._leq, ix) & _gather(Y._leq, iy))
 
 
 def build_poset(elements, relations):
@@ -422,7 +427,7 @@ def check_continuous(f):
     """
     X, Y = f.source, f.target
     idx = [Y.index(f(x)) for x in X.elements]
-    mask = X._leq & ~Y._leq.take(idx, axis=0).take(idx, axis=1)  # far faster than np.ix_
+    mask = X._leq & ~_gather(Y._leq, idx)
     if mask.any():
         i, j = np.argwhere(mask)[0]
         return False, (X.elements[i], X.elements[j])

@@ -56,9 +56,9 @@ def random_monotone_map(rng, X, Y, attempts=200):
     return None
 
 
-def random_endomorphism(rng, X, attempts=200):
+def random_endomorphism(rng, X):
     """A random continuous self-map (the identity always exists)."""
-    f = random_monotone_map(rng, X, X, attempts)
+    f = random_monotone_map(rng, X, X)
     return f if f is not None else identity_map(X)
 
 
@@ -71,14 +71,14 @@ def susc_acyclic_multimap(rng, X):
     return MultiMap(X, X, values)
 
 
-def usc_maxima_multimap(rng, X, attempts=50):
+def usc_maxima_multimap(rng, X):
     """A usc multimap whose every value has a maximum, or None.
 
     Proposes values {g(x)} plus a random part of the points below g(x)
-    and keeps the first proposal that the usc checker accepts.
+    and keeps the first of 50 proposals that the usc checker accepts.
     """
     g = random_endomorphism(rng, X)
-    for _ in range(attempts):
+    for _ in range(50):
         values = {}
         for x in X.elements:
             below = sorted(X.strict_down_set(g(x)), key=X.index)
@@ -90,7 +90,7 @@ def usc_maxima_multimap(rng, X, attempts=50):
     return None
 
 
-def vietoris_map_corpus(rng, count, max_size=4, density=0.4):
+def vietoris_map_corpus(rng, count):
     """Maps that are Vietoris-like by construction.
 
     The corpus mixes identities, chain-maximum maps from one barycentric
@@ -99,7 +99,7 @@ def vietoris_map_corpus(rng, count, max_size=4, density=0.4):
     """
     out = []
     while len(out) < count:
-        X = random_poset(rng, max_size, density)
+        X = random_poset(rng, 4, density=0.4)
         kind = rng.randrange(3)
         if kind == 0:
             out.append(identity_map(X))

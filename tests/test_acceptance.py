@@ -7,6 +7,12 @@ advertised guarantees: the worked regression cases, the Lefschetz
 fixed-point identities on randomized corpora, the certification
 implications for multivalued maps, the subdivision-tower consistency
 laws, and the exactness of the integer homology engine itself.
+
+Criterion 2 and criterion 4 (a), (b), (c) and (e) run the seeded property
+suites of finspace.casebook, the same code paper-suite runs, on larger
+corpora (500 and 200 instances).  A failure's message is the suite's
+label: "counterexample: seed S, instance i" and the serialized posets,
+maps and multimaps of that instance.
 """
 
 import random
@@ -16,7 +22,7 @@ from contextlib import contextmanager
 import pytest
 
 from finspace import intmat
-from finspace.casebook import ALL_CASES, _multimap, _map, _poset
+from finspace.casebook import ALL_CASES, _multimap, _map, _poset, _property_suite
 from finspace.complexes import (
     barycentric_subdivision_space,
     chain_max_map,
@@ -38,32 +44,26 @@ from finspace.errors import (
 from finspace.homology import (
     induced_map_of_poset_map,
     invert,
-    is_acyclic,
     lefschetz_number,
     poset_homology,
 )
 from finspace.lefschetz import (
-    classical_lefschetz,
     theorem_A,
     theorem_B,
     theorem_C,
 )
 from finspace.maps import (
-    classify_continuity,
     compose_map_then_multimap,
     compose_multimaps,
     induced_multimap_homology,
     is_vietoris_like_map,
     is_vietoris_like_multimap,
-    selector_from_maxima,
 )
 from finspace.formats import serialize_map, serialize_multimap, serialize_poset
 from finspace.random_instances import (
-    random_endomorphism,
     random_monotone_map,
     random_poset,
     susc_acyclic_multimap,
-    usc_maxima_multimap,
     vietoris_map_corpus,
 )
 
@@ -90,6 +90,12 @@ def _dump_multimap(F):
         f"source:\n{serialize_poset(F.source)}\n"
         f"target:\n{serialize_poset(F.target)}\nmultimap:\n{serialize_multimap(F)}"
     )
+
+
+def _suite(name, seed, rng, count):
+    """Run a casebook property suite; a failure names seed, instance and parts."""
+    result = _property_suite(name, seed, rng, count)
+    assert result.passed, result.checks[0][0]
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -127,14 +133,9 @@ def test_criterion_1_composite_fixed_points_only_C_and_D():
 
 def test_criterion_2_lefschetz_equals_euler_of_fixed_set():
     with criterion(2, "Lefschetz number equals Euler characteristic of Fix"):
-        rng = random.Random(20260824)
+        seed = 20260824
         t0 = time.perf_counter()
-        for _ in range(500):
-            X = random_poset(rng, 8)
-            f = random_endomorphism(rng, X)
-            rep = classical_lefschetz(f)
-            assert rep.lambda_ == rep.chi_fix, _dump_map(f)
-            assert rep.conclusion_verified, _dump_map(f)
+        _suite("lefschetz_number_equals_euler_of_fixed_set", seed, random.Random(seed), 500)
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"500 instances took {elapsed:.1f}s (limit 60s)"
 
@@ -175,46 +176,18 @@ def test_criterion_3_certified_maps_invert_and_failures_do_not():
 
 def test_criterion_4_certification_implication_suites():
     with criterion(4, "semicontinuity and composition implications"):
-        rng = random.Random(40260824)
+        seed = 40260824
+        rng = random.Random(seed)
 
         # (a) strong usc with acyclic values implies Vietoris-like
-        for _ in range(200):
-            X = random_poset(rng, 7)
-            F = susc_acyclic_multimap(rng, X)
-            assert classify_continuity(F).susc, _dump_multimap(F)
-            assert all(
-                is_acyclic(X.subposet(F(x))) for x in X.elements
-            ), _dump_multimap(F)
-            assert is_vietoris_like_multimap(F).ok, _dump_multimap(F)
-
         # (b) usc with all values having maxima implies Vietoris-like
-        done = 0
-        while done < 200:
-            X = random_poset(rng, 7)
-            F = usc_maxima_multimap(rng, X)
-            if F is None:
-                continue
-            assert classify_continuity(F).usc, _dump_multimap(F)
-            assert all(
-                X.maximum(F(x)) is not None for x in X.elements
-            ), _dump_multimap(F)
-            assert is_vietoris_like_multimap(F).ok, _dump_multimap(F)
-            done += 1
-
         # (c) composition closure of Vietoris-like single-valued maps
-        done = 0
-        while done < 200:
-            X = random_poset(rng, 4, density=0.4)
-            X1 = barycentric_subdivision_space(X)
-            if len(X1) > 12:
-                continue
-            h1 = chain_max_map(X1, X)
-            X2 = barycentric_subdivision_space(X1)
-            h2 = chain_max_map(X2, X1)
-            assert is_vietoris_like_map(h1).ok, _dump_map(h1)
-            assert is_vietoris_like_map(h2).ok, _dump_map(h2)
-            assert is_vietoris_like_map(h2.then(h1)).ok, _dump_map(h2.then(h1))
-            done += 1
+        for name in (
+            "susc_acyclic_implies_vietoris_like",
+            "usc_with_maxima_implies_vietoris_like",
+            "vietoris_like_closed_under_composition",
+        ):
+            _suite(name, seed, rng, 200)
 
         # (d) a Vietoris-like multimap after a Vietoris-like map stays
         #     Vietoris-like, and the induced maps compose
@@ -237,14 +210,7 @@ def test_criterion_4_certification_implication_suites():
 
         # (e) a continuous selector of a Vietoris-like multimap has the
         #     same Lefschetz number as the multimap itself
-        for _ in range(200):
-            X = random_poset(rng, 7)
-            F = susc_acyclic_multimap(rng, X)
-            g = selector_from_maxima(F)
-            assert all(g(x) in F(x) for x in X.elements), _dump_multimap(F)
-            lam_g = lefschetz_number(induced_map_of_poset_map(g))
-            lam_F = lefschetz_number(induced_multimap_homology(F))
-            assert lam_g == lam_F, _dump_multimap(F)
+        _suite("selector_has_same_lefschetz_number", seed, rng, 200)
 
 
 # ---------------------------------------------------------------- criterion 5

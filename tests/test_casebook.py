@@ -8,7 +8,11 @@ import pytest
 from finspace import casebook
 from finspace.casebook import ALL_CASES, run_all, run_property_suites
 from finspace.formats import serialize_multimap, serialize_poset
-from finspace.random_instances import random_poset, susc_acyclic_multimap
+from finspace.random_instances import (
+    random_poset,
+    susc_acyclic_multimap,
+    usc_maxima_multimap,
+)
 
 
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda fn: fn.__name__)
@@ -29,8 +33,8 @@ def test_run_all_is_deterministic():
 
 
 def test_property_suites_pass_and_are_seed_deterministic():
-    first = [r.as_dict() for r in run_property_suites(11, count=10)]
-    second = [r.as_dict() for r in run_property_suites(11, count=10)]
+    first = [r.as_dict() for r in run_property_suites(11)]
+    second = [r.as_dict() for r in run_property_suites(11)]
     assert first == second
     assert all(r["passed"] for r in first)
     assert len(first) == 5
@@ -46,7 +50,7 @@ def test_property_suite_names_its_first_counterexample(monkeypatch):
         return dataclasses.replace(flags, susc=flags.susc and len(calls) != 3)
 
     monkeypatch.setattr(casebook, "classify_continuity", susc_fails_on_third_call)
-    results = run_property_suites(11, count=10)
+    results = run_property_suites(11)
     rng = random.Random(11)
     for _ in range(3):
         X = random_poset(rng, 7)
@@ -60,5 +64,11 @@ def test_property_suite_names_its_first_counterexample(monkeypatch):
             "ok": False,
         }],
     }
-    assert len(calls) == 3  # the suite stops at its first counterexample
+    # the suite stops at its first counterexample: the fourth call already
+    # checks the first instance of the next suite, drawn from seed 11 + 1
+    rng = random.Random(12)
+    G = None
+    while G is None:
+        G = usc_maxima_multimap(rng, random_poset(rng, 7))
+    assert calls[3] == G
     assert all(r.passed for r in results[1:])

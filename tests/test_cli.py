@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from finspace import cli
 from finspace.cli import main
 from finspace.dynamics import build_tower
 from finspace.formats import parse_poset_text, serialize_map
@@ -117,6 +118,24 @@ def test_tower_build_verb(capsys):
     assert code == 0
     assert rep["level_sizes"] == [2, 3, 5]
     assert rep["h_vietoris_like"] == [True, True]
+
+
+def test_tower_build_makes_one_H_per_level(capsys, monkeypatch):
+    calls = []
+    fiber_H = cli.fiber_H
+
+    def counted(t, n, m):
+        calls.append((n, m))
+        return fiber_H(t, n, m)
+
+    monkeypatch.setattr(cli, "fiber_H", counted)
+    code, rep, _ = run_json(
+        capsys, "tower", "build",
+        "--poset", fixture("ex2_3_Y.txt"), "--depth", "2",
+    )
+    assert code == 0
+    assert rep["H_has_minima"] == [True, True]
+    assert calls == [(0, 1), (1, 2)]
 
 
 def test_tower_attach_and_lambda(capsys, tmp_path):

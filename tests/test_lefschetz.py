@@ -6,11 +6,15 @@ import pytest
 
 from finspace.errors import (
     BudgetExceeded,
+    FinspaceError,
     HypothesisFailed,
     NoSelector,
     NotComposable,
 )
+from finspace.formats import serialize_map, serialize_multimap, serialize_poset
+from finspace.homology import induced_map_of_poset_map, invert, lefschetz_number
 from finspace.lefschetz import (
+    _map_multimap_lambda,
     classical_lefschetz,
     coincidence_points,
     corollary_multimap_coincidence,
@@ -20,9 +24,19 @@ from finspace.lefschetz import (
     theorem_B,
     theorem_C,
 )
-from finspace.maps import MultiMap, compose_multimaps
+from finspace.maps import (
+    MultiMap,
+    compose_multimaps,
+    graph,
+    induced_multimap_homology,
+    projections_on_core,
+)
 from finspace.poset import PosetMap, build_poset, constant_map, identity_map
-from finspace.random_instances import random_endomorphism, random_poset
+from finspace.random_instances import (
+    random_endomorphism,
+    random_poset,
+    susc_acyclic_multimap,
+)
 
 
 @pytest.fixture
@@ -131,6 +145,47 @@ def test_corollary_modes(wedge):
     assert rep.witnesses == ["A", "B", "C"]
     with pytest.raises(ValueError):
         corollary_multimap_coincidence(identity_map(wedge), down, mode=9)
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except FinspaceError as exc:
+        return type(exc)
+
+
+def test_map_multimap_lambda_matches_both_expressions():
+    # oracle: the two expressions corollary_multimap_coincidence and
+    # theorem_310 evaluated inline, uncertified, so failures compare too
+    def old_mode_1(f, F, gs):
+        return lefschetz_number(
+            invert(induced_map_of_poset_map(f)).then(induced_multimap_homology(F, gs))
+        )
+
+    def old_mode_2(f, F, gs):
+        p_star, q_star = projections_on_core(gs)
+        F_inv = invert(q_star).then(p_star)
+        return lefschetz_number(F_inv.then(induced_map_of_poset_map(f)))
+
+    seed = 310
+    rng = random.Random(seed)
+    values = {1: 0, 2: 0}
+    for i in range(120):
+        X = random_poset(rng, 6)
+        f = random_endomorphism(rng, X)
+        F = susc_acyclic_multimap(rng, X)
+        gs = graph(F)
+        for mode, old in ((1, old_mode_1), (2, old_mode_2)):
+            want = _outcome(lambda: old(f, F, gs))
+            got = _outcome(lambda: _map_multimap_lambda(f, gs, mode))
+            assert got == want, (
+                f"seed {seed}, instance {i}, mode {mode}: {got!r} != {want!r}\n"
+                f"X:\n{serialize_poset(X)}f:\n{serialize_map(f)}"
+                f"F:\n{serialize_multimap(F)}"
+            )
+            values[mode] += isinstance(want, int)
+    # both modes compute a number on some instances and fail on others
+    assert 0 < values[1] < 120 and 0 < values[2] < 120, values
 
 
 def test_theorem_310_cases(wedge):
