@@ -5,9 +5,16 @@ its chains, X sends a complex to the poset of its simplices under
 inclusion.  Composing them either way gives barycentric subdivision.
 
 Chain-level data has one format: per dimension, a list with one sparse
-column {simplex index: coefficient} per simplex.  boundary_columns and
-chain_map_of return it; boundary_matrix is the dense version, kept as an
-oracle for tests.
+column {simplex index: coefficient} per simplex.  boundary_columns builds
+it for a boundary operator.  A SimplicialMap builds it for its chain map
+once, in the constructor that checks the map, and chain_map_of returns
+fresh copies.  boundary_matrix is the dense version of a boundary, kept
+as an oracle for tests.
+
+Orientation: a simplex is the tuple of its vertices sorted by position
+in the complex's vertex order.  A simplicial map sends a simplex to 0
+when two of its vertices share an image, and otherwise to its image
+simplex times the sign of the permutation that sorts the image vertices.
 """
 
 import numpy as np
@@ -20,8 +27,8 @@ from .poset import PosetMap, _derived, require_continuous
 class SimplicialComplex:
     """Abstract simplicial complex with a fixed global vertex order.
 
-    Simplices are stored per dimension as tuples sorted by vertex position;
-    that sorting is the orientation convention for all chain-level algebra.
+    Simplices are stored per dimension as tuples sorted by vertex
+    position, oriented as the module docstring says.
     """
 
     __slots__ = ("vertices", "_vindex", "simplices", "_sindex")
@@ -150,9 +157,14 @@ class SimplicialComplex:
 
 
 class SimplicialMap:
-    """Vertex assignment whose image of every simplex spans a simplex."""
+    """Vertex assignment whose image of every simplex spans a simplex.
 
-    __slots__ = ("source", "target", "vertex_assignment")
+    The constructor checks every source simplex through image_simplex
+    and, in the same pass, computes its chain-map column by the rule in
+    the module docstring; chain_map_of hands out copies of the columns.
+    """
+
+    __slots__ = ("source", "target", "vertex_assignment", "_columns")
 
     def __init__(self, source, target, vertex_assignment):
         self.source = source
@@ -161,9 +173,18 @@ class SimplicialMap:
         for v in source.vertices:
             if v not in self.vertex_assignment:
                 raise ValueError(f"no image for vertex {v!r}")
+        pos, assignment = target._vindex, self.vertex_assignment
+        self._columns = []
         for level in source.simplices:
+            cols = []
             for s in level:
-                self.image_simplex(s)  # raises if not a simplex
+                img = self.image_simplex(s)  # raises if not a simplex
+                if len(img) < len(s):
+                    cols.append({})  # degenerate
+                else:
+                    sign = _perm_sign([pos[assignment[v]] for v in s])
+                    cols.append({target.simplex_index(img): sign})
+            self._columns.append(cols)
 
     def __call__(self, v):
         return self.vertex_assignment[v]
@@ -269,23 +290,9 @@ def _perm_sign(seq):
 
 
 def chain_map_of(sm):
-    """Per-dimension sparse columns of the chain map of a simplicial map.
+    """The chain map of sm in the format of boundary_columns.
 
-    The format of boundary_columns: one {image index: sign} dict per
-    source simplex.  A simplex whose image degenerates maps to {};
-    otherwise the sign is that of the permutation sorting the image
-    vertices.
+    The columns were computed when sm was constructed; each call returns
+    fresh copies, so a caller may change them.
     """
-    dst = sm.target
-    out = []
-    for level in sm.source.simplices:
-        cols = []
-        for s in level:
-            keys = [dst._vindex[sm(v)] for v in s]
-            if len(set(keys)) != len(keys):
-                cols.append({})  # degenerate
-                continue
-            t = tuple(dst.vertices[k] for k in sorted(keys))
-            cols.append({dst.simplex_index(t): _perm_sign(keys)})
-        out.append(cols)
-    return out
+    return [[dict(col) for col in cols] for cols in sm._columns]

@@ -17,7 +17,7 @@ from .errors import (
     NotContinuous,
     SizeBudgetExceeded,
 )
-from .homology import induced_map_of_poset_map, invert, lefschetz_number
+from .homology import _coincidence_number, induced_map_of_poset_map
 from .maps import MultiMap, is_vietoris_like_map
 from .complexes import barycentric_subdivision_space, chain_max_map
 from .poset import identity_map, require_continuous
@@ -177,7 +177,7 @@ def lambda_nm(seq, n, m):
         raise IndexRange(f"need n < m, got {n} >= {m}")
     h_star = induced_map_of_poset_map(compose_h(seq.tower, n, m))
     f_star = induced_map_of_poset_map(compose_f(seq, n, m))
-    return lefschetz_number(invert(h_star).then(f_star))
+    return _coincidence_number(h_star, f_star)
 
 
 def fixed_points_of_level(seq, n1):

@@ -431,6 +431,11 @@ def lefschetz_number(m):
     return total
 
 
+def _coincidence_number(a_star, b_star):
+    """Lambda(b_* o a_*^-1); raises NotInvertible unless a_* inverts."""
+    return lefschetz_number(invert(a_star).then(b_star))
+
+
 def invert(m):
     """Exact inverse of an induced map that is unimodular in every dimension.
 

@@ -9,7 +9,7 @@ fixed points.
 from dataclasses import dataclass, field
 
 from .errors import HypothesisFailed, NoSelector, NotComposable
-from .homology import induced_map_of_poset_map, invert, lefschetz_number
+from .homology import _coincidence_number, induced_map_of_poset_map, lefschetz_number
 from .maps import (
     compose_multimaps,
     graph,
@@ -89,9 +89,7 @@ def theorem_A(f, g):
     forces a point with f(x) = g(x)."""
     require_continuous(g)
     _require(is_vietoris_like_map(f), "f is not Vietoris-like")
-    f_star = induced_map_of_poset_map(f)
-    g_star = induced_map_of_poset_map(g)
-    lam = lefschetz_number(invert(f_star).then(g_star))
+    lam = _coincidence_number(induced_map_of_poset_map(f), induced_map_of_poset_map(g))
     return _finish(lam, ["f Vietoris-like"], coincidence_points(f, g))
 
 
@@ -159,12 +157,11 @@ def _map_multimap_lambda(f, gs, mode):
     F_*^-1 = p_* q_*^-1.  Callers certify what makes f_* (mode 1) or
     q_* (mode 2) invertible.
     """
+    f_star = induced_map_of_poset_map(f)
     if mode == 1:
-        f_inv = invert(induced_map_of_poset_map(f))
-        return lefschetz_number(f_inv.then(induced_multimap_homology(gs.multimap, gs)))
+        return _coincidence_number(f_star, induced_multimap_homology(gs.multimap, gs))
     p_star, q_star = projections_on_core(gs)
-    F_inv = invert(q_star).then(p_star)
-    return lefschetz_number(F_inv.then(induced_map_of_poset_map(f)))
+    return _coincidence_number(q_star, p_star.then(f_star))
 
 
 def corollary_multimap_coincidence(f, F, mode):
@@ -229,8 +226,8 @@ def theorem_310(F, G, case, budget=DEFAULT_BUDGET):
     elif case == 3:
         g = _find_selector(G, vietoris_required=True, budget=budget)
         f = _find_selector(F, vietoris_required=False, budget=budget)
-        lam = lefschetz_number(
-            invert(induced_map_of_poset_map(g)).then(induced_map_of_poset_map(f))
+        lam = _coincidence_number(
+            induced_map_of_poset_map(g), induced_map_of_poset_map(f)
         )
         certs = ["G has Vietoris-like selector", "F has selector"]
     else:

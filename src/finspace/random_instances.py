@@ -65,7 +65,7 @@ def random_endomorphism(rng, X):
 def susc_acyclic_multimap(rng, X):
     """A multimap with F(x1) contained in F(x2) whenever x1 <= x2 and
     every value acyclic: F(x) is the minimal open set of g(x) for a random
-    continuous g, optionally fattened by a second map below it."""
+    continuous g."""
     g = random_endomorphism(rng, X)
     values = {x: set(X.down_set(g(x))) for x in X.elements}
     return MultiMap(X, X, values)

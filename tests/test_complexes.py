@@ -1,12 +1,13 @@
 """Order complexes, face posets, subdivisions and chain maps."""
 
+import copy
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finspace import intmat
+from finspace import complexes, intmat
 from finspace.complexes import (
     SimplicialComplex,
     SimplicialMap,
@@ -19,8 +20,9 @@ from finspace.complexes import (
 )
 from finspace.dynamics import build_tower
 from finspace.errors import UnknownElement
-from finspace.formats import serialize_poset
-from finspace.poset import PosetMap, build_poset, identity_map
+from finspace.formats import serialize_map, serialize_poset
+from finspace.poset import PosetMap, build_poset, constant_map, identity_map
+from finspace.random_instances import random_monotone_map, random_poset
 
 
 @pytest.fixture
@@ -122,10 +124,12 @@ def test_export_text(circle):
 
 def test_simplicial_map_validation(circle):
     K = order_complex(circle)
-    with pytest.raises(ValueError):
-        SimplicialMap(K, K, {"a": "a", "b": "b", "c": "c"})  # missing d
-    with pytest.raises(ValueError):
-        # image of the edge (a, c) would be the non-simplex (a, b)
+    with pytest.raises(ValueError, match="no image for vertex 'd'"):
+        SimplicialMap(K, K, {"a": "a", "b": "b", "c": "c"})
+    # image of the edge (a, c) would be the non-simplex (a, b)
+    with pytest.raises(
+        ValueError, match=r"image of \('a', 'c'\) is not a simplex of the target"
+    ):
         SimplicialMap(K, K, {"a": "a", "b": "b", "c": "b", "d": "d"})
     sm = SimplicialMap(K, K, {"a": "b", "b": "a", "c": "d", "d": "c"})
     assert sm.image_simplex(("a", "c")) == ("b", "d")
@@ -155,6 +159,88 @@ def test_chain_map_signs():
     sm = SimplicialMap(K, K, {"a": "b", "b": "a"})
     cm = chain_map_of(sm)
     assert _dense(cm[1], 1) == [[-1]]
+
+
+def _chain_map_oracle(sm):
+    """The chain map recomputed from the vertex assignment alone: sort
+    each image, look it up and count the inversions of its positions."""
+    dst = sm.target
+    out = []
+    for level in sm.source.simplices:
+        cols = []
+        for s in level:
+            keys = [dst._vindex[sm(v)] for v in s]
+            if len(set(keys)) != len(keys):
+                cols.append({})  # degenerate
+                continue
+            t = tuple(dst.vertices[k] for k in sorted(keys))
+            inversions = sum(
+                keys[j] < keys[i] for i in range(len(keys)) for j in range(i + 1, len(keys))
+            )
+            cols.append({dst.simplex_index(t): (-1) ** inversions})
+        out.append(cols)
+    return out
+
+
+def _reversed(X):
+    """X with its elements listed in reverse order."""
+    return build_poset(list(reversed(X.elements)), X.covers())
+
+
+def test_chain_map_of_matches_the_oracle():
+    # every fourth map is constant, so all its higher simplices degenerate;
+    # reversed listings make images sort with odd permutations
+    seed = 2004
+    rng = random.Random(seed)
+    maps = signs = degenerate = 0
+    for i in range(300):
+        X, Y = random_poset(rng, 5), random_poset(rng, 5)
+        if i % 3 == 1:
+            Y = _reversed(Y)
+        if i % 5 == 2:
+            X = _reversed(X)
+        if i % 4 == 3:
+            f = constant_map(X, Y, rng.choice(Y.elements))
+        else:
+            f = random_monotone_map(rng, X, Y)
+            if f is None:
+                continue
+        sm = induced_simplicial_map(f)
+        want = _chain_map_oracle(sm)
+        assert chain_map_of(sm) == want, (
+            f"seed {seed}, instance {i}\nX:\n{serialize_poset(X)}"
+            f"Y:\n{serialize_poset(Y)}f:\n{serialize_map(f)}"
+        )
+        maps += 1
+        cols = [col for level in want for col in level]
+        signs += sum(-1 in col.values() for col in cols)
+        degenerate += sum(not col for col in cols)
+    assert maps >= 200 and signs and degenerate, (maps, signs, degenerate)
+
+
+def test_chain_map_of_reads_the_columns_built_at_construction(monkeypatch):
+    # the swap of a and b reverses the edge (a, b) of the triangle
+    K = SimplicialComplex.from_simplices([("a", "b", "c")], vertices="abc")
+    sm = SimplicialMap(K, K, {"a": "b", "b": "a", "c": "c"})
+    want = _chain_map_oracle(sm)
+
+    def refuse(*args):
+        raise AssertionError("chain_map_of recomputed an image")
+
+    monkeypatch.setattr(complexes, "_perm_sign", refuse)
+    monkeypatch.setattr(SimplicialMap, "image_simplex", refuse)
+    assert chain_map_of(sm) == want
+    assert want[1][K.simplex_index(("a", "b"))] == {K.simplex_index(("a", "b")): -1}
+
+
+def test_chain_map_of_returns_fresh_columns(circle):
+    sm = induced_simplicial_map(identity_map(circle))
+    first = chain_map_of(sm)
+    want = copy.deepcopy(first)
+    first[0][0][3] = 7
+    first[1][0].clear()
+    first[1].append({})
+    assert chain_map_of(sm) == want
 
 
 def test_chain_map_commutes_with_boundary(circle):
