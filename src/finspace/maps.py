@@ -27,7 +27,6 @@ from .poset import (
     DEFAULT_BUDGET,
     PosetMap,
     _stong_core,
-    _strict_neighbours,
     order_preserving_maps,
     product_subposet,
     require_continuous,
@@ -166,37 +165,38 @@ def is_vietoris_like_map(f):
 
     All chains are enumerated (acyclicity over maximal chains does not
     imply it for subchains), shortest first.  The fibers come from one
-    pass over the map (PosetMap.fibers) as sets of source indices, and the
-    source's strict neighbour sets are built once, so each distinct union
-    is reduced to its Stong core on its index set (poset._stong_core) and
-    memoized by it, without building a subposet.  A union with a maximum
-    or a minimum (a cone: some m in it has every other point of it
-    strictly below it, or strictly above it) is acyclic without that
-    worklist, because a space with a maximum or a minimum is contractible
-    (Stong, Trans. AMS 1966); most unions are cones.  Otherwise a core
-    leaves the Betti numbers and torsion of the union unchanged (it is a
-    strong deformation retract, same reference).  A core of one point is
+    pass over the map (PosetMap.fibers) as rank masks of the source's
+    rank view (see FinitePoset), so a chain's union is the OR of its
+    fiber masks, and that int keys the memo.  A union with a maximum or a
+    minimum (a cone, two int tests: _RankView.max_of, min_of) is acyclic
+    without a worklist, because a space with a maximum or a minimum is
+    contractible (Stong, Trans. AMS 1966); most unions are cones.
+    Otherwise the union is reduced to its Stong core on its point indices
+    (poset._stong_core), without building a subposet; a core leaves the
+    Betti numbers and torsion of the union unchanged (it is a strong
+    deformation retract, same reference).  A core of one point is
     acyclic; only a larger one becomes a poset, for its homology.  The
     first failing chain, in enumeration order, is reported.
     """
     require_continuous(f)
     X, Y = f.source, f.target
-    below, above = _strict_neighbours(X.leq_matrix())
-    fibers = {y: frozenset(map(X.index, xs)) for y, xs in f.fibers().items()}
+    view = X._rank_view()
+    points = {y: [X.index(x) for x in xs] for y, xs in f.fibers().items()}
+    masks = {y: view.mask(idx) for y, idx in points.items()}
     cache = {}
     for chain in sorted(Y.all_chains(), key=lambda c: (len(c), tuple(map(Y.index, c)))):
-        union = frozenset().union(*(fibers[y] for y in chain))
+        union = 0
+        for y in chain:
+            union |= masks[y]
         if not union:
             return Certificate(
                 ok=False, failing_chain=chain, reason="empty fiber union (f not surjective)"
             )
         if union not in cache:
-            n = len(union) - 1  # a cone: some point has the n others below or above it
-            if any(len(s) >= n and len(union & s) == n  # cheap length test first
-                   for m in union for s in (below[m], above[m])):
+            if view.max_of(union) is not None or view.min_of(union) is not None:
                 cache[union] = None
-            else:
-                keep = _stong_core(below, above, union)
+            else:  # fibers are disjoint: their index lists list the union once
+                keep = _stong_core(view, union, [i for y in chain for i in points[y]])
                 cache[union] = poset_homology(X._restrict(keep)) if len(keep) > 1 else None
         hp = cache[union]
         if hp is not None and not hp.is_acyclic():

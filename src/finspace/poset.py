@@ -31,9 +31,21 @@ class FinitePoset:
     valid one (subposet, opposite, core, product_subposet) and face
     inclusion (complexes.face_poset), a partial order by construction,
     skip the check.
+
+    The cheap order queries (extrema, down- and up-sets, the linear
+    extension, chain successors, Stong cores and the cone test of
+    maps.is_vietoris_like_map) run on a rank-bitmask view of the order,
+    built once on first use (_rank_view).  Points are ranked by a linear
+    extension, and a set of points is a Python int with bit r set for
+    the point of rank r; each point keeps the masks of the points
+    strictly below and above it.  Ranks extend the order, so the only
+    candidate for the maximum of a set is its point of highest rank and
+    the only candidate for its minimum the point of lowest rank: the set
+    has a maximum iff that one point has every other point of the set
+    below it, one AND of two ints (_RankView.max_of, min_of).
     """
 
-    __slots__ = ("elements", "_index", "_leq", "_hash")
+    __slots__ = ("elements", "_index", "_leq", "_hash", "_view")
 
     def __init__(self, elements, leq_matrix):
         elements = tuple(elements)
@@ -82,6 +94,8 @@ class FinitePoset:
         return self._leq
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, FinitePoset):
             return NotImplemented
         if set(self.elements) != set(other.elements):
@@ -103,16 +117,16 @@ class FinitePoset:
 
     def down_set(self, x):
         """Minimal open set U_x = {y | y <= x}."""
-        i = self.index(x)
-        return {self.elements[j] for j in np.flatnonzero(self._leq[:, i])}
+        return self.strict_down_set(x) | {x}
 
     def up_set(self, x):
         """Closure F_x = {y | y >= x}."""
-        i = self.index(x)
-        return {self.elements[j] for j in np.flatnonzero(self._leq[i, :])}
+        els = self.elements
+        return {els[j] for j in self._rank_view().up[self.index(x)]} | {x}
 
     def strict_down_set(self, x):
-        return self.down_set(x) - {x}
+        els = self.elements
+        return {els[j] for j in self._rank_view().down[self.index(x)]}
 
     def opposite(self):
         """The same points with the order (hence the topology) reversed."""
@@ -131,23 +145,30 @@ class FinitePoset:
 
     def maximum(self, subset=None):
         """The maximum of the subset (default: whole space), or None."""
-        return self._extremum(self._leq, subset)
+        view = self._rank_view()
+        m = view.max_of(self._mask(view, subset))
+        return None if m is None else self.elements[m]
 
     def minimum(self, subset=None):
         """The minimum of the subset (default: whole space), or None."""
-        return self._extremum(self._leq.T, subset)
+        view = self._rank_view()
+        m = view.min_of(self._mask(view, subset))
+        return None if m is None else self.elements[m]
 
-    def _extremum(self, leq, subset):
-        """The m of the subset with leq[y, m] for every y in it, or None."""
-        idx = np.arange(len(self)) if subset is None else np.array(
-            [self.index(x) for x in subset], dtype=np.intp)
-        hit = np.flatnonzero(leq[idx[:, None], idx].all(axis=0))
-        return self.elements[idx[hit[0]]] if len(hit) else None
+    def _mask(self, view, subset):
+        if subset is None:
+            return (1 << len(self)) - 1
+        return view.mask(map(self.index, subset))
 
     def linear_extension(self):
         """Elements in a topological order compatible with leq (stable)."""
-        order = sorted(range(len(self)), key=lambda i: (int(self._leq[:, i].sum()), i))
-        return [self.elements[i] for i in order]
+        return [self.elements[i] for i in self._rank_view().order]
+
+    def _rank_view(self):
+        """The _RankView of this order, built on first use."""
+        if self._view is None:
+            self._view = _build_rank_view(self._leq)
+        return self._view
 
     # -- chains and Euler characteristic ---------------------------------
 
@@ -164,13 +185,12 @@ class FinitePoset:
         DEFAULT_BUDGET raise BudgetExceeded.
         """
         els = self.elements
-        strict = self._leq & ~np.eye(len(els), dtype=bool)
-        succ = [np.flatnonzero(row)[::-1].tolist() for row in strict]
+        view = self._rank_view()
+        succ = [up[::-1] for up in view.up]
         if 2 ** len(els) - 1 > DEFAULT_BUDGET:  # else no poset can exceed it
             # chains starting at x: 1 + those starting above x (Python ints)
             starting = [0] * len(els)
-            for x in reversed(self.linear_extension()):
-                i = self.index(x)
+            for i in reversed(view.order):
                 starting[i] = 1 + sum(starting[j] for j in succ[i])
             if sum(starting) > DEFAULT_BUDGET:
                 raise BudgetExceeded(
@@ -207,79 +227,140 @@ class FinitePoset:
         points go lowest element position first, for reproducibility, and
         a poset that has none (such as any poset of fewer than two points)
         is returned itself.  Otherwise _stong_core, the one beat-point
-        worklist, runs on all points and the matrix is restricted once.
+        worklist, runs on all points of the rank view and the matrix is
+        restricted once.
         """
         n = len(self)
         if n < 2:
             return self
-        keep = _stong_core(*_strict_neighbours(self._leq), set(range(n)))
+        keep = _stong_core(self._rank_view(), (1 << n) - 1, range(n))
         return self if len(keep) == n else self._restrict(keep)
 
     def is_contractible(self):
         return len(self.core()) == 1
 
 
-def _strict_neighbours(leq):
-    """(below, above): per point index, the indices strictly below and above it."""
-    n = len(leq)
-    below = [set() for _ in range(n)]
-    above = [set() for _ in range(n)]
-    rows, cols = np.divmod(np.flatnonzero(leq), n)  # 2-D nonzero is far slower
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if i != j:
-            above[i].add(j)
-            below[j].add(i)
-    return below, above
+class _RankView:
+    """The rank-bitmask view of an order (see FinitePoset).
 
-
-def _stong_core(below, above, keep):
-    """Sorted indices of the Stong core of the points `keep` of a poset.
-
-    below and above are the poset's _strict_neighbours and keep is a set of
-    its point indices, so the core of any subposet is found without
-    building it.  Beat points are removed lowest index first, which is
-    lowest position first in the subposet, as FinitePoset.core promises.
-
-    Each point keeps the sets of live points strictly below and above it,
-    and a heap holds the beat points.  x is a down-beat point iff some
-    m < x has one point fewer below it (then m is the maximum below x);
-    dually for up-beat points.  Removing x re-tests only the points
-    comparable to x: a down-beat test reads the points below y and their
-    counts, which change only if x < y, and dually an up-beat test
-    changes only if y < x.
+    order is a linear extension (point indices by rank) and rank its
+    inverse; below[i] and above[i] are the rank masks of the points
+    strictly below and above point i, and down[i] and up[i] the same
+    points as ascending index lists, for iteration.
     """
-    lo = {y: below[y] & keep for y in keep}  # live points strictly below
-    hi = {y: above[y] & keep for y in keep}  # live points strictly above
-    down = {y: _has_extremum(lo, y) for y in keep}
-    up = {y: _has_extremum(hi, y) for y in keep}
-    heap = sorted(y for y in keep if down[y] or up[y])  # sorted: a heap
-    alive = set(keep)
+
+    __slots__ = ("order", "rank", "below", "above", "down", "up")
+
+    def mask(self, indices):
+        """The rank mask of the given point indices."""
+        rank = self.rank
+        out = 0
+        for i in indices:
+            out |= 1 << rank[i]
+        return out
+
+    def max_of(self, S):
+        """The index of the maximum of the points in the rank mask S, or None."""
+        if S:
+            top = S.bit_length() - 1
+            m = self.order[top]
+            if self.below[m] & S == S ^ (1 << top):
+                return m
+        return None
+
+    def min_of(self, S):
+        """The index of the minimum of the points in the rank mask S, or None."""
+        low = S & -S
+        if low:
+            m = self.order[low.bit_length() - 1]
+            if self.above[m] & S == S ^ low:
+                return m
+        return None
+
+
+def _build_rank_view(leq):
+    """The _RankView of a leq matrix, from one pass over its nonzero entries.
+
+    A point has fewer points below it than any point above it, so sorting
+    by that count (stably, ties by index) is a linear extension.
+    """
+    n = len(leq)
+    # array methods and ufuncs rather than numpy's Python-level wrappers:
+    # all_chains builds the view and must run in a shallow stack
+    lo, hi = np.divmod(leq.ravel().nonzero()[0], n)  # lo <= hi, row-major
+    order = np.bincount(hi, minlength=n).argsort(kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    strict = lo != hi
+    lo, hi = lo[strict], hi[strict]
+    # rows 0..n-1 list the points below each point, rows n..2n-1 those above
+    masks, lists = _masks_and_lists(
+        np.concatenate((hi, lo + n)), np.concatenate((lo, hi)), rank)
+    view = object.__new__(_RankView)
+    view.order, view.rank = order.tolist(), rank.tolist()
+    view.below, view.above = masks[:n], masks[n:]
+    view.down, view.up = lists[:n], lists[n:]
+    return view
+
+
+def _masks_and_lists(rows, cols, rank):
+    """Per row: the rank mask and the ascending list of its cols.
+
+    A row's pairs come in ascending col order, so a stable sort by row
+    keeps them so.  Masks are packed bytes, one line per row, scattered
+    from the pairs: no dense square array is built.
+    """
+    n = len(rank)
+    by_row = rows.argsort(kind="stable")
+    rows, cols = rows[by_row], cols[by_row]
+    bits = rank[cols]
+    width = (n + 7) // 8
+    packed = np.zeros((2 * n, width), dtype=np.uint8)
+    np.bitwise_or.at(packed, (rows, bits >> 3), (1 << (bits & 7)).astype(np.uint8))
+    raw = packed.tobytes()
+    masks = [int.from_bytes(raw[k * width:(k + 1) * width], "little")
+             for k in range(2 * n)]
+    cols = cols.tolist()
+    ends = np.bincount(rows, minlength=2 * n).cumsum().tolist()
+    return masks, [cols[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _stong_core(view, alive, points):
+    """Sorted indices of the Stong core of some points of a poset.
+
+    view is the poset's rank view (see FinitePoset), points an iterable
+    of point indices and alive their rank mask, so the core of any
+    subposet is found without building it.  Beat points are removed
+    lowest index first, which is lowest position first in the subposet,
+    as FinitePoset.core promises.
+
+    y is a down-beat point iff the live points below it have a maximum
+    (view.max_of), an up-beat point iff those above it have a minimum; a
+    heap holds the beat points.  Removing x re-tests only the points
+    comparable to x: a down-beat test reads the points below y and below
+    them, which change only if x < y, and dually an up-beat test changes
+    only if y < x.
+    """
+    rank, below, above = view.rank, view.below, view.above
+    max_of, min_of = view.max_of, view.min_of
+    down = {y: max_of(below[y] & alive) is not None for y in points}
+    up = {y: min_of(above[y] & alive) is not None for y in points}
+    heap = sorted(y for y in down if down[y] or up[y])  # sorted: a heap
     while heap:
         x = heapq.heappop(heap)
-        if not (down[x] or up[x]):
-            continue  # stale entry: x stopped being a beat point
-        down[x] = up[x] = False
-        alive.remove(x)
-        for y in hi[x]:
-            lo[y].discard(x)
-        for y in lo[x]:
-            hi[y].discard(x)
-        for flags, sets, ys in ((down, lo, hi[x]), (up, hi, lo[x])):
+        if not (down.get(x) or up.get(x)):
+            continue  # stale entry: x was removed or is no beat point now
+        del down[x], up[x]  # the flags' keys are the live points
+        alive ^= 1 << rank[x]
+        for flags, masks, test, ys in ((down, below, max_of, view.up[x]),
+                                       (up, above, min_of, view.down[x])):
             for y in ys:
-                was = down[y] or up[y]
-                flags[y] = _has_extremum(sets, y)
-                if flags[y] and not was:
-                    heapq.heappush(heap, y)
-    return sorted(alive)
-
-
-def _has_extremum(sets, y):
-    """Whether sets[y] (the points below or above y) has a greatest or least point.
-
-    A j in sets[y] is that point iff its own set is sets[y] minus j, that
-    is, iff it has one point fewer.
-    """
-    return len(sets[y]) - 1 in map(len, map(sets.__getitem__, sets[y]))
+                if y in flags:
+                    was = down[y] or up[y]
+                    flags[y] = test(masks[y] & alive) is not None
+                    if flags[y] and not was:
+                        heapq.heappush(heap, y)
+    return sorted(down)
 
 
 def _transitive_closure(mat):
@@ -293,7 +374,7 @@ def _transitive_closure(mat):
 
 def _fill(P, elements, index, leq):
     leq.setflags(write=False)
-    P.elements, P._index, P._leq, P._hash = elements, index, leq, None
+    P.elements, P._index, P._leq, P._hash, P._view = elements, index, leq, None, None
     return P
 
 

@@ -192,9 +192,10 @@ def test_vietoris_certificate_matches_subposet_cores(seed, monkeypatch):
     reached = []  # index sets of the unions that get past the cone test
     real_stong_core = maps._stong_core
 
-    def counting_stong_core(below, above, keep):
-        reached.append(frozenset(keep))
-        return real_stong_core(below, above, keep)
+    def counting_stong_core(view, alive, points):
+        points = list(points)
+        reached.append(frozenset(points))
+        return real_stong_core(view, alive, points)
 
     monkeypatch.setattr(maps, "_stong_core", counting_stong_core)
     outcomes = set()

@@ -34,7 +34,7 @@ from finspace.poset import (
 from finspace.complexes import barycentric_subdivision_space
 from finspace.dynamics import attach_level_maps, build_tower
 from finspace.formats import serialize_map, serialize_poset
-from finspace.maps import MultiMap, graph
+from finspace.maps import MultiMap, graph, is_vietoris_like_map
 from finspace.random_instances import random_poset
 
 
@@ -265,7 +265,7 @@ def _sphere_fiber_unions(seed, count, min_size=20):
 
 def test_core_matches_the_beat_point_loop():
     # whole posets through core(), random subsets through the index-set
-    # worklist on the enclosing poset's neighbour sets
+    # worklist on the enclosing poset's rank view
     seed = 34
     rng = random.Random(seed)
     removed = removed_in_subsets = 0
@@ -276,13 +276,105 @@ def test_core_matches_the_beat_point_loop():
             f"seed {seed}, instance {k}\nX:\n{serialize_poset(X)}")
         removed += len(X) - len(got)
         subset = set(rng.sample(range(len(X)), rng.randint(1, len(X))))
-        keep = poset._stong_core(*poset._strict_neighbours(X.leq_matrix()), subset)
+        view = X._rank_view()
+        keep = poset._stong_core(view, view.mask(subset), sorted(subset))
         want = _core_by_rescanning(X.subposet([X.elements[i] for i in subset]))
         assert [X.elements[i] for i in keep] == list(want.elements), (
             f"seed {seed}, instance {k}, subset {sorted(subset)}\n"
             f"X:\n{serialize_poset(X)}")
         removed_in_subsets += len(subset) - len(keep)
     assert removed and removed_in_subsets, "the corpus should contain beat points"
+
+
+def _matrix_extremum(X, leq, subset):
+    """The numpy-matrix body of maximum (leq) and minimum (leq.T): the m of
+    the subset (default: all points) with leq[y, m] for every y in it."""
+    idx = np.arange(len(X)) if subset is None else np.array(
+        [X.index(x) for x in subset], dtype=np.intp)
+    hit = np.flatnonzero(leq[idx[:, None], idx].all(axis=0))
+    return X.elements[idx[hit[0]]] if len(hit) else None
+
+
+def _matrix_chains(X):
+    """The numpy-matrix body of all_chains, without its budget."""
+    els = X.elements
+    strict = X.leq_matrix() & ~np.eye(len(els), dtype=bool)
+    succ = [np.flatnonzero(row)[::-1].tolist() for row in strict]
+    stack = [((els[i],), i) for i in reversed(range(len(els)))]
+    out = []
+    while stack:
+        prefix, last = stack.pop()
+        out.append(prefix)
+        stack.extend((prefix + (els[j],), j) for j in succ[last])
+    return out
+
+
+def _view_corpus(seed, count):
+    """Random posets listed in a shuffled element order, so that index order
+    need not extend the order, then S^2 fiber unions."""
+    rng = random.Random(seed)
+    for k in range(count):
+        X = random_poset(rng, 10, density=(0.2, 0.4, 0.6)[k % 3])
+        perm = rng.sample(range(len(X)), len(X))
+        yield k, FinitePoset([X.elements[i] for i in perm],
+                             X.leq_matrix()[np.ix_(perm, perm)])
+    yield from _sphere_fiber_unions(seed, 40)
+
+
+def test_rank_view_matches_the_matrix():
+    seed = 37
+    rng = random.Random(seed)
+    instances = duplicates = empty = 0
+    for k, X in _view_corpus(seed, 360):
+        msg = f"seed {seed}, instance {k}\nX:\n{serialize_poset(X)}"
+        leq, els, n = X.leq_matrix(), X.elements, len(X)
+        view = X._rank_view()
+        assert sorted(view.order) == list(range(n)), msg
+        assert all(view.rank[i] == r for r, i in enumerate(view.order)), msg
+        for i in range(n):
+            below = [j for j in range(n) if j != i and leq[j, i]]
+            above = [j for j in range(n) if j != i and leq[i, j]]
+            assert view.down[i] == below and view.up[i] == above, msg
+            assert view.below[i] == sum(1 << view.rank[j] for j in below), msg
+            assert view.above[i] == sum(1 << view.rank[j] for j in above), msg
+            assert all(view.rank[j] < view.rank[i] for j in below), msg
+        assert X.maximum() == _matrix_extremum(X, leq, None), msg
+        assert X.minimum() == _matrix_extremum(X, leq.T, None), msg
+        for _ in range(6):
+            subset = rng.choices(els, k=rng.randint(0, n + 2))
+            duplicates += len(set(subset)) < len(subset)
+            empty += not subset
+            sub_msg = f"{msg}subset: {subset!r}"
+            assert X.maximum(subset) == _matrix_extremum(X, leq, subset), sub_msg
+            assert X.minimum(subset) == _matrix_extremum(X, leq.T, subset), sub_msg
+        for i, x in enumerate(els):
+            down = {els[j] for j in np.flatnonzero(leq[:, i])}
+            assert X.down_set(x) == down, msg
+            assert X.strict_down_set(x) == down - {x}, msg
+            assert X.up_set(x) == {els[j] for j in np.flatnonzero(leq[i, :])}, msg
+        by_count = sorted(range(n), key=lambda i: (int(leq[:, i].sum()), i))
+        assert X.linear_extension() == [els[i] for i in by_count], msg
+        assert X.all_chains() == _matrix_chains(X), msg
+        instances += 1
+    assert instances == 400 and duplicates and empty
+
+
+def test_second_certification_builds_no_second_view(monkeypatch):
+    t = build_tower(SPHERE, 2)
+    real_build = poset._build_rank_view
+    built = []
+
+    def build_once(leq):
+        if built:
+            raise AssertionError("a second rank view was built")
+        built.append(len(leq))
+        return real_build(leq)
+
+    monkeypatch.setattr(poset, "_build_rank_view", build_once)
+    assert is_vietoris_like_map(t.h_maps[1]).ok
+    # certifies h_0 and h_1 again; every level's view exists by now
+    assert len(attach_level_maps(t, t.h_maps).F_maps) == 2
+    assert built == [146]
 
 
 def test_fibers_match_preimages():
@@ -327,6 +419,14 @@ def test_equality_up_to_element_order():
     Y = build_poset("ba", [("a", "b")])
     assert X == Y and hash(X) == hash(Y)
     assert X != build_poset("ab", [])
+
+
+def test_equality_with_itself_compares_nothing(circle, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a poset was compared with itself entry by entry")
+
+    monkeypatch.setattr(poset, "_gather", refuse)
+    assert circle == circle and circle.__eq__(circle) is True
 
 
 def test_leq_matrix_write_protected(circle):
