@@ -17,8 +17,6 @@ when two of its vertices share an image, and otherwise to its image
 simplex times the sign of the permutation that sorts the image vertices.
 """
 
-import numpy as np
-
 from . import intmat
 from .errors import UnknownElement
 from .poset import PosetMap, _derived, require_continuous
@@ -224,30 +222,28 @@ def order_complex(X):
 def face_poset(K):
     """X(K): simplices of K ordered by face inclusion.
 
-    leq[a, s] is set for every nonempty vertex subset a of every simplex
-    s, so the matrix is face inclusion itself and goes to the poset with
-    no closure and no check.  It is a partial order by construction:
-    reflexive (s is a face of itself), antisymmetric (faces of each other
+    The points below a simplex are its proper nonempty faces, so the
+    order goes to the poset with no closure and no check.  It is a
+    partial order by construction: antisymmetric (faces of each other
     have the same vertices, and K holds each simplex once) and transitive
-    (a face of a face of s is a face of s, and its entry is set too).
-    That needs K closed under faces: a face K lacks raises UnknownElement.
+    (a face of a face of s is a face of s).  That needs K closed under
+    faces: a face K lacks raises UnknownElement.
     """
     els = K.all_simplices()
     start = [0]  # position of the first simplex of each dimension in els
     for level in K.simplices:
         start.append(start[-1] + len(level))
-    rows, cols = [], []
-    for j, s in enumerate(els):
-        for mask in range(1, 1 << len(s)):
+    down = []
+    for s in els:
+        faces = []
+        for mask in range(1, (1 << len(s)) - 1):
             face = tuple(v for k, v in enumerate(s) if mask >> k & 1)
             i = K._sindex[len(face) - 1].get(face)
             if i is None:
                 raise UnknownElement(f"face {face!r} of {s!r} is not a simplex of K")
-            rows.append(start[len(face) - 1] + i)
-            cols.append(j)
-    leq = np.zeros((len(els), len(els)), dtype=bool)
-    leq[np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)] = True
-    return _derived(els, leq)
+            faces.append(start[len(face) - 1] + i)
+        down.append(sorted(faces))
+    return _derived(els, down)
 
 
 def barycentric_subdivision_space(X):

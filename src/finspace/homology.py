@@ -327,8 +327,7 @@ def is_acyclic(X):
     """
     if len(X) == 0:
         raise EmptySubspace("the empty subspace is not acyclic")
-    leq = X.leq_matrix()
-    if leq.all(axis=0).any() or leq.all(axis=1).any():
+    if X.maximum() is not None or X.minimum() is not None:
         return True
     core = X.core()
     if len(core) == 1:

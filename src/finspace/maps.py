@@ -7,8 +7,6 @@ projections.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     EmptyValue,
     NoMaximum,
@@ -118,25 +116,25 @@ class ContinuityFlags:
 def classify_continuity(F):
     """Order-theoretic (strong) upper/lower semicontinuity flags.
 
-    M[x, y] says y is in F(x) and up[x, y] that y lies below some point
-    of F(x).  For every pair x1 <= x2: usc asks F(x1) to lie below F(x2)
-    (in up[x2]), lsc asks F(x2) to lie below F(x1); susc and slsc ask for
-    F(x1) <= F(x2) and F(x2) <= F(x1) as sets.  Each condition is one
-    boolean matrix product over the points y of Y, masked by the leq
-    matrix of X: (M @ ~up.T)[x1, x2] says some y of F(x1) is not in
-    up[x2], so no array is larger than |X| x max(|X|, |Y|).
+    For every pair x1 < x2 of X: usc asks each point of F(x1) to lie
+    below some point of F(x2), lsc each point of F(x2) below some point
+    of F(x1); susc and slsc ask for F(x1) <= F(x2) and F(x2) <= F(x1) as
+    sets.  Each test is one AND of rank masks of Y: per x, the mask of
+    F(x) and that of the points at or below some point of F(x).
     """
     X, Y = F.source, F.target
-    M = np.zeros((len(X), len(Y)), dtype=bool)
-    for i, x in enumerate(X.elements):
-        M[i, [Y.index(y) for y in F(x)]] = True
-    up = M @ Y.leq_matrix().T  # boolean products: no counts to wrap
-    L = X.leq_matrix()
+    view = Y._view
+    values, closed = [], []
+    for x in X.elements:
+        idx = [Y.index(y) for y in F(x)]
+        values.append(view.mask(idx))
+        closed.append(values[-1] | view.mask(j for i in idx for j in view.down[i]))
+    pairs = [(i, j) for i, up in enumerate(X._view.up) for j in up]
     return ContinuityFlags(
-        usc=not (L & (M @ ~up.T)).any(),
-        lsc=not (L & (~up @ M.T)).any(),
-        susc=not (L & (M @ ~M.T)).any(),
-        slsc=not (L & (~M @ M.T)).any(),
+        usc=all(not values[i] & ~closed[j] for i, j in pairs),
+        lsc=all(not values[j] & ~closed[i] for i, j in pairs),
+        susc=all(not values[i] & ~values[j] for i, j in pairs),
+        slsc=all(not values[j] & ~values[i] for i, j in pairs),
     )
 
 
@@ -180,7 +178,7 @@ def is_vietoris_like_map(f):
     """
     require_continuous(f)
     X, Y = f.source, f.target
-    view = X._rank_view()
+    view = X._view
     points = {y: [X.index(x) for x in xs] for y, xs in f.fibers().items()}
     masks = {y: view.mask(idx) for y, idx in points.items()}
     cache = {}

@@ -4,6 +4,10 @@ A finite T0 topological space and a finite poset are the same data: the
 order is x <= y iff every open set containing y contains x, minimal open
 sets are down-sets and continuity is order preservation.  Everything here
 is immutable after construction.
+
+A poset stores its order once, as a rank-bitmask view (see FinitePoset).
+A dense boolean matrix exists only at the door, where FinitePoset checks
+a raw one and build_poset closes raw relations, and in leq_matrix().
 """
 
 import heapq
@@ -22,30 +26,30 @@ DEFAULT_BUDGET = 10 ** 6
 
 
 class FinitePoset:
-    """A finite poset: element ids plus a dense boolean leq matrix.
+    """A finite poset: element ids plus one rank-bitmask view of the order.
 
     Orders are checked once, where raw data enters: this constructor
-    rejects duplicate ids and a matrix of the wrong shape or not
-    reflexive, antisymmetric (CycleError) and transitive; build_poset
-    closes raw relations and hands them here.  Orders derived from a
-    valid one (subposet, opposite, core, product_subposet) and face
-    inclusion (complexes.face_poset), a partial order by construction,
-    skip the check.
+    takes a dense boolean leq matrix, rejects duplicate ids and a matrix
+    of the wrong shape or not reflexive, antisymmetric (CycleError) and
+    transitive, and then drops it; build_poset closes raw relations and
+    hands them here.  Orders derived from a valid one (subposet,
+    opposite, core, product_subposet) and face inclusion
+    (complexes.face_poset), a partial order by construction, skip the
+    check.  leq_matrix() rebuilds a matrix on request; no order query
+    reads one.
 
-    The cheap order queries (extrema, down- and up-sets, the linear
-    extension, chain successors, Stong cores and the cone test of
-    maps.is_vietoris_like_map) run on a rank-bitmask view of the order,
-    built once on first use (_rank_view).  Points are ranked by a linear
-    extension, and a set of points is a Python int with bit r set for
-    the point of rank r; each point keeps the masks of the points
-    strictly below and above it.  Ranks extend the order, so the only
-    candidate for the maximum of a set is its point of highest rank and
-    the only candidate for its minimum the point of lowest rank: the set
-    has a maximum iff that one point has every other point of the set
-    below it, one AND of two ints (_RankView.max_of, min_of).
+    Every poset is built the same way, from the ascending index lists of
+    the points strictly below each point, into one _RankView.  Points are
+    ranked by a linear extension, and a set of points is a Python int
+    with bit r set for the point of rank r; each point keeps the masks of
+    the points strictly below and above it.  Ranks extend the order, so
+    the only candidate for the maximum of a set is its point of highest
+    rank and the only candidate for its minimum the point of lowest rank:
+    the set has a maximum iff that one point has every other point of the
+    set below it, one AND of two ints (_RankView.max_of, min_of).
     """
 
-    __slots__ = ("elements", "_index", "_leq", "_hash", "_view")
+    __slots__ = ("elements", "_index", "_hash", "_view")
 
     def __init__(self, elements, leq_matrix):
         elements = tuple(elements)
@@ -59,13 +63,14 @@ class FinitePoset:
             raise ValueError("leq matrix shape does not match element count")
         if not leq.diagonal().all():
             raise ValueError("leq is not reflexive")
-        both = np.argwhere(leq & leq.T & ~np.eye(n, dtype=bool))
+        strict = leq & ~np.eye(n, dtype=bool)
+        both = np.argwhere(strict & leq.T)
         if len(both):
             i, j = both[0]
             raise CycleError(f"cycle through {elements[i]!r} and {elements[j]!r}")
         if (leq @ leq & ~leq).any():  # boolean product: no counts to wrap
             raise ValueError("leq is not transitive")
-        _fill(self, elements, index, leq)
+        _fill(self, elements, index, [col.nonzero()[0].tolist() for col in strict.T])
 
     # -- basic queries ---------------------------------------------------
 
@@ -85,13 +90,22 @@ class FinitePoset:
             raise UnknownElement(f"unknown element {x!r}") from None
 
     def leq(self, x, y):
-        return bool(self._leq[self.index(x), self.index(y)])
+        i, j = self.index(x), self.index(y)
+        return i == j or bool(self._view.below[j] >> self._view.rank[i] & 1)
 
     def lt(self, x, y):
         return x != y and self.leq(x, y)
 
     def leq_matrix(self):
-        return self._leq
+        """The order as a read-only boolean matrix, built on each call.
+
+        For callers outside the package and for test oracles.
+        """
+        leq = np.eye(len(self), dtype=bool)
+        for j, down in enumerate(self._view.down):
+            leq[down, j] = True
+        leq.setflags(write=False)
+        return leq
 
     def __eq__(self, other):
         if other is self:
@@ -101,13 +115,15 @@ class FinitePoset:
         if set(self.elements) != set(other.elements):
             return False
         perm = [other._index[x] for x in self.elements]
-        return np.array_equal(self._leq, _gather(other._leq, perm))
+        theirs = other._view
+        return all(theirs.below[perm[i]] == theirs.mask(perm[j] for j in down)
+                   for i, down in enumerate(self._view.down))
 
     def __hash__(self):
+        # the count of points below an element does not depend on the
+        # element order, so equal posets hash equal
         if self._hash is None:
-            els = self.elements
-            rels = frozenset((els[i], els[j]) for i, j in np.argwhere(self._leq))
-            self._hash = hash((frozenset(els), rels))
+            self._hash = hash(frozenset(zip(self.elements, map(len, self._view.down))))
         return self._hash
 
     def __repr__(self):
@@ -122,15 +138,15 @@ class FinitePoset:
     def up_set(self, x):
         """Closure F_x = {y | y >= x}."""
         els = self.elements
-        return {els[j] for j in self._rank_view().up[self.index(x)]} | {x}
+        return {els[j] for j in self._view.up[self.index(x)]} | {x}
 
     def strict_down_set(self, x):
         els = self.elements
-        return {els[j] for j in self._rank_view().down[self.index(x)]}
+        return {els[j] for j in self._view.down[self.index(x)]}
 
     def opposite(self):
         """The same points with the order (hence the topology) reversed."""
-        return _derived(self.elements, self._leq.T.copy())
+        return _derived(self.elements, self._view.up)
 
     def subposet(self, subset):
         """Induced subposet on the given elements, keeping element order."""
@@ -141,34 +157,30 @@ class FinitePoset:
         return self._restrict(keep)
 
     def _restrict(self, keep):
-        return _derived([self.elements[i] for i in keep], _gather(self._leq, keep))
+        """The subposet on the ascending point indices keep."""
+        pos = {i: k for k, i in enumerate(keep)}
+        down = self._view.down
+        return _derived([self.elements[i] for i in keep],
+                        [[pos[j] for j in down[i] if j in pos] for i in keep])
 
     def maximum(self, subset=None):
         """The maximum of the subset (default: whole space), or None."""
-        view = self._rank_view()
-        m = view.max_of(self._mask(view, subset))
+        m = self._view.max_of(self._mask(subset))
         return None if m is None else self.elements[m]
 
     def minimum(self, subset=None):
         """The minimum of the subset (default: whole space), or None."""
-        view = self._rank_view()
-        m = view.min_of(self._mask(view, subset))
+        m = self._view.min_of(self._mask(subset))
         return None if m is None else self.elements[m]
 
-    def _mask(self, view, subset):
+    def _mask(self, subset):
         if subset is None:
             return (1 << len(self)) - 1
-        return view.mask(map(self.index, subset))
+        return self._view.mask(map(self.index, subset))
 
     def linear_extension(self):
         """Elements in a topological order compatible with leq (stable)."""
-        return [self.elements[i] for i in self._rank_view().order]
-
-    def _rank_view(self):
-        """The _RankView of this order, built on first use."""
-        if self._view is None:
-            self._view = _build_rank_view(self._leq)
-        return self._view
+        return [self.elements[i] for i in self._view.order]
 
     # -- chains and Euler characteristic ---------------------------------
 
@@ -185,7 +197,7 @@ class FinitePoset:
         DEFAULT_BUDGET raise BudgetExceeded.
         """
         els = self.elements
-        view = self._rank_view()
+        view = self._view
         succ = [up[::-1] for up in view.up]
         if 2 ** len(els) - 1 > DEFAULT_BUDGET:  # else no poset can exceed it
             # chains starting at x: 1 + those starting above x (Python ints)
@@ -211,11 +223,13 @@ class FinitePoset:
     # -- cover relation ---------------------------------------------------
 
     def covers(self):
-        """Hasse diagram edges (x, y) with x strictly covered by y."""
-        els = self.elements
-        strict = self._leq & ~np.eye(len(els), dtype=bool)
-        via = strict @ strict  # boolean product: no fixed-width counts to wrap
-        return [(els[i], els[j]) for i, j in np.argwhere(strict & ~via)]
+        """Hasse diagram edges (x, y) with x strictly covered by y.
+
+        x < y is a cover iff no point lies above x and below y.
+        """
+        els, view = self.elements, self._view
+        return [(els[i], els[j]) for i, up in enumerate(view.up) for j in up
+                if not view.above[i] & view.below[j]]
 
     # -- Stong core -------------------------------------------------------
 
@@ -227,13 +241,13 @@ class FinitePoset:
         points go lowest element position first, for reproducibility, and
         a poset that has none (such as any poset of fewer than two points)
         is returned itself.  Otherwise _stong_core, the one beat-point
-        worklist, runs on all points of the rank view and the matrix is
+        worklist, runs on all points of the rank view and the poset is
         restricted once.
         """
         n = len(self)
         if n < 2:
             return self
-        keep = _stong_core(self._rank_view(), (1 << n) - 1, range(n))
+        keep = _stong_core(self._view, (1 << n) - 1, range(n))
         return self if len(keep) == n else self._restrict(keep)
 
     def is_contractible(self):
@@ -278,51 +292,49 @@ class _RankView:
         return None
 
 
-def _build_rank_view(leq):
-    """The _RankView of a leq matrix, from one pass over its nonzero entries.
+def _view_from_down(down):
+    """The _RankView of an order given, per point, by the ascending list of
+    the indices of the points strictly below it.
 
     A point has fewer points below it than any point above it, so sorting
-    by that count (stably, ties by index) is a linear extension.
+    by that count (stably, ties by index) is a linear extension.  The up
+    lists come out ascending because the points are visited in index order.
     """
-    n = len(leq)
-    # array methods and ufuncs rather than numpy's Python-level wrappers:
-    # all_chains builds the view and must run in a shallow stack
-    lo, hi = np.divmod(leq.ravel().nonzero()[0], n)  # lo <= hi, row-major
-    order = np.bincount(hi, minlength=n).argsort(kind="stable")
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    strict = lo != hi
-    lo, hi = lo[strict], hi[strict]
-    # rows 0..n-1 list the points below each point, rows n..2n-1 those above
-    masks, lists = _masks_and_lists(
-        np.concatenate((hi, lo + n)), np.concatenate((lo, hi)), rank)
     view = object.__new__(_RankView)
-    view.order, view.rank = order.tolist(), rank.tolist()
-    view.below, view.above = masks[:n], masks[n:]
-    view.down, view.up = lists[:n], lists[n:]
+    view.down = down
+    view.order = sorted(range(len(down)), key=lambda i: len(down[i]))
+    view.rank = rank = [0] * len(down)
+    for r, i in enumerate(view.order):
+        rank[i] = r
+    view.up = [[] for _ in down]
+    for i, below in enumerate(down):
+        for j in below:
+            view.up[j].append(i)
+    view.below = [view.mask(below) for below in down]
+    view.above = [view.mask(above) for above in view.up]
     return view
 
 
-def _masks_and_lists(rows, cols, rank):
-    """Per row: the rank mask and the ascending list of its cols.
+def _bits(mask):
+    """The positions of the set bits of an int, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    A row's pairs come in ascending col order, so a stable sort by row
-    keeps them so.  Masks are packed bytes, one line per row, scattered
-    from the pairs: no dense square array is built.
+
+def _values_above(view, allowed, values):
+    """Ascending indices of the points of the rank mask allowed that lie at
+    or above every point index in values.
+
+    The candidate values at a point of a monotone map whose strict
+    predecessors took the given values.
     """
-    n = len(rank)
-    by_row = rows.argsort(kind="stable")
-    rows, cols = rows[by_row], cols[by_row]
-    bits = rank[cols]
-    width = (n + 7) // 8
-    packed = np.zeros((2 * n, width), dtype=np.uint8)
-    np.bitwise_or.at(packed, (rows, bits >> 3), (1 << (bits & 7)).astype(np.uint8))
-    raw = packed.tobytes()
-    masks = [int.from_bytes(raw[k * width:(k + 1) * width], "little")
-             for k in range(2 * n)]
-    cols = cols.tolist()
-    ends = np.bincount(rows, minlength=2 * n).cumsum().tolist()
-    return masks, [cols[a:b] for a, b in zip([0] + ends, ends)]
+    for v in values:
+        allowed &= view.above[v] | 1 << view.rank[v]
+    return sorted(view.order[r] for r in _bits(allowed))
 
 
 def _stong_core(view, alive, points):
@@ -372,29 +384,45 @@ def _transitive_closure(mat):
         reach = new
 
 
-def _fill(P, elements, index, leq):
-    leq.setflags(write=False)
-    P.elements, P._index, P._leq, P._hash, P._view = elements, index, leq, None, None
+def _fill(P, elements, index, down):
+    P.elements, P._index, P._hash, P._view = elements, index, None, _view_from_down(down)
     return P
 
 
-def _gather(leq, idx):
-    """leq[idx][:, idx]: two takes, several times faster than np.ix_ indexing."""
-    return leq.take(idx, axis=0).take(idx, axis=1)
+def _derived(elements, down):
+    """A poset on an order that is one by construction, taken without a check.
 
-
-def _derived(elements, leq):
-    """A poset on an order that is one by construction, taken without a check."""
+    down[i] lists, ascending, the indices of the points strictly below
+    point i.
+    """
     elements = tuple(elements)
     index = {x: i for i, x in enumerate(elements)}
-    return _fill(object.__new__(FinitePoset), elements, index, leq)
+    return _fill(object.__new__(FinitePoset), elements, index, down)
 
 
 def product_subposet(X, Y, pairs):
-    """Distinct pairs (x, y) of X x Y under the (already valid) product order."""
+    """Distinct pairs (x, y) of X x Y under the (already valid) product order.
+
+    The pairs below (x, y) are those whose first part is <= x and whose
+    second part is <= y: two masks over the pair positions, ANDed.
+    """
     ix = [X.index(x) for x, _ in pairs]
     iy = [Y.index(y) for _, y in pairs]
-    return _derived(pairs, _gather(X._leq, ix) & _gather(Y._leq, iy))
+    firsts, seconds = _pairs_at_or_below(X, ix), _pairs_at_or_below(Y, iy)
+    return _derived(pairs, [_bits(firsts[i] & seconds[j] & ~(1 << k))
+                            for k, (i, j) in enumerate(zip(ix, iy))])
+
+
+def _pairs_at_or_below(P, idx):
+    """Per point p of P, the mask of the positions k with idx[k] <= p."""
+    at = [0] * len(P)
+    for k, i in enumerate(idx):
+        at[i] |= 1 << k
+    out = at[:]
+    for i, down in enumerate(P._view.down):
+        for j in down:
+            out[i] |= at[j]
+    return out
 
 
 def build_poset(elements, relations):
@@ -508,10 +536,12 @@ def check_continuous(f):
     """
     X, Y = f.source, f.target
     idx = [Y.index(f(x)) for x in X.elements]
-    mask = X._leq & ~_gather(Y._leq, idx)
-    if mask.any():
-        i, j = np.argwhere(mask)[0]
-        return False, (X.elements[i], X.elements[j])
+    view = Y._view
+    for i, up in enumerate(X._view.up):
+        allowed = view.above[idx[i]] | 1 << view.rank[idx[i]]
+        for j in up:
+            if not allowed >> view.rank[idx[j]] & 1:
+                return False, (X.elements[i], X.elements[j])
     return True, None
 
 
@@ -543,12 +573,8 @@ def order_preserving_maps(X, Y, candidates, budget=DEFAULT_BUDGET):
     assignment after the budget-th one raises BudgetExceeded.
     """
     order, preds = extension_plan(X)
-    leq = Y.leq_matrix()
-    allowed = []
-    for x in order:
-        mask = np.zeros(len(Y), dtype=bool)
-        mask[[Y.index(y) for y in candidates(x)]] = True
-        allowed.append(mask)
+    view = Y._view
+    allowed = [view.mask(map(Y.index, candidates(x))) for x in order]
     value = {}  # point of X -> index of its value in Y
     stack = []
     expanded = 0
@@ -557,10 +583,8 @@ def order_preserving_maps(X, Y, candidates, budget=DEFAULT_BUDGET):
         if i == len(order):
             yield PosetMap(X, Y, {x: Y.elements[value[x]] for x in order})
         else:
-            mask = allowed[i].copy()
-            for p in preds[order[i]]:
-                mask &= leq[value[p]]
-            stack.append(iter(np.flatnonzero(mask).tolist()))
+            values = [value[p] for p in preds[order[i]]]
+            stack.append(iter(_values_above(view, allowed[i], values)))
         while stack:
             j = next(stack[-1], None)
             if j is not None:

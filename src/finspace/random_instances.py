@@ -8,7 +8,7 @@ test suites re-certify hypotheses before asserting conclusions.
 
 from .complexes import barycentric_subdivision_space, chain_max_map
 from .maps import MultiMap, classify_continuity
-from .poset import PosetMap, build_poset, extension_plan, identity_map
+from .poset import PosetMap, _values_above, build_poset, extension_plan, identity_map
 
 __all__ = [
     "random_poset",
@@ -40,19 +40,17 @@ def random_monotone_map(rng, X, Y, attempts=200):
     values compatible with the already-assigned strict predecessors.
     """
     order, preds = extension_plan(X)
+    view, everything = Y._view, (1 << len(Y)) - 1
     for _ in range(attempts):
-        partial = {}
+        partial = {}  # point of X -> index of its value in Y
         for x in order:
-            cands = [
-                y
-                for y in Y.elements
-                if all(Y.leq(partial[p], y) for p in preds[x])
-            ]
+            values = [partial[p] for p in preds[x]]
+            cands = _values_above(view, everything, values)  # in Y.elements order
             if not cands:
                 break
             partial[x] = rng.choice(cands)
         else:
-            return PosetMap(X, Y, partial)
+            return PosetMap(X, Y, {x: Y.elements[j] for x, j in partial.items()})
     return None
 
 

@@ -86,6 +86,8 @@ def test_face_poset_matches_the_closure():
         assert got.elements == want.elements, label
         assert np.array_equal(got.leq_matrix(), want.leq_matrix()), (
             f"{label}\n{serialize_poset(want)}")
+        # the faces below each simplex come as an ascending index list
+        assert got._view.down == want._view.down, label
 
 
 def test_face_poset_rejects_a_complex_missing_a_face():

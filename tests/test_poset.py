@@ -31,8 +31,8 @@ from finspace.poset import (
     order_preserving_maps,
     require_continuous,
 )
-from finspace.complexes import barycentric_subdivision_space
-from finspace.dynamics import attach_level_maps, build_tower
+from finspace.complexes import barycentric_subdivision_space, chain_max_map
+from finspace.dynamics import Tower, attach_level_maps, build_tower
 from finspace.formats import serialize_map, serialize_poset
 from finspace.maps import MultiMap, graph, is_vietoris_like_map
 from finspace.random_instances import random_poset
@@ -276,7 +276,7 @@ def test_core_matches_the_beat_point_loop():
             f"seed {seed}, instance {k}\nX:\n{serialize_poset(X)}")
         removed += len(X) - len(got)
         subset = set(rng.sample(range(len(X)), rng.randint(1, len(X))))
-        view = X._rank_view()
+        view = X._view
         keep = poset._stong_core(view, view.mask(subset), sorted(subset))
         want = _core_by_rescanning(X.subposet([X.elements[i] for i in subset]))
         assert [X.elements[i] for i in keep] == list(want.elements), (
@@ -295,10 +295,10 @@ def _matrix_extremum(X, leq, subset):
     return X.elements[idx[hit[0]]] if len(hit) else None
 
 
-def _matrix_chains(X):
+def _matrix_chains(X, leq):
     """The numpy-matrix body of all_chains, without its budget."""
     els = X.elements
-    strict = X.leq_matrix() & ~np.eye(len(els), dtype=bool)
+    strict = leq & ~np.eye(len(els), dtype=bool)
     succ = [np.flatnonzero(row)[::-1].tolist() for row in strict]
     stack = [((els[i],), i) for i in reversed(range(len(els)))]
     out = []
@@ -311,24 +311,28 @@ def _matrix_chains(X):
 
 def _view_corpus(seed, count):
     """Random posets listed in a shuffled element order, so that index order
-    need not extend the order, then S^2 fiber unions."""
+    need not extend the order, then S^2 fiber unions; each with the matrix
+    it was built from (for a fiber union, of pairs of chains of X^2, the
+    product of chain inclusions)."""
     rng = random.Random(seed)
     for k in range(count):
         X = random_poset(rng, 10, density=(0.2, 0.4, 0.6)[k % 3])
         perm = rng.sample(range(len(X)), len(X))
-        yield k, FinitePoset([X.elements[i] for i in perm],
-                             X.leq_matrix()[np.ix_(perm, perm)])
-    yield from _sphere_fiber_unions(seed, 40)
+        leq = X.leq_matrix()[np.ix_(perm, perm)]
+        yield k, FinitePoset([X.elements[i] for i in perm], leq), leq
+    for k, X in _sphere_fiber_unions(seed, 40):
+        yield k, X, np.array([[set(x) <= set(u) and set(y) <= set(v) for u, v in X]
+                              for x, y in X])
 
 
 def test_rank_view_matches_the_matrix():
     seed = 37
     rng = random.Random(seed)
     instances = duplicates = empty = 0
-    for k, X in _view_corpus(seed, 360):
+    for k, X, leq in _view_corpus(seed, 360):
         msg = f"seed {seed}, instance {k}\nX:\n{serialize_poset(X)}"
-        leq, els, n = X.leq_matrix(), X.elements, len(X)
-        view = X._rank_view()
+        els, n = X.elements, len(X)
+        view = X._view
         assert sorted(view.order) == list(range(n)), msg
         assert all(view.rank[i] == r for r, i in enumerate(view.order)), msg
         for i in range(n):
@@ -354,23 +358,26 @@ def test_rank_view_matches_the_matrix():
             assert X.up_set(x) == {els[j] for j in np.flatnonzero(leq[i, :])}, msg
         by_count = sorted(range(n), key=lambda i: (int(leq[:, i].sum()), i))
         assert X.linear_extension() == [els[i] for i in by_count], msg
-        assert X.all_chains() == _matrix_chains(X), msg
+        assert X.all_chains() == _matrix_chains(X, leq), msg
         instances += 1
     assert instances == 400 and duplicates and empty
 
 
 def test_second_certification_builds_no_second_view(monkeypatch):
-    t = build_tower(SPHERE, 2)
-    real_build = poset._build_rank_view
+    t = build_tower(SPHERE, 1)
+    real_build = poset._view_from_down
     built = []
 
-    def build_once(leq):
+    def build_once(down):
         if built:
             raise AssertionError("a second rank view was built")
-        built.append(len(leq))
-        return real_build(leq)
+        built.append(len(down))
+        return real_build(down)
 
-    monkeypatch.setattr(poset, "_build_rank_view", build_once)
+    monkeypatch.setattr(poset, "_view_from_down", build_once)
+    # the top level's view is built with it, the one build allowed
+    X2 = barycentric_subdivision_space(t.levels[1])
+    t = Tower(t.levels + [X2], t.h_maps + [chain_max_map(X2, t.levels[1])])
     assert is_vietoris_like_map(t.h_maps[1]).ok
     # certifies h_0 and h_1 again; every level's view exists by now
     assert len(attach_level_maps(t, t.h_maps).F_maps) == 2
@@ -407,11 +414,13 @@ def test_derived_orders_pass_the_constructor_checks():
             "opposite": X.opposite(),
             "core": X.core(),
             "graph": graph(F).space,
+            "subdivision": barycentric_subdivision_space(X),
         }
         for name, D in derived.items():
             msg = (f"seed {seed}, instance {k}, {name}\nX:\n{serialize_poset(X)}"
                    f"Y:\n{serialize_poset(Y)}F: {F!r}\nsubset: {subset!r}")
             assert FinitePoset(D.elements, D.leq_matrix()) == D, msg
+        assert X.opposite().opposite() == X, f"seed {seed}, instance {k}"
 
 
 def test_equality_up_to_element_order():
@@ -419,13 +428,16 @@ def test_equality_up_to_element_order():
     Y = build_poset("ba", [("a", "b")])
     assert X == Y and hash(X) == hash(Y)
     assert X != build_poset("ab", [])
+    level = build_tower(SPHERE, 3).levels[3]
+    backwards = FinitePoset(level.elements[::-1], level.leq_matrix()[::-1, ::-1])
+    assert level == backwards and hash(level) == hash(backwards)
 
 
 def test_equality_with_itself_compares_nothing(circle, monkeypatch):
     def refuse(*args):
         raise AssertionError("a poset was compared with itself entry by entry")
 
-    monkeypatch.setattr(poset, "_gather", refuse)
+    monkeypatch.setattr(poset._RankView, "mask", refuse)
     assert circle == circle and circle.__eq__(circle) is True
 
 
