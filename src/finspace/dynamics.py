@@ -133,7 +133,8 @@ def attach_level_maps(t, f_maps, certify=True):
 
     So CertificationFailed (level n + 1) names h_n and its failing chain;
     only a hand-built Tower whose h_maps break the chain-maximum contract
-    reaches it.
+    reaches it.  An h_n certified before, here or by a caller, is not
+    certified again: is_vietoris_like_map keeps each map's certificate.
     """
     if len(f_maps) != t.depth:
         raise IndexRange(

@@ -138,9 +138,13 @@ def classify_continuity(F):
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certificate:
-    """Outcome of a Vietoris-like check, with the first failure witness."""
+    """Outcome of a Vietoris-like check, with the first failure witness.
+
+    Frozen: a map's certificate is kept on the map and shared by every
+    caller that asks for it.
+    """
 
     ok: bool
     failing_chain: tuple | None = None
@@ -175,7 +179,18 @@ def is_vietoris_like_map(f):
     deformation retract, same reference).  A core of one point is
     acyclic; only a larger one becomes a poset, for its homology.  The
     first failing chain, in enumeration order, is reported.
+
+    A map is certified at most once: the certificate is kept on f (the
+    slot PosetMap._certificate) and returned as is by later calls.  A call
+    that raises, such as NotContinuous, keeps nothing.
     """
+    if f._certificate is None:
+        f._certificate = _certify(f)
+    return f._certificate
+
+
+def _certify(f):
+    """The certificate of is_vietoris_like_map, computed afresh."""
     require_continuous(f)
     X, Y = f.source, f.target
     view = X._view

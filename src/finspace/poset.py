@@ -453,9 +453,16 @@ def min_closed_set(X, x):
 
 
 class PosetMap:
-    """A function between posets; continuity means order preservation."""
+    """A function between posets; continuity means order preservation.
 
-    __slots__ = ("source", "target", "assignment")
+    Like everything in this module a map is immutable after construction:
+    source, target and assignment are never reassigned, and __hash__ and
+    __eq__ are by value.  Its Vietoris-like certificate, a pure function
+    of the three, is computed at most once: maps.is_vietoris_like_map
+    keeps it in the private slot _certificate (None until then).
+    """
+
+    __slots__ = ("source", "target", "assignment", "_certificate")
 
     def __init__(self, source, target, assignment):
         self.source = source
@@ -468,6 +475,7 @@ class PosetMap:
             if y not in target:
                 raise UnknownElement(f"value {y!r} not in target")
         self.assignment = {x: assignment[x] for x in source.elements}
+        self._certificate = None
 
     def __call__(self, x):
         try:

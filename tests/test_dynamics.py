@@ -138,19 +138,17 @@ def test_attach_validates(chain2):
 
 
 def test_attach_certification_failure(circle):
-    # a level map landing on a rotation composes with H into a multimap
-    # whose fixed-point structure still certifies; build a genuine failure
-    # by feeding a non-monotone assignment
+    # the chain-maximum map with ('a',) -> c and ('a', 'c') -> a is not
+    # monotone: ('a',) < ('a', 'c') but c is not below a
     t = build_tower(circle, 1)
     X1, X0 = t.levels[1], t.levels[0]
-    bad = {c: ("a" if len(c) == 1 else "c") for c in X1.elements}
+    bad = dict(t.h_maps[0].assignment)
     bad[("a",)] = "c"
-    f = PosetMap(X1, X0, bad)
-    from finspace.poset import check_continuous
-
-    if not check_continuous(f)[0]:
-        with pytest.raises(NotContinuous):
-            attach_level_maps(t, [f])
+    bad[("a", "c")] = "a"
+    with pytest.raises(NotContinuous) as info:
+        attach_level_maps(t, [PosetMap(X1, X0, bad)])
+    assert info.value.pair == (("a",), ("a", "c"))
+    assert "level map 0 is not continuous at pair" in str(info.value)
 
 
 def test_attach_certification_failure_names_h_chain():
@@ -178,6 +176,18 @@ def test_certified_attach_builds_no_graph(monkeypatch):
 
     monkeypatch.setattr(maps, "product_subposet", refuse)
     t = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 2)
+    seq = attach_level_maps(t, t.h_maps)
+    assert [len(F.source) for F in seq.F_maps] == [26, 146]
+
+
+def test_certified_attach_reuses_certificates(monkeypatch):
+    t = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 2)
+    assert all(is_vietoris_like_map(h).ok for h in t.h_maps)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("certified attach ran a Stong worklist")
+
+    monkeypatch.setattr(maps, "_stong_core", refuse)
     seq = attach_level_maps(t, t.h_maps)
     assert [len(F.source) for F in seq.F_maps] == [26, 146]
 

@@ -1,6 +1,8 @@
 """Multivalued maps, graphs, semicontinuity and Vietoris-like checks."""
 
+import dataclasses
 import random
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from finspace.errors import (
     EmptyValue,
     NoMaximum,
     NotComposable,
+    NotContinuous,
     NotSurjective,
     NotUsc,
     ProjectionNotIso,
@@ -17,7 +20,13 @@ from finspace.errors import (
 )
 from finspace import maps
 from finspace.dynamics import build_tower
-from finspace.formats import serialize_map, serialize_multimap, serialize_poset
+from finspace.formats import (
+    parse_map_text,
+    parse_poset_text,
+    serialize_map,
+    serialize_multimap,
+    serialize_poset,
+)
 from finspace.homology import lefschetz_number, poset_homology
 from finspace.maps import (
     Certificate,
@@ -144,6 +153,60 @@ def test_vietoris_like_needs_surjectivity(chain2):
     f = constant_map(chain2, chain2, "N")
     cert = is_vietoris_like_map(f)
     assert not cert.ok and "surjective" in cert.reason
+
+
+def _fixture(name):
+    return resources.files("finspace.fixtures").joinpath(name).read_text()
+
+
+def _refuse_recertification(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certified map was certified again")
+
+    monkeypatch.setattr(maps, "_stong_core", refuse)
+    monkeypatch.setattr(maps, "poset_homology", refuse)
+
+
+def test_certificate_is_kept_on_the_map(monkeypatch):
+    h1 = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 2).h_maps[1]
+    real_core, worklists = maps._stong_core, []
+
+    def counting_core(*args):
+        worklists.append(1)
+        return real_core(*args)
+
+    monkeypatch.setattr(maps, "_stong_core", counting_core)
+    first = is_vietoris_like_map(h1)
+    assert first.ok and worklists  # the first call ran Stong worklists
+    _refuse_recertification(monkeypatch)
+    assert is_vietoris_like_map(h1) is first
+
+
+def test_failing_certificate_is_kept_on_the_map(monkeypatch):
+    X = parse_poset_text(_fixture("ex2_3_X.txt"))
+    Y = parse_poset_text(_fixture("ex2_3_Y.txt"))
+    f = parse_map_text(_fixture("ex2_3_f.txt"), X, Y)
+    first = is_vietoris_like_map(f)
+    assert not first.ok and first.failing_chain == ("M", "N")
+    assert first.profile.betti == [1, 0, 1]
+    _refuse_recertification(monkeypatch)
+    assert is_vietoris_like_map(f) is first
+
+
+def test_non_monotone_map_keeps_no_certificate(chain2):
+    f = PosetMap(chain2, chain2, {"M": "N", "N": "M"})
+    for _ in range(2):
+        with pytest.raises(NotContinuous) as info:
+            is_vietoris_like_map(f)
+        assert info.value.pair == ("M", "N")
+        assert f._certificate is None
+
+
+def test_certificates_are_frozen(chain2):
+    cert = is_vietoris_like_map(identity_map(chain2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.ok = False
+    assert cert.ok
 
 
 def _vietoris_by_subposets(f, cache):

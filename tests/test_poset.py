@@ -379,7 +379,8 @@ def test_second_certification_builds_no_second_view(monkeypatch):
     X2 = barycentric_subdivision_space(t.levels[1])
     t = Tower(t.levels + [X2], t.h_maps + [chain_max_map(X2, t.levels[1])])
     assert is_vietoris_like_map(t.h_maps[1]).ok
-    # certifies h_0 and h_1 again; every level's view exists by now
+    # reuses the certificate of h_1 and certifies h_0; every level's view
+    # exists by now
     assert len(attach_level_maps(t, t.h_maps).F_maps) == 2
     assert built == [146]
 
