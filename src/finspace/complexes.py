@@ -19,7 +19,7 @@ simplex times the sign of the permutation that sorts the image vertices.
 
 from . import intmat
 from .errors import UnknownElement
-from .poset import PosetMap, _derived, require_continuous
+from .poset import _derived, _map, require_continuous
 
 
 class SimplicialComplex:
@@ -256,9 +256,10 @@ def chain_max_map(X1, X):
 
     X1 is barycentric_subdivision_space(X).  Its chains are stored in
     element order, which need not follow the order of X, so the maximum
-    is looked up rather than read off the end of the tuple.
+    is looked up (one extremum test on the chain's rank mask) rather than
+    read off the end of the tuple.
     """
-    return PosetMap(X1, X, {c: X.maximum(c) for c in X1.elements})
+    return _map(X1, X, [X._view.max_of(X._mask(c)) for c in X1.elements])
 
 
 def barycentric_subdivision_complex(K):
@@ -270,7 +271,7 @@ def induced_simplicial_map(f):
     """K(f): sends the chain v0<...<vn to the chain of images, deduplicated."""
     require_continuous(f)
     return SimplicialMap(
-        order_complex(f.source), order_complex(f.target), dict(f.assignment)
+        order_complex(f.source), order_complex(f.target), f.assignment
     )
 
 

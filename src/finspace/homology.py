@@ -32,7 +32,7 @@ from .errors import (
     ProfileMismatch,
 )
 from .intmat import smith_normal_form
-from .poset import require_continuous
+from .poset import _stong_core, require_continuous
 
 __all__ = [
     "HomologyProfile",
@@ -320,19 +320,32 @@ def poset_homology(X):
 def is_acyclic(X):
     """Whether a poset (or subposet) has the integral homology of a point.
 
-    A poset with a maximum or a minimum is contractible (Stong, Trans. AMS
-    1966), so it is acyclic without a core.  Otherwise the Stong core is a
-    deformation retract, so homology is computed on the core; a singleton
-    core short-circuits to True.
+    A cone is acyclic; otherwise the Stong core decides, a one-point
+    core at once and a larger one by its homology (_core_homology).
     """
     if len(X) == 0:
         raise EmptySubspace("the empty subspace is not acyclic")
-    if X.maximum() is not None or X.minimum() is not None:
-        return True
-    core = X.core()
-    if len(core) == 1:
-        return True
-    return poset_homology(core).is_acyclic()
+    hp = _core_homology(X, (1 << len(X)) - 1, range(len(X)))
+    return hp is None or hp.is_acyclic()
+
+
+def _core_homology(X, mask, points):
+    """None when some points of X are acyclic by a cone or a one-point
+    core, else the homology profile of their Stong core.
+
+    points lists the point indices and mask is their rank mask (see
+    FinitePoset), so the points need not form a subposet first.  A set
+    with a maximum or a minimum is contractible (Stong, Trans. AMS 1966),
+    a cone, so it is acyclic without a core.  Otherwise its Stong core is
+    a strong deformation retract (same reference) with the same Betti
+    numbers and torsion; a one-point core is acyclic, and only a larger
+    one becomes a poset, for its homology.
+    """
+    view = X._view
+    if view.max_of(mask) is not None or view.min_of(mask) is not None:
+        return None
+    keep = _stong_core(view, mask, points)
+    return poset_homology(X._restrict(keep)) if len(keep) > 1 else None
 
 
 class InducedMap:

@@ -34,8 +34,8 @@ def matmul(A, B):
     k2, n = shape(B)
     if m == 0:
         return []
-    assert k == k2 or k2 == 0 and all(len(r) == 0 for r in A), \
-        f"shape mismatch {shape(A)} x {shape(B)}"
+    if not (k == k2 or k2 == 0 and all(len(r) == 0 for r in A)):
+        raise ValueError(f"shape mismatch {shape(A)} x {shape(B)}")
     if k == 0 or n == 0:
         return zeros(m, n)
     Bt = list(zip(*B))

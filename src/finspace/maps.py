@@ -17,14 +17,13 @@ from .errors import (
     ProjectionNotIso,
 )
 from .homology import (
+    _core_homology,
     induced_map_of_poset_map,
     invert,
-    poset_homology,
 )
 from .poset import (
     DEFAULT_BUDGET,
     PosetMap,
-    _stong_core,
     order_preserving_maps,
     product_subposet,
     require_continuous,
@@ -167,18 +166,14 @@ def is_vietoris_like_map(f):
 
     All chains are enumerated (acyclicity over maximal chains does not
     imply it for subchains), shortest first.  The fibers come from one
-    pass over the map (PosetMap.fibers) as rank masks of the source's
-    rank view (see FinitePoset), so a chain's union is the OR of its
-    fiber masks, and that int keys the memo.  A union with a maximum or a
-    minimum (a cone, two int tests: _RankView.max_of, min_of) is acyclic
-    without a worklist, because a space with a maximum or a minimum is
-    contractible (Stong, Trans. AMS 1966); most unions are cones.
-    Otherwise the union is reduced to its Stong core on its point indices
-    (poset._stong_core), without building a subposet; a core leaves the
-    Betti numbers and torsion of the union unchanged (it is a strong
-    deformation retract, same reference).  A core of one point is
-    acyclic; only a larger one becomes a poset, for its homology.  The
-    first failing chain, in enumeration order, is reported.
+    pass over the map's positions (PosetMap._pos) as rank masks of the
+    source's rank view (see FinitePoset), so a chain's union is the OR of
+    its fiber masks, and that int keys the memo.  Each union is tested by
+    homology._core_homology on its point indices, without building a
+    subposet: a cone (two int tests) is acyclic without a worklist, and
+    most unions are cones; otherwise the Stong core decides, with
+    homology only for a core of more than one point.  The first failing
+    chain, in enumeration order, is reported.
 
     A map is certified at most once: the certificate is kept on f (the
     slot PosetMap._certificate) and returned as is by later calls.  A call
@@ -193,24 +188,23 @@ def _certify(f):
     """The certificate of is_vietoris_like_map, computed afresh."""
     require_continuous(f)
     X, Y = f.source, f.target
-    view = X._view
-    points = {y: [X.index(x) for x in xs] for y, xs in f.fibers().items()}
-    masks = {y: view.mask(idx) for y, idx in points.items()}
+    rank = X._view.rank
+    points, masks = [[] for _ in Y.elements], [0] * len(Y)
+    for i, j in enumerate(f._pos):
+        points[j].append(i)
+        masks[j] |= 1 << rank[i]
     cache = {}
-    for chain in sorted(Y.all_chains(), key=lambda c: (len(c), tuple(map(Y.index, c)))):
+    chains = sorted((len(c), tuple(map(Y.index, c)), c) for c in Y.all_chains())
+    for _, idx, chain in chains:  # shortest first, then by target positions
         union = 0
-        for y in chain:
-            union |= masks[y]
+        for j in idx:
+            union |= masks[j]
         if not union:
             return Certificate(
                 ok=False, failing_chain=chain, reason="empty fiber union (f not surjective)"
             )
-        if union not in cache:
-            if view.max_of(union) is not None or view.min_of(union) is not None:
-                cache[union] = None
-            else:  # fibers are disjoint: their index lists list the union once
-                keep = _stong_core(view, union, [i for y in chain for i in points[y]])
-                cache[union] = poset_homology(X._restrict(keep)) if len(keep) > 1 else None
+        if union not in cache:  # fibers are disjoint: their lists list the union once
+            cache[union] = _core_homology(X, union, [i for j in idx for i in points[j]])
         hp = cache[union]
         if hp is not None and not hp.is_acyclic():
             return Certificate(ok=False, failing_chain=chain, profile=hp)

@@ -455,33 +455,44 @@ def min_closed_set(X, x):
 class PosetMap:
     """A function between posets; continuity means order preservation.
 
+    A map stores its values once, in the private slot _pos: _pos[i] is
+    the index in target of the image of source point i, so every map
+    lives in the index space of its two posets' rank views (see
+    FinitePoset).  This constructor is the only door for an element
+    dict: it checks that every source point has a value in the target.
+    Maps the package derives from valid data (then, identity_map,
+    chain_max_map, order_preserving_maps, random_monotone_map) are built
+    from positions by _map, without that check.  assignment is a fresh
+    dict {x: f(x)} derived from the positions on each read.
+
     Like everything in this module a map is immutable after construction:
-    source, target and assignment are never reassigned, and __hash__ and
+    source, target and _pos are never reassigned, and __hash__ and
     __eq__ are by value.  Its Vietoris-like certificate, a pure function
     of the three, is computed at most once: maps.is_vietoris_like_map
     keeps it in the private slot _certificate (None until then).
     """
 
-    __slots__ = ("source", "target", "assignment", "_certificate")
+    __slots__ = ("source", "target", "_pos", "_certificate")
 
     def __init__(self, source, target, assignment):
-        self.source = source
-        self.target = target
         assignment = dict(assignment)
+        pos = []
         for x in source.elements:
             if x not in assignment:
                 raise UnknownElement(f"no value assigned to {x!r}")
             y = assignment[x]
             if y not in target:
                 raise UnknownElement(f"value {y!r} not in target")
-        self.assignment = {x: assignment[x] for x in source.elements}
-        self._certificate = None
+            pos.append(target._index[y])
+        _fill_map(self, source, target, pos)
+
+    @property
+    def assignment(self):
+        els = self.target.elements
+        return {x: els[j] for x, j in zip(self.source.elements, self._pos)}
 
     def __call__(self, x):
-        try:
-            return self.assignment[x]
-        except KeyError:
-            raise UnknownElement(f"unknown element {x!r}") from None
+        return self.target.elements[self._pos[self.source.index(x)]]
 
     def __eq__(self, other):
         if not isinstance(other, PosetMap):
@@ -493,44 +504,59 @@ class PosetMap:
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, tuple(sorted(
-            self.assignment.items(), key=lambda kv: repr(kv)))))
+        return hash(frozenset(self.assignment.items()))
 
     def __repr__(self):
         return f"PosetMap({self.assignment})"
 
     def then(self, g):
-        """Composition g o self (apply self first)."""
+        """Composition g o self (apply self first): a gather of positions.
+
+        g's positions are re-indexed only when g.source is an equal poset
+        listed in another element order than self.target.
+        """
         if g.source != self.target:
             raise ValueError("maps are not composable")
-        return PosetMap(
-            self.source, g.target, {x: g(self(x)) for x in self.source.elements}
-        )
+        gpos = g._pos
+        if g.source.elements != self.target.elements:
+            gpos = [gpos[g.source._index[y]] for y in self.target.elements]
+        return _map(self.source, g.target, [gpos[j] for j in self._pos])
 
     def image(self):
         return set(self.assignment.values())
 
     def is_surjective(self):
-        return self.image() == set(self.target.elements)
+        return len(set(self._pos)) == len(self.target)
 
     def preimage(self, y):
-        return {x for x in self.source.elements if self(x) == y}
+        return {x for x, fx in self.assignment.items() if fx == y}
 
     def fibers(self):
         """{y: preimage(y)} for every y of the target, in one pass."""
-        out = {y: set() for y in self.target.elements}
-        for x, y in self.assignment.items():
-            out[y].add(x)
-        return out
+        out = [set() for _ in self.target.elements]
+        for x, j in zip(self.source.elements, self._pos):
+            out[j].add(x)
+        return dict(zip(self.target.elements, out))
 
     def fixed_points(self):
         if self.source != self.target:
             raise ValueError("fixed points need an endomorphism")
-        return [x for x in self.source.elements if self(x) == x]
+        return [x for x, fx in self.assignment.items() if fx == x]
+
+
+def _fill_map(f, source, target, pos):
+    f.source, f.target, f._pos, f._certificate = source, target, tuple(pos), None
+    return f
+
+
+def _map(source, target, pos):
+    """The map sending source point i to target point pos[i], taken
+    without a check."""
+    return _fill_map(object.__new__(PosetMap), source, target, pos)
 
 
 def identity_map(X):
-    return PosetMap(X, X, {x: x for x in X.elements})
+    return _map(X, X, range(len(X)))
 
 
 def constant_map(X, Y, y):
@@ -542,9 +568,7 @@ def check_continuous(f):
 
     Pairs are scanned row-major in source element order.
     """
-    X, Y = f.source, f.target
-    idx = [Y.index(f(x)) for x in X.elements]
-    view = Y._view
+    X, view, idx = f.source, f.target._view, f._pos
     for i, up in enumerate(X._view.up):
         allowed = view.above[idx[i]] | 1 << view.rank[idx[i]]
         for j in up:
@@ -560,36 +584,28 @@ def require_continuous(f):
     return f
 
 
-def extension_plan(X):
-    """A linear extension of X and, per point, its strict predecessors.
-
-    A linear extension lists every strict predecessor of x before x, so a
-    left-to-right assignment has always fixed them when x is reached.
-    """
-    order = X.linear_extension()
-    return order, {x: X.strict_down_set(x) for x in order}
-
-
 def order_preserving_maps(X, Y, candidates, budget=DEFAULT_BUDGET):
     """Lazily yield every order-preserving f: X -> Y with f(x) in candidates(x).
 
-    Backtracks over X in extension_plan order with an explicit stack of
-    value iterators, so the depth of X costs no recursion.  Values are
-    tried in Y.index order; a value is kept only if it lies above the
-    values of all strict predecessors.  Every kept value (a partial
-    assignment expanded by one point) counts against the budget, and the
-    assignment after the budget-th one raises BudgetExceeded.
+    Backtracks over the points of X in the order of its linear extension
+    (X._view.order), which lists every strict predecessor of a point
+    before it, so a left-to-right assignment has always fixed them when
+    the point is reached; an explicit stack of value iterators means the
+    depth of X costs no recursion.  Values are tried in Y.index order; a
+    value is kept only if it lies above the values of all strict
+    predecessors.  Every kept value (a partial assignment expanded by
+    one point) counts against the budget, and the assignment after the
+    budget-th one raises BudgetExceeded.
     """
-    order, preds = extension_plan(X)
-    view = Y._view
-    allowed = [view.mask(map(Y.index, candidates(x))) for x in order]
-    value = {}  # point of X -> index of its value in Y
+    order, preds, view = X._view.order, X._view.down, Y._view
+    allowed = [view.mask(map(Y.index, candidates(X.elements[i]))) for i in order]
+    value = [None] * len(X)  # point of X -> index of its value in Y
     stack = []
     expanded = 0
     while True:
         i = len(stack)
         if i == len(order):
-            yield PosetMap(X, Y, {x: Y.elements[value[x]] for x in order})
+            yield _map(X, Y, value)
         else:
             values = [value[p] for p in preds[order[i]]]
             stack.append(iter(_values_above(view, allowed[i], values)))

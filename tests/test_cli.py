@@ -72,6 +72,24 @@ def test_paper_suite_matches_golden_output(capsys, seed):
     assert out.encode() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("verb, options, name", [
+    ("lambda", ("--n", "0", "--m", "2"), "tower_ex2_3_X_lambda.json"),
+    ("fixed-chains", ("--from", "1"), "tower_ex2_3_X_fixed_chains.json"),
+])
+def test_tower_verbs_match_golden_output(capsys, tmp_path, verb, options, name):
+    """The S^2 model's tower at depth 2 with its own comparison maps as
+    level maps (f_n = h_n), byte for byte against a committed report."""
+    X = parse_poset_text(Path(fixture("ex2_3_X.txt")).read_text())
+    for n, h in enumerate(build_tower(X, 2).h_maps):
+        (tmp_path / f"f{n}.txt").write_text(serialize_map(h))
+    code, out, _ = run(
+        capsys, "--emit", "json", "tower", verb, "--poset", fixture("ex2_3_X.txt"),
+        "--depth", "2", "--maps", str(tmp_path), *options,
+    )
+    assert code == 0
+    assert out.encode() == (Path(__file__).parent / "data" / name).read_bytes()
+
+
 def test_lefschetz_verb(capsys):
     code, rep, _ = run_json(
         capsys,

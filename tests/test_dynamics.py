@@ -1,5 +1,6 @@
 """Subdivision towers and approximative sequences."""
 
+import importlib
 import random
 from importlib import resources
 
@@ -43,6 +44,9 @@ from finspace.maps import (
 )
 from finspace.poset import PosetMap, build_poset, constant_map
 from finspace.random_instances import random_monotone_map, random_poset
+
+# the module, not the function finspace.homology that the package exports
+homology_module = importlib.import_module("finspace.homology")
 
 
 def _fixture(name):
@@ -187,7 +191,7 @@ def test_certified_attach_reuses_certificates(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("certified attach ran a Stong worklist")
 
-    monkeypatch.setattr(maps, "_stong_core", refuse)
+    monkeypatch.setattr(homology_module, "_stong_core", refuse)
     seq = attach_level_maps(t, t.h_maps)
     assert [len(F.source) for F in seq.F_maps] == [26, 146]
 

@@ -95,3 +95,12 @@ def test_matmul_edge_shapes():
     assert intmat.matmul([[1, 2]], [[3], [4]]) == [[11]]
     # a 0-row right factor is just [], so the product width collapses to 0
     assert intmat.matmul(intmat.zeros(2, 0), []) == [[], []]
+
+
+def test_matmul_rejects_mismatched_shapes():
+    # a check that python -O strips would let zip truncate this product
+    # to [[2]]
+    with pytest.raises(ValueError, match=r"shape mismatch \(1, 3\) x \(2, 1\)"):
+        intmat.matmul([[1, 1, 1]], [[1], [1]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        intmat.matmul([[1], [2]], [[1, 2], [3, 4]])

@@ -1,6 +1,7 @@
 """Multivalued maps, graphs, semicontinuity and Vietoris-like checks."""
 
 import dataclasses
+import importlib
 import random
 from importlib import resources
 
@@ -59,6 +60,9 @@ from finspace.random_instances import (
     usc_maxima_multimap,
     vietoris_map_corpus,
 )
+
+# the module, not the function finspace.homology that the package exports
+homology_module = importlib.import_module("finspace.homology")
 
 
 @pytest.fixture
@@ -163,19 +167,19 @@ def _refuse_recertification(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a certified map was certified again")
 
-    monkeypatch.setattr(maps, "_stong_core", refuse)
-    monkeypatch.setattr(maps, "poset_homology", refuse)
+    monkeypatch.setattr(homology_module, "_stong_core", refuse)
+    monkeypatch.setattr(homology_module, "poset_homology", refuse)
 
 
 def test_certificate_is_kept_on_the_map(monkeypatch):
     h1 = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 2).h_maps[1]
-    real_core, worklists = maps._stong_core, []
+    real_core, worklists = homology_module._stong_core, []
 
     def counting_core(*args):
         worklists.append(1)
         return real_core(*args)
 
-    monkeypatch.setattr(maps, "_stong_core", counting_core)
+    monkeypatch.setattr(homology_module, "_stong_core", counting_core)
     first = is_vietoris_like_map(h1)
     assert first.ok and worklists  # the first call ran Stong worklists
     _refuse_recertification(monkeypatch)
@@ -253,14 +257,14 @@ def test_vietoris_certificate_matches_subposet_cores(seed, monkeypatch):
             if f is not None:
                 corpus.append(("random map", f))
     reached = []  # index sets of the unions that get past the cone test
-    real_stong_core = maps._stong_core
+    real_stong_core = homology_module._stong_core
 
     def counting_stong_core(view, alive, points):
         points = list(points)
         reached.append(frozenset(points))
         return real_stong_core(view, alive, points)
 
-    monkeypatch.setattr(maps, "_stong_core", counting_stong_core)
+    monkeypatch.setattr(homology_module, "_stong_core", counting_stong_core)
     outcomes = set()
     skipped = passed_on = 0
     for i, (kind, f) in enumerate(corpus):
@@ -296,7 +300,7 @@ def test_identity_certificates_need_no_stong_core(seed, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a cone reached the Stong-core worklist")
 
-    monkeypatch.setattr(maps, "_stong_core", refuse)
+    monkeypatch.setattr(homology_module, "_stong_core", refuse)
     rng = random.Random(1100 + seed)
     for i in range(40):
         X = random_poset(rng, 8, density=rng.choice([0.2, 0.4, 0.6]))

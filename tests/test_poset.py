@@ -35,7 +35,7 @@ from finspace.complexes import barycentric_subdivision_space, chain_max_map
 from finspace.dynamics import Tower, attach_level_maps, build_tower
 from finspace.formats import serialize_map, serialize_poset
 from finspace.maps import MultiMap, graph, is_vietoris_like_map
-from finspace.random_instances import random_poset
+from finspace.random_instances import random_monotone_map, random_poset
 
 
 @pytest.fixture
@@ -603,6 +603,113 @@ def test_check_continuous_matches_pairwise_loop():
         msg = _instance(seed, k, X, Y) + f"f:\n{serialize_map(f)}"
         assert check_continuous(f) == want, msg
     assert hits, "the corpus should contain continuous maps too"
+
+
+def _reordered(X):
+    """X with its elements listed in reverse order: an equal poset."""
+    return FinitePoset(X.elements[::-1], X.leq_matrix()[::-1, ::-1])
+
+
+def _then_by_dict(f, g):
+    """The element-dict body of PosetMap.then, before maps kept positions."""
+    if g.source != f.target:
+        raise ValueError("maps are not composable")
+    return PosetMap(f.source, g.target, {x: g(f(x)) for x in f.source.elements})
+
+
+def _maps_by_dict(X, Y, candidates):
+    """The element-dict body of order_preserving_maps, without its budget:
+    one backtracking over a linear extension of X, each map built as a
+    dict and checked again by the PosetMap constructor."""
+    order = X.linear_extension()
+    preds = {x: X.strict_down_set(x) for x in order}
+    view = Y._view
+    allowed = [view.mask(map(Y.index, candidates(x))) for x in order]
+    value, stack, out = {}, [], []
+    while True:
+        i = len(stack)
+        if i == len(order):
+            out.append(PosetMap(X, Y, {x: Y.elements[value[x]] for x in order}))
+        else:
+            values = [value[p] for p in preds[order[i]]]
+            stack.append(iter(poset._values_above(view, allowed[i], values)))
+        while stack:
+            j = next(stack[-1], None)
+            if j is not None:
+                break
+            stack.pop()
+        else:
+            return out
+        value[order[len(stack) - 1]] = j
+
+
+def _random_monotone_by_dict(rng, X, Y, attempts=200):
+    """The element-dict body of random_monotone_map."""
+    order = X.linear_extension()
+    preds = {x: X.strict_down_set(x) for x in order}
+    view, everything = Y._view, (1 << len(Y)) - 1
+    for _ in range(attempts):
+        partial = {}
+        for x in order:
+            cands = poset._values_above(view, everything, [partial[p] for p in preds[x]])
+            if not cands:
+                break
+            partial[x] = rng.choice(cands)
+        else:
+            return PosetMap(X, Y, {x: Y.elements[j] for x, j in partial.items()})
+    return None
+
+
+def _items(f):
+    return list(f.assignment.items())
+
+
+def test_positional_maps_match_dict_oracles():
+    seed = 37
+    rng = random.Random(seed)
+    reordered_then = unequal = 0
+    for k in range(120):
+        X = random_poset(rng, 5, density=rng.choice([0.2, 0.4, 0.6]))
+        Y = random_poset(rng, 4, density=0.4)
+        cands = _random_candidates(rng, X, Y)
+        msg = _instance(seed, k, X, Y, cands)
+        got = [_items(f) for f in order_preserving_maps(X, Y, cands.get)]
+        assert got == [_items(f) for f in _maps_by_dict(X, Y, cands.get)], msg
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        f, want = random_monotone_map(rng, X, Y), _random_monotone_by_dict(twin, X, Y)
+        assert rng.getstate() == twin.getstate(), msg  # the same draws
+        assert (f is None) == (want is None), msg
+        if f is None:
+            continue
+        assert _items(f) == _items(want), msg + f"f:\n{serialize_map(f)}"
+        g = PosetMap(Y, X, {y: rng.choice(X.elements) for y in Y.elements})
+        msg += f"f:\n{serialize_map(f)}g:\n{serialize_map(g)}"
+        Xr, Yr = _reordered(X), _reordered(Y)
+        # then, also with g's source an equal poset listed in reverse order
+        for h in (g, PosetMap(Yr, X, g.assignment)):
+            fg = f.then(h)
+            assert fg.source is X and fg.target is X, msg
+            assert _items(fg) == _items(_then_by_dict(f, h)), msg
+            reordered_then += h.source is Yr and Y.elements != Yr.elements
+        ident = PosetMap(X, X, {x: x for x in X.elements})  # the dict body
+        assert _items(identity_map(X)) == _items(ident), msg
+        assert _items(f.then(identity_map(Yr))) == _items(f), msg
+        # equality and hashing by value, across reordered posets
+        fr = PosetMap(Xr, Yr, f.assignment)
+        assert fr == f and hash(fr) == hash(f), msg
+        other = {**f.assignment, X.elements[0]: Y.elements[-1]}
+        if other != f.assignment:
+            assert PosetMap(Xr, Yr, other) != f, msg
+            unequal += 1
+        with pytest.raises(UnknownElement, match="unknown element 'zz'"):
+            f("zz")
+        # chain maxima, also into X listed in reverse order
+        X1 = barycentric_subdivision_space(X)
+        want = [(c, X.maximum(c)) for c in X1.elements]
+        for P in (X, Xr):
+            assert _items(chain_max_map(X1, P)) == want, msg
+    assert reordered_then and unequal
 
 
 posets = st.integers(1, 6).flatmap(
