@@ -17,7 +17,7 @@ from .errors import (
     NotContinuous,
     SizeBudgetExceeded,
 )
-from .homology import _coincidence_number, induced_map_of_poset_map
+from .homology import induced_map_of_poset_map, invert, lefschetz_number
 from .maps import MultiMap, is_vietoris_like_map
 from .complexes import barycentric_subdivision_space, chain_max_map
 from .poset import identity_map, require_continuous
@@ -98,14 +98,24 @@ class ApproximativeSequence:
 
     f_maps[n] is f_{n,n+1}: X^{n+1} -> X^n; F_maps[n] is the Vietoris-like
     multimap F_{n+1} = H_{n,n+1} o f_{n,n+1} on X^{n+1}.
+
+    The sequence also keeps each segment that lambda_nm computed: for
+    levels a < b, the pair (h_{a,b*}^-1, f_{a,b*}) of induced maps on free
+    homology, whose matrices are Betti-sized.  A later lambda_nm(n, m)
+    composes stored segments that join n to m instead of building maps
+    out of X^m.  So a table of lambda values should be asked shortest pair
+    first: once the segments (k, k+1) are stored, every other pair costs
+    only matrix products.  The levels and maps are not to be changed
+    after construction.
     """
 
-    __slots__ = ("tower", "f_maps", "F_maps")
+    __slots__ = ("tower", "f_maps", "F_maps", "_segments")
 
     def __init__(self, tower, f_maps, F_maps):
         self.tower = tower
         self.f_maps = list(f_maps)
         self.F_maps = list(F_maps)
+        self._segments = {}  # (a, b) -> (h_{a,b*}^-1, f_{a,b*})
 
 
 def attach_level_maps(t, f_maps, certify=True):
@@ -173,12 +183,55 @@ def compose_f(seq, n, m):
 
 
 def lambda_nm(seq, n, m):
-    """Lefschetz number of f_{n,m*} o h_{n,m*}^{-1}."""
+    """Lefschetz number of f_{n,m*} o h_{n,m*}^{-1}.
+
+    Induced maps compose exactly, so for levels n = k_0 < ... < k_r = m
+    the endomorphism is P o Q with P = f_{k_0,k_1*} o ... o f_{k_{r-1},k_r*}
+    and Q = h_{k_{r-1},k_r*}^-1 o ... o h_{k_0,k_1*}^-1.  When the
+    sequence stores segments joining n to m, they give P and Q from
+    Betti-sized products.  Otherwise the segment (n, m) is computed from
+    h_{n,m} and f_{n,m} and stored; a call that raises stores nothing.
+    See ApproximativeSequence for the order in which to ask a table.
+    """
     if not n < m:
         raise IndexRange(f"need n < m, got {n} >= {m}")
-    h_star = induced_map_of_poset_map(compose_h(seq.tower, n, m))
-    f_star = induced_map_of_poset_map(compose_f(seq, n, m))
-    return _coincidence_number(h_star, f_star)
+    t = seq.tower
+    t._check_level(n)
+    t._check_level(m)
+    run = _stored_run(seq._segments, n, m)
+    if run is None:
+        h_inv = invert(induced_map_of_poset_map(compose_h(t, n, m)))
+        seq._segments[n, m] = (h_inv, induced_map_of_poset_map(compose_f(seq, n, m)))
+        run = [seq._segments[n, m]]
+    q, p = run[0]
+    for h_inv, f_star in run[1:]:
+        q = q.then(h_inv)
+        p = f_star.then(p)
+    return lefschetz_number(q.then(p))
+
+
+def _stored_run(segments, n, m):
+    """The fewest stored segments n = k_0 < ... < k_r = m, or None.
+
+    Two segments meet at a level only through one homology profile of it:
+    after poset_homology's cache is cleared, an equal level can come back
+    with a profile in another basis, and matrices in two bases of one
+    level must not be multiplied.  The two maps of one segment were
+    computed together and share their profiles.
+    """
+    best = {}  # (level, its profile) -> fewest segments from n to it
+    # by start level: every run into a is known before a segment leaves a
+    for (a, b), seg in sorted(segments.items()):
+        if a < n or b > m:
+            continue
+        h_inv = seg[0]
+        run = [] if a == n else best.get((a, h_inv.source))
+        if run is None:
+            continue
+        key = (b, h_inv.target)
+        if key not in best or len(run) + 1 < len(best[key]):
+            best[key] = run + [seg]
+    return min((run for (k, _), run in best.items() if k == m), key=len, default=None)
 
 
 def fixed_points_of_level(seq, n1):

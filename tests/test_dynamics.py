@@ -22,6 +22,7 @@ from finspace.errors import (
     CertificationFailed,
     IndexRange,
     NotContinuous,
+    NotInvertible,
     SizeBudgetExceeded,
 )
 from finspace.formats import (
@@ -31,6 +32,7 @@ from finspace.formats import (
     serialize_poset,
 )
 from finspace.homology import (
+    _coincidence_number,
     induced_map_of_poset_map,
     invert,
     lefschetz_number,
@@ -42,7 +44,7 @@ from finspace.maps import (
     is_vietoris_like_map,
     is_vietoris_like_multimap,
 )
-from finspace.poset import PosetMap, build_poset, constant_map
+from finspace.poset import FinitePoset, PosetMap, build_poset, constant_map
 from finspace.random_instances import random_monotone_map, random_poset
 
 # the module, not the function finspace.homology that the package exports
@@ -196,13 +198,15 @@ def test_certified_attach_reuses_certificates(monkeypatch):
     assert [len(F.source) for F in seq.F_maps] == [26, 146]
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_attach_certificate_agrees_with_graph_scan(seed):
-    # certifying h stands in for the graph scan of each F = H o f, which
-    # stays the oracle here: whenever attach certifies, the scan must too
-    rng = random.Random(700 + seed)
-    checked = 0
-    for i in range(25):
+def _random_level_maps(seed, count=25):
+    """Seeded towers of depth 1 or 2 over random posets, with random
+    monotone level maps (h_n where sampling fails).
+
+    Yields (instance index, X0, tower, level maps); an instance whose
+    tower exceeds the size budget is skipped.
+    """
+    rng = random.Random(seed)
+    for i in range(count):
         X0 = random_poset(rng, 5)
         depth = rng.randint(1, 2)
         try:
@@ -213,6 +217,15 @@ def test_attach_certificate_agrees_with_graph_scan(seed):
         for n in range(depth):
             f = random_monotone_map(rng, t.levels[n + 1], t.levels[n], attempts=30)
             f_maps.append(f if f is not None else t.h_maps[n])
+        yield i, X0, t, f_maps
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_attach_certificate_agrees_with_graph_scan(seed):
+    # certifying h stands in for the graph scan of each F = H o f, which
+    # stays the oracle here: whenever attach certifies, the scan must too
+    checked = 0
+    for i, X0, t, f_maps in _random_level_maps(700 + seed):
         try:
             seq = attach_level_maps(t, f_maps)
         except CertificationFailed:
@@ -227,6 +240,126 @@ def test_attach_certificate_agrees_with_graph_scan(seed):
             assert is_vietoris_like_multimap(F).ok, label
             checked += 1
     assert checked >= 20, f"seed {700 + seed}: only {checked} levels checked"
+
+
+def _lambda_oracle(t, f_maps, n, m):
+    """lambda_nm's body before sequences stored segments, on a fresh sequence."""
+    seq = attach_level_maps(t, f_maps, certify=False)
+    return _coincidence_number(
+        induced_map_of_poset_map(compose_h(t, n, m)),
+        induced_map_of_poset_map(compose_f(seq, n, m)),
+    )
+
+
+def _pair_orders(depth, rng):
+    """Every pair n < m: in row order, shortest first and shuffled by rng."""
+    rows = [(n, m) for n in range(depth) for m in range(n + 1, depth + 1)]
+    shortest = sorted(rows, key=lambda nm: (nm[1] - nm[0], nm))
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    return {"row": rows, "shortest-first": shortest, "shuffled": shuffled}
+
+
+@pytest.mark.parametrize("seed", range(700, 704))
+def test_lambda_table_matches_oracle_in_any_order(seed):
+    instances = composed = 0
+    for i, X0, t, f_maps in _random_level_maps(seed):
+        want = {
+            (n, m): _lambda_oracle(t, f_maps, n, m)
+            for n in range(t.depth) for m in range(n + 1, t.depth + 1)
+        }
+        label = (
+            f"seed {seed} instance {i}: X0 = {serialize_poset(X0)!r} "
+            f"level maps = {[serialize_map(f) for f in f_maps]!r}"
+        )
+        orders = _pair_orders(t.depth, random.Random(seed * 100 + i))
+        for order_name, order in orders.items():
+            seq = attach_level_maps(t, f_maps, certify=False)
+            for n, m in order:
+                got = lambda_nm(seq, n, m)
+                assert got == want[n, m], (
+                    f"{label} order {order_name}: lambda_nm({n}, {m}) = {got}, "
+                    f"oracle {want[n, m]}"
+                )
+        instances += 1
+        composed += t.depth == 2
+    assert instances >= 20, f"seed {seed}: only {instances} instances checked"
+    assert composed, f"seed {seed}: no pair was composed from stored segments"
+
+
+@pytest.mark.parametrize("name, value", [("ex2_3_X.txt", 2), ("circle4.txt", 0)])
+@pytest.mark.parametrize("order_name", ["row", "shortest-first"])
+def test_lambda_closed_forms_at_depth_3(name, value, order_name):
+    # f = h, so every lambda_{n,m} is the Euler characteristic: 2 on the
+    # 6-point model of the 2-sphere, 0 on the 4-point circle
+    t = build_tower(parse_poset_text(_fixture(name)), 3)
+    seq = attach_level_maps(t, t.h_maps, certify=False)
+    order = _pair_orders(3, random.Random(0))[order_name]
+    assert {nm: lambda_nm(seq, *nm) for nm in order} == {nm: value for nm in order}
+
+
+def test_lambda_range_checks_come_before_stored_segments(circle):
+    t = build_tower(circle, 2)
+    seq = attach_level_maps(t, t.h_maps)
+    for _ in range(2):  # with no stored segment, then with two
+        stored = dict(seq._segments)
+        with pytest.raises(IndexRange, match=r"^level -1 outside 0\.\.2$"):
+            lambda_nm(seq, -1, 1)
+        with pytest.raises(IndexRange, match=r"^level 3 outside 0\.\.2$"):
+            lambda_nm(seq, 0, 3)
+        with pytest.raises(IndexRange, match=r"^need n < m, got 2 >= 1$"):
+            lambda_nm(seq, 2, 1)
+        assert seq._segments == stored
+        for n, m in [(0, 1), (1, 2), (0, 2)]:
+            lambda_nm(seq, n, m)
+    assert set(seq._segments) == {(0, 1), (1, 2)}
+
+
+def test_lambda_that_raises_stores_no_segment():
+    # the ex2_3 collapse of the sphere model onto M < N as a hand-built
+    # comparison map: H_2 does not survive, so h_* does not invert
+    X = parse_poset_text(_fixture("ex2_3_X.txt"))
+    Y = parse_poset_text(_fixture("ex2_3_Y.txt"))
+    f = parse_map_text(_fixture("ex2_3_f.txt"), X, Y)
+    seq = attach_level_maps(Tower([Y, X], [f]), [f], certify=False)
+    with pytest.raises(NotInvertible):
+        lambda_nm(seq, 0, 1)
+    assert not seq._segments
+
+
+def _reordered(X):
+    """X with its elements listed in reverse order: an equal poset."""
+    return FinitePoset(X.elements[::-1], X.leq_matrix()[::-1, ::-1])
+
+
+def test_lambda_never_composes_across_two_profiles_of_a_level(monkeypatch):
+    # three discrete points: H_0 of each level has one generator per point,
+    # and a level listed in another order gets another basis
+    t = build_tower(build_poset("abc", []), 2)
+    L1, L2 = t.levels[1].elements, t.levels[2].elements
+    f0 = PosetMap(t.levels[1], t.levels[0], dict(zip(L1, "aab")))
+    f1 = PosetMap(t.levels[2], t.levels[1], dict(zip(L2, (L1[0], L1[1], L1[0]))))
+    # the points a, b, c go to a, a, a: one fixed point
+    assert _lambda_oracle(t, [f0, f1], 0, 2) == 1
+
+    seq = attach_level_maps(t, [f0, f1], certify=False)
+    cache = homology_module.poset_homology
+    cache.cache_clear()
+    lambda_nm(seq, 0, 1)
+    cache.cache_clear()
+    cache(_reordered(t.levels[1]))
+    lambda_nm(seq, 1, 2)
+    # the stored segments meet at level 1 in two bases
+    assert seq._segments[0, 1][0].target is not seq._segments[1, 2][0].source
+
+    then = homology_module.InducedMap.then
+
+    def one_basis(self, other):
+        assert self.target is other.source, "composed across two profiles"
+        return then(self, other)
+
+    monkeypatch.setattr(homology_module.InducedMap, "then", one_basis)
+    assert lambda_nm(seq, 0, 2) == 1
 
 
 def test_lambda_with_h_is_euler_characteristic(circle, chain2):
