@@ -4,12 +4,23 @@ The two functors at work: K sends a poset to the simplicial complex of
 its chains, X sends a complex to the poset of its simplices under
 inclusion.  Composing them either way gives barycentric subdivision.
 
+Inside, a complex lives in the index space of its vertex order: a
+simplex is the ascending tuple of its vertices' positions, and the
+simplex index, boundary columns, face poset, homology and chain maps all
+read those int tuples.  Element tuples appear only at the doors: the
+checked SimplicialComplex constructor (and from_simplices) takes them,
+the simplices attribute lists them (built on first read), simplex_index
+and image_simplex take and return them, and error messages show them.
+order_complex builds its complex from the index chains of the poset's
+one chain walk, with no check: chains are closed under faces.
+
 Chain-level data has one format: per dimension, a list with one sparse
 column {simplex index: coefficient} per simplex.  boundary_columns builds
-it for a boundary operator.  A SimplicialMap builds it for its chain map
-once, in the constructor that checks the map, and chain_map_of returns
-fresh copies.  boundary_matrix is the dense version of a boundary, kept
-as an oracle for tests.
+it for a boundary operator.  _chain_columns builds it for a vertex map
+given by positions; a SimplicialMap calls it once, in the constructor
+that checks the map, and chain_map_of returns fresh copies.
+boundary_matrix is the dense version of a boundary, kept as an oracle
+for tests.
 
 Orientation: a simplex is the tuple of its vertices sorted by position
 in the complex's vertex order.  A simplicial map sends a simplex to 0
@@ -25,41 +36,44 @@ from .poset import _derived, _map, require_continuous
 class SimplicialComplex:
     """Abstract simplicial complex with a fixed global vertex order.
 
-    Simplices are stored per dimension as tuples sorted by vertex
-    position, oriented as the module docstring says.
+    Simplices are kept per dimension as ascending tuples of vertex
+    positions (the private _isimplices), oriented as the module docstring
+    says; simplices gives the same tuples with the vertices themselves.
+    This constructor is the checked door: it rejects duplicate vertices,
+    a simplex with the wrong number of distinct vertices, a duplicate
+    simplex and a missing face.  order_complex builds complexes that are
+    valid by construction through _complex, without the check.
     """
 
-    __slots__ = ("vertices", "_vindex", "simplices", "_sindex")
+    __slots__ = ("vertices", "_vindex", "_isimplices", "_sindex", "_simplices")
 
     def __init__(self, vertices, simplices_by_dim):
-        self.vertices = tuple(vertices)
-        self._vindex = {v: i for i, v in enumerate(self.vertices)}
-        if len(self._vindex) != len(self.vertices):
+        vertices = tuple(vertices)
+        vindex = {v: i for i, v in enumerate(vertices)}
+        if len(vindex) != len(vertices):
             raise ValueError("duplicate vertices")
-        sims = []
+        isims = []
         for dim, sl in enumerate(simplices_by_dim):
             canon = []
             seen = set()
             for s in sl:
-                t = tuple(sorted(s, key=self._vindex.__getitem__))
+                t = tuple(sorted(vindex[v] for v in s))
                 if len(set(t)) != dim + 1:
                     raise ValueError(f"bad {dim}-simplex {s!r}")
                 if t in seen:
-                    raise ValueError(f"duplicate simplex {t!r}")
+                    raise ValueError(f"duplicate simplex {tuple(vertices[i] for i in t)!r}")
                 seen.add(t)
                 canon.append(t)
-            sims.append(tuple(canon))
-        # closure under faces
-        self.simplices = tuple(sims)
-        self._sindex = [
-            {s: i for i, s in enumerate(level)} for level in self.simplices
-        ]
-        for dim in range(1, len(self.simplices)):
-            for s in self.simplices[dim]:
+            isims.append(canon)
+        _fill_complex(self, vertices, vindex, isims)
+        for dim in range(1, len(isims)):
+            index = self._sindex[dim - 1]
+            for s in isims[dim]:
                 for k in range(dim + 1):
                     face = s[:k] + s[k + 1:]
-                    if face not in self._sindex[dim - 1]:
-                        raise ValueError(f"missing face {face!r} of {s!r}")
+                    if face not in index:
+                        raise ValueError(
+                            f"missing face {self._named(face)!r} of {self._named(s)!r}")
 
     @classmethod
     def from_simplices(cls, simplices, vertices=None):
@@ -85,23 +99,40 @@ class SimplicialComplex:
         return cls(vs, by_dim)
 
     @property
+    def simplices(self):
+        """Per dimension, the simplices as tuples of vertices, in simplex order.
+
+        Built from the index tuples on first read and kept.
+        """
+        if self._simplices is None:
+            name = self._named
+            self._simplices = tuple(
+                tuple([name(s) for s in level]) for level in self._isimplices)
+        return self._simplices
+
+    def _named(self, s):
+        """The simplex with vertex positions s, as a tuple of vertices."""
+        v = self.vertices
+        return tuple([v[i] for i in s])
+
+    @property
     def dimension(self):
-        return len(self.simplices) - 1
+        return len(self._isimplices) - 1
 
     def n_simplices(self, dim):
-        if 0 <= dim < len(self.simplices):
-            return len(self.simplices[dim])
+        if 0 <= dim < len(self._isimplices):
+            return len(self._isimplices[dim])
         return 0
 
     def all_simplices(self):
         return [s for level in self.simplices for s in level]
 
     def simplex_index(self, s):
-        return self._sindex[len(s) - 1][s]
+        return self._sindex[len(s) - 1][tuple([self._vindex[v] for v in s])]
 
     def euler_characteristic(self):
         return sum(
-            (-1) ** d * len(level) for d, level in enumerate(self.simplices)
+            (-1) ** d * len(level) for d, level in enumerate(self._isimplices)
         )
 
     def boundary_columns(self, dim):
@@ -111,12 +142,12 @@ class SimplicialComplex:
         order; the face omitting vertex k carries sign (-1)^k.  Vertices
         have empty columns.
         """
-        if dim <= 0 or dim >= len(self.simplices):
+        if dim <= 0 or dim >= len(self._isimplices):
             return [{} for _ in range(self.n_simplices(dim))]
         index = self._sindex[dim - 1]
         return [
             {index[s[:k] + s[k + 1:]]: -1 if k % 2 else 1 for k in range(dim + 1)}
-            for s in self.simplices[dim]
+            for s in self._isimplices[dim]
         ]
 
     def boundary_matrix(self, dim):
@@ -143,23 +174,41 @@ class SimplicialComplex:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
         return (
-            self.vertices == other.vertices and self.simplices == other.simplices
+            self.vertices == other.vertices and self._isimplices == other._isimplices
         )
 
     def __hash__(self):
-        return hash((self.vertices, self.simplices))
+        return hash((self.vertices, self._isimplices))
 
     def __repr__(self):
-        counts = [len(level) for level in self.simplices]
+        counts = [len(level) for level in self._isimplices]
         return f"SimplicialComplex(f-vector {counts})"
+
+
+def _fill_complex(K, vertices, vindex, isimplices):
+    K.vertices, K._vindex, K._simplices = vertices, vindex, None
+    K._isimplices = tuple(tuple(level) for level in isimplices)
+    K._sindex = [{s: i for i, s in enumerate(level)} for level in K._isimplices]
+    return K
+
+
+def _complex(vertices, vindex, isimplices):
+    """The complex with the given per-dimension ascending index tuples,
+    taken without a check.
+
+    vindex maps each vertex to its position in vertices; a poset's
+    element index serves as is.
+    """
+    return _fill_complex(object.__new__(SimplicialComplex), vertices, vindex, isimplices)
 
 
 class SimplicialMap:
     """Vertex assignment whose image of every simplex spans a simplex.
 
-    The constructor checks every source simplex through image_simplex
-    and, in the same pass, computes its chain-map column by the rule in
-    the module docstring; chain_map_of hands out copies of the columns.
+    The constructor is the checked door: it checks every source simplex
+    and, in the same pass, computes its chain-map column (_chain_columns,
+    the rule in the module docstring); chain_map_of hands out copies of
+    the columns.
     """
 
     __slots__ = ("source", "target", "vertex_assignment", "_columns")
@@ -171,33 +220,20 @@ class SimplicialMap:
         for v in source.vertices:
             if v not in self.vertex_assignment:
                 raise ValueError(f"no image for vertex {v!r}")
-        pos, assignment = target._vindex, self.vertex_assignment
-        self._columns = []
-        for level in source.simplices:
-            cols = []
-            for s in level:
-                img = self.image_simplex(s)  # raises if not a simplex
-                if len(img) < len(s):
-                    cols.append({})  # degenerate
-                else:
-                    sign = _perm_sign([pos[assignment[v]] for v in s])
-                    cols.append({target.simplex_index(img): sign})
-            self._columns.append(cols)
+        vindex, assignment = target._vindex, self.vertex_assignment
+        pos = [vindex[assignment[v]] for v in source.vertices]
+        self._columns = _chain_columns(source, target, pos, check=True)
 
     def __call__(self, v):
         return self.vertex_assignment[v]
 
     def image_simplex(self, s):
         """Sorted deduplicated image tuple; always a simplex of the target."""
-        img = tuple(
-            sorted(
-                {self.vertex_assignment[v] for v in s},
-                key=self.target._vindex.__getitem__,
-            )
-        )
+        vindex = self.target._vindex
+        img = tuple(sorted({vindex[self.vertex_assignment[v]] for v in s}))
         if img not in self.target._sindex[len(img) - 1]:
             raise ValueError(f"image of {s!r} is not a simplex of the target")
-        return img
+        return self.target._named(img)
 
     def then(self, g):
         if g.source != self.target:
@@ -209,14 +245,46 @@ class SimplicialMap:
         )
 
 
+def _chain_columns(K, L, pos, check):
+    """The chain map K -> L of the vertex map pos, by the module's rule.
+
+    pos[i] is the position in L of the image of vertex i of K.  Per
+    dimension, one column per simplex of K: {} when the image
+    degenerates, else {index of the sorted image: sign of the permutation
+    that sorts it}.  With check, an image that is not a simplex of L
+    raises ValueError naming the simplex; without it every image must be
+    one, as for the map of a continuous PosetMap (a chain goes to a
+    chain).
+    """
+    out = []
+    for level in K._isimplices:
+        cols = []
+        for s in level:
+            img = [pos[v] for v in s]
+            t = tuple(sorted(set(img)))
+            index = L._sindex[len(t) - 1]
+            if check and t not in index:
+                raise ValueError(f"image of {K._named(s)!r} is not a simplex of the target")
+            cols.append({} if len(t) < len(s) else {index[t]: _perm_sign(img)})
+        out.append(cols)
+    return out
+
+
 def order_complex(X):
-    """K(X): the complex whose i-simplices are the i-chains of X."""
-    by_dim = {}
-    for c in X.all_chains():
-        by_dim.setdefault(len(c) - 1, []).append(c)
-    maxd = max(by_dim, default=-1)
-    levels = [by_dim.get(d, []) for d in range(maxd + 1)]
-    return SimplicialComplex(X.elements, levels)
+    """K(X): the complex whose i-simplices are the i-chains of X.
+
+    The chains come from the poset's one chain walk as index tuples,
+    each sorted once; per dimension they keep the walk's order.  Chains
+    are closed under faces, so the complex is built without a check, and
+    it shares X's element index as its vertex index.
+    """
+    by_dim = []
+    for c in X._index_chains():
+        d = len(c) - 1
+        if d == len(by_dim):  # a chain comes after its prefix: no length is skipped
+            by_dim.append([])
+        by_dim[d].append(tuple(sorted(c)))
+    return _complex(X.elements, X._index, by_dim)
 
 
 def face_poset(K):
@@ -229,21 +297,22 @@ def face_poset(K):
     (a face of a face of s is a face of s).  That needs K closed under
     faces: a face K lacks raises UnknownElement.
     """
-    els = K.all_simplices()
-    start = [0]  # position of the first simplex of each dimension in els
-    for level in K.simplices:
+    start = [0]  # position of the first simplex of each dimension
+    for level in K._isimplices:
         start.append(start[-1] + len(level))
     down = []
-    for s in els:
-        faces = []
-        for mask in range(1, (1 << len(s)) - 1):
-            face = tuple(v for k, v in enumerate(s) if mask >> k & 1)
-            i = K._sindex[len(face) - 1].get(face)
-            if i is None:
-                raise UnknownElement(f"face {face!r} of {s!r} is not a simplex of K")
-            faces.append(start[len(face) - 1] + i)
-        down.append(sorted(faces))
-    return _derived(els, down)
+    for level in K._isimplices:
+        for s in level:
+            faces = []
+            for mask in range(1, (1 << len(s)) - 1):
+                face = tuple([v for k, v in enumerate(s) if mask >> k & 1])
+                i = K._sindex[len(face) - 1].get(face)
+                if i is None:
+                    raise UnknownElement(
+                        f"face {K._named(face)!r} of {K._named(s)!r} is not a simplex of K")
+                faces.append(start[len(face) - 1] + i)
+            down.append(sorted(faces))
+    return _derived(K.all_simplices(), down)
 
 
 def barycentric_subdivision_space(X):
@@ -276,12 +345,11 @@ def induced_simplicial_map(f):
 
 
 def _perm_sign(seq):
-    """Parity sign of the permutation sorting seq (seq has distinct keys)."""
+    """Parity sign of the permutation sorting the list seq (distinct keys)."""
     sign = 1
-    seq = list(seq)
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[j] < seq[i]:
+    for i, x in enumerate(seq):
+        for y in seq[i + 1:]:
+            if y < x:
                 sign = -sign
     return sign
 

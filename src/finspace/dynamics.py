@@ -13,14 +13,15 @@ import warnings
 
 from .errors import (
     CertificationFailed,
+    EmptyValue,
     IndexRange,
     NotContinuous,
     SizeBudgetExceeded,
 )
 from .homology import induced_map_of_poset_map, invert, lefschetz_number
-from .maps import MultiMap, is_vietoris_like_map
+from .maps import MultiMap, _gathered, is_vietoris_like_map
 from .complexes import barycentric_subdivision_space, chain_max_map
-from .poset import identity_map, require_continuous
+from .poset import _positions, identity_map, require_continuous
 
 DEFAULT_SIZE_BUDGET = 20000
 _WARN_LEVEL_SIZE = 5000
@@ -107,15 +108,30 @@ class ApproximativeSequence:
     first: once the segments (k, k+1) are stored, every other pair costs
     only matrix products.  The levels and maps are not to be changed
     after construction.
+
+    It also keeps, per step n, the positions of h_{n,n+1} and of
+    f_{n,n+1} as maps from level n + 1 to level n of the tower, in the
+    tower's listing of both levels (re-indexed once, here, for a map
+    whose source or target lists an equal level in another order).  A
+    point x of X^{n+1} is fixed by F_{n+1} = H o f iff h(x) = f(x), so
+    fixed points and fixed chains are read off these positions.
     """
 
-    __slots__ = ("tower", "f_maps", "F_maps", "_segments")
+    __slots__ = ("tower", "f_maps", "F_maps", "_segments", "_hpos", "_fpos")
 
     def __init__(self, tower, f_maps, F_maps):
         self.tower = tower
         self.f_maps = list(f_maps)
         self.F_maps = list(F_maps)
         self._segments = {}  # (a, b) -> (h_{a,b*}^-1, f_{a,b*})
+        self._hpos = _level_positions(tower, tower.h_maps)
+        self._fpos = _level_positions(tower, self.f_maps)
+
+
+def _level_positions(t, maps):
+    """Per step n, the positions of maps[n] from level n + 1 to level n."""
+    return [_positions(g, t.levels[n + 1].elements, t.levels[n].elements,
+                       t.levels[n]._index) for n, g in enumerate(maps)]
 
 
 def attach_level_maps(t, f_maps, certify=True):
@@ -150,7 +166,6 @@ def attach_level_maps(t, f_maps, certify=True):
         raise IndexRange(
             f"expected {t.depth} level maps, got {len(f_maps)}"
         )
-    F_maps = []
     for n, f in enumerate(f_maps):
         if f.source != t.levels[n + 1] or f.target != t.levels[n]:
             raise NotContinuous(
@@ -171,10 +186,20 @@ def attach_level_maps(t, f_maps, certify=True):
                     f"h_{n} is not Vietoris-like: {cert.as_dict()}",
                     level=n + 1,
                 )
-        H = t.h_maps[n].fibers()
+    seq = ApproximativeSequence(t, f_maps, [])
+    for n, (hpos, fpos) in enumerate(zip(seq._hpos, seq._fpos)):
+        # F_{n+1}(x) is the fiber of h over f(x): one frozenset per fiber
         X = t.levels[n + 1]
-        F_maps.append(MultiMap(X, X, {x: H[f(x)] for x in X.elements}))
-    return ApproximativeSequence(t, f_maps, F_maps)
+        fibers = [[] for _ in t.levels[n].elements]
+        for x, j in zip(X.elements, hpos):
+            fibers[j].append(x)
+        fibers = [frozenset(fiber) for fiber in fibers]
+        if not all(fibers):
+            for i, j in enumerate(fpos):
+                if not fibers[j]:
+                    raise EmptyValue(f"empty image set at {X.elements[i]!r}")
+        seq.F_maps.append(_gathered(X, X, fibers, fpos))
+    return seq
 
 
 def compose_f(seq, n, m):
@@ -235,11 +260,16 @@ def _stored_run(segments, n, m):
 
 
 def fixed_points_of_level(seq, n1):
-    """Fixed points of F_{n1}; equal the coincidences of f and h there."""
+    """Fixed points of F_{n1}; equal the coincidences of f and h there.
+
+    x is in F(x) = h^-1(f(x)) iff h(x) = f(x), so the test compares the
+    positions of the two level maps.
+    """
     if not 1 <= n1 <= seq.tower.depth:
         raise IndexRange(f"level {n1} outside 1..{seq.tower.depth}")
-    F = seq.F_maps[n1 - 1]
-    return [x for x in F.source.elements if x in F(x)]
+    els = seq.tower.levels[n1].elements
+    hpos, fpos = seq._hpos[n1 - 1], seq._fpos[n1 - 1]
+    return [els[i] for i, (a, b) in enumerate(zip(hpos, fpos)) if a == b]
 
 
 def fixed_chain_search(seq, m):
@@ -247,22 +277,20 @@ def fixed_chain_search(seq, m):
 
     x_n = h_{n,n+1}(x_{n+1}) pins the whole chain once the top element is
     chosen, so the search reduces to scanning X^N for elements whose
-    h-images at levels >= m are fixed points of the corresponding F.
+    h-images at levels >= m are fixed points of the corresponding F.  The
+    chain is walked down by positions, and x_n is fixed iff
+    f_{n-1,n}(x_n) = h_{n-1,n}(x_n) = x_{n-1}.
     """
     t = seq.tower
     t._check_level(m)
     N = t.depth
+    hpos, fpos = seq._hpos, seq._fpos
     out = []
-    for top in t.levels[N].elements:
+    for top in range(len(t.levels[N])):
         chain = [top]
         for n in range(N - 1, -1, -1):
-            chain.append(t.h_maps[n](chain[-1]))
-        chain.reverse()  # now chain[n] lives in X^n
-        ok = True
-        for n1 in range(max(m, 1), N + 1):
-            if chain[n1] not in seq.F_maps[n1 - 1](chain[n1]):
-                ok = False
-                break
-        if ok:
-            out.append(tuple(chain))
+            chain.append(hpos[n][chain[-1]])
+        chain.reverse()  # now chain[n] is a point index of X^n
+        if all(fpos[n1 - 1][chain[n1]] == chain[n1 - 1] for n1 in range(max(m, 1), N + 1)):
+            out.append(tuple(L.elements[i] for L, i in zip(t.levels, chain)))
     return out

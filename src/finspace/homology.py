@@ -23,7 +23,7 @@ import functools
 import heapq
 
 from . import intmat
-from .complexes import SimplicialMap, chain_map_of, order_complex
+from .complexes import _chain_columns, order_complex
 from .errors import (
     BasisSolveFailure,
     EmptySubspace,
@@ -32,7 +32,7 @@ from .errors import (
     ProfileMismatch,
 )
 from .intmat import smith_normal_form
-from .poset import _stong_core, require_continuous
+from .poset import _positions, _stong_core, require_continuous
 
 __all__ = [
     "HomologyProfile",
@@ -286,7 +286,7 @@ def homology(K):
     form runs on the residual complex only, and its free basis and
     projection are carried back through the reduction's chain maps.
     """
-    dims = len(K.simplices)
+    dims = K.dimension + 1
     if dims == 0:
         return HomologyProfile(K, [], [], [], [], [])
     boundaries = [K.boundary_columns(d) for d in range(dims)]
@@ -387,7 +387,7 @@ def induced_on_homology(chain_columns, src, dst):
     sequences, then every source free-basis cycle is pushed through and
     its class read in the destination basis.
     """
-    sizes = [len(level) for level in src.complex.simplices]
+    sizes = [len(level) for level in src.complex._isimplices]
     got = [len(cols) for cols in chain_columns]
     if got != sizes:
         raise NotAChainMap(f"chain map has {got} columns per dimension, expected {sizes}")
@@ -420,13 +420,17 @@ def induced_map_of_poset_map(f):
     """f_* on free homology, computed through K(f).
 
     K(f) runs between the cached profiles' own complexes: an equal poset
-    cached first may list its simplices in another order than f.source.
+    cached first may list its points in another order than f.source, and
+    then f's positions are re-indexed once.  The chain-map columns come
+    from those positions (complexes._chain_columns) without a membership
+    check: f is continuous, so it sends each chain to a chain.
     """
     require_continuous(f)
     src = poset_homology(f.source)
     dst = poset_homology(f.target)
-    cm = chain_map_of(SimplicialMap(src.complex, dst.complex, f.assignment))
-    return induced_on_homology(cm, src, dst)
+    K, L = src.complex, dst.complex
+    pos = _positions(f, K.vertices, L.vertices, L._vindex)
+    return induced_on_homology(_chain_columns(K, L, pos, check=False), src, dst)
 
 
 def lefschetz_number(m):

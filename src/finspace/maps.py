@@ -70,6 +70,15 @@ class MultiMap:
         return f"MultiMap({{{parts}}})"
 
 
+def _gathered(source, target, values, pos):
+    """The multimap sending source point i to values[pos[i]], taken
+    without a check: values lists nonempty frozensets of target points."""
+    F = object.__new__(MultiMap)
+    F.source, F.target = source, target
+    F.values = dict(zip(source.elements, [values[j] for j in pos]))
+    return F
+
+
 def as_multimap(f):
     """View a single-valued map as a multivalued one."""
     return MultiMap(f.source, f.target, {x: {f(x)} for x in f.source.elements})
@@ -194,21 +203,26 @@ def _certify(f):
         points[j].append(i)
         masks[j] |= 1 << rank[i]
     cache = {}
-    chains = sorted((len(c), tuple(map(Y.index, c)), c) for c in Y.all_chains())
-    for _, idx, chain in chains:  # shortest first, then by target positions
+    # the walk lists index chains in lexicographic order, so a stable sort
+    # by length orders them shortest first, then by target positions
+    for idx in sorted(Y._index_chains(), key=len):
         union = 0
         for j in idx:
             union |= masks[j]
         if not union:
-            return Certificate(
-                ok=False, failing_chain=chain, reason="empty fiber union (f not surjective)"
-            )
+            return Certificate(ok=False, failing_chain=_chain_elements(Y, idx),
+                               reason="empty fiber union (f not surjective)")
         if union not in cache:  # fibers are disjoint: their lists list the union once
             cache[union] = _core_homology(X, union, [i for j in idx for i in points[j]])
         hp = cache[union]
         if hp is not None and not hp.is_acyclic():
-            return Certificate(ok=False, failing_chain=chain, profile=hp)
+            return Certificate(ok=False, failing_chain=_chain_elements(Y, idx), profile=hp)
     return Certificate(ok=True)
+
+
+def _chain_elements(Y, idx):
+    """The chain of Y with point indices idx, as a tuple of elements."""
+    return tuple(Y.elements[j] for j in idx)
 
 
 def is_vietoris_like_multimap(F):

@@ -189,36 +189,46 @@ class FinitePoset:
         return [c for c in self.all_chains() if len(c) == length + 1]
 
     def all_chains(self):
-        """Every nonempty chain, as leq-increasing tuples.
+        """Every nonempty chain, as leq-increasing tuples of elements.
 
-        Deterministic depth-first preorder (an explicit stack, no recursion)
-        from each element in element order, extending to strictly greater
-        elements.  The chains are counted before any is built: more than
-        DEFAULT_BUDGET raise BudgetExceeded.
+        The chains of _index_chains, the one chain walk, in its order and
+        under its budget, with each point index replaced by its element.
         """
         els = self.elements
+        return [tuple([els[i] for i in c]) for c in self._index_chains()]
+
+    def _index_chains(self):
+        """Every nonempty chain, as a leq-increasing tuple of point indices.
+
+        Deterministic depth-first preorder (an explicit stack, no recursion)
+        from each point in index order, extending to strictly greater
+        points in index order; so the chains come in lexicographic order
+        of their index tuples.  The chains are counted before any is
+        built: more than DEFAULT_BUDGET raise BudgetExceeded.
+        """
         view = self._view
+        n = len(view.up)
         succ = [up[::-1] for up in view.up]
-        if 2 ** len(els) - 1 > DEFAULT_BUDGET:  # else no poset can exceed it
+        if 2 ** n - 1 > DEFAULT_BUDGET:  # else no poset can exceed it
             # chains starting at x: 1 + those starting above x (Python ints)
-            starting = [0] * len(els)
+            starting = [0] * n
             for i in reversed(view.order):
                 starting[i] = 1 + sum(starting[j] for j in succ[i])
             if sum(starting) > DEFAULT_BUDGET:
                 raise BudgetExceeded(
                     f"chain enumeration exceeded its budget of {DEFAULT_BUDGET}"
                 )
-        stack = [((els[i],), i) for i in reversed(range(len(els)))]
+        stack = [(i,) for i in reversed(range(n))]
         out = []
         while stack:
-            prefix, last = stack.pop()
-            out.append(prefix)
-            stack.extend((prefix + (els[j],), j) for j in succ[last])
+            c = stack.pop()
+            out.append(c)
+            stack.extend([c + (j,) for j in succ[c[-1]]])
         return out
 
     def euler_characteristic(self):
         """Alternating sum of the chain counts per length."""
-        return sum(1 if len(c) % 2 else -1 for c in self.all_chains())
+        return sum(1 if len(c) % 2 else -1 for c in self._index_chains())
 
     # -- cover relation ---------------------------------------------------
 
@@ -517,9 +527,7 @@ class PosetMap:
         """
         if g.source != self.target:
             raise ValueError("maps are not composable")
-        gpos = g._pos
-        if g.source.elements != self.target.elements:
-            gpos = [gpos[g.source._index[y]] for y in self.target.elements]
+        gpos = _positions(g, self.target.elements, g.target.elements, g.target._index)
         return _map(self.source, g.target, [gpos[j] for j in self._pos])
 
     def image(self):
@@ -547,6 +555,24 @@ class PosetMap:
 def _fill_map(f, source, target, pos):
     f.source, f.target, f._pos, f._certificate = source, target, tuple(pos), None
     return f
+
+
+def _positions(f, elements, target_elements, target_index):
+    """f's positions for its source listed as elements and its target as
+    target_elements, with target_index the position of each target point.
+
+    The listings are those of posets equal to f.source and f.target,
+    maybe in another element order; each side is re-indexed only when
+    its listing differs, and f._pos itself comes back when both agree.
+    """
+    pos = f._pos
+    if elements != f.source.elements:
+        index = f.source._index
+        pos = [pos[index[x]] for x in elements]
+    if target_elements != f.target.elements:
+        values = f.target.elements
+        pos = [target_index[values[j]] for j in pos]
+    return pos
 
 
 def _map(source, target, pos):

@@ -1,6 +1,7 @@
 """Order complexes, face posets, subdivisions and chain maps."""
 
 import copy
+import importlib
 import random
 
 import numpy as np
@@ -21,8 +22,12 @@ from finspace.complexes import (
 from finspace.dynamics import build_tower
 from finspace.errors import UnknownElement
 from finspace.formats import serialize_map, serialize_poset
+from finspace.homology import induced_map_of_poset_map, poset_homology
 from finspace.poset import PosetMap, build_poset, constant_map, identity_map
 from finspace.random_instances import random_monotone_map, random_poset
+
+# the package re-exports the function homology under the module's name
+homology_module = importlib.import_module("finspace.homology")
 
 
 @pytest.fixture
@@ -38,6 +43,24 @@ def test_complex_validation():
     K = SimplicialComplex.from_simplices([("a", "b"), ("b", "c")])
     assert K.n_simplices(0) == 3 and K.n_simplices(1) == 2
     assert K.dimension == 1
+
+
+def test_doors_name_simplices_by_their_vertices():
+    # the vertex order c, a, b sorts each simplex by position, not by name
+    with pytest.raises(ValueError, match=r"^bad 1-simplex \('a', 'a'\)$"):
+        SimplicialComplex("cab", [["a", "b", "c"], [("a", "a")]])
+    with pytest.raises(ValueError, match=r"^duplicate simplex \('c', 'a'\)$"):
+        SimplicialComplex("cab", [["a", "b", "c"], [("c", "a"), ("a", "c")]])
+    with pytest.raises(ValueError, match=r"^missing face \('b',\) of \('a', 'b'\)$"):
+        SimplicialComplex("cab", [["a", "c"], [("b", "a")]])
+    K = SimplicialComplex("cab", [["a", "b", "c"], [("a", "b")]])
+    with pytest.raises(
+        ValueError, match=r"^image of \('a', 'b'\) is not a simplex of the target$"
+    ):
+        SimplicialMap(K, K, {"a": "c", "b": "b", "c": "c"})
+    sm = SimplicialMap(K, K, {"a": "b", "b": "a", "c": "c"})
+    assert sm.image_simplex(("a", "b")) == ("a", "b")
+    assert K.simplex_index(("a", "b")) == 0 and K.simplices[1] == (("a", "b"),)
 
 
 def test_order_complex_of_circle(circle):
@@ -92,12 +115,11 @@ def test_face_poset_matches_the_closure():
 
 def test_face_poset_rejects_a_complex_missing_a_face():
     K = SimplicialComplex.from_simplices([("a", "b", "c")])
-    # drop the edge (a, b), bypassing the constructor's own face check
-    broken = object.__new__(SimplicialComplex)
-    broken.vertices, broken._vindex = K.vertices, K._vindex
-    broken.simplices = tuple(
-        tuple(s for s in level if s != ("a", "b")) for level in K.simplices)
-    broken._sindex = [{s: i for i, s in enumerate(level)} for level in broken.simplices]
+    # drop the edge (a, b), bypassing the constructor's own face check:
+    # the unchecked builder takes the simplices as vertex-position tuples
+    ab = tuple(K._vindex[v] for v in "ab")
+    broken = complexes._complex(K.vertices, K._vindex, [
+        [s for s in level if s != ab] for level in K._isimplices])
     with pytest.raises(UnknownElement, match=r"\('a', 'b'\)"):
         face_poset(broken)
 
@@ -253,6 +275,90 @@ def test_chain_map_commutes_with_boundary(circle):
         lhs = intmat.matmul(K.boundary_matrix(d), _dense(cm[d], K.n_simplices(d)))
         rhs = intmat.matmul(_dense(cm[d - 1], K.n_simplices(d - 1)), K.boundary_matrix(d))
         assert intmat.eq(lhs, rhs)
+
+
+def _chains_by_length(X):
+    """all_chains grouped by length: the input of the checked constructor."""
+    by_dim = []
+    for c in X.all_chains():
+        if len(c) > len(by_dim):
+            by_dim.append([])
+        by_dim[len(c) - 1].append(c)
+    return by_dim
+
+
+def _map_instances(seed, count):
+    """Seeded (instance index, f) on random posets of up to 6 points: some
+    listed in reverse, some maps endomorphisms, every fourth constant."""
+    rng = random.Random(seed)
+    for i in range(count):
+        X, Y = random_poset(rng, 6), random_poset(rng, 6)
+        if i % 3 == 1:
+            Y = _reversed(Y)
+        if i % 5 == 2:
+            X = _reversed(X)
+        if i % 7 == 4:
+            Y = X
+        if i % 4 == 3:
+            yield i, constant_map(X, Y, rng.choice(Y.elements))
+        else:
+            f = random_monotone_map(rng, X, Y)
+            if f is not None:
+                yield i, f
+
+
+def _label(seed, i, f):
+    return (f"seed {seed}, instance {i}\nX:\n{serialize_poset(f.source)}"
+            f"Y:\n{serialize_poset(f.target)}f:\n{serialize_map(f)}")
+
+
+def test_order_complex_matches_the_checked_constructor():
+    # order_complex skips the constructor's sort and face check; the
+    # checked door on all_chains is the oracle
+    seed = 1717
+    checked = 0
+    for i, f in _map_instances(seed, 240):
+        for P in (f.source, f.target):
+            label = _label(seed, i, f)
+            K = order_complex(P)
+            want = SimplicialComplex(P.elements, _chains_by_length(P))
+            assert K.simplices == want.simplices and K == want, label
+            for d in range(K.dimension + 2):
+                assert K.boundary_columns(d) == want.boundary_columns(d), label
+            # _certify relies on the walk coming in lexicographic order
+            assert P._index_chains() == sorted(P._index_chains()), label
+        checked += 1
+    assert checked >= 200, checked
+
+
+def test_positional_chain_maps_match_simplicial_maps(monkeypatch):
+    # induced_map_of_poset_map builds its columns from f's positions; the
+    # checked SimplicialMap on the element dict is the oracle, also when
+    # the cache holds equal posets listed in reverse
+    seen = []
+    real = homology_module.induced_on_homology
+
+    def spy(columns, src, dst):
+        seen.append(columns)
+        return real(columns, src, dst)
+
+    monkeypatch.setattr(homology_module, "induced_on_homology", spy)
+    seed = 1718
+    checked = reindexed = 0
+    for i, f in _map_instances(seed, 240):
+        poset_homology.cache_clear()
+        if i % 2:
+            poset_homology(_reversed(f.source))
+            poset_homology(_reversed(f.target))
+        seen.clear()
+        induced_map_of_poset_map(f)
+        src, dst = poset_homology(f.source), poset_homology(f.target)
+        want = chain_map_of(SimplicialMap(src.complex, dst.complex, f.assignment))
+        assert seen == [want], _label(seed, i, f)
+        checked += 1
+        reindexed += src.complex.vertices != f.source.elements
+    poset_homology.cache_clear()
+    assert checked >= 200 and reindexed >= 50, (checked, reindexed)
 
 
 posets = st.integers(1, 5).flatmap(

@@ -39,6 +39,7 @@ from finspace.homology import (
 )
 from finspace.lefschetz import coincidence_points
 from finspace.maps import (
+    MultiMap,
     classify_continuity,
     induced_multimap_homology,
     is_vietoris_like_map,
@@ -218,6 +219,56 @@ def _random_level_maps(seed, count=25):
             f = random_monotone_map(rng, t.levels[n + 1], t.levels[n], attempts=30)
             f_maps.append(f if f is not None else t.h_maps[n])
         yield i, X0, t, f_maps
+
+
+def _reversed(X):
+    """X with its elements listed in reverse order."""
+    return build_poset(list(reversed(X.elements)), X.covers())
+
+
+def _fixed_chains_by_membership(seq, m):
+    """fixed_chain_search's chains found by walking elements down the h
+    maps and testing x in F(x) on the multimaps."""
+    t = seq.tower
+    out = []
+    for top in t.levels[-1].elements:
+        chain = [top]
+        for h in reversed(t.h_maps):
+            chain.append(h(chain[-1]))
+        chain.reverse()
+        if all(chain[n1] in seq.F_maps[n1 - 1](chain[n1])
+               for n1 in range(max(m, 1), t.depth + 1)):
+            out.append(tuple(chain))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_fixed_points_from_positions_match_membership(seed):
+    # fixed points are read off the positions of h and f; the multimaps
+    # F = H o f, built from element dicts, are the oracle.  One level map
+    # per instance lists its source or its target in reverse, so attach
+    # re-indexes it
+    checked = fixed = 0
+    for i, X0, t, f_maps in _random_level_maps(720 + seed, count=40):
+        n = i % t.depth
+        f = f_maps[n]
+        if i % 2:
+            f_maps[n] = PosetMap(_reversed(f.source), f.target, f.assignment)
+        else:
+            f_maps[n] = PosetMap(f.source, _reversed(f.target), f.assignment)
+        seq = attach_level_maps(t, f_maps, certify=False)
+        label = (f"seed {720 + seed} instance {i}: X0 = {serialize_poset(X0)!r} "
+                 + " ".join(f"f_{k} = {serialize_map(g)!r}" for k, g in enumerate(f_maps)))
+        for k, (g, F) in enumerate(zip(f_maps, seq.F_maps)):
+            X, H = t.levels[k + 1], t.h_maps[k].fibers()
+            assert F == MultiMap(X, X, {x: H[g(x)] for x in X.elements}), label
+            want = [x for x in X.elements if x in F(x)]
+            assert fixed_points_of_level(seq, k + 1) == want, label
+            fixed += 0 < len(want) < len(X)
+        for m in range(t.depth + 1):
+            assert fixed_chain_search(seq, m) == _fixed_chains_by_membership(seq, m), label
+        checked += 1
+    assert checked >= 20 and fixed >= 10, (checked, fixed)
 
 
 @pytest.mark.parametrize("seed", range(4))
