@@ -1,6 +1,8 @@
 """Finite T0 spaces: posets, exact homology, coincidence theorems and
 subdivision towers."""
 
+import gc as _gc
+
 from .errors import FinspaceError
 from .poset import (
     FinitePoset,
@@ -87,3 +89,11 @@ from .formats import (
 )
 
 __version__ = "0.1.0"
+
+# The import leaves several thousand long-lived objects (this package's
+# functions and classes, and those of its imports) in the cyclic
+# collector's young generations.  The first generation-1 collection after
+# it scans them all, about 1 ms, at whatever allocation comes next, so a
+# short first operation pays a cost that depends on where it falls.  One
+# collection here moves them to the old generation during the import.
+_gc.collect(1)
