@@ -129,9 +129,11 @@ class ApproximativeSequence:
 
 
 def _level_positions(t, maps):
-    """Per step n, the positions of maps[n] from level n + 1 to level n."""
-    return [_positions(g, t.levels[n + 1].elements, t.levels[n].elements,
-                       t.levels[n]._index) for n, g in enumerate(maps)]
+    """Per step n, the positions of maps[n] from level n + 1 to level n,
+    as a tuple, so that two maps' positions compare equal iff the maps
+    are."""
+    return [tuple(_positions(g, t.levels[n + 1].elements, t.levels[n].elements,
+                             t.levels[n]._index)) for n, g in enumerate(maps)]
 
 
 def attach_level_maps(t, f_maps, certify=True):
@@ -216,7 +218,10 @@ def lambda_nm(seq, n, m):
     sequence stores segments joining n to m, they give P and Q from
     Betti-sized products.  Otherwise the segment (n, m) is computed from
     h_{n,m} and f_{n,m} and stored; a call that raises stores nothing.
-    See ApproximativeSequence for the order in which to ask a table.
+    When f_{k,k+1} = h_{k,k+1} for every step k from n to m - 1 (equal
+    positions in the tower's listing of both levels), f_{n,m} = h_{n,m},
+    and the segment reuses h_{n,m*} as f_{n,m*}.  See
+    ApproximativeSequence for the order in which to ask a table.
     """
     if not n < m:
         raise IndexRange(f"need n < m, got {n} >= {m}")
@@ -225,8 +230,13 @@ def lambda_nm(seq, n, m):
     t._check_level(m)
     run = _stored_run(seq._segments, n, m)
     if run is None:
-        h_inv = invert(induced_map_of_poset_map(compose_h(t, n, m)))
-        seq._segments[n, m] = (h_inv, induced_map_of_poset_map(compose_f(seq, n, m)))
+        h_star = induced_map_of_poset_map(compose_h(t, n, m))
+        h_inv = invert(h_star)
+        if seq._fpos[n:m] == seq._hpos[n:m]:
+            f_star = h_star
+        else:
+            f_star = induced_map_of_poset_map(compose_f(seq, n, m))
+        seq._segments[n, m] = (h_inv, f_star)
         run = [seq._segments[n, m]]
     q, p = run[0]
     for h_inv, f_star in run[1:]:

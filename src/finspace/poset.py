@@ -6,13 +6,15 @@ sets are down-sets and continuity is order preservation.  Everything here
 is immutable after construction.
 
 A poset stores its order once, as a rank-bitmask view (see FinitePoset).
-A dense boolean matrix exists only at the door, where FinitePoset checks
-a raw one and build_poset closes raw relations, and in leq_matrix().
+Raw orders enter through one door, FinitePoset(elements, matrix) or
+build_poset(elements, relations); both turn them into per-point masks
+of the points below, Python ints, and run one check on those masks.
+A dense matrix exists only as the constructor's input and as what
+leq_matrix() returns.
 """
 
 import heapq
-
-import numpy as np
+from itertools import compress
 
 from .errors import (
     BudgetExceeded,
@@ -28,15 +30,18 @@ DEFAULT_BUDGET = 10 ** 6
 class FinitePoset:
     """A finite poset: element ids plus one rank-bitmask view of the order.
 
-    Orders are checked once, where raw data enters: this constructor
-    takes a dense boolean leq matrix, rejects duplicate ids and a matrix
-    of the wrong shape or not reflexive, antisymmetric (CycleError) and
-    transitive, and then drops it; build_poset closes raw relations and
-    hands them here.  Orders derived from a valid one (subposet,
-    opposite, core, product_subposet) and face inclusion
-    (complexes.face_poset), a partial order by construction, skip the
-    check.  leq_matrix() rebuilds a matrix on request; no order query
-    reads one.
+    Orders are checked once, where raw data enters.  This constructor
+    takes a leq matrix as any n x n nested sequence of truthy values
+    (leq_matrix[i][j] for x_i <= x_j; 2-D arrays too), rejects
+    duplicate ids and a matrix of the wrong shape, reads each column
+    into a mask of the points below and drops the matrix.  build_poset
+    closes raw relations into such masks instead.  Both hand them to
+    _strict_down, the one check that the order is reflexive,
+    antisymmetric (CycleError) and transitive.  Orders derived from a
+    valid one (subposet, opposite, core, product_subposet) and face
+    inclusion (complexes.face_poset), a partial order by construction,
+    skip the check.  leq_matrix() rebuilds a matrix on request; no order
+    query reads one.
 
     Every poset is built the same way, from the ascending index lists of
     the points strictly below each point, into one _RankView.  Points are
@@ -54,23 +59,15 @@ class FinitePoset:
     def __init__(self, elements, leq_matrix):
         elements = tuple(elements)
         index = {x: i for i, x in enumerate(elements)}
-        if len(index) != len(elements):
-            dup = next(x for i, x in enumerate(elements) if index[x] != i)
-            raise DuplicateElement(f"duplicate element {dup!r}")
-        leq = np.asarray(leq_matrix, dtype=bool)
+        _check_unique(elements, index)
         n = len(elements)
-        if leq.shape != (n, n):
-            raise ValueError("leq matrix shape does not match element count")
-        if not leq.diagonal().all():
-            raise ValueError("leq is not reflexive")
-        strict = leq & ~np.eye(n, dtype=bool)
-        both = np.argwhere(strict & leq.T)
-        if len(both):
-            i, j = both[0]
-            raise CycleError(f"cycle through {elements[i]!r} and {elements[j]!r}")
-        if (leq @ leq & ~leq).any():  # boolean product: no counts to wrap
-            raise ValueError("leq is not transitive")
-        _fill(self, elements, index, [col.nonzero()[0].tolist() for col in strict.T])
+        down = [0] * n  # down[j]: bit i set iff leq_matrix[i][j]
+        cols = range(n)
+        for i, row in enumerate(_rows(leq_matrix, n)):
+            bit = 1 << i
+            for j in compress(cols, row):
+                down[j] |= bit
+        _fill(self, elements, index, _strict_down(elements, down))
 
     # -- basic queries ---------------------------------------------------
 
@@ -97,15 +94,18 @@ class FinitePoset:
         return x != y and self.leq(x, y)
 
     def leq_matrix(self):
-        """The order as a read-only boolean matrix, built on each call.
+        """The order as a tuple of n tuples of n bools, built on each call:
+        entry [i][j] is whether x_i <= x_j.
 
-        For callers outside the package and for test oracles.
+        For callers outside the package and for test oracles; the
+        constructor takes it back.
         """
-        leq = np.eye(len(self), dtype=bool)
+        rows = [[False] * len(self) for _ in self.elements]
         for j, down in enumerate(self._view.down):
-            leq[down, j] = True
-        leq.setflags(write=False)
-        return leq
+            rows[j][j] = True
+            for i in down:
+                rows[i][j] = True
+        return tuple(map(tuple, rows))
 
     def __eq__(self, other):
         if other is self:
@@ -385,13 +385,50 @@ def _stong_core(view, alive, points):
     return sorted(down)
 
 
-def _transitive_closure(mat):
-    reach = mat.astype(bool)
-    while True:
-        new = (reach @ reach) | reach  # boolean product: no counts to wrap
-        if np.array_equal(new, reach):
-            return reach
-        reach = new
+def _check_unique(elements, index):
+    """Raise DuplicateElement for the first id listed twice; index maps
+    each id to its last position."""
+    if len(index) != len(elements):
+        dup = next(x for i, x in enumerate(elements) if index[x] != i)
+        raise DuplicateElement(f"duplicate element {dup!r}")
+
+
+def _rows(matrix, n):
+    """The rows of an n x n nested sequence; ValueError for any other shape."""
+    try:
+        rows = list(matrix)
+        if len(rows) == n and all(len(row) == n for row in rows):
+            return rows
+    except TypeError:  # not a nested sequence
+        pass
+    raise ValueError("leq matrix shape does not match element count")
+
+
+def _strict_down(elements, down):
+    """Check a raw order and return, per point, the ascending indices of
+    the points strictly below it.
+
+    down[j] is the mask of the points i with x_i <= x_j (bit i), so
+    row i of the order's matrix is the set of masks holding bit i.  The
+    order must be reflexive (bit j of down[j]), antisymmetric and
+    transitive (i <= j implies down[i] is inside down[j]: one AND per
+    comparable pair).  A cycle is reported at the first pair i != j,
+    row-major, with x_i <= x_j and x_j <= x_i.  The three checks run in
+    that order, each over all points, so a matrix that has a cycle and
+    is not transitive either raises CycleError.
+    """
+    for j, below in enumerate(down):
+        if not below >> j & 1:
+            raise ValueError("leq is not reflexive")
+    transitive = True
+    for i, below in enumerate(down):
+        for j in _bits(below ^ 1 << i):  # x_j <= x_i, ascending
+            if down[j] >> i & 1:
+                raise CycleError(f"cycle through {elements[i]!r} and {elements[j]!r}")
+            transitive = transitive and not down[j] & ~below
+    if not transitive:
+        raise ValueError("leq is not transitive")
+    return [_bits(below ^ 1 << j) for j, below in enumerate(down)]
 
 
 def _fill(P, elements, index, down):
@@ -438,20 +475,28 @@ def _pairs_at_or_below(P, idx):
 def build_poset(elements, relations):
     """Build a FinitePoset from raw relations (pairs meaning x < y).
 
-    The relations are closed reflexively and transitively and handed to
-    the FinitePoset constructor, which raises CycleError for a cycle and
-    DuplicateElement for duplicate ids; undeclared ids raise
-    UnknownElement.
+    Undeclared ids raise UnknownElement, then duplicate ids
+    DuplicateElement.  The relations are closed reflexively and
+    transitively on the masks of the points below each point (Warshall:
+    for each k, every mask holding bit k takes in the mask of k) and
+    checked by _strict_down, as a raw matrix is; the points of a cycle
+    end up below each other, so a cycle raises CycleError.
     """
-    elements = list(elements)
+    elements = tuple(elements)
     index = {x: i for i, x in enumerate(elements)}
-    mat = np.eye(len(elements), dtype=bool)
+    down = [1 << i for i in range(len(elements))]
     for a, b in relations:
         for x in (a, b):
             if x not in index:
                 raise UnknownElement(f"relation references undeclared element {x!r}")
-        mat[index[a], index[b]] = True
-    return FinitePoset(elements, _transitive_closure(mat))
+        down[index[b]] |= 1 << index[a]
+    _check_unique(elements, index)
+    for k, below_k in enumerate(down):
+        bit = 1 << k
+        for j, below in enumerate(down):
+            if below & bit:
+                down[j] = below | below_k
+    return _fill(object.__new__(FinitePoset), elements, index, _strict_down(elements, down))
 
 
 def min_open_set(X, x):

@@ -1,11 +1,15 @@
 """CLI verbs, emit modes and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import finspace
 from finspace import cli
 from finspace.cli import main
 from finspace.dynamics import build_tower
@@ -256,3 +260,16 @@ def test_coincide_without_its_files_is_an_input_error(capsys, given, missing):
     )
     assert code == 2 and out == ""
     assert f"needs {missing}" in err
+
+
+def test_cli_imports_no_numpy():
+    # a fresh interpreter, importing this copy of the package
+    src = str(Path(finspace.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, finspace.cli; "
+            "assert finspace.__file__.startswith(sys.argv[1]), finspace.__file__; "
+            "assert 'numpy' not in sys.modules, 'numpy was imported'")
+    done = subprocess.run([sys.executable, "-c", code, src], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from finspace import maps
+from finspace import dynamics, maps
 from finspace.dynamics import (
     Tower,
     attach_level_maps,
@@ -380,7 +380,7 @@ def test_lambda_that_raises_stores_no_segment():
 
 def _reordered(X):
     """X with its elements listed in reverse order: an equal poset."""
-    return FinitePoset(X.elements[::-1], X.leq_matrix()[::-1, ::-1])
+    return FinitePoset(X.elements[::-1], [row[::-1] for row in X.leq_matrix()[::-1]])
 
 
 def test_lambda_never_composes_across_two_profiles_of_a_level(monkeypatch):
@@ -430,6 +430,40 @@ def test_lambda_constant_maps(chain2):
     assert lambda_nm(seq, 0, 1) == 1
     assert lambda_nm(seq, 0, 2) == 1
     assert lambda_nm(seq, 1, 2) == 1
+
+
+def test_lambda_with_f_equal_to_h_builds_one_induced_map(monkeypatch):
+    # a cold segment builds h_{n,m*} and reuses it as f_{n,m*} when every
+    # level map equals h on the tower's listing of its levels, also when
+    # f is given on an equal level listed in another order
+    t = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 2)
+    relisted = [PosetMap(_reordered(t.levels[n + 1]), t.levels[n], h.assignment)
+                for n, h in enumerate(t.h_maps)]
+    const = constant_map(t.levels[1], t.levels[0], t.levels[0].elements[0])
+    real = dynamics.induced_map_of_poset_map
+    calls = []
+
+    def spy(f):
+        calls.append(f)
+        return real(f)
+
+    # the number of induced maps a cold lambda_nm(n, m) builds
+    everywhere_h = {(0, 1): 1, (1, 2): 1, (0, 2): 1}
+    for name, f_maps, built in [
+        ("f = h", t.h_maps, everywhere_h),
+        ("f = h, relisted", relisted, everywhere_h),
+        ("f_0 constant", [const, t.h_maps[1]], {(0, 1): 2, (1, 2): 1, (0, 2): 2}),
+    ]:
+        for n, m in built:
+            want = _lambda_oracle(t, f_maps, n, m)
+            seq = attach_level_maps(t, f_maps, certify=False)
+            calls.clear()
+            monkeypatch.setattr(dynamics, "induced_map_of_poset_map", spy)
+            got = lambda_nm(seq, n, m)
+            monkeypatch.undo()
+            label = f"{name}: lambda_nm({n}, {m})"
+            assert got == want, f"{label} = {got}, oracle {want}"
+            assert len(calls) == built[n, m], label
 
 
 def test_lambda_matches_multimap_lefschetz(circle):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from finspace import poset
 from finspace.errors import (
     BudgetExceeded,
+    FinspaceError,
     CycleError,
     DuplicateElement,
     NotContinuous,
@@ -81,6 +82,153 @@ def test_constructor_checks_raw_matrices():
         FinitePoset("abb", eye.copy())
     gap[0, 2] = True
     assert FinitePoset("abc", gap) == build_poset("abc", [("a", "b"), ("b", "c")])
+
+
+def _numpy_door(elements, leq_matrix):
+    """The numpy body of the FinitePoset constructor's check: the strict
+    down lists of a raw leq matrix, or the exception it raised."""
+    elements = tuple(elements)
+    index = {x: i for i, x in enumerate(elements)}
+    if len(index) != len(elements):
+        dup = next(x for i, x in enumerate(elements) if index[x] != i)
+        raise DuplicateElement(f"duplicate element {dup!r}")
+    leq = np.asarray(leq_matrix, dtype=bool)
+    n = len(elements)
+    if leq.shape != (n, n):
+        raise ValueError("leq matrix shape does not match element count")
+    if not leq.diagonal().all():
+        raise ValueError("leq is not reflexive")
+    strict = leq & ~np.eye(n, dtype=bool)
+    both = np.argwhere(strict & leq.T)
+    if len(both):
+        i, j = both[0]
+        raise CycleError(f"cycle through {elements[i]!r} and {elements[j]!r}")
+    if (leq @ leq & ~leq).any():
+        raise ValueError("leq is not transitive")
+    return [col.nonzero()[0].tolist() for col in strict.T]
+
+
+def _numpy_closure(mat):
+    """The numpy closure build_poset ran: square until nothing changes."""
+    reach = mat.astype(bool)
+    while True:
+        new = (reach @ reach) | reach
+        if np.array_equal(new, reach):
+            return reach
+        reach = new
+
+
+def _numpy_build(elements, relations):
+    """The numpy body of build_poset, down to the constructor's check."""
+    elements = list(elements)
+    index = {x: i for i, x in enumerate(elements)}
+    mat = np.eye(len(elements), dtype=bool)
+    for a, b in relations:
+        for x in (a, b):
+            if x not in index:
+                raise UnknownElement(f"relation references undeclared element {x!r}")
+        mat[index[a], index[b]] = True
+    return _numpy_door(elements, _numpy_closure(mat))
+
+
+def _door_corpus(seed, count):
+    """Seeded raw inputs for both doors: (k, kind, elements, data), with
+    kind "relations" (data a relation list for build_poset) or "matrix"
+    (data a raw matrix for the constructor, as nested lists of ints,
+    tuples of bools or a numpy array).  Most are spoiled one way: a
+    cycle, a missing diagonal entry, a dropped strict entry (often not
+    transitive), a wrong shape, a ragged row, a duplicate id or an
+    undeclared id."""
+    rng = random.Random(seed)
+    for k in range(count):
+        relations = k % 2 == 0
+        if relations:
+            spoil = rng.choice(["none", "cycle", "duplicate", "undeclared"])
+            n = rng.randint(1, 8)
+        else:
+            spoil = rng.choice(["none", "cycle", "diagonal", "strict", "shape",
+                                "ragged", "duplicate"])
+            leq = [list(row) for row in random_poset(rng, 8, density=0.5).leq_matrix()]
+            n = len(leq)
+        names = [f"p{i}" for i in range(n)]
+        rng.shuffle(names)
+        if spoil == "duplicate":
+            names[rng.randrange(n)] = rng.choice(names)
+        if relations:
+            density = rng.choice([0.2, 0.4, 0.7])
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < density]
+            if spoil == "cycle":
+                pairs += [(j, i) for i, j in rng.sample(pairs, min(len(pairs), 2))]
+                pairs.append((rng.randrange(n),) * 2)
+            rels = [(names[i], names[j]) for i, j in pairs]
+            rng.shuffle(rels)
+            if spoil == "undeclared":
+                rels.insert(rng.randint(0, len(rels)), rng.choice(
+                    [("zz", names[0]), (names[-1], "zz")]))
+            yield k, "relations", names, rels
+            continue
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j and leq[i][j]]
+        if spoil == "cycle" and pairs:
+            i, j = rng.choice(pairs)
+            leq[j][i] = True
+        elif spoil == "diagonal":
+            i = rng.randrange(n)
+            leq[i][i] = False
+        elif spoil == "strict" and pairs:
+            i, j = rng.choice(pairs)
+            leq[i][j] = False
+        elif spoil == "shape":
+            leq = leq[:-1] if rng.random() < 0.5 else [row + [False] for row in leq]
+        elif spoil == "ragged":
+            del leq[rng.randrange(n)][-1]
+        form = rng.choice(["ints", "tuples", "numpy"])
+        if form == "ints":
+            leq = [[int(v) for v in row] for row in leq]
+        elif form == "tuples" or spoil == "ragged":  # numpy cannot hold it
+            leq = tuple(map(tuple, leq))
+        else:
+            leq = np.array(leq, dtype=bool)
+        yield k, "matrix", names, leq
+
+
+def _outcome(door, elements, data):
+    """The down lists a door returns, or the type and message it raised."""
+    try:
+        return door(elements, data)
+    except (FinspaceError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_door_matches_the_numpy_door():
+    seed = 38
+    shape = (ValueError, "leq matrix shape does not match element count")
+    seen = set()
+    for k, kind, elements, data in _door_corpus(seed, 600):
+        if kind == "relations":
+            got = _outcome(lambda e, r: build_poset(e, r)._view.down, elements, data)
+            want = _outcome(_numpy_build, elements, data)
+            shown = repr(data)
+        else:
+            got = _outcome(lambda e, m: FinitePoset(e, m)._view.down, elements, data)
+            want = _outcome(_numpy_door, elements, data)
+            shown = repr([[int(v) for v in row] for row in data])
+        msg = f"seed {seed}, instance {k}, {kind}\nelements: {elements!r}\n{kind}: {shown}"
+        if kind == "matrix" and len({len(row) for row in data}) > 1:
+            # numpy cannot hold ragged rows and raised its own ValueError;
+            # the door names the shape
+            assert want[0] is ValueError and got == shape, msg + f"\ngot {got}"
+            seen.add("ragged")
+            continue
+        assert got == want, msg + f"\ngot {got}\nwant {want}"
+        if isinstance(got, list):
+            seen.add("valid")
+        else:
+            seen.add(got[1] if got[0] is ValueError else got[0].__name__)
+    assert seen == {
+        "valid", "ragged", "CycleError", "DuplicateElement", "UnknownElement",
+        "leq is not reflexive", "leq is not transitive", shape[1],
+    }, seen
 
 
 def test_down_up_sets(circle):
@@ -318,7 +466,7 @@ def _view_corpus(seed, count):
     for k in range(count):
         X = random_poset(rng, 10, density=(0.2, 0.4, 0.6)[k % 3])
         perm = rng.sample(range(len(X)), len(X))
-        leq = X.leq_matrix()[np.ix_(perm, perm)]
+        leq = np.array(X.leq_matrix())[np.ix_(perm, perm)]
         yield k, FinitePoset([X.elements[i] for i in perm], leq), leq
     for k, X in _sphere_fiber_unions(seed, 40):
         yield k, X, np.array([[set(x) <= set(u) and set(y) <= set(v) for u, v in X]
@@ -430,7 +578,7 @@ def test_equality_up_to_element_order():
     assert X == Y and hash(X) == hash(Y)
     assert X != build_poset("ab", [])
     level = build_tower(SPHERE, 3).levels[3]
-    backwards = FinitePoset(level.elements[::-1], level.leq_matrix()[::-1, ::-1])
+    backwards = FinitePoset(level.elements[::-1], [row[::-1] for row in level.leq_matrix()[::-1]])
     assert level == backwards and hash(level) == hash(backwards)
 
 
@@ -443,7 +591,7 @@ def test_equality_with_itself_compares_nothing(circle, monkeypatch):
 
 
 def test_leq_matrix_write_protected(circle):
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         circle.leq_matrix()[0, 0] = False
 
 
@@ -607,7 +755,7 @@ def test_check_continuous_matches_pairwise_loop():
 
 def _reordered(X):
     """X with its elements listed in reverse order: an equal poset."""
-    return FinitePoset(X.elements[::-1], X.leq_matrix()[::-1, ::-1])
+    return FinitePoset(X.elements[::-1], [row[::-1] for row in X.leq_matrix()[::-1]])
 
 
 def _then_by_dict(f, g):
@@ -728,7 +876,7 @@ posets = st.integers(1, 6).flatmap(
 @settings(max_examples=80, deadline=None)
 @given(posets)
 def test_order_invariants(X):
-    leq = X.leq_matrix()
+    leq = np.array(X.leq_matrix())
     n = len(X)
     assert leq.diagonal().all()
     assert not (leq & leq.T & ~np.eye(n, dtype=bool)).any()
