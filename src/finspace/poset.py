@@ -13,7 +13,6 @@ A dense matrix exists only as the constructor's input and as what
 leq_matrix() returns.
 """
 
-import heapq
 from itertools import compress
 
 from .errors import (
@@ -252,7 +251,10 @@ class FinitePoset:
         a poset that has none (such as any poset of fewer than two points)
         is returned itself.  Otherwise _stong_core, the one beat-point
         worklist, runs on all points of the rank view and the poset is
-        restricted once.
+        restricted once.  It tests each point lazily, when it is taken
+        lowest position first, and a removal queues again only the points
+        comparable to it.  No point off the worklist is a beat point, so
+        the first queued point that tests as one is the lowest-placed.
         """
         n = len(self)
         if n < 2:
@@ -351,38 +353,36 @@ def _stong_core(view, alive, points):
     """Sorted indices of the Stong core of some points of a poset.
 
     view is the poset's rank view (see FinitePoset), points an iterable
-    of point indices and alive their rank mask, so the core of any
-    subposet is found without building it.  Beat points are removed
-    lowest index first, which is lowest position first in the subposet,
-    as FinitePoset.core promises.
-
-    y is a down-beat point iff the live points below it have a maximum
-    (view.max_of), an up-beat point iff those above it have a minimum; a
-    heap holds the beat points.  Removing x re-tests only the points
-    comparable to x: a down-beat test reads the points below y and below
-    them, which change only if x < y, and dually an up-beat test changes
-    only if y < x.
+    of point indices, read once, and alive their rank mask, so no
+    subposet is built.  y is a beat point iff the live points below it
+    have a maximum or those above it a minimum.  The worklist, an int
+    with one bit per point in index order, is tested lazily: its lowest
+    point is taken, and dropped if it is no beat point.  Only removing a
+    point comparable to y can make y one, as its tests read nothing
+    else, and each removal queues those points again.  So no live point
+    off the worklist is a beat point, and the first queued point that
+    tests as one is the lowest-index beat point, as FinitePoset.core
+    promises.
     """
     rank, below, above = view.rank, view.below, view.above
-    max_of, min_of = view.max_of, view.min_of
-    down = {y: max_of(below[y] & alive) is not None for y in points}
-    up = {y: min_of(above[y] & alive) is not None for y in points}
-    heap = sorted(y for y in down if down[y] or up[y])  # sorted: a heap
-    while heap:
-        x = heapq.heappop(heap)
-        if not (down.get(x) or up.get(x)):
-            continue  # stale entry: x was removed or is no beat point now
-        del down[x], up[x]  # the flags' keys are the live points
+    max_of, min_of, up, down = view.max_of, view.min_of, view.up, view.down
+    points = sorted(points)
+    bit = {i: 1 << b for b, i in enumerate(points)}
+    keep = work = (1 << len(points)) - 1  # keep: the live points
+    while work:
+        low = work & -work
+        work ^= low
+        x = points[low.bit_length() - 1]
+        if max_of(below[x] & alive) is None and min_of(above[x] & alive) is None:
+            continue
         alive ^= 1 << rank[x]
-        for flags, masks, test, ys in ((down, below, max_of, view.up[x]),
-                                       (up, above, min_of, view.down[x])):
-            for y in ys:
-                if y in flags:
-                    was = down[y] or up[y]
-                    flags[y] = test(masks[y] & alive) is not None
-                    if flags[y] and not was:
-                        heapq.heappush(heap, y)
-    return sorted(down)
+        keep ^= low
+        for y in up[x]:
+            work |= bit.get(y, 0)
+        for y in down[x]:
+            work |= bit.get(y, 0)
+        work &= keep
+    return [points[b] for b in _bits(keep)]
 
 
 def _check_unique(elements, index):

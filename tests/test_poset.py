@@ -1,5 +1,6 @@
 """Finite posets as T0 spaces: order, topology, cores, homotopy."""
 
+import heapq
 import itertools
 import random
 import sys
@@ -432,6 +433,80 @@ def test_core_matches_the_beat_point_loop():
             f"X:\n{serialize_poset(X)}")
         removed_in_subsets += len(subset) - len(keep)
     assert removed and removed_in_subsets, "the corpus should contain beat points"
+
+
+def test_stong_core_reads_points_once(circle):
+    # points may be a one-shot iterator: every subset of the circle, and a
+    # chain whose core is its top
+    view = circle._view
+    for size in range(1, 5):
+        for subset in itertools.combinations(range(4), size):
+            keep = poset._stong_core(view, view.mask(subset), iter(subset))
+            want = _core_by_rescanning(circle.subposet([circle.elements[i] for i in subset]))
+            assert [circle.elements[i] for i in keep] == list(want.elements), subset
+    chain = build_poset("pqr", [("p", "q"), ("q", "r")])
+    assert poset._stong_core(chain._view, 7, iter(range(3))) == [2]
+
+
+def _stong_core_by_flags(view, alive, points):
+    """The flag-dict and heap worklist _stong_core replaced: down/up flags
+    for every point first, a heap of the beat points, and a re-test of the
+    points comparable to each removed one."""
+    rank, below, above = view.rank, view.below, view.above
+    max_of, min_of = view.max_of, view.min_of
+    down = {y: max_of(below[y] & alive) is not None for y in points}
+    up = {y: min_of(above[y] & alive) is not None for y in points}
+    heap = sorted(y for y in down if down[y] or up[y])  # sorted: a heap
+    while heap:
+        x = heapq.heappop(heap)
+        if not (down.get(x) or up.get(x)):
+            continue  # stale entry: x was removed or is no beat point now
+        del down[x], up[x]  # the flags' keys are the live points
+        alive ^= 1 << rank[x]
+        for flags, masks, test, ys in ((down, below, max_of, view.up[x]),
+                                       (up, above, min_of, view.down[x])):
+            for y in ys:
+                if y in flags:
+                    was = down[y] or up[y]
+                    flags[y] = test(masks[y] & alive) is not None
+                    if flags[y] and not was:
+                        heapq.heappush(heap, y)
+    return sorted(down)
+
+
+def _tower_subsets(rng, circle):
+    """(instance, enclosing poset, point indices): every fiber union of h_0,
+    h_1 and h_2 on the S^2 model at depth 3 (small unions inside levels of
+    up to 866 points), then seeded random subsets of every level of the
+    circle's tower at depth 4."""
+    t = build_tower(SPHERE, 3)
+    for n, h in enumerate(t.h_maps):
+        fibers, index = h.fibers(), h.source.index
+        unions = {frozenset().union(*(fibers[y] for y in c)) for c in h.target.all_chains()}
+        for k, u in enumerate(sorted(sorted(index(x) for x in u) for u in unions)):
+            yield f"h_{n} fiber union {k}", h.source, u
+    for n, level in enumerate(build_tower(circle, 4).levels):
+        for k in range(40):
+            subset = rng.sample(range(len(level)), rng.randint(1, len(level)))
+            yield f"circle level {n} subset {k}", level, subset
+
+
+def test_stong_core_matches_the_flag_worklist(circle):
+    seed = 19
+    rng = random.Random(seed)
+    instances = removed = 0
+    for k, X, subset in _tower_subsets(rng, circle):
+        rng.shuffle(subset)
+        view = X._view
+        got = poset._stong_core(view, view.mask(subset), iter(subset))
+        want = _stong_core_by_flags(view, view.mask(subset), subset)
+        assert got == want, (
+            f"seed {seed}, instance {k}, subset {sorted(subset)}\n"
+            f"X:\n{serialize_poset(X)}")
+        instances += 1
+        removed += len(subset) - len(got)
+    assert instances == 26 + 146 + 866 + 5 * 40
+    assert removed, "the corpus should contain beat points"
 
 
 def _matrix_extremum(X, leq, subset):
