@@ -18,7 +18,7 @@ from .errors import (
     NotContinuous,
     SizeBudgetExceeded,
 )
-from .homology import induced_map_of_poset_map, invert, lefschetz_number
+from .homology import _one_basis, induced_map_of_poset_map, invert, lefschetz_number
 from .maps import MultiMap, _gathered, is_vietoris_like_map
 from .complexes import barycentric_subdivision_space, chain_max_map
 from .poset import _positions, identity_map, require_continuous
@@ -103,11 +103,12 @@ class ApproximativeSequence:
     The sequence also keeps each segment that lambda_nm computed: for
     levels a < b, the pair (h_{a,b*}^-1, f_{a,b*}) of induced maps on free
     homology, whose matrices are Betti-sized.  A later lambda_nm(n, m)
-    composes stored segments that join n to m instead of building maps
-    out of X^m.  So a table of lambda values should be asked shortest pair
-    first: once the segments (k, k+1) are stored, every other pair costs
-    only matrix products.  The levels and maps are not to be changed
-    after construction.
+    reads the stored segment (n, m), or composes the stored adjacent
+    segments (k, k + 1) from n to m, instead of building maps out of X^m.
+    So a table of lambda values should be asked shortest pair first: once
+    the adjacent segments are stored, every other pair costs only matrix
+    products.  The levels and maps are not to be changed after
+    construction.
 
     It also keeps, per step n, the positions of h_{n,n+1} and of
     f_{n,n+1} as maps from level n + 1 to level n of the tower, in the
@@ -212,24 +213,26 @@ def compose_f(seq, n, m):
 def lambda_nm(seq, n, m):
     """Lefschetz number of f_{n,m*} o h_{n,m*}^{-1}.
 
-    Induced maps compose exactly, so for levels n = k_0 < ... < k_r = m
-    the endomorphism is P o Q with P = f_{k_0,k_1*} o ... o f_{k_{r-1},k_r*}
-    and Q = h_{k_{r-1},k_r*}^-1 o ... o h_{k_0,k_1*}^-1.  When the
-    sequence stores segments joining n to m, they give P and Q from
-    Betti-sized products.  Otherwise the segment (n, m) is computed from
-    h_{n,m} and f_{n,m} and stored; a call that raises stores nothing.
-    When f_{k,k+1} = h_{k,k+1} for every step k from n to m - 1 (equal
-    positions in the tower's listing of both levels), f_{n,m} = h_{n,m},
-    and the segment reuses h_{n,m*} as f_{n,m*}.  See
-    ApproximativeSequence for the order in which to ask a table.
+    Induced maps compose exactly, so the endomorphism is P o Q with
+    P = f_{n,n+1*} o ... o f_{m-1,m*} and Q = h_{m-1,m*}^-1 o ... o
+    h_{n,n+1*}^-1.  It is read off the stored segment (n, m), or off the
+    stored adjacent segments (k, k + 1) when each meets the next in one
+    homology basis (_one_basis).  Otherwise the segment (n, m) is
+    computed from h_{n,m} and f_{n,m} and stored; a call that raises
+    stores nothing.  When f_{k,k+1} = h_{k,k+1} for every step k from n
+    to m - 1 (equal positions in the tower's listing of both levels), the
+    segment reuses h_{n,m*} as f_{n,m*}.  See ApproximativeSequence for
+    the order in which to ask a table.
     """
     if not n < m:
         raise IndexRange(f"need n < m, got {n} >= {m}")
     t = seq.tower
     t._check_level(n)
     t._check_level(m)
-    run = _stored_run(seq._segments, n, m)
-    if run is None:
+    seg = seq._segments.get((n, m))
+    run = [seg] if seg else [seq._segments.get((k, k + 1)) for k in range(n, m)]
+    if None in run or not all(
+            _one_basis(a[0].target, b[0].source) for a, b in zip(run, run[1:])):
         h_star = induced_map_of_poset_map(compose_h(t, n, m))
         h_inv = invert(h_star)
         if seq._fpos[n:m] == seq._hpos[n:m]:
@@ -243,30 +246,6 @@ def lambda_nm(seq, n, m):
         q = q.then(h_inv)
         p = f_star.then(p)
     return lefschetz_number(q.then(p))
-
-
-def _stored_run(segments, n, m):
-    """The fewest stored segments n = k_0 < ... < k_r = m, or None.
-
-    Two segments meet at a level only through one homology profile of it:
-    after poset_homology's cache is cleared, an equal level can come back
-    with a profile in another basis, and matrices in two bases of one
-    level must not be multiplied.  The two maps of one segment were
-    computed together and share their profiles.
-    """
-    best = {}  # (level, its profile) -> fewest segments from n to it
-    # by start level: every run into a is known before a segment leaves a
-    for (a, b), seg in sorted(segments.items()):
-        if a < n or b > m:
-            continue
-        h_inv = seg[0]
-        run = [] if a == n else best.get((a, h_inv.source))
-        if run is None:
-            continue
-        key = (b, h_inv.target)
-        if key not in best or len(run) + 1 < len(best[key]):
-            best[key] = run + [seg]
-    return min((run for (k, _), run in best.items() if k == m), key=len, default=None)
 
 
 def fixed_points_of_level(seq, n1):

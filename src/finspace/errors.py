@@ -54,7 +54,7 @@ class BasisSolveFailure(FinspaceError):
 
 
 class ProfileMismatch(FinspaceError):
-    """Trace requested of a map whose source and target profiles differ."""
+    """Induced maps composed or traced across two homology bases."""
 
 
 class NotInvertible(FinspaceError):

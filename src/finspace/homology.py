@@ -362,7 +362,9 @@ class InducedMap:
         return intmat.zeros(self.target.betti_at(dim), self.source.betti_at(dim))
 
     def then(self, other):
-        """Composition other o self."""
+        """Composition other o self, which must meet self in one basis."""
+        if not _one_basis(self.target, other.source):
+            raise ProfileMismatch("composed maps meet in two homology bases")
         n = max(len(self.matrices), len(other.matrices))
         mats = [
             intmat.matmul(other.matrix_at(d), self.matrix_at(d)) for d in range(n)
@@ -433,10 +435,18 @@ def induced_map_of_poset_map(f):
     return induced_on_homology(_chain_columns(K, L, pos, check=False), src, dst)
 
 
+def _one_basis(P, Q):
+    """Whether profiles P and Q are one homology basis.  homology()
+    depends only on its complex, so equal complexes (also from a cleared
+    poset_homology cache) give one basis; another listing of an equal
+    poset gives another complex and basis."""
+    return P is Q or P.complex == Q.complex
+
+
 def lefschetz_number(m):
-    """Alternating sum of the traces of an induced endo-map."""
-    if not m.source.same_shape(m.target):
-        raise ProfileMismatch("Lefschetz number needs matching profiles")
+    """Alternating sum of the traces of an induced map on one basis."""
+    if not _one_basis(m.source, m.target):
+        raise ProfileMismatch("Lefschetz number needs one homology basis")
     total = 0
     for d in range(len(m.source.betti)):
         M = m.matrix_at(d)

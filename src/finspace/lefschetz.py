@@ -15,7 +15,6 @@ from .maps import (
     graph,
     induced_multimap_homology,
     is_vietoris_like_map,
-    is_vietoris_like_multimap,
     projections_on_core,
 )
 from .poset import DEFAULT_BUDGET, order_preserving_maps, require_continuous
@@ -117,17 +116,19 @@ def theorem_C(chain):
             raise NotComposable(f"links {i} and {i + 1} do not compose")
     if chain[0].source != chain[-1].target:
         raise NotComposable("composition is not an endo-multimap")
-    certs = []
+    certs, graphs = [], []
     for i, G in enumerate(chain):
+        gs = graph(G)
         _require(
-            is_vietoris_like_multimap(G),
+            is_vietoris_like_map(gs.p),
             f"link {i} is not a Vietoris-like multimap",
             index=i,
         )
         certs.append(f"G{i} Vietoris-like multimap")
-    induced = induced_multimap_homology(chain[0])
-    for G in chain[1:]:
-        induced = induced.then(induced_multimap_homology(G))
+        graphs.append(gs)
+    induced = induced_multimap_homology(chain[0], graphs[0])
+    for G, gs in zip(chain[1:], graphs[1:]):
+        induced = induced.then(induced_multimap_homology(G, gs))
     lam = lefschetz_number(induced)
     F = chain[0]
     for G in chain[1:]:

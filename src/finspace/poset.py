@@ -149,9 +149,10 @@ class FinitePoset:
 
     def subposet(self, subset):
         """Induced subposet on the given elements, keeping element order."""
+        subset = set(subset)
         keep = sorted({self._index.get(x, -1) for x in subset})
         if keep and keep[0] < 0:
-            missing = set(subset) - self._index.keys()
+            missing = subset - self._index.keys()
             raise UnknownElement(f"unknown elements {sorted(map(repr, missing))}")
         return self._restrict(keep)
 

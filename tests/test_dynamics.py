@@ -349,6 +349,25 @@ def test_lambda_closed_forms_at_depth_3(name, value, order_name):
     assert {nm: lambda_nm(seq, *nm) for nm in order} == {nm: value for nm in order}
 
 
+def test_lambda_table_shortest_first_stores_only_adjacent_segments(monkeypatch):
+    # asked shortest pair first with f = h, the table builds one induced
+    # map per adjacent segment and composes every longer pair from them
+    t = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 3)
+    seq = attach_level_maps(t, t.h_maps, certify=False)
+    real = dynamics.induced_map_of_poset_map
+    calls = []
+
+    def spy(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(dynamics, "induced_map_of_poset_map", spy)
+    order = _pair_orders(3, random.Random(0))["shortest-first"]
+    assert {nm: lambda_nm(seq, *nm) for nm in order} == {nm: 2 for nm in order}
+    assert set(seq._segments) == {(0, 1), (1, 2), (2, 3)}
+    assert len(calls) == 3
+
+
 def test_lambda_range_checks_come_before_stored_segments(circle):
     t = build_tower(circle, 2)
     seq = attach_level_maps(t, t.h_maps)

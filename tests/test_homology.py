@@ -187,6 +187,45 @@ def test_lefschetz_profile_mismatch():
         lefschetz_number(induced_map_of_poset_map(f))
 
 
+def _three_points_collapsed(names):
+    """Three discrete points listed in the order names, and the map
+    a -> a, b -> a, c -> b on them: its square has one fixed point."""
+    X = build_poset(names, [])
+    return PosetMap(X, X, {"a": "a", "b": "a", "c": "b"})
+
+
+def test_composition_across_two_listings_of_a_poset_raises():
+    # after a cleared cache the equal poset listed cba gets its own
+    # complex, and H_0 another basis: g_* o f_* would trace to 2, not 1
+    poset_homology.cache_clear()
+    f_star = induced_map_of_poset_map(_three_points_collapsed("abc"))
+    poset_homology.cache_clear()
+    g_star = induced_map_of_poset_map(_three_points_collapsed("cba"))
+    with pytest.raises(ProfileMismatch):
+        f_star.then(g_star)
+
+
+def test_composition_across_a_cleared_cache_keeps_one_basis():
+    # recomputing the same listing gives an equal complex, so one basis
+    f = _three_points_collapsed("abc")
+    poset_homology.cache_clear()
+    f_star = induced_map_of_poset_map(f)
+    want = lefschetz_number(f_star.then(f_star))
+    poset_homology.cache_clear()
+    g_star = induced_map_of_poset_map(f)
+    assert g_star.source is not f_star.target
+    assert lefschetz_number(f_star.then(g_star)) == want == 1
+
+
+def test_trace_between_two_spaces_raises():
+    # a homeomorphism between two circles: equal homology, no trace
+    abcd = build_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+    ABCD = build_poset("ABCD", [("A", "C"), ("A", "D"), ("B", "C"), ("B", "D")])
+    f = PosetMap(abcd, ABCD, dict(zip("abcd", "ABCD")))
+    with pytest.raises(ProfileMismatch):
+        lefschetz_number(induced_map_of_poset_map(f))
+
+
 def test_invert_errors():
     circle = build_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
     c = induced_map_of_poset_map(constant_map(circle, circle, "c"))

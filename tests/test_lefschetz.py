@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from finspace import maps
 from finspace.errors import (
     BudgetExceeded,
     FinspaceError,
@@ -117,6 +118,21 @@ def test_theorem_C_validates_chain(wedge, circle):
     repB = theorem_B(F)
     repC = theorem_C([F])
     assert repB.lambda_ == repC.lambda_ and repB.witnesses == repC.witnesses
+
+
+def test_theorem_C_builds_each_link_graph_once(wedge, monkeypatch):
+    built = []
+
+    class Spy(maps.GraphSpace):
+        def __init__(self, F):
+            built.append(F)
+            super().__init__(F)
+
+    monkeypatch.setattr(maps, "GraphSpace", Spy)
+    F = MultiMap(wedge, wedge, {x: wedge.down_set(x) for x in wedge.elements})
+    G = MultiMap(wedge, wedge, {x: {"C"} for x in wedge.elements})
+    theorem_C([F, G, F])
+    assert built == [F, G, F]
 
 
 def test_classical_lefschetz_identity(wedge, circle):

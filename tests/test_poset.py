@@ -249,6 +249,12 @@ def test_opposite_and_subposet(circle):
         circle.subposet({"zz"})
 
 
+def test_subposet_reads_an_iterator_once(circle):
+    assert circle.subposet(iter(["c", "a"])).elements == ("a", "c")
+    with pytest.raises(UnknownElement, match="zz"):
+        circle.subposet(iter(["a", "zz"]))
+
+
 def test_extrema(circle, wedge):
     assert wedge.maximum() == "C"
     assert circle.maximum() is None
