@@ -325,10 +325,11 @@ def chain_max_map(X1, X):
 
     X1 is barycentric_subdivision_space(X).  Its chains are stored in
     element order, which need not follow the order of X, so the maximum
-    is looked up (one extremum test on the chain's rank mask) rather than
-    read off the end of the tuple.
+    is not read off the end of the tuple: it is the point of the chain
+    with the highest rank in X's rank view (ranks extend the order).
     """
-    return _map(X1, X, [X._view.max_of(X._mask(c)) for c in X1.elements])
+    index, rank, order = X._index, X._view.rank, X._view.order
+    return _map(X1, X, [order[max([rank[index[x]] for x in c])] for c in X1.elements])
 
 
 def barycentric_subdivision_complex(K):

@@ -68,7 +68,7 @@ def build_tower(X0, depth, size_budget=DEFAULT_SIZE_BUDGET):
                 "deeper levels grow super-exponentially"
             )
         levels.append(Xn1)
-        h_maps.append(require_continuous(chain_max_map(Xn1, Xn)))
+        h_maps.append(chain_max_map(Xn1, Xn))
     return Tower(levels, h_maps)
 
 

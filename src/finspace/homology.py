@@ -10,7 +10,8 @@ complex that is left.  The reduction records its two chain maps.  The
 inclusion lifts the residual free basis to cycles of the complex, and the
 projection sends any cycle to its free-part coordinates.  Induced maps
 and Lefschetz numbers act on the torsion-free part of homology, in that
-deterministic basis.
+deterministic basis.  A profile keeps no boundary operator: the checked
+doors (class_of, induced_on_homology) read it from the complex.
 
 Chains, cycles and chain maps are sparse, in the format of
 SimplicialComplex.boundary_columns: a chain is a dict {simplex index:
@@ -80,17 +81,15 @@ class HomologyProfile:
       * free_basis[i]: betti[i] sparse cycles {simplex index: coefficient}
       * betti[i] sparse projection rows sending any cycle to its free-part
         coordinates
-      * boundaries[i]: the sparse boundary columns of dimension i
     which is what induced maps are computed from.
     """
 
-    def __init__(self, complex_, betti, torsion, free_basis, free_proj, boundaries):
+    def __init__(self, complex_, betti, torsion, free_basis, free_proj):
         self.complex = complex_
         self.betti = betti
         self.torsion = torsion
         self.free_basis = free_basis
         self._free_proj = free_proj
-        self.boundaries = boundaries
 
     def betti_at(self, dim):
         return self.betti[dim] if 0 <= dim < len(self.betti) else 0
@@ -99,15 +98,24 @@ class HomologyProfile:
         return self.torsion[dim] if 0 <= dim < len(self.torsion) else []
 
     def class_of(self, dim, chain):
-        """Free-part coordinates of a sparse cycle {simplex index: coefficient}."""
-        if dim >= len(self.betti):
+        """Free-part coordinates of a sparse cycle {simplex index: coefficient}.
+
+        The checked door: a chain that is not a cycle, or a nonzero chain
+        in a dimension the complex lacks (below 0 or above the top),
+        raises BasisSolveFailure.
+        """
+        if not 0 <= dim < len(self.betti):
             if chain:
-                raise BasisSolveFailure("nonzero chain above the top dimension")
+                raise BasisSolveFailure(f"nonzero chain in missing dimension {dim}")
             return []
-        if _apply(self.boundaries[dim], chain):
+        if _apply(self.complex.boundary_columns(dim), chain):
             raise BasisSolveFailure("chain is not a cycle")
+        return self._coords(dim, chain)
+
+    def _coords(self, dim, cycle):
+        """class_of without its checks: the cycle is taken as one."""
         return [
-            sum(v * chain[i] for i, v in row.items() if i in chain)
+            sum(v * cycle[i] for i, v in row.items() if i in cycle)
             for row in self._free_proj[dim]
         ]
 
@@ -158,10 +166,10 @@ class _Reduction:
     """
 
     def __init__(self, boundaries):
+        """boundaries[d] lists the sparse columns of dimension d; the
+        reduction takes them over and changes them in place."""
         top = len(boundaries)
-        self.cols = [
-            {c: dict(col) for c, col in enumerate(level)} for level in boundaries
-        ]
+        self.cols = [dict(enumerate(level)) for level in boundaries]
         self.cob = [{} for _ in range(top)]
         for d in range(1, top):
             cob = self.cob[d - 1]
@@ -288,9 +296,8 @@ def homology(K):
     """
     dims = K.dimension + 1
     if dims == 0:
-        return HomologyProfile(K, [], [], [], [], [])
-    boundaries = [K.boundary_columns(d) for d in range(dims)]
-    red = _Reduction(boundaries)
+        return HomologyProfile(K, [], [], [], [])
+    red = _Reduction([K.boundary_columns(d) for d in range(dims)])
     cells = [sorted(red.cols[d]) for d in range(dims)]
     R = [intmat.zeros(0, len(cells[0]))] + [
         [[red.cols[d][c].get(f, 0) for c in cells[d]] for f in cells[d - 1]]
@@ -308,7 +315,7 @@ def homology(K):
             red.pulled_back(i, {c: x for c, x in zip(cells[i], row) if x})
             for row in projs[i]
         ])
-    return HomologyProfile(K, betti, torsion, free_basis, free_proj, boundaries)
+    return HomologyProfile(K, betti, torsion, free_basis, free_proj)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -383,11 +390,12 @@ def identity_induced(profile):
 def induced_on_homology(chain_columns, src, dst):
     """Induced map on free homology of a chain map given as sparse columns.
 
+    The checked door for chain maps from outside the package:
     chain_columns[d] holds one column {target index: coefficient} per
-    source d-simplex, as chain_map_of returns them.  The chain-map
-    condition is verified column by column against both boundary
-    sequences, then every source free-basis cycle is pushed through and
-    its class read in the destination basis.
+    source d-simplex, as chain_map_of returns them.  Their sizes, rows
+    and every commuting square are verified (NotAChainMap otherwise); a
+    chain map sends cycles to cycles, so _induced then reads the classes
+    unchecked.
     """
     sizes = [len(level) for level in src.complex._isimplices]
     got = [len(cols) for cols in chain_columns]
@@ -398,21 +406,28 @@ def induced_on_homology(chain_columns, src, dst):
         if any(not 0 <= i < rows for col in cols for i in col):
             raise NotAChainMap(f"chain map leaves the {rows} target {d}-simplices")
 
-    for d in range(1, len(src.boundaries)):
-        for j, col in enumerate(src.boundaries[d]):
+    for d in range(1, len(sizes)):
+        target = dst.complex.boundary_columns(d)
+        for j, col in enumerate(src.complex.boundary_columns(d)):
             # a nonempty image column means dst has d-simplices
             image = chain_columns[d][j]
-            lhs = _apply(dst.boundaries[d], image) if image else {}
+            lhs = _apply(target, image) if image else {}
             if lhs != _apply(chain_columns[d - 1], col):
                 raise NotAChainMap(f"boundary does not commute in dimension {d}")
+    return _induced(chain_columns, src, dst)
 
+
+def _induced(chain_columns, src, dst):
+    """The induced map of a chain map known to be one, without a check:
+    each source free-basis cycle is pushed through the columns and its
+    coordinates read in the destination basis (HomologyProfile._coords)."""
     mats = []
     for d in range(max(len(src.betti), len(dst.betti))):
         bs, bt = src.betti_at(d), dst.betti_at(d)
         M = intmat.zeros(bt, bs)
         if bs and bt:
             for j, cycle in enumerate(src.free_basis[d]):
-                for i, x in enumerate(dst.class_of(d, _apply(chain_columns[d], cycle))):
+                for i, x in enumerate(dst._coords(d, _apply(chain_columns[d], cycle))):
                     M[i][j] = x
         mats.append(M)
     return InducedMap(src, dst, mats)
@@ -421,18 +436,20 @@ def induced_on_homology(chain_columns, src, dst):
 def induced_map_of_poset_map(f):
     """f_* on free homology, computed through K(f).
 
-    K(f) runs between the cached profiles' own complexes: an equal poset
-    cached first may list its points in another order than f.source, and
-    then f's positions are re-indexed once.  The chain-map columns come
-    from those positions (complexes._chain_columns) without a membership
-    check: f is continuous, so it sends each chain to a chain.
+    The one check is that f is continuous.  K(f) runs between the cached
+    profiles' own complexes: an equal poset cached first may list its
+    points in another order than f.source, and then f's positions are
+    re-indexed once.  The chain-map columns come from those positions
+    (complexes._chain_columns) and go to _induced unchecked: a continuous
+    f sends each chain to a chain, and the simplicial chain map of a
+    simplicial map commutes with the boundary by construction.
     """
     require_continuous(f)
     src = poset_homology(f.source)
     dst = poset_homology(f.target)
     K, L = src.complex, dst.complex
     pos = _positions(f, K.vertices, L.vertices, L._vindex)
-    return induced_on_homology(_chain_columns(K, L, pos, check=False), src, dst)
+    return _induced(_chain_columns(K, L, pos, check=False), src, dst)
 
 
 def _one_basis(P, Q):

@@ -24,6 +24,7 @@ from .homology import (
 from .poset import (
     DEFAULT_BUDGET,
     PosetMap,
+    _map,
     order_preserving_maps,
     product_subposet,
     require_continuous,
@@ -88,7 +89,8 @@ class GraphSpace:
     """The graph of a multimap as a finite space with its two projections.
 
     Pairs are ordered componentwise: (x, y) <= (x', y') iff x <= x' and
-    y <= y'.
+    y <= y'.  The projections p and q are built from positions
+    (poset._map) without a check: they preserve the product order.
     """
 
     __slots__ = ("space", "p", "q", "multimap")
@@ -101,8 +103,8 @@ class GraphSpace:
             for y in sorted(F(x), key=Y.index)
         ]
         self.space = product_subposet(X, Y, pairs)
-        self.p = PosetMap(self.space, X, {pr: pr[0] for pr in pairs})
-        self.q = PosetMap(self.space, Y, {pr: pr[1] for pr in pairs})
+        self.p = _map(self.space, X, [X._index[x] for x, _ in pairs])
+        self.q = _map(self.space, Y, [Y._index[y] for _, y in pairs])
         self.multimap = F
 
 
@@ -235,12 +237,12 @@ def projections_on_core(gs):
 
     The Stong core inclusion i induces isomorphisms, so (q o i)_* (p o i)_*^-1
     equals q_* p_*^-1 and (p o i)_* (q o i)_*^-1 equals p_* q_*^-1, while
-    the chain complexes stay small.
+    the chain complexes stay small.  i is built from positions (poset._map).
     """
     p, q = gs.p, gs.q
     core = gs.space.core()
     if len(core) < len(gs.space):
-        inc = PosetMap(core, gs.space, {x: x for x in core.elements})
+        inc = _map(core, gs.space, [gs.space._index[x] for x in core.elements])
         p, q = inc.then(p), inc.then(q)
     return induced_map_of_poset_map(p), induced_map_of_poset_map(q)
 

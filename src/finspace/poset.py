@@ -517,9 +517,10 @@ class PosetMap:
     FinitePoset).  This constructor is the only door for an element
     dict: it checks that every source point has a value in the target.
     Maps the package derives from valid data (then, identity_map,
-    chain_max_map, order_preserving_maps, random_monotone_map) are built
-    from positions by _map, without that check.  assignment is a fresh
-    dict {x: f(x)} derived from the positions on each read.
+    chain_max_map, order_preserving_maps, random_monotone_map, the graph
+    projections and the core inclusion of maps.projections_on_core) are
+    built from positions by _map, without that check.  assignment is a
+    fresh dict {x: f(x)} derived from the positions on each read.
 
     Like everything in this module a map is immutable after construction:
     source, target and _pos are never reassigned, and __hash__ and

@@ -3,12 +3,13 @@
 import copy
 import importlib
 import random
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finspace import complexes, intmat
+from finspace import casebook, complexes, intmat
 from finspace.complexes import (
     SimplicialComplex,
     SimplicialMap,
@@ -21,8 +22,13 @@ from finspace.complexes import (
 )
 from finspace.dynamics import build_tower
 from finspace.errors import UnknownElement
-from finspace.formats import serialize_map, serialize_poset
-from finspace.homology import induced_map_of_poset_map, poset_homology
+from finspace.formats import serialize_map, serialize_multimap, serialize_poset
+from finspace.homology import (
+    induced_map_of_poset_map,
+    induced_on_homology,
+    poset_homology,
+)
+from finspace.maps import graph, projections_on_core
 from finspace.poset import PosetMap, build_poset, constant_map, identity_map
 from finspace.random_instances import random_monotone_map, random_poset
 
@@ -332,17 +338,18 @@ def test_order_complex_matches_the_checked_constructor():
 
 
 def test_positional_chain_maps_match_simplicial_maps(monkeypatch):
-    # induced_map_of_poset_map builds its columns from f's positions; the
-    # checked SimplicialMap on the element dict is the oracle, also when
-    # the cache holds equal posets listed in reverse
+    # induced_map_of_poset_map builds its columns from f's positions and
+    # hands them to _induced; the checked SimplicialMap on the element
+    # dict is the oracle, also when the cache holds equal posets listed
+    # in reverse
     seen = []
-    real = homology_module.induced_on_homology
+    real = homology_module._induced
 
     def spy(columns, src, dst):
         seen.append(columns)
         return real(columns, src, dst)
 
-    monkeypatch.setattr(homology_module, "induced_on_homology", spy)
+    monkeypatch.setattr(homology_module, "_induced", spy)
     seed = 1718
     checked = reindexed = 0
     for i, f in _map_instances(seed, 240):
@@ -359,6 +366,46 @@ def test_positional_chain_maps_match_simplicial_maps(monkeypatch):
         reindexed += src.complex.vertices != f.source.elements
     poset_homology.cache_clear()
     assert checked >= 200 and reindexed >= 50, (checked, reindexed)
+
+
+def test_derived_maps_match_the_checked_doors():
+    # induced_map_of_poset_map skips the chain-map check, and GraphSpace
+    # and projections_on_core build their maps from positions; the
+    # checked doors (induced_on_homology on a SimplicialMap's columns,
+    # PosetMap on element dicts) are the oracles
+    seed = 1719
+    checked = 0
+    for i, f in _map_instances(seed, 240):
+        poset_homology.cache_clear()
+        if i % 2:
+            poset_homology(_reversed(f.source))
+            poset_homology(_reversed(f.target))
+        got = induced_map_of_poset_map(f)
+        src, dst = poset_homology(f.source), poset_homology(f.target)
+        cm = chain_map_of(SimplicialMap(src.complex, dst.complex, f.assignment))
+        assert got.matrices == induced_on_homology(cm, src, dst).matrices, _label(seed, i, f)
+        checked += 1
+    poset_homology.cache_clear()
+    assert checked >= 200, checked
+
+    shrunk = 0
+    for name in ("_susc_acyclic", "_usc_maxima", "_selector"):
+        instances = getattr(casebook, name)(random.Random(seed))
+        for i, (_, parts) in enumerate(islice(instances, 20)):
+            F = parts["F"]
+            label = (f"seed {seed}, {name} instance {i}\nX:\n"
+                     f"{serialize_poset(F.source)}F:\n{serialize_multimap(F)}")
+            gs = graph(F)
+            pairs = gs.space.elements
+            p = PosetMap(gs.space, F.source, {pr: pr[0] for pr in pairs})
+            q = PosetMap(gs.space, F.target, {pr: pr[1] for pr in pairs})
+            assert gs.p == p and gs.q == q, label
+            core = gs.space.core()
+            inc = PosetMap(core, gs.space, {x: x for x in core.elements})
+            want = [induced_map_of_poset_map(inc.then(g)).matrices for g in (p, q)]
+            assert [m.matrices for m in projections_on_core(gs)] == want, label
+            shrunk += len(core) < len(gs.space)
+    assert shrunk >= 20, shrunk
 
 
 posets = st.integers(1, 5).flatmap(

@@ -98,6 +98,19 @@ def test_class_of_and_errors():
         hp.class_of(5, {0: 1})
 
 
+def test_class_of_outside_the_complex():
+    # a negative dimension is as absent as one above the top: the empty
+    # chain has no coordinates and any other chain is rejected, not read
+    # from the end of the per-dimension lists
+    circle = build_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+    hp = poset_homology(circle)
+    z = hp.free_basis[1][0]
+    for dim in (-2, -1, 2):
+        assert hp.class_of(dim, {}) == [], dim
+        with pytest.raises(BasisSolveFailure):
+            hp.class_of(dim, z)
+
+
 def test_is_acyclic():
     wedge = build_poset("ABC", [("A", "C"), ("B", "C")])
     assert is_acyclic(wedge)
