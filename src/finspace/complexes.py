@@ -162,14 +162,6 @@ class SimplicialComplex:
                 M[i][j] = v
         return M
 
-    def export_text(self):
-        """One simplex per line, vertices space-separated, for cross-checks."""
-        lines = []
-        for level in self.simplices:
-            for s in level:
-                lines.append(" ".join(str(v) for v in s))
-        return "\n".join(lines) + "\n"
-
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented

@@ -33,7 +33,7 @@ from .errors import (
     ProfileMismatch,
 )
 from .intmat import smith_normal_form
-from .poset import _positions, _stong_core, require_continuous
+from .poset import _RankMasks, _positions, _stong_core, require_continuous
 
 __all__ = [
     "HomologyProfile",
@@ -332,26 +332,27 @@ def is_acyclic(X):
     """
     if len(X) == 0:
         raise EmptySubspace("the empty subspace is not acyclic")
-    hp = _core_homology(X, (1 << len(X)) - 1, range(len(X)))
+    hp = _core_homology(X, _RankMasks(X._view), range(len(X)))
     return hp is None or hp.is_acyclic()
 
 
-def _core_homology(X, mask, points):
+def _core_homology(X, masks, points):
     """None when some points of X are acyclic by a cone or a one-point
     core, else the homology profile of their Stong core.
 
-    points lists the point indices and mask is their rank mask (see
-    FinitePoset), so the points need not form a subposet first.  A set
-    with a maximum or a minimum is contractible (Stong, Trans. AMS 1966),
-    a cone, so it is acyclic without a core.  Otherwise its Stong core is
-    a strong deformation retract (same reference) with the same Betti
-    numbers and torsion; a one-point core is acyclic, and only a larger
-    one becomes a poset, for its homology.
+    masks are X's _RankMasks, built once by the caller however many
+    sets it tests, and points lists the point indices, so the points
+    need not form a subposet first.  A set with a maximum or a minimum is
+    contractible (Stong, Trans. AMS 1966), a cone, so it is acyclic
+    without a core.  Otherwise its Stong core is a strong deformation
+    retract (same reference) with the same Betti numbers and torsion; a
+    one-point core is acyclic, and only a larger one becomes a poset, for
+    its homology.
     """
-    view = X._view
-    if view.max_of(mask) is not None or view.min_of(mask) is not None:
+    alive = masks.mask(points)
+    if masks.max_of(alive) is not None or masks.min_of(alive) is not None:
         return None
-    keep = _stong_core(view, mask, points)
+    keep = _stong_core(masks, alive, points)
     return poset_homology(X._restrict(keep)) if len(keep) > 1 else None
 
 
@@ -380,11 +381,6 @@ class InducedMap:
 
     def __repr__(self):
         return f"InducedMap({self.matrices})"
-
-
-def identity_induced(profile):
-    mats = [intmat.identity(b) for b in profile.betti]
-    return InducedMap(profile, profile, mats)
 
 
 def induced_on_homology(chain_columns, src, dst):

@@ -24,6 +24,7 @@ from .homology import (
 from .poset import (
     DEFAULT_BUDGET,
     PosetMap,
+    _RankMasks,
     _map,
     order_preserving_maps,
     product_subposet,
@@ -129,22 +130,23 @@ def classify_continuity(F):
     For every pair x1 < x2 of X: usc asks each point of F(x1) to lie
     below some point of F(x2), lsc each point of F(x2) below some point
     of F(x1); susc and slsc ask for F(x1) <= F(x2) and F(x2) <= F(x1) as
-    sets.  Each test is one AND of rank masks of Y: per x, the mask of
-    F(x) and that of the points at or below some point of F(x).
+    sets.  Each test is one inclusion of sets of point indices of Y: per
+    x, the set of F(x) and that of the points at or below some point of
+    F(x).
     """
     X, Y = F.source, F.target
-    view = Y._view
+    down = Y._view.down
     values, closed = [], []
     for x in X.elements:
-        idx = [Y.index(y) for y in F(x)]
-        values.append(view.mask(idx))
-        closed.append(values[-1] | view.mask(j for i in idx for j in view.down[i]))
+        idx = {Y.index(y) for y in F(x)}
+        values.append(idx)
+        closed.append(idx.union(*(down[i] for i in idx)))
     pairs = [(i, j) for i, up in enumerate(X._view.up) for j in up]
     return ContinuityFlags(
-        usc=all(not values[i] & ~closed[j] for i, j in pairs),
-        lsc=all(not values[j] & ~closed[i] for i, j in pairs),
-        susc=all(not values[i] & ~values[j] for i, j in pairs),
-        slsc=all(not values[j] & ~values[i] for i, j in pairs),
+        usc=all(values[i] <= closed[j] for i, j in pairs),
+        lsc=all(values[j] <= closed[i] for i, j in pairs),
+        susc=all(values[i] <= values[j] for i, j in pairs),
+        slsc=all(values[j] <= values[i] for i, j in pairs),
     )
 
 
@@ -177,14 +179,18 @@ def is_vietoris_like_map(f):
 
     All chains are enumerated (acyclicity over maximal chains does not
     imply it for subchains), shortest first.  The fibers come from one
-    pass over the map's positions (PosetMap._pos) as rank masks of the
-    source's rank view (see FinitePoset), so a chain's union is the OR of
-    its fiber masks, and that int keys the memo.  Each union is tested by
+    pass over the map's positions (PosetMap._pos) as lists of source
+    point indices, and a chain's union is their concatenation: fibers
+    are disjoint, so it lists each point once.  Each union is tested by
     homology._core_homology on its point indices, without building a
-    subposet: a cone (two int tests) is acyclic without a worklist, and
-    most unions are cones; otherwise the Stong core decides, with
-    homology only for a core of more than one point.  The first failing
-    chain, in enumeration order, is reported.
+    subposet, on rank masks of the source built once per certificate: a
+    cone (two int tests) is acyclic without a worklist, and most unions
+    are cones; otherwise the Stong core decides, with homology only for a
+    core of more than one point.  Unions are not memoized, as no two
+    chains can share one: singletons come first, so every fiber is
+    nonempty past them, and disjoint nonempty fibers make distinct
+    chains' unions distinct.  The first failing chain, in enumeration
+    order, is reported.
 
     A map is certified at most once: the certificate is kept on f (the
     slot PosetMap._certificate) and returned as is by later calls.  A call
@@ -199,24 +205,18 @@ def _certify(f):
     """The certificate of is_vietoris_like_map, computed afresh."""
     require_continuous(f)
     X, Y = f.source, f.target
-    rank = X._view.rank
-    points, masks = [[] for _ in Y.elements], [0] * len(Y)
+    fibers = [[] for _ in Y.elements]
     for i, j in enumerate(f._pos):
-        points[j].append(i)
-        masks[j] |= 1 << rank[i]
-    cache = {}
+        fibers[j].append(i)
+    masks = _RankMasks(X._view)
     # the walk lists index chains in lexicographic order, so a stable sort
     # by length orders them shortest first, then by target positions
     for idx in sorted(Y._index_chains(), key=len):
-        union = 0
-        for j in idx:
-            union |= masks[j]
+        union = [i for j in idx for i in fibers[j]]
         if not union:
             return Certificate(ok=False, failing_chain=_chain_elements(Y, idx),
                                reason="empty fiber union (f not surjective)")
-        if union not in cache:  # fibers are disjoint: their lists list the union once
-            cache[union] = _core_homology(X, union, [i for j in idx for i in points[j]])
-        hp = cache[union]
+        hp = _core_homology(X, masks, union)
         if hp is not None and not hp.is_acyclic():
             return Certificate(ok=False, failing_chain=_chain_elements(Y, idx), profile=hp)
     return Certificate(ok=True)

@@ -5,12 +5,15 @@ order is x <= y iff every open set containing y contains x, minimal open
 sets are down-sets and continuity is order preservation.  Everything here
 is immutable after construction.
 
-A poset stores its order once, as a rank-bitmask view (see FinitePoset).
-Raw orders enter through one door, FinitePoset(elements, matrix) or
-build_poset(elements, relations); both turn them into per-point masks
-of the points below, Python ints, and run one check on those masks.
-A dense matrix exists only as the constructor's input and as what
-leq_matrix() returns.
+A poset stores its order once, as index lists and a linear extension
+(see FinitePoset).  Raw orders enter through one door,
+FinitePoset(elements, matrix) or build_poset(elements, relations); both
+turn them into per-point masks of the points below, Python ints, run one
+check on those masks and keep only the lists.  Rank masks are scratch
+data: _RankMasks builds them inside the one call that tests sets of
+points over and over (a Stong core, a cone test, a monotone-map search),
+and they go with it.  A dense matrix exists only as the constructor's
+input and as what leq_matrix() returns.
 """
 
 from itertools import compress
@@ -27,7 +30,7 @@ DEFAULT_BUDGET = 10 ** 6
 
 
 class FinitePoset:
-    """A finite poset: element ids plus one rank-bitmask view of the order.
+    """A finite poset: element ids plus one _RankView of the order.
 
     Orders are checked once, where raw data enters.  This constructor
     takes a leq matrix as any n x n nested sequence of truthy values
@@ -43,14 +46,15 @@ class FinitePoset:
     query reads one.
 
     Every poset is built the same way, from the ascending index lists of
-    the points strictly below each point, into one _RankView.  Points are
-    ranked by a linear extension, and a set of points is a Python int
-    with bit r set for the point of rank r; each point keeps the masks of
-    the points strictly below and above it.  Ranks extend the order, so
-    the only candidate for the maximum of a set is its point of highest
-    rank and the only candidate for its minimum the point of lowest rank:
-    the set has a maximum iff that one point has every other point of the
-    set below it, one AND of two ints (_RankView.max_of, min_of).
+    the points strictly below each point, into one _RankView: those
+    lists, the lists of the points strictly above, and a linear
+    extension (points by rank, and each point's rank).  No mask is kept.
+    Ranks extend the order, so the only candidate for the maximum of a
+    set is its point of highest rank and the only candidate for its
+    minimum the point of lowest rank: the set has a maximum iff every
+    other point of the set is in that point's down list.  A call that
+    tests many sets, such as core(), builds _RankMasks for itself, where
+    a set is one int and each such test one AND of two ints.
     """
 
     __slots__ = ("elements", "_index", "_hash", "_view")
@@ -87,7 +91,7 @@ class FinitePoset:
 
     def leq(self, x, y):
         i, j = self.index(x), self.index(y)
-        return i == j or bool(self._view.below[j] >> self._view.rank[i] & 1)
+        return i == j or i in self._view.down[j]
 
     def lt(self, x, y):
         return x != y and self.leq(x, y)
@@ -114,8 +118,8 @@ class FinitePoset:
         if set(self.elements) != set(other.elements):
             return False
         perm = [other._index[x] for x in self.elements]
-        theirs = other._view
-        return all(theirs.below[perm[i]] == theirs.mask(perm[j] for j in down)
+        theirs = other._view.down
+        return all(theirs[perm[i]] == sorted([perm[j] for j in down])
                    for i, down in enumerate(self._view.down))
 
     def __hash__(self):
@@ -165,18 +169,22 @@ class FinitePoset:
 
     def maximum(self, subset=None):
         """The maximum of the subset (default: whole space), or None."""
-        m = self._view.max_of(self._mask(subset))
-        return None if m is None else self.elements[m]
+        return self._extremum(subset, max, self._view.down)
 
     def minimum(self, subset=None):
         """The minimum of the subset (default: whole space), or None."""
-        m = self._view.min_of(self._mask(subset))
-        return None if m is None else self.elements[m]
+        return self._extremum(subset, min, self._view.up)
 
-    def _mask(self, subset):
-        if subset is None:
-            return (1 << len(self)) - 1
-        return self._view.mask(map(self.index, subset))
+    def _extremum(self, subset, pick, lists):
+        """The point of the subset that pick (max or min) takes by rank, if
+        every other point of the subset is in its list (down or up), else
+        None: ranks extend the order, so no other point can qualify."""
+        points = set(range(len(self)) if subset is None else map(self.index, subset))
+        if not points:
+            return None
+        m = pick(points, key=self._view.rank.__getitem__)
+        points.discard(m)
+        return self.elements[m] if points.issubset(lists[m]) else None
 
     def linear_extension(self):
         """Elements in a topological order compatible with leq (stable)."""
@@ -237,9 +245,12 @@ class FinitePoset:
 
         x < y is a cover iff no point lies above x and below y.
         """
-        els, view = self.elements, self._view
-        return [(els[i], els[j]) for i, up in enumerate(view.up) for j in up
-                if not view.above[i] & view.below[j]]
+        els, down = self.elements, self._view.down
+        out = []
+        for i, up in enumerate(self._view.up):
+            above = set(up)
+            out.extend((els[i], els[j]) for j in up if above.isdisjoint(down[j]))
+        return out
 
     # -- Stong core -------------------------------------------------------
 
@@ -251,16 +262,16 @@ class FinitePoset:
         points go lowest element position first, for reproducibility, and
         a poset that has none (such as any poset of fewer than two points)
         is returned itself.  Otherwise _stong_core, the one beat-point
-        worklist, runs on all points of the rank view and the poset is
-        restricted once.  It tests each point lazily, when it is taken
-        lowest position first, and a removal queues again only the points
-        comparable to it.  No point off the worklist is a beat point, so
+        worklist, runs on all points, on rank masks built for this call,
+        and the poset is restricted once.  It tests each point lazily,
+        when it is taken lowest position first, and a removal queues again
+        only the points comparable to it.  No point off the worklist is a beat point, so
         the first queued point that tests as one is the lowest-placed.
         """
         n = len(self)
         if n < 2:
             return self
-        keep = _stong_core(self._view, (1 << n) - 1, range(n))
+        keep = _stong_core(_RankMasks(self._view), (1 << n) - 1, range(n))
         return self if len(keep) == n else self._restrict(keep)
 
     def is_contractible(self):
@@ -268,15 +279,33 @@ class FinitePoset:
 
 
 class _RankView:
-    """The rank-bitmask view of an order (see FinitePoset).
+    """The one stored copy of an order (see FinitePoset).
 
     order is a linear extension (point indices by rank) and rank its
-    inverse; below[i] and above[i] are the rank masks of the points
-    strictly below and above point i, and down[i] and up[i] the same
-    points as ascending index lists, for iteration.
+    inverse; down[i] and up[i] are the ascending index lists of the
+    points strictly below and above point i.
     """
 
-    __slots__ = ("order", "rank", "below", "above", "down", "up")
+    __slots__ = ("order", "rank", "down", "up")
+
+
+class _RankMasks:
+    """Rank masks of an order, the one place they are built: scratch data
+    for a call that tests sets of points over and over.
+
+    A set of points is an int with bit rank[i] set for point i; below[i]
+    and above[i] are the masks of the points strictly below and above
+    point i.  order, rank, down and up are the view's own lists.  Built
+    from a _RankView in Theta(n^2) bits, so a call builds them once and
+    no poset keeps them.
+    """
+
+    __slots__ = ("order", "rank", "down", "up", "below", "above")
+
+    def __init__(self, view):
+        self.order, self.rank, self.down, self.up = view.order, view.rank, view.down, view.up
+        self.below = [self.mask(down) for down in view.down]
+        self.above = [self.mask(up) for up in view.up]
 
     def mask(self, indices):
         """The rank mask of the given point indices."""
@@ -323,8 +352,6 @@ def _view_from_down(down):
     for i, below in enumerate(down):
         for j in below:
             view.up[j].append(i)
-    view.below = [view.mask(below) for below in down]
-    view.above = [view.mask(above) for above in view.up]
     return view
 
 
@@ -338,25 +365,26 @@ def _bits(mask):
     return out
 
 
-def _values_above(view, allowed, values):
+def _values_above(masks, allowed, values):
     """Ascending indices of the points of the rank mask allowed that lie at
     or above every point index in values.
 
-    The candidate values at a point of a monotone map whose strict
-    predecessors took the given values.
+    masks are the _RankMasks of the target.  The candidate values at a
+    point of a monotone map whose strict predecessors took the given
+    values.
     """
     for v in values:
-        allowed &= view.above[v] | 1 << view.rank[v]
-    return sorted(view.order[r] for r in _bits(allowed))
+        allowed &= masks.above[v] | 1 << masks.rank[v]
+    return sorted(masks.order[r] for r in _bits(allowed))
 
 
-def _stong_core(view, alive, points):
+def _stong_core(masks, alive, points):
     """Sorted indices of the Stong core of some points of a poset.
 
-    view is the poset's rank view (see FinitePoset), points an iterable
-    of point indices, read once, and alive their rank mask, so no
-    subposet is built.  y is a beat point iff the live points below it
-    have a maximum or those above it a minimum.  The worklist, an int
+    masks are the poset's _RankMasks, points an iterable of point
+    indices, read once, and alive their rank mask, so no subposet is
+    built.  y is a beat point iff the live points below it have a
+    maximum or those above it a minimum.  The worklist, an int
     with one bit per point in index order, is tested lazily: its lowest
     point is taken, and dropped if it is no beat point.  Only removing a
     point comparable to y can make y one, as its tests read nothing
@@ -365,8 +393,8 @@ def _stong_core(view, alive, points):
     tests as one is the lowest-index beat point, as FinitePoset.core
     promises.
     """
-    rank, below, above = view.rank, view.below, view.above
-    max_of, min_of, up, down = view.max_of, view.min_of, view.up, view.down
+    rank, below, above = masks.rank, masks.below, masks.above
+    max_of, min_of, up, down = masks.max_of, masks.min_of, masks.up, masks.down
     points = sorted(points)
     bit = {i: 1 << b for b, i in enumerate(points)}
     keep = work = (1 << len(points)) - 1  # keep: the live points
@@ -477,21 +505,27 @@ def build_poset(elements, relations):
     """Build a FinitePoset from raw relations (pairs meaning x < y).
 
     Undeclared ids raise UnknownElement, then duplicate ids
-    DuplicateElement.  The relations are closed reflexively and
+    DuplicateElement, then the first relation (x, x), a cycle of length
+    one, CycleError naming x.  The relations are closed reflexively and
     transitively on the masks of the points below each point (Warshall:
     for each k, every mask holding bit k takes in the mask of k) and
-    checked by _strict_down, as a raw matrix is; the points of a cycle
-    end up below each other, so a cycle raises CycleError.
+    checked by _strict_down, as a raw matrix is; the points of a longer
+    cycle end up below each other, so it raises CycleError too.
     """
     elements = tuple(elements)
     index = {x: i for i, x in enumerate(elements)}
     down = [1 << i for i in range(len(elements))]
+    loops = []
     for a, b in relations:
         for x in (a, b):
             if x not in index:
                 raise UnknownElement(f"relation references undeclared element {x!r}")
+        if a == b:
+            loops.append(a)
         down[index[b]] |= 1 << index[a]
     _check_unique(elements, index)
+    if loops:
+        raise CycleError(f"cycle through {loops[0]!r}")
     for k, below_k in enumerate(down):
         bit = 1 << k
         for j, below in enumerate(down):
@@ -513,9 +547,9 @@ class PosetMap:
 
     A map stores its values once, in the private slot _pos: _pos[i] is
     the index in target of the image of source point i, so every map
-    lives in the index space of its two posets' rank views (see
-    FinitePoset).  This constructor is the only door for an element
-    dict: it checks that every source point has a value in the target.
+    lives in the index space of its two posets (see FinitePoset).  This
+    constructor is the only door for an element dict: it checks that
+    every source point has a value in the target.
     Maps the package derives from valid data (then, identity_map,
     chain_max_map, order_preserving_maps, random_monotone_map, the graph
     projections and the core inclusion of maps.projections_on_core) are
@@ -641,11 +675,11 @@ def check_continuous(f):
 
     Pairs are scanned row-major in source element order.
     """
-    X, view, idx = f.source, f.target._view, f._pos
+    X, down, idx = f.source, f.target._view.down, f._pos
     for i, up in enumerate(X._view.up):
-        allowed = view.above[idx[i]] | 1 << view.rank[idx[i]]
+        a = idx[i]
         for j in up:
-            if not allowed >> view.rank[idx[j]] & 1:
+            if a != idx[j] and a not in down[idx[j]]:
                 return False, (X.elements[i], X.elements[j])
     return True, None
 
@@ -670,8 +704,8 @@ def order_preserving_maps(X, Y, candidates, budget=DEFAULT_BUDGET):
     one point) counts against the budget, and the assignment after the
     budget-th one raises BudgetExceeded.
     """
-    order, preds, view = X._view.order, X._view.down, Y._view
-    allowed = [view.mask(map(Y.index, candidates(X.elements[i]))) for i in order]
+    order, preds, masks = X._view.order, X._view.down, _RankMasks(Y._view)
+    allowed = [masks.mask(map(Y.index, candidates(X.elements[i]))) for i in order]
     value = [None] * len(X)  # point of X -> index of its value in Y
     stack = []
     expanded = 0
@@ -681,7 +715,7 @@ def order_preserving_maps(X, Y, candidates, budget=DEFAULT_BUDGET):
             yield _map(X, Y, value)
         else:
             values = [value[p] for p in preds[order[i]]]
-            stack.append(iter(_values_above(view, allowed[i], values)))
+            stack.append(iter(_values_above(masks, allowed[i], values)))
         while stack:
             j = next(stack[-1], None)
             if j is not None:

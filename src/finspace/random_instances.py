@@ -8,7 +8,7 @@ test suites re-certify hypotheses before asserting conclusions.
 
 from .complexes import barycentric_subdivision_space, chain_max_map
 from .maps import MultiMap, classify_continuity
-from .poset import _map, _values_above, build_poset, identity_map
+from .poset import _RankMasks, _map, _values_above, build_poset, identity_map
 
 __all__ = [
     "random_poset",
@@ -40,13 +40,13 @@ def random_monotone_map(rng, X, Y, attempts=200):
     uniformly among the values compatible with the already-assigned
     strict predecessors.
     """
-    order, preds, view = X._view.order, X._view.down, Y._view
+    order, preds, masks = X._view.order, X._view.down, _RankMasks(Y._view)
     everything = (1 << len(Y)) - 1
     for _ in range(attempts):
         partial = [None] * len(X)  # point of X -> index of its value in Y
         for i in order:
             values = [partial[p] for p in preds[i]]
-            cands = _values_above(view, everything, values)  # in Y.elements order
+            cands = _values_above(masks, everything, values)  # in Y.elements order
             if not cands:
                 break
             partial[i] = rng.choice(cands)

@@ -146,12 +146,6 @@ def test_boundary_squares_to_zero(circle):
     assert K.boundary_matrix(5) == intmat.zeros(0, 0)
 
 
-def test_export_text(circle):
-    K = order_complex(circle)
-    lines = K.export_text().strip().splitlines()
-    assert len(lines) == 8 and "a c" in lines
-
-
 def test_simplicial_map_validation(circle):
     K = order_complex(circle)
     with pytest.raises(ValueError, match="no image for vertex 'd'"):

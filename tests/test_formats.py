@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from finspace.cli import main
 from finspace.dynamics import build_tower
-from finspace.errors import InputError
+from finspace.errors import CycleError, InputError
 from finspace.formats import (
     element_label,
     label_lookup,
@@ -51,6 +52,16 @@ def test_poset_parse_errors():
     ]:
         with pytest.raises(InputError):
             parse_poset_text(text)
+
+
+def test_self_relation_is_a_cycle(tmp_path, capsys):
+    text = "elements: a b\nrel: a < b\nrel: a < a\n"
+    with pytest.raises(CycleError, match="cycle through 'a'$"):
+        parse_poset_text(text)
+    path = tmp_path / "loop.txt"
+    path.write_text(text)
+    assert main(["homology", "--poset", str(path)]) == 2
+    assert "cycle through 'a'" in capsys.readouterr().err
 
 
 def test_map_round_trip(circle):

@@ -24,7 +24,6 @@ from finspace.errors import (
 from finspace.homology import (
     _residual_homology,
     homology,
-    identity_induced,
     induced_map_of_poset_map,
     induced_on_homology,
     invert,
@@ -245,7 +244,7 @@ def test_invert_errors():
     with pytest.raises(NotInvertible) as exc:
         invert(c)
     assert exc.value.dimension == 1
-    ident = identity_induced(poset_homology(circle))
+    ident = induced_map_of_poset_map(identity_map(circle))
     inv = invert(ident)
     assert inv.matrix_at(1) == [[1]]
 

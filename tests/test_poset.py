@@ -63,6 +63,11 @@ def test_build_rejects_bad_input():
         build_poset("aa", [])
     with pytest.raises(UnknownElement):
         build_poset("ab", [("a", "q")])
+    # x < x is a cycle of length one, not reflexivity; duplicate ids come first
+    with pytest.raises(CycleError, match="cycle through 'b'$"):
+        build_poset("abc", [("a", "b"), ("b", "b"), ("c", "c")])
+    with pytest.raises(DuplicateElement):
+        build_poset("aa", [("a", "a")])
 
 
 def test_constructor_checks_raw_matrices():
@@ -120,7 +125,9 @@ def _numpy_closure(mat):
 
 
 def _numpy_build(elements, relations):
-    """The numpy body of build_poset, down to the constructor's check."""
+    """The numpy body of build_poset, down to the constructor's check, with
+    a relation (x, x), a cycle of length one, reported after duplicate ids
+    (the numpy body read it as reflexivity)."""
     elements = list(elements)
     index = {x: i for i, x in enumerate(elements)}
     mat = np.eye(len(elements), dtype=bool)
@@ -129,6 +136,9 @@ def _numpy_build(elements, relations):
             if x not in index:
                 raise UnknownElement(f"relation references undeclared element {x!r}")
         mat[index[a], index[b]] = True
+    loops = [a for a, b in relations if a == b]
+    if loops and len(index) == len(elements):
+        raise CycleError(f"cycle through {loops[0]!r}")
     return _numpy_door(elements, _numpy_closure(mat))
 
 
@@ -431,8 +441,8 @@ def test_core_matches_the_beat_point_loop():
             f"seed {seed}, instance {k}\nX:\n{serialize_poset(X)}")
         removed += len(X) - len(got)
         subset = set(rng.sample(range(len(X)), rng.randint(1, len(X))))
-        view = X._view
-        keep = poset._stong_core(view, view.mask(subset), sorted(subset))
+        masks = poset._RankMasks(X._view)
+        keep = poset._stong_core(masks, masks.mask(subset), sorted(subset))
         want = _core_by_rescanning(X.subposet([X.elements[i] for i in subset]))
         assert [X.elements[i] for i in keep] == list(want.elements), (
             f"seed {seed}, instance {k}, subset {sorted(subset)}\n"
@@ -444,22 +454,22 @@ def test_core_matches_the_beat_point_loop():
 def test_stong_core_reads_points_once(circle):
     # points may be a one-shot iterator: every subset of the circle, and a
     # chain whose core is its top
-    view = circle._view
+    masks = poset._RankMasks(circle._view)
     for size in range(1, 5):
         for subset in itertools.combinations(range(4), size):
-            keep = poset._stong_core(view, view.mask(subset), iter(subset))
+            keep = poset._stong_core(masks, masks.mask(subset), iter(subset))
             want = _core_by_rescanning(circle.subposet([circle.elements[i] for i in subset]))
             assert [circle.elements[i] for i in keep] == list(want.elements), subset
     chain = build_poset("pqr", [("p", "q"), ("q", "r")])
-    assert poset._stong_core(chain._view, 7, iter(range(3))) == [2]
+    assert poset._stong_core(poset._RankMasks(chain._view), 7, iter(range(3))) == [2]
 
 
-def _stong_core_by_flags(view, alive, points):
+def _stong_core_by_flags(masks, alive, points):
     """The flag-dict and heap worklist _stong_core replaced: down/up flags
     for every point first, a heap of the beat points, and a re-test of the
     points comparable to each removed one."""
-    rank, below, above = view.rank, view.below, view.above
-    max_of, min_of = view.max_of, view.min_of
+    rank, below, above = masks.rank, masks.below, masks.above
+    max_of, min_of = masks.max_of, masks.min_of
     down = {y: max_of(below[y] & alive) is not None for y in points}
     up = {y: min_of(above[y] & alive) is not None for y in points}
     heap = sorted(y for y in down if down[y] or up[y])  # sorted: a heap
@@ -469,12 +479,12 @@ def _stong_core_by_flags(view, alive, points):
             continue  # stale entry: x was removed or is no beat point now
         del down[x], up[x]  # the flags' keys are the live points
         alive ^= 1 << rank[x]
-        for flags, masks, test, ys in ((down, below, max_of, view.up[x]),
-                                       (up, above, min_of, view.down[x])):
+        for flags, sets, test, ys in ((down, below, max_of, masks.up[x]),
+                                      (up, above, min_of, masks.down[x])):
             for y in ys:
                 if y in flags:
                     was = down[y] or up[y]
-                    flags[y] = test(masks[y] & alive) is not None
+                    flags[y] = test(sets[y] & alive) is not None
                     if flags[y] and not was:
                         heapq.heappush(heap, y)
     return sorted(down)
@@ -503,9 +513,9 @@ def test_stong_core_matches_the_flag_worklist(circle):
     instances = removed = 0
     for k, X, subset in _tower_subsets(rng, circle):
         rng.shuffle(subset)
-        view = X._view
-        got = poset._stong_core(view, view.mask(subset), iter(subset))
-        want = _stong_core_by_flags(view, view.mask(subset), subset)
+        masks = poset._RankMasks(X._view)
+        got = poset._stong_core(masks, masks.mask(subset), iter(subset))
+        want = _stong_core_by_flags(masks, masks.mask(subset), subset)
         assert got == want, (
             f"seed {seed}, instance {k}, subset {sorted(subset)}\n"
             f"X:\n{serialize_poset(X)}")
@@ -561,16 +571,21 @@ def test_rank_view_matches_the_matrix():
     for k, X, leq in _view_corpus(seed, 360):
         msg = f"seed {seed}, instance {k}\nX:\n{serialize_poset(X)}"
         els, n = X.elements, len(X)
-        view = X._view
+        view, masks = X._view, poset._RankMasks(X._view)
         assert sorted(view.order) == list(range(n)), msg
         assert all(view.rank[i] == r for r, i in enumerate(view.order)), msg
         for i in range(n):
             below = [j for j in range(n) if j != i and leq[j, i]]
             above = [j for j in range(n) if j != i and leq[i, j]]
             assert view.down[i] == below and view.up[i] == above, msg
-            assert view.below[i] == sum(1 << view.rank[j] for j in below), msg
-            assert view.above[i] == sum(1 << view.rank[j] for j in above), msg
+            assert masks.below[i] == sum(1 << view.rank[j] for j in below), msg
+            assert masks.above[i] == sum(1 << view.rank[j] for j in above), msg
             assert all(view.rank[j] < view.rank[i] for j in below), msg
+        assert all(X.leq(x, y) == leq[i, j]
+                   for i, x in enumerate(els) for j, y in enumerate(els)), msg
+        strict = leq & ~np.eye(n, dtype=bool)
+        reduction = strict & ~(strict.astype(int) @ strict.astype(int)).astype(bool)
+        assert X.covers() == [(els[i], els[j]) for i, j in np.argwhere(reduction)], msg
         assert X.maximum() == _matrix_extremum(X, leq, None), msg
         assert X.minimum() == _matrix_extremum(X, leq.T, None), msg
         for _ in range(6):
@@ -664,10 +679,11 @@ def test_equality_up_to_element_order():
 
 
 def test_equality_with_itself_compares_nothing(circle, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a poset was compared with itself entry by entry")
+    class Refuse:
+        def __getattr__(self, name):
+            raise AssertionError("a poset was compared with itself entry by entry")
 
-    monkeypatch.setattr(poset._RankView, "mask", refuse)
+    monkeypatch.setattr(circle, "_view", Refuse())
     assert circle == circle and circle.__eq__(circle) is True
 
 
@@ -852,8 +868,8 @@ def _maps_by_dict(X, Y, candidates):
     dict and checked again by the PosetMap constructor."""
     order = X.linear_extension()
     preds = {x: X.strict_down_set(x) for x in order}
-    view = Y._view
-    allowed = [view.mask(map(Y.index, candidates(x))) for x in order]
+    masks = poset._RankMasks(Y._view)
+    allowed = [masks.mask(map(Y.index, candidates(x))) for x in order]
     value, stack, out = {}, [], []
     while True:
         i = len(stack)
@@ -861,7 +877,7 @@ def _maps_by_dict(X, Y, candidates):
             out.append(PosetMap(X, Y, {x: Y.elements[value[x]] for x in order}))
         else:
             values = [value[p] for p in preds[order[i]]]
-            stack.append(iter(poset._values_above(view, allowed[i], values)))
+            stack.append(iter(poset._values_above(masks, allowed[i], values)))
         while stack:
             j = next(stack[-1], None)
             if j is not None:
@@ -876,11 +892,11 @@ def _random_monotone_by_dict(rng, X, Y, attempts=200):
     """The element-dict body of random_monotone_map."""
     order = X.linear_extension()
     preds = {x: X.strict_down_set(x) for x in order}
-    view, everything = Y._view, (1 << len(Y)) - 1
+    masks, everything = poset._RankMasks(Y._view), (1 << len(Y)) - 1
     for _ in range(attempts):
         partial = {}
         for x in order:
-            cands = poset._values_above(view, everything, [partial[p] for p in preds[x]])
+            cands = poset._values_above(masks, everything, [partial[p] for p in preds[x]])
             if not cands:
                 break
             partial[x] = rng.choice(cands)
