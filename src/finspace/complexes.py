@@ -318,9 +318,9 @@ def chain_max_map(X1, X):
     X1 is barycentric_subdivision_space(X).  Its chains are stored in
     element order, which need not follow the order of X, so the maximum
     is not read off the end of the tuple: it is the point of the chain
-    with the highest rank in X's rank view (ranks extend the order).
+    with the highest rank in X (ranks extend the order).
     """
-    index, rank, order = X._index, X._view.rank, X._view.order
+    index, rank, order = X._index, X._rank, X._order
     return _map(X1, X, [order[max([rank[index[x]] for x in c])] for c in X1.elements])
 
 

@@ -50,23 +50,26 @@ class Tower:
 
 
 def build_tower(X0, depth, size_budget=DEFAULT_SIZE_BUDGET):
-    """Subdivide depth times; each h sends a chain to its maximum."""
+    """Subdivide depth times; each h sends a chain to its maximum.
+
+    A level's size, the chain count of the level below, is checked
+    against the budget and the warning size before the level is built.
+    """
     if depth < 0:
         raise IndexRange(f"negative depth {depth}")
     levels = [X0]
     h_maps = []
     for n in range(depth):
         Xn = levels[-1]
-        Xn1 = barycentric_subdivision_space(Xn)
-        if len(Xn1) > size_budget:
-            raise SizeBudgetExceeded(
-                f"level {n + 1} has {len(Xn1)} elements (budget {size_budget})"
-            )
-        if len(Xn1) > _WARN_LEVEL_SIZE:
+        size = Xn._chain_count()
+        if size > size_budget:
+            raise SizeBudgetExceeded(f"level {n + 1} has {size} elements (budget {size_budget})")
+        if size > _WARN_LEVEL_SIZE:
             warnings.warn(
-                f"subdivision level {n + 1} has {len(Xn1)} elements; "
+                f"subdivision level {n + 1} has {size} elements; "
                 "deeper levels grow super-exponentially"
             )
+        Xn1 = barycentric_subdivision_space(Xn)
         levels.append(Xn1)
         h_maps.append(chain_max_map(Xn1, Xn))
     return Tower(levels, h_maps)

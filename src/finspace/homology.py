@@ -33,7 +33,7 @@ from .errors import (
     ProfileMismatch,
 )
 from .intmat import smith_normal_form
-from .poset import _RankMasks, _positions, _stong_core, require_continuous
+from .poset import _RankMasks, _cone_or_core, _positions, _stong_core, require_continuous
 
 __all__ = [
     "HomologyProfile",
@@ -332,7 +332,7 @@ def is_acyclic(X):
     """
     if len(X) == 0:
         raise EmptySubspace("the empty subspace is not acyclic")
-    hp = _core_homology(X, _RankMasks(X._view), range(len(X)))
+    hp = _core_homology(X, _RankMasks(X), range(len(X)))
     return hp is None or hp.is_acyclic()
 
 
@@ -340,20 +340,18 @@ def _core_homology(X, masks, points):
     """None when some points of X are acyclic by a cone or a one-point
     core, else the homology profile of their Stong core.
 
-    masks are X's _RankMasks, built once by the caller however many
+    masks are X's rank masks, built once by the caller however many
     sets it tests, and points lists the point indices, so the points
     need not form a subposet first.  A set with a maximum or a minimum is
     contractible (Stong, Trans. AMS 1966), a cone, so it is acyclic
-    without a core.  Otherwise its Stong core is a strong deformation
-    retract (same reference) with the same Betti numbers and torsion; a
-    one-point core is acyclic, and only a larger one becomes a poset, for
-    its homology.
+    without a core.  Otherwise its Stong core, found by this module's
+    _stong_core, is a strong deformation retract (same reference) with
+    the same Betti numbers and torsion; a one-point core is acyclic, and
+    only a larger one becomes a poset, for its homology.  Both tests run
+    in poset._cone_or_core, on the point indices.
     """
-    alive = masks.mask(points)
-    if masks.max_of(alive) is not None or masks.min_of(alive) is not None:
-        return None
-    keep = _stong_core(masks, alive, points)
-    return poset_homology(X._restrict(keep)) if len(keep) > 1 else None
+    keep = _cone_or_core(masks, points, _stong_core)
+    return poset_homology(X._restrict(keep)) if keep and len(keep) > 1 else None
 
 
 class InducedMap:

@@ -42,18 +42,6 @@ def matmul(A, B):
     return [[sum(a * b for a, b in zip(row, col) if a) for col in Bt] for row in A]
 
 
-def matvec(A, v):
-    return [sum(a * b for a, b in zip(row, v) if a) for row in A]
-
-
-def is_zero(M):
-    return all(all(x == 0 for x in row) for row in M)
-
-
-def eq(A, B):
-    return shape(A) == shape(B) and all(ra == rb for ra, rb in zip(A, B))
-
-
 def hstack_cols(M, cols):
     """Submatrix of the given columns."""
     return [[row[j] for j in cols] for row in M]

@@ -15,6 +15,7 @@ from .errors import (
     NotSurjective,
     NotUsc,
     ProjectionNotIso,
+    UnknownElement,
 )
 from .homology import (
     _core_homology,
@@ -53,7 +54,10 @@ class MultiMap:
         self.values = vals
 
     def __call__(self, x):
-        return self.values[x]
+        try:
+            return self.values[x]
+        except KeyError:
+            raise UnknownElement(f"unknown element {x!r}") from None
 
     def __eq__(self, other):
         if not isinstance(other, MultiMap):
@@ -135,13 +139,13 @@ def classify_continuity(F):
     F(x).
     """
     X, Y = F.source, F.target
-    down = Y._view.down
+    down = Y._down
     values, closed = [], []
     for x in X.elements:
         idx = {Y.index(y) for y in F(x)}
         values.append(idx)
         closed.append(idx.union(*(down[i] for i in idx)))
-    pairs = [(i, j) for i, up in enumerate(X._view.up) for j in up]
+    pairs = [(i, j) for i, up in enumerate(X._up) for j in up]
     return ContinuityFlags(
         usc=all(values[i] <= closed[j] for i, j in pairs),
         lsc=all(values[j] <= closed[i] for i, j in pairs),
@@ -208,7 +212,7 @@ def _certify(f):
     fibers = [[] for _ in Y.elements]
     for i, j in enumerate(f._pos):
         fibers[j].append(i)
-    masks = _RankMasks(X._view)
+    masks = _RankMasks(X)
     # the walk lists index chains in lexicographic order, so a stable sort
     # by length orders them shortest first, then by target positions
     for idx in sorted(Y._index_chains(), key=len):

@@ -10,10 +10,11 @@ A poset stores its order once, as index lists and a linear extension
 FinitePoset(elements, matrix) or build_poset(elements, relations); both
 turn them into per-point masks of the points below, Python ints, run one
 check on those masks and keep only the lists.  Rank masks are scratch
-data: _RankMasks builds them inside the one call that tests sets of
-points over and over (a Stong core, a cone test, a monotone-map search),
-and they go with it.  A dense matrix exists only as the constructor's
-input and as what leq_matrix() returns.
+data that only this module builds or reads: _RankMasks builds them inside
+the one call that tests sets of points over and over (a Stong core, or a
+fiber union's cone test and core), and other modules pass point indices.
+A dense matrix exists only as the constructor's input and as what
+leq_matrix() returns.
 """
 
 from itertools import compress
@@ -30,7 +31,7 @@ DEFAULT_BUDGET = 10 ** 6
 
 
 class FinitePoset:
-    """A finite poset: element ids plus one _RankView of the order.
+    """A finite poset: element ids plus one stored copy of the order.
 
     Orders are checked once, where raw data enters.  This constructor
     takes a leq matrix as any n x n nested sequence of truthy values
@@ -45,10 +46,11 @@ class FinitePoset:
     skip the check.  leq_matrix() rebuilds a matrix on request; no order
     query reads one.
 
-    Every poset is built the same way, from the ascending index lists of
-    the points strictly below each point, into one _RankView: those
-    lists, the lists of the points strictly above, and a linear
-    extension (points by rank, and each point's rank).  No mask is kept.
+    Every poset is filled the same way, by _fill, from the ascending index
+    lists of the points strictly below each point.  It keeps those lists
+    (_down), the lists of the points strictly above (_up) and a linear
+    extension (_order, the points by rank, and _rank, each point's rank).
+    No mask is kept.
     Ranks extend the order, so the only candidate for the maximum of a
     set is its point of highest rank and the only candidate for its
     minimum the point of lowest rank: the set has a maximum iff every
@@ -57,7 +59,7 @@ class FinitePoset:
     a set is one int and each such test one AND of two ints.
     """
 
-    __slots__ = ("elements", "_index", "_hash", "_view")
+    __slots__ = ("elements", "_index", "_hash", "_down", "_up", "_order", "_rank")
 
     def __init__(self, elements, leq_matrix):
         elements = tuple(elements)
@@ -91,7 +93,7 @@ class FinitePoset:
 
     def leq(self, x, y):
         i, j = self.index(x), self.index(y)
-        return i == j or i in self._view.down[j]
+        return i == j or i in self._down[j]
 
     def lt(self, x, y):
         return x != y and self.leq(x, y)
@@ -104,7 +106,7 @@ class FinitePoset:
         constructor takes it back.
         """
         rows = [[False] * len(self) for _ in self.elements]
-        for j, down in enumerate(self._view.down):
+        for j, down in enumerate(self._down):
             rows[j][j] = True
             for i in down:
                 rows[i][j] = True
@@ -118,15 +120,15 @@ class FinitePoset:
         if set(self.elements) != set(other.elements):
             return False
         perm = [other._index[x] for x in self.elements]
-        theirs = other._view.down
+        theirs = other._down
         return all(theirs[perm[i]] == sorted([perm[j] for j in down])
-                   for i, down in enumerate(self._view.down))
+                   for i, down in enumerate(self._down))
 
     def __hash__(self):
         # the count of points below an element does not depend on the
         # element order, so equal posets hash equal
         if self._hash is None:
-            self._hash = hash(frozenset(zip(self.elements, map(len, self._view.down))))
+            self._hash = hash(frozenset(zip(self.elements, map(len, self._down))))
         return self._hash
 
     def __repr__(self):
@@ -141,15 +143,15 @@ class FinitePoset:
     def up_set(self, x):
         """Closure F_x = {y | y >= x}."""
         els = self.elements
-        return {els[j] for j in self._view.up[self.index(x)]} | {x}
+        return {els[j] for j in self._up[self.index(x)]} | {x}
 
     def strict_down_set(self, x):
         els = self.elements
-        return {els[j] for j in self._view.down[self.index(x)]}
+        return {els[j] for j in self._down[self.index(x)]}
 
     def opposite(self):
         """The same points with the order (hence the topology) reversed."""
-        return _derived(self.elements, self._view.up)
+        return _derived(self.elements, self._up)
 
     def subposet(self, subset):
         """Induced subposet on the given elements, keeping element order."""
@@ -163,17 +165,17 @@ class FinitePoset:
     def _restrict(self, keep):
         """The subposet on the ascending point indices keep."""
         pos = {i: k for k, i in enumerate(keep)}
-        down = self._view.down
+        down = self._down
         return _derived([self.elements[i] for i in keep],
                         [[pos[j] for j in down[i] if j in pos] for i in keep])
 
     def maximum(self, subset=None):
         """The maximum of the subset (default: whole space), or None."""
-        return self._extremum(subset, max, self._view.down)
+        return self._extremum(subset, max, self._down)
 
     def minimum(self, subset=None):
         """The minimum of the subset (default: whole space), or None."""
-        return self._extremum(subset, min, self._view.up)
+        return self._extremum(subset, min, self._up)
 
     def _extremum(self, subset, pick, lists):
         """The point of the subset that pick (max or min) takes by rank, if
@@ -182,13 +184,13 @@ class FinitePoset:
         points = set(range(len(self)) if subset is None else map(self.index, subset))
         if not points:
             return None
-        m = pick(points, key=self._view.rank.__getitem__)
+        m = pick(points, key=self._rank.__getitem__)
         points.discard(m)
         return self.elements[m] if points.issubset(lists[m]) else None
 
     def linear_extension(self):
         """Elements in a topological order compatible with leq (stable)."""
-        return [self.elements[i] for i in self._view.order]
+        return [self.elements[i] for i in self._order]
 
     # -- chains and Euler characteristic ---------------------------------
 
@@ -214,18 +216,11 @@ class FinitePoset:
         of their index tuples.  The chains are counted before any is
         built: more than DEFAULT_BUDGET raise BudgetExceeded.
         """
-        view = self._view
-        n = len(view.up)
-        succ = [up[::-1] for up in view.up]
-        if 2 ** n - 1 > DEFAULT_BUDGET:  # else no poset can exceed it
-            # chains starting at x: 1 + those starting above x (Python ints)
-            starting = [0] * n
-            for i in reversed(view.order):
-                starting[i] = 1 + sum(starting[j] for j in succ[i])
-            if sum(starting) > DEFAULT_BUDGET:
-                raise BudgetExceeded(
-                    f"chain enumeration exceeded its budget of {DEFAULT_BUDGET}"
-                )
+        n = len(self)
+        succ = [up[::-1] for up in self._up]
+        # fewer than 2 ** n chains: a small poset cannot exceed the budget
+        if 2 ** n - 1 > DEFAULT_BUDGET and self._chain_count() > DEFAULT_BUDGET:
+            raise BudgetExceeded(f"chain enumeration exceeded its budget of {DEFAULT_BUDGET}")
         stack = [(i,) for i in reversed(range(n))]
         out = []
         while stack:
@@ -233,6 +228,15 @@ class FinitePoset:
             out.append(c)
             stack.extend([c + (j,) for j in succ[c[-1]]])
         return out
+
+    def _chain_count(self):
+        """The number of nonempty chains, none of them built: the chains
+        starting at a point are the point alone and its extensions by the
+        chains starting above it (Python ints, so no overflow)."""
+        up, starting = self._up, [0] * len(self)
+        for i in reversed(self._order):
+            starting[i] = 1 + sum(map(starting.__getitem__, up[i]))
+        return sum(starting)
 
     def euler_characteristic(self):
         """Alternating sum of the chain counts per length."""
@@ -245,9 +249,9 @@ class FinitePoset:
 
         x < y is a cover iff no point lies above x and below y.
         """
-        els, down = self.elements, self._view.down
+        els, down = self.elements, self._down
         out = []
-        for i, up in enumerate(self._view.up):
+        for i, up in enumerate(self._up):
             above = set(up)
             out.extend((els[i], els[j]) for j in up if above.isdisjoint(down[j]))
         return out
@@ -271,41 +275,30 @@ class FinitePoset:
         n = len(self)
         if n < 2:
             return self
-        keep = _stong_core(_RankMasks(self._view), (1 << n) - 1, range(n))
+        keep = _stong_core(_RankMasks(self), (1 << n) - 1, range(n))
         return self if len(keep) == n else self._restrict(keep)
 
     def is_contractible(self):
         return len(self.core()) == 1
 
 
-class _RankView:
-    """The one stored copy of an order (see FinitePoset).
-
-    order is a linear extension (point indices by rank) and rank its
-    inverse; down[i] and up[i] are the ascending index lists of the
-    points strictly below and above point i.
-    """
-
-    __slots__ = ("order", "rank", "down", "up")
-
-
 class _RankMasks:
-    """Rank masks of an order, the one place they are built: scratch data
-    for a call that tests sets of points over and over.
+    """Rank masks of a poset's order, the one place they are built: scratch
+    data for a call that tests sets of points over and over.
 
     A set of points is an int with bit rank[i] set for point i; below[i]
     and above[i] are the masks of the points strictly below and above
-    point i.  order, rank, down and up are the view's own lists.  Built
-    from a _RankView in Theta(n^2) bits, so a call builds them once and
-    no poset keeps them.
+    point i.  order, rank, down and up are the poset's own lists.  They
+    take Theta(n^2) bits, so a call builds them once and no poset keeps
+    them.
     """
 
     __slots__ = ("order", "rank", "down", "up", "below", "above")
 
-    def __init__(self, view):
-        self.order, self.rank, self.down, self.up = view.order, view.rank, view.down, view.up
-        self.below = [self.mask(down) for down in view.down]
-        self.above = [self.mask(up) for up in view.up]
+    def __init__(self, P):
+        self.order, self.rank, self.down, self.up = P._order, P._rank, P._down, P._up
+        self.below = list(map(self.mask, self.down))
+        self.above = list(map(self.mask, self.up))
 
     def mask(self, indices):
         """The rank mask of the given point indices."""
@@ -334,27 +327,6 @@ class _RankMasks:
         return None
 
 
-def _view_from_down(down):
-    """The _RankView of an order given, per point, by the ascending list of
-    the indices of the points strictly below it.
-
-    A point has fewer points below it than any point above it, so sorting
-    by that count (stably, ties by index) is a linear extension.  The up
-    lists come out ascending because the points are visited in index order.
-    """
-    view = object.__new__(_RankView)
-    view.down = down
-    view.order = sorted(range(len(down)), key=lambda i: len(down[i]))
-    view.rank = rank = [0] * len(down)
-    for r, i in enumerate(view.order):
-        rank[i] = r
-    view.up = [[] for _ in down]
-    for i, below in enumerate(down):
-        for j in below:
-            view.up[j].append(i)
-    return view
-
-
 def _bits(mask):
     """The positions of the set bits of an int, ascending."""
     out = []
@@ -365,17 +337,30 @@ def _bits(mask):
     return out
 
 
-def _values_above(masks, allowed, values):
-    """Ascending indices of the points of the rank mask allowed that lie at
-    or above every point index in values.
-
-    masks are the _RankMasks of the target.  The candidate values at a
+def _values_above(Y, allowed, values):
+    """Ascending indices of the points of the index set allowed that lie at
+    or above every point index in values: the candidate values in Y at a
     point of a monotone map whose strict predecessors took the given
     values.
     """
+    up = Y._up
     for v in values:
-        allowed &= masks.above[v] | 1 << masks.rank[v]
-    return sorted(masks.order[r] for r in _bits(allowed))
+        above = allowed.intersection(up[v])
+        if v in allowed:
+            above.add(v)
+        allowed = above
+    return sorted(allowed)
+
+
+def _cone_or_core(masks, points, stong_core):
+    """None if the point indices points have a maximum or a minimum (a
+    cone), else the sorted indices of their Stong core, found by
+    stong_core (_stong_core, as the caller binds it) on the poset's
+    _RankMasks masks and the points' rank mask, built once for both."""
+    alive = masks.mask(points)
+    if masks.max_of(alive) is not None or masks.min_of(alive) is not None:
+        return None
+    return stong_core(masks, alive, points)
 
 
 def _stong_core(masks, alive, points):
@@ -461,7 +446,22 @@ def _strict_down(elements, down):
 
 
 def _fill(P, elements, index, down):
-    P.elements, P._index, P._hash, P._view = elements, index, None, _view_from_down(down)
+    """Fill the slots of the poset P from down, per point the ascending
+    list of the indices of the points strictly below it.
+
+    A point has fewer points below it than any point above it, so sorting
+    by that count (stably, ties by index) is a linear extension.  The up
+    lists come out ascending because the points are visited in index order.
+    """
+    P.elements, P._index, P._hash, P._down = elements, index, None, down
+    P._order = order = sorted(range(len(down)), key=lambda i: len(down[i]))
+    P._rank = rank = [0] * len(down)
+    for r, i in enumerate(order):
+        rank[i] = r
+    P._up = up = [[] for _ in down]
+    for i, below in enumerate(down):
+        for j in below:
+            up[j].append(i)
     return P
 
 
@@ -495,7 +495,7 @@ def _pairs_at_or_below(P, idx):
     for k, i in enumerate(idx):
         at[i] |= 1 << k
     out = at[:]
-    for i, down in enumerate(P._view.down):
+    for i, down in enumerate(P._down):
         for j in down:
             out[i] |= at[j]
     return out
@@ -618,7 +618,8 @@ class PosetMap:
         return len(set(self._pos)) == len(self.target)
 
     def preimage(self, y):
-        return {x for x, fx in self.assignment.items() if fx == y}
+        j = self.target.index(y)
+        return {x for x, k in zip(self.source.elements, self._pos) if k == j}
 
     def fibers(self):
         """{y: preimage(y)} for every y of the target, in one pass."""
@@ -675,8 +676,8 @@ def check_continuous(f):
 
     Pairs are scanned row-major in source element order.
     """
-    X, down, idx = f.source, f.target._view.down, f._pos
-    for i, up in enumerate(X._view.up):
+    X, down, idx = f.source, f.target._down, f._pos
+    for i, up in enumerate(X._up):
         a = idx[i]
         for j in up:
             if a != idx[j] and a not in down[idx[j]]:
@@ -695,7 +696,7 @@ def order_preserving_maps(X, Y, candidates, budget=DEFAULT_BUDGET):
     """Lazily yield every order-preserving f: X -> Y with f(x) in candidates(x).
 
     Backtracks over the points of X in the order of its linear extension
-    (X._view.order), which lists every strict predecessor of a point
+    (X._order), which lists every strict predecessor of a point
     before it, so a left-to-right assignment has always fixed them when
     the point is reached; an explicit stack of value iterators means the
     depth of X costs no recursion.  Values are tried in Y.index order; a
@@ -704,8 +705,8 @@ def order_preserving_maps(X, Y, candidates, budget=DEFAULT_BUDGET):
     one point) counts against the budget, and the assignment after the
     budget-th one raises BudgetExceeded.
     """
-    order, preds, masks = X._view.order, X._view.down, _RankMasks(Y._view)
-    allowed = [masks.mask(map(Y.index, candidates(X.elements[i]))) for i in order]
+    order, preds = X._order, X._down
+    allowed = [set(map(Y.index, candidates(X.elements[i]))) for i in order]
     value = [None] * len(X)  # point of X -> index of its value in Y
     stack = []
     expanded = 0
@@ -715,7 +716,7 @@ def order_preserving_maps(X, Y, candidates, budget=DEFAULT_BUDGET):
             yield _map(X, Y, value)
         else:
             values = [value[p] for p in preds[order[i]]]
-            stack.append(iter(_values_above(masks, allowed[i], values)))
+            stack.append(iter(_values_above(Y, allowed[i], values)))
         while stack:
             j = next(stack[-1], None)
             if j is not None:

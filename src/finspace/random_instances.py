@@ -8,7 +8,7 @@ test suites re-certify hypotheses before asserting conclusions.
 
 from .complexes import barycentric_subdivision_space, chain_max_map
 from .maps import MultiMap, classify_continuity
-from .poset import _RankMasks, _map, _values_above, build_poset, identity_map
+from .poset import _map, _values_above, build_poset, identity_map
 
 __all__ = [
     "random_poset",
@@ -36,17 +36,15 @@ def random_poset(rng, max_size, density=0.3):
 def random_monotone_map(rng, X, Y, attempts=200):
     """A random continuous map X -> Y, or None if sampling keeps failing.
 
-    Samples greedily in the linear extension of X's rank view, choosing
-    uniformly among the values compatible with the already-assigned
-    strict predecessors.
+    Samples greedily in X's linear extension, choosing uniformly among
+    the values compatible with the already-assigned strict predecessors.
     """
-    order, preds, masks = X._view.order, X._view.down, _RankMasks(Y._view)
-    everything = (1 << len(Y)) - 1
+    order, preds, everything = X._order, X._down, set(range(len(Y)))
     for _ in range(attempts):
         partial = [None] * len(X)  # point of X -> index of its value in Y
         for i in order:
             values = [partial[p] for p in preds[i]]
-            cands = _values_above(masks, everything, values)  # in Y.elements order
+            cands = _values_above(Y, everything, values)  # in Y.elements order
             if not cands:
                 break
             partial[i] = rng.choice(cands)

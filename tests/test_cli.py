@@ -94,6 +94,30 @@ def test_tower_verbs_match_golden_output(capsys, tmp_path, verb, options, name):
     assert out.encode() == (Path(__file__).parent / "data" / name).read_bytes()
 
 
+SRC_FIXTURES = "src/finspace/fixtures/"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("homology", "--poset", "ex2_3_X.txt"), "homology_ex2_3_X.json"),
+    (("lefschetz", "--poset", "ex_postA_X.txt", "--map", "ex_postA_f.txt"),
+     "lefschetz_ex_postA.json"),
+    (("check", "--source", "ex2_12_X.txt", "--multimap", "ex2_12_F.txt"), "check_ex2_12.json"),
+    (("check", "--source", "ex2_3_X.txt", "--target", "ex2_3_Y.txt", "--map", "ex2_3_f.txt"),
+     "check_map_ex2_3.json"),
+])
+def test_single_verbs_match_golden_output(capsys, monkeypatch, argv, name):
+    """Each report, byte for byte, against the committed copy that CI diffs.
+    A report names its input files as given, so they are given as CI
+    does, relative to the repository root."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(root)
+    verb, *options = argv
+    options = [o if o.startswith("--") else SRC_FIXTURES + o for o in options]
+    code, out, _ = run(capsys, "--emit", "json", verb, *options)
+    assert code == 0
+    assert out.encode() == (root / "tests" / "data" / name).read_bytes()
+
+
 def test_lefschetz_verb(capsys):
     code, rep, _ = run_json(
         capsys,

@@ -116,7 +116,7 @@ def test_face_poset_matches_the_closure():
         assert np.array_equal(got.leq_matrix(), want.leq_matrix()), (
             f"{label}\n{serialize_poset(want)}")
         # the faces below each simplex come as an ascending index list
-        assert got._view.down == want._view.down, label
+        assert got._down == want._down, label
 
 
 def test_face_poset_rejects_a_complex_missing_a_face():
@@ -141,7 +141,7 @@ def test_boundary_squares_to_zero(circle):
     K = order_complex(circle)
     for d in range(1, K.dimension + 1):
         prod = intmat.matmul(K.boundary_matrix(d), K.boundary_matrix(d + 1))
-        assert intmat.is_zero(prod)
+        assert not any(map(any, prod))
     assert K.boundary_matrix(0) == intmat.zeros(0, 4)
     assert K.boundary_matrix(5) == intmat.zeros(0, 0)
 
@@ -172,7 +172,7 @@ def test_induced_simplicial_map_degenerates_to_zero(circle):
     f = PosetMap(circle, circle, {"a": "c", "b": "c", "c": "c", "d": "c"})
     K = order_complex(circle)
     cm = chain_map_of(induced_simplicial_map(f))
-    assert intmat.is_zero(_dense(cm[1], K.n_simplices(1)))  # every edge collapses
+    assert not any(map(any, _dense(cm[1], K.n_simplices(1))))  # every edge collapses
     c = K.simplex_index(("c",))
     assert _dense(cm[0], K.n_simplices(0)) == [[int(i == c)] * 4 for i in range(4)]
 
@@ -274,7 +274,7 @@ def test_chain_map_commutes_with_boundary(circle):
     for d in range(1, len(K.simplices)):
         lhs = intmat.matmul(K.boundary_matrix(d), _dense(cm[d], K.n_simplices(d)))
         rhs = intmat.matmul(_dense(cm[d - 1], K.n_simplices(d - 1)), K.boundary_matrix(d))
-        assert intmat.eq(lhs, rhs)
+        assert lhs == rhs
 
 
 def _chains_by_length(X):
@@ -424,8 +424,6 @@ def test_functor_properties(X):
     assert K.euler_characteristic() == X.euler_characteristic()
     # boundary composition vanishes in every dimension
     for d in range(1, K.dimension + 1):
-        assert intmat.is_zero(
-            intmat.matmul(K.boundary_matrix(d), K.boundary_matrix(d + 1))
-        )
+        assert not any(map(any, intmat.matmul(K.boundary_matrix(d), K.boundary_matrix(d + 1))))
     # the face poset of K(X) is the subdivision
     assert face_poset(K) == barycentric_subdivision_space(X)

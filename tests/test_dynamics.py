@@ -90,6 +90,29 @@ def test_size_budget(circle):
         build_tower(circle, 2, size_budget=10)
 
 
+def test_size_budget_is_checked_before_the_level_is_built(circle, monkeypatch):
+    real_subdivision = dynamics.barycentric_subdivision_space
+
+    def refuse_large(X):
+        X1 = real_subdivision(X)
+        assert len(X1) <= 10, f"a level of {len(X1)} points was built past the budget"
+        return X1
+
+    monkeypatch.setattr(dynamics, "barycentric_subdivision_space", refuse_large)
+    with pytest.raises(SizeBudgetExceeded, match=r"^level 2 has 16 elements \(budget 10\)$"):
+        build_tower(circle, 2, size_budget=10)
+
+    def warned_first(X):
+        X1 = real_subdivision(X)
+        assert len(X1) <= 5000 or record, "a level past 5000 points came before its warning"
+        return X1
+
+    monkeypatch.setattr(dynamics, "barycentric_subdivision_space", warned_first)
+    with pytest.warns(UserWarning, match="level 4 has 5186 elements") as record:
+        t = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 4)
+    assert [len(L) for L in t.levels] == [6, 26, 146, 866, 5186]
+
+
 def test_compose_h(circle):
     t = build_tower(circle, 2)
     h02 = compose_h(t, 0, 2)

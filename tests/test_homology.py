@@ -349,11 +349,14 @@ def _check_against_smith_forms(K, label):
         D = K.boundary_matrix(d)
         # the boundary of a fixed (d+1)-chain, added to get homologous cycles
         w = [k % 3 - 1 for k in range(K.n_simplices(d + 1))]
-        shift = intmat.matvec(K.boundary_matrix(d + 1), w) if w else [0] * n
+        shift = [0] * n
+        if w:
+            shift = [r[0] for r in intmat.matmul(K.boundary_matrix(d + 1), [[x] for x in w])]
         for j, cycle in enumerate(basis):
             assert all(0 <= i < n and x for i, x in cycle.items()), label
             col = [cycle.get(i, 0) for i in range(n)]
-            assert not any(intmat.matvec(D, col)), f"{label}: basis {d}.{j} is no cycle"
+            assert not any(map(any, intmat.matmul(D, [[x] for x in col]))), (
+                f"{label}: basis {d}.{j} is no cycle")
             unit = [int(i == j) for i in range(hp.betti[d])]
             assert hp.class_of(d, cycle) == unit, f"{label}: class of basis {d}.{j}"
             col = {i: x + y for i, (x, y) in enumerate(zip(col, shift)) if x + y}
@@ -431,11 +434,11 @@ def test_residual_smith_stage_on_unreduced_complexes():
         above = intmat.zeros(sizes[-1], 0)
         assert (betti, torsion) == _smith_profile(R + [above], sizes + [0]), label
         for d, (B, P) in enumerate(zip(bases, projs)):
-            assert intmat.eq(intmat.matmul(P, B), intmat.identity(betti[d])), label
+            assert intmat.matmul(P, B) == intmat.identity(betti[d]), label
             if d:
-                assert intmat.is_zero(intmat.matmul(R[d], B)), f"{label}: cycles {d}"
+                assert not any(map(any, intmat.matmul(R[d], B))), f"{label}: cycles {d}"
             if d + 1 < len(sizes):
-                assert intmat.is_zero(intmat.matmul(P, R[d + 1])), f"{label}: boundaries {d}"
+                assert not any(map(any, intmat.matmul(P, R[d + 1]))), f"{label}: boundaries {d}"
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -29,7 +29,7 @@ def assert_smith_form(M, ncols=None):
     # S = U M V
     S = intmat.matmul(intmat.matmul(sf.U, M if M else intmat.zeros(0, n)), sf.V)
     if m:
-        assert intmat.eq(S, sf.S)
+        assert S == sf.S
     # diagonal, non-negative, divisibility chain
     for i in range(m):
         for j in range(n):
@@ -40,8 +40,8 @@ def assert_smith_form(M, ncols=None):
     for a, b in zip(d, d[1:]):
         assert b % a == 0
     # the transforms are invertible over the integers
-    assert intmat.eq(intmat.matmul(sf.U, unimodular_inverse(sf.U)), intmat.identity(m))
-    assert intmat.eq(intmat.matmul(sf.V, unimodular_inverse(sf.V)), intmat.identity(n))
+    assert intmat.matmul(sf.U, unimodular_inverse(sf.U)) == intmat.identity(m)
+    assert intmat.matmul(sf.V, unimodular_inverse(sf.V)) == intmat.identity(n)
     # U, V unimodular
     assert _det(sf.U) in (1, -1)
     assert _det(sf.V) in (1, -1)
@@ -83,7 +83,7 @@ def test_smith_form_properties(M):
 def test_unimodular_inverse():
     M = [[2, 1], [1, 1]]
     Minv = unimodular_inverse(M)
-    assert intmat.eq(intmat.matmul(M, Minv), intmat.identity(2))
+    assert intmat.matmul(M, Minv) == intmat.identity(2)
     with pytest.raises(NotInvertible):
         unimodular_inverse([[2, 0], [0, 1]])
     with pytest.raises(NotInvertible):

@@ -84,6 +84,14 @@ def test_multimap_validation(circle):
     assert F("A") == frozenset({"A"})
 
 
+def test_point_queries_reject_unknown_points(circle):
+    f = identity_map(circle)
+    assert f.preimage("A") == {"A"}
+    for query in (f, f.preimage, as_multimap(f), circle.down_set):
+        with pytest.raises(UnknownElement, match="unknown element 'zz'"):
+            query("zz")
+
+
 def test_graph_uses_componentwise_order(circle):
     F = MultiMap(circle, circle, {x: circle.down_set(x) for x in circle.elements})
     gs = graph(F)

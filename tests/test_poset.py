@@ -217,11 +217,11 @@ def test_door_matches_the_numpy_door():
     seen = set()
     for k, kind, elements, data in _door_corpus(seed, 600):
         if kind == "relations":
-            got = _outcome(lambda e, r: build_poset(e, r)._view.down, elements, data)
+            got = _outcome(lambda e, r: build_poset(e, r)._down, elements, data)
             want = _outcome(_numpy_build, elements, data)
             shown = repr(data)
         else:
-            got = _outcome(lambda e, m: FinitePoset(e, m)._view.down, elements, data)
+            got = _outcome(lambda e, m: FinitePoset(e, m)._down, elements, data)
             want = _outcome(_numpy_door, elements, data)
             shown = repr([[int(v) for v in row] for row in data])
         msg = f"seed {seed}, instance {k}, {kind}\nelements: {elements!r}\n{kind}: {shown}"
@@ -441,7 +441,7 @@ def test_core_matches_the_beat_point_loop():
             f"seed {seed}, instance {k}\nX:\n{serialize_poset(X)}")
         removed += len(X) - len(got)
         subset = set(rng.sample(range(len(X)), rng.randint(1, len(X))))
-        masks = poset._RankMasks(X._view)
+        masks = poset._RankMasks(X)
         keep = poset._stong_core(masks, masks.mask(subset), sorted(subset))
         want = _core_by_rescanning(X.subposet([X.elements[i] for i in subset]))
         assert [X.elements[i] for i in keep] == list(want.elements), (
@@ -454,14 +454,14 @@ def test_core_matches_the_beat_point_loop():
 def test_stong_core_reads_points_once(circle):
     # points may be a one-shot iterator: every subset of the circle, and a
     # chain whose core is its top
-    masks = poset._RankMasks(circle._view)
+    masks = poset._RankMasks(circle)
     for size in range(1, 5):
         for subset in itertools.combinations(range(4), size):
             keep = poset._stong_core(masks, masks.mask(subset), iter(subset))
             want = _core_by_rescanning(circle.subposet([circle.elements[i] for i in subset]))
             assert [circle.elements[i] for i in keep] == list(want.elements), subset
     chain = build_poset("pqr", [("p", "q"), ("q", "r")])
-    assert poset._stong_core(poset._RankMasks(chain._view), 7, iter(range(3))) == [2]
+    assert poset._stong_core(poset._RankMasks(chain), 7, iter(range(3))) == [2]
 
 
 def _stong_core_by_flags(masks, alive, points):
@@ -513,7 +513,7 @@ def test_stong_core_matches_the_flag_worklist(circle):
     instances = removed = 0
     for k, X, subset in _tower_subsets(rng, circle):
         rng.shuffle(subset)
-        masks = poset._RankMasks(X._view)
+        masks = poset._RankMasks(X)
         got = poset._stong_core(masks, masks.mask(subset), iter(subset))
         want = _stong_core_by_flags(masks, masks.mask(subset), subset)
         assert got == want, (
@@ -571,16 +571,16 @@ def test_rank_view_matches_the_matrix():
     for k, X, leq in _view_corpus(seed, 360):
         msg = f"seed {seed}, instance {k}\nX:\n{serialize_poset(X)}"
         els, n = X.elements, len(X)
-        view, masks = X._view, poset._RankMasks(X._view)
-        assert sorted(view.order) == list(range(n)), msg
-        assert all(view.rank[i] == r for r, i in enumerate(view.order)), msg
+        order, rank, masks = X._order, X._rank, poset._RankMasks(X)
+        assert sorted(order) == list(range(n)), msg
+        assert all(rank[i] == r for r, i in enumerate(order)), msg
         for i in range(n):
             below = [j for j in range(n) if j != i and leq[j, i]]
             above = [j for j in range(n) if j != i and leq[i, j]]
-            assert view.down[i] == below and view.up[i] == above, msg
-            assert masks.below[i] == sum(1 << view.rank[j] for j in below), msg
-            assert masks.above[i] == sum(1 << view.rank[j] for j in above), msg
-            assert all(view.rank[j] < view.rank[i] for j in below), msg
+            assert X._down[i] == below and X._up[i] == above, msg
+            assert masks.below[i] == sum(1 << rank[j] for j in below), msg
+            assert masks.above[i] == sum(1 << rank[j] for j in above), msg
+            assert all(rank[j] < rank[i] for j in below), msg
         assert all(X.leq(x, y) == leq[i, j]
                    for i, x in enumerate(els) for j, y in enumerate(els)), msg
         strict = leq & ~np.eye(n, dtype=bool)
@@ -609,21 +609,21 @@ def test_rank_view_matches_the_matrix():
 
 def test_second_certification_builds_no_second_view(monkeypatch):
     t = build_tower(SPHERE, 1)
-    real_build = poset._view_from_down
+    real_fill = poset._fill
     built = []
 
-    def build_once(down):
+    def fill_once(P, elements, index, down):
         if built:
-            raise AssertionError("a second rank view was built")
+            raise AssertionError("a second order was filled in")
         built.append(len(down))
-        return real_build(down)
+        return real_fill(P, elements, index, down)
 
-    monkeypatch.setattr(poset, "_view_from_down", build_once)
-    # the top level's view is built with it, the one build allowed
+    monkeypatch.setattr(poset, "_fill", fill_once)
+    # the top level's order is filled in with it, the one build allowed
     X2 = barycentric_subdivision_space(t.levels[1])
     t = Tower(t.levels + [X2], t.h_maps + [chain_max_map(X2, t.levels[1])])
     assert is_vietoris_like_map(t.h_maps[1]).ok
-    # reuses the certificate of h_1 and certifies h_0; every level's view
+    # reuses the certificate of h_1 and certifies h_0; every level's order
     # exists by now
     assert len(attach_level_maps(t, t.h_maps).F_maps) == 2
     assert built == [146]
@@ -680,10 +680,13 @@ def test_equality_up_to_element_order():
 
 def test_equality_with_itself_compares_nothing(circle, monkeypatch):
     class Refuse:
-        def __getattr__(self, name):
+        def refuse(self, *args):
             raise AssertionError("a poset was compared with itself entry by entry")
 
-    monkeypatch.setattr(circle, "_view", Refuse())
+        __getattr__ = __getitem__ = __iter__ = __len__ = refuse
+
+    for slot in ("_down", "_up", "_order", "_rank"):
+        monkeypatch.setattr(circle, slot, Refuse())
     assert circle == circle and circle.__eq__(circle) is True
 
 
@@ -862,13 +865,27 @@ def _then_by_dict(f, g):
     return PosetMap(f.source, g.target, {x: g(f(x)) for x in f.source.elements})
 
 
+def _values_above_by_masks(masks, allowed, values):
+    """The rank-mask body of poset._values_above before it intersected
+    index sets: ascending indices of the points of the rank mask allowed
+    at or above every point index in values."""
+    for v in values:
+        allowed &= masks.above[v] | 1 << masks.rank[v]
+    out = []
+    while allowed:
+        low = allowed & -allowed
+        out.append(masks.order[low.bit_length() - 1])
+        allowed ^= low
+    return sorted(out)
+
+
 def _maps_by_dict(X, Y, candidates):
     """The element-dict body of order_preserving_maps, without its budget:
     one backtracking over a linear extension of X, each map built as a
     dict and checked again by the PosetMap constructor."""
     order = X.linear_extension()
     preds = {x: X.strict_down_set(x) for x in order}
-    masks = poset._RankMasks(Y._view)
+    masks = poset._RankMasks(Y)
     allowed = [masks.mask(map(Y.index, candidates(x))) for x in order]
     value, stack, out = {}, [], []
     while True:
@@ -877,7 +894,7 @@ def _maps_by_dict(X, Y, candidates):
             out.append(PosetMap(X, Y, {x: Y.elements[value[x]] for x in order}))
         else:
             values = [value[p] for p in preds[order[i]]]
-            stack.append(iter(poset._values_above(masks, allowed[i], values)))
+            stack.append(iter(_values_above_by_masks(masks, allowed[i], values)))
         while stack:
             j = next(stack[-1], None)
             if j is not None:
@@ -892,11 +909,11 @@ def _random_monotone_by_dict(rng, X, Y, attempts=200):
     """The element-dict body of random_monotone_map."""
     order = X.linear_extension()
     preds = {x: X.strict_down_set(x) for x in order}
-    masks, everything = poset._RankMasks(Y._view), (1 << len(Y)) - 1
+    masks, everything = poset._RankMasks(Y), (1 << len(Y)) - 1
     for _ in range(attempts):
         partial = {}
         for x in order:
-            cands = poset._values_above(masks, everything, [partial[p] for p in preds[x]])
+            cands = _values_above_by_masks(masks, everything, [partial[p] for p in preds[x]])
             if not cands:
                 break
             partial[x] = rng.choice(cands)
