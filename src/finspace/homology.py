@@ -1,23 +1,26 @@
 """Exact integer simplicial homology and induced maps on free parts.
 
-homology() works on sparse boundary columns.  It first eliminates
-reduction pairs: a face a of a cell b whose boundary coefficient is a
-unit (Kaczynski-Mischaikow-Mrozek, *Computational Homology*, 2004).
-Each elimination is an exact chain equivalence, so torsion stays exact.
-Order-complex boundaries are +-1 matrices, so almost every cell is
-paired.  The dense Smith normal form then runs only on the small residual
-complex that is left.  The reduction records its two chain maps.  The
-inclusion lifts the residual free basis to cycles of the complex, and the
-projection sends any cycle to its free-part coordinates.  Induced maps
-and Lefschetz numbers act on the torsion-free part of homology, in that
-deterministic basis.  A profile keeps no boundary operator: the checked
+homology() first matches the cells of the complex by coreductions
+(Mrozek-Batko, *Coreduction homology algorithm*, DCG 2009): a cell
+with no unprocessed face is critical, and a cell with exactly one
+unprocessed face is paired with it.  The pairs form an acyclic
+discrete-Morse matching, and the Morse complex on the critical cells is
+chain equivalent to the complex (Harker-Mischaikow-Mrozek-Nanda, FoCM
+2014), so torsion stays exact.  On order complexes almost every cell is
+paired, and the dense Smith normal form runs only on the small Morse
+complex.  A gradient flow from each critical cell gives its Morse
+boundary and the cycle it stands for, which lifts the Morse free basis
+to cycles of the complex; one sweep over the pairs pulls the free-part
+projection back to functionals on chains.  Induced maps and Lefschetz
+numbers act on the torsion-free part of homology, in that deterministic
+basis.  A profile keeps no boundary operator: the checked
 doors (class_of, induced_on_homology) read it from the complex.
 
 Chains, cycles and chain maps are sparse, in the format of
 SimplicialComplex.boundary_columns: a chain is a dict {simplex index:
 coefficient}, a chain map one such column per source simplex.  Dense
-matrices appear only as the residual Smith-form input and the
-betti-sized InducedMap matrices.
+matrices appear only as the Morse complex, the Smith-form input, and
+the betti-sized InducedMap matrices.
 """
 
 import functools
@@ -149,101 +152,149 @@ class HomologyProfile:
         return f"HomologyProfile(betti={self.betti}, torsion={self.torsion})"
 
 
-class _Reduction:
-    """Reduction pairs eliminated from a chain complex given by sparse columns.
+class _Coreduction:
+    """A discrete-Morse matching of a complex, found by coreductions.
 
-    Eliminating a pair (a, b) with <d b, a> = eps = +-1 removes a from
-    dimension d-1 and b from dimension d.  Every other cell c of
-    dimension d with <d c, a> = lam becomes c - eps*lam*b, whose boundary
-    misses a; cells of dimension d+1 drop their b coefficient.  The
-    remaining cells with their updated columns form the residual complex,
-    chain equivalent to the original one through
-      * the inclusion: lift[d][c] is the chain of the original complex
-        that a surviving cell c stands for (c itself when absent), and
-      * the projection: x -> x - eps * x_a * d b, then drop a, for every
-        pair in elimination order; pulls[d-1] records (a, eps, d b) with
-        the column as it was at elimination.
+    Cells are numbered globally, dimension by dimension (offsets[d] is
+    the number of the first d-simplex), and faces[c] lists the faces of
+    cell c, the face omitting vertex k at position k with boundary sign
+    (-1)^k.  One pass (Mrozek-Batko, DCG 2009) takes the cells in that
+    order.  A cell whose faces are all processed becomes critical (an
+    ace).  Then every unprocessed cell k with exactly one unprocessed
+    face q is matched with it from a queue: q is the queen, k its king,
+    and pairs[dim q] records (q, k, position of q in faces[k]) in match
+    order.  Every other face of k was processed before the pair, so the
+    matching is acyclic: expanding a queen brings in only queens matched
+    earlier.  mate[c] is the index in pairs of the pair of a queen c, -1
+    for any other cell.
+
+    The Morse complex on the aces is chain equivalent to the complex
+    (Harker-Mischaikow-Mrozek-Nanda, FoCM 2014).  One gradient flow per
+    ace of positive dimension gives cols[a], its Morse boundary, and
+    lift[a], the chain it stands for; lifted() and pulled_back() are the
+    inclusion and the projection.
     """
 
-    def __init__(self, boundaries):
-        """boundaries[d] lists the sparse columns of dimension d; the
-        reduction takes them over and changes them in place."""
-        top = len(boundaries)
-        self.cols = [dict(enumerate(level)) for level in boundaries]
-        self.cob = [{} for _ in range(top)]
-        for d in range(1, top):
-            cob = self.cob[d - 1]
-            for c, col in self.cols[d].items():
-                for f in col:
-                    cob.setdefault(f, set()).add(c)
-        self.lift = [{} for _ in range(top)]
-        self.pulls = [[] for _ in range(top)]
-        # top-down: eliminating (d-1, d) pairs only deletes entries of
-        # dimension d+1, so no unit entry reappears where pairs are exhausted
-        for d in range(top - 1, 0, -1):
-            self._eliminate(d)
+    def __init__(self, K):
+        levels = K._isimplices
+        self.offsets = offsets = [0]
+        for level in levels:
+            offsets.append(offsets[-1] + len(level))
+        total = offsets[-1]
+        self.faces = faces = [()] * offsets[1]
+        for d in range(1, len(levels)):
+            index, off = K._sindex[d - 1], offsets[d - 1]
+            faces += zip(*[
+                [index[s[:k] + s[k + 1:]] + off for s in levels[d]] for k in range(d + 1)
+            ])
+        cofaces = [[] for _ in range(offsets[-2])] + [()] * len(levels[-1])
+        for c in range(offsets[1], total):
+            for f in faces[c]:
+                cofaces[f].append(c)
+        count = [len(f) for f in faces]  # unprocessed faces
+        done = bytearray(total)
+        self.mate = mate = [-1] * total
+        self.pairs = pairs = [[] for _ in levels]
+        self.aces = aces = [[] for _ in levels]
+        queue = []  # cells that had one unprocessed face when counted
+        for d in range(len(levels)):
+            for a in range(offsets[d], offsets[d + 1]):
+                if done[a]:
+                    continue
+                aces[d].append(a)  # lower dimensions are all processed
+                processed = (a,)
+                while processed:
+                    for c in processed:
+                        done[c] = 1
+                        for j in cofaces[c]:
+                            count[j] -= 1
+                            if count[j] == 1:
+                                queue.append(j)
+                    processed = ()
+                    while queue:
+                        k = queue.pop()
+                        if not done[k] and count[k] == 1:
+                            pos = next(i for i, q in enumerate(faces[k]) if not done[q])
+                            q = faces[k][pos]
+                            level_pairs = pairs[len(faces[k]) - 2]
+                            mate[q] = len(level_pairs)
+                            level_pairs.append((q, k, pos))
+                            processed = (q, k)
+                            break
+        del cofaces, count, done  # the flows need the matching only
+        self.lift, self.cols = {}, {}
+        for level in aces[1:]:
+            for a in level:
+                self.lift[a], self.cols[a] = self._flow(a)
 
-    def _eliminate(self, d):
-        """Eliminate (d-1, d) pairs until no column has a unit entry.
+    def _flow(self, a):
+        """The chain the ace a stands for, and its boundary.
 
-        The face with the smallest coboundary goes first and pairs with
-        its shortest unit column, which keeps fill-in small.
+        The gradient flow starts from a and its boundary and removes the
+        queens from the boundary, latest match first: a queen q with
+        coefficient x is cancelled by adding y = -x * <d k, q> times its
+        king k to the chain, and y times the boundary of k to the
+        boundary.  The boundary ends with no queen, so its aces are the
+        Morse boundary of a.
         """
-        cols, cob, lift = self.cols[d], self.cob[d - 1], self.lift[d]
-        heap = [(len(s), a) for a, s in cob.items()]
+        faces, mate = self.faces, self.mate
+        pairs = self.pairs[len(faces[a]) - 2]
+        boundary, heap = {}, []
+        for pos, f in enumerate(faces[a]):
+            boundary[f] = -1 if pos & 1 else 1
+            if mate[f] >= 0:
+                heap.append(-mate[f])
         heapq.heapify(heap)
+        chain = {a: 1}
         while heap:
-            size, a = heapq.heappop(heap)
-            coface = cob.get(a)
-            if coface is None or len(coface) != size:
-                continue  # a is gone, or a fresher entry is queued
-            units = [b for b in coface if cols[b][a] in (1, -1)]
-            if not units:
-                continue
-            b = min(units, key=lambda b: (len(cols[b]), b))
-            col_b = cols.pop(b)
-            lift_b = lift.pop(b, {b: 1})
-            eps = col_b[a]
-            for f in col_b:
-                cob[f].discard(b)
-            del cob[a]
-            touched = set(col_b)
-            for c in coface:
-                col_c = cols[c]
-                q = -eps * col_c[a]
-                added, dropped = _add_scaled(col_c, q, col_b)
-                for f in added:
-                    cob[f].add(c)
-                for f in dropped:
-                    if f != a:
-                        cob[f].discard(c)
-                _add_scaled(lift.setdefault(c, {c: 1}), q, lift_b)
-            touched.discard(a)
-            for f in touched:
-                heapq.heappush(heap, (len(cob[f]), f))
-            # a leaves dimension d-1, b leaves the rows of dimension d+1
-            for f in self.cols[d - 1].pop(a):
-                self.cob[d - 2][f].discard(a)
-            if d + 1 < len(self.cols):
-                for e in self.cob[d].pop(b, ()):
-                    del self.cols[d + 1][e][b]
-            self.pulls[d - 1].append((a, eps, col_b))
+            q, k, qpos = pairs[-heapq.heappop(heap)]
+            x = boundary.pop(q, 0)
+            if not x:
+                continue  # cancelled since it was queued
+            y = x if qpos & 1 else -x
+            chain[k] = y
+            for pos, g in enumerate(faces[k]):
+                if pos == qpos:
+                    continue
+                old = boundary.get(g, 0)
+                new = old - y if pos & 1 else old + y
+                if new:
+                    boundary[g] = new
+                    if not old and mate[g] >= 0:
+                        heapq.heappush(heap, -mate[g])
+                else:
+                    del boundary[g]
+        return chain, boundary
 
     def lifted(self, d, coords):
-        """The chain of the original complex standing for a residual chain."""
+        """The chain {simplex index: coefficient} standing for a Morse
+        chain {ace: coefficient} of dimension d."""
         out = {}
         for c, x in coords.items():
-            _add_scaled(out, x, self.lift[d].get(c, {c: 1}))
-        return out
+            _add_scaled(out, x, self.lift.get(c, {c: 1}))
+        off = self.offsets[d]
+        return {c - off: x for c, x in out.items()}
 
     def pulled_back(self, d, row):
-        """A functional on residual d-chains, composed with the projection."""
-        row = dict(row)
-        for a, eps, col in reversed(self.pulls[d]):
-            s = sum(v * row[f] for f, v in col.items() if f in row)
+        """A functional {ace: value} on Morse d-chains, composed with the
+        projection, as {simplex index: value}.
+
+        One forward sweep over the pairs with a queen in dimension d, in
+        match order: a king maps to 0, and a queen q of king k to
+        -<d k, q> times the value of the rest of the boundary of k, whose
+        cells are all aces, kings or earlier queens.
+        """
+        faces, row = self.faces, dict(row)
+        for q, k, qpos in self.pairs[d]:
+            s = 0
+            for pos, g in enumerate(faces[k]):
+                x = row.get(g)
+                if x:
+                    s += -x if pos & 1 else x
             if s:
-                row[a] = -eps * s
-        return row
+                row[q] = s if qpos & 1 else -s
+        off = self.offsets[d]
+        return {c - off: x for c, x in row.items()}
 
 
 def _residual_homology(R, sizes):
@@ -290,17 +341,19 @@ def _residual_homology(R, sizes):
 def homology(K):
     """Integral homology of a simplicial complex, with free-basis data.
 
-    Reduction pairs are eliminated on sparse boundary columns; the Smith
-    form runs on the residual complex only, and its free basis and
-    projection are carried back through the reduction's chain maps.
+    A coreduction pass matches cells into a discrete-Morse matching
+    (_Coreduction); the Smith form runs on the Morse complex of its
+    critical cells only.  One gradient flow per critical cell gives its
+    Morse boundary and the cycle it stands for, and the free-part
+    projection is pulled back to the complex by one sweep over the pairs.
     """
     dims = K.dimension + 1
     if dims == 0:
         return HomologyProfile(K, [], [], [], [])
-    red = _Reduction([K.boundary_columns(d) for d in range(dims)])
-    cells = [sorted(red.cols[d]) for d in range(dims)]
+    m = _Coreduction(K)
+    cells = m.aces
     R = [intmat.zeros(0, len(cells[0]))] + [
-        [[red.cols[d][c].get(f, 0) for c in cells[d]] for f in cells[d - 1]]
+        [[m.cols[c].get(f, 0) for c in cells[d]] for f in cells[d - 1]]
         for d in range(1, dims)
     ]
     betti, torsion, bases, projs = _residual_homology(R, [len(c) for c in cells])
@@ -308,11 +361,11 @@ def homology(K):
     free_basis, free_proj = [], []
     for i in range(dims):
         free_basis.append([
-            red.lifted(i, {c: row[j] for c, row in zip(cells[i], bases[i]) if row[j]})
+            m.lifted(i, {c: row[j] for c, row in zip(cells[i], bases[i]) if row[j]})
             for j in range(betti[i])
         ])
         free_proj.append([
-            red.pulled_back(i, {c: x for c, x in zip(cells[i], row) if x})
+            m.pulled_back(i, {c: x for c, x in zip(cells[i], row) if x})
             for row in projs[i]
         ])
     return HomologyProfile(K, betti, torsion, free_basis, free_proj)

@@ -1,5 +1,7 @@
 """Exact integral homology, induced maps, Lefschetz numbers, inverses."""
 
+import importlib
+import itertools
 import random
 import tracemalloc
 
@@ -41,6 +43,8 @@ from finspace.formats import serialize_map, serialize_poset
 from finspace.maps import classify_continuity, is_vietoris_like_map
 from finspace.poset import PosetMap, build_poset, constant_map, identity_map
 from finspace.random_instances import random_endomorphism, random_poset
+
+homology_module = importlib.import_module("finspace.homology")
 
 
 def _betti(hp):
@@ -454,6 +458,89 @@ def test_homology_matches_ranks_mod_p_on_rp2_and_sphere_level1():
     _check_against_ranks_mod_p(SimplicialComplex.from_simplices(RP2_FACETS), "RP2")
     level1 = barycentric_subdivision_space(SPHERE)
     _check_against_ranks_mod_p(order_complex(level1), "S2 tower level 1")
+
+
+def _spy_on_residuals(monkeypatch):
+    """Record the dense boundaries that homology() hands to the Smith stage."""
+    seen = []
+
+    def spy(R, sizes):
+        seen.append((R, list(sizes)))
+        return _residual_homology(R, sizes)
+
+    monkeypatch.setattr(homology_module, "_residual_homology", spy)
+    return seen
+
+
+def test_residual_is_minimal_on_the_benchmark_shapes(monkeypatch):
+    # the order complexes of the 10-point total order (1023 simplices) and
+    # of S2 level 2: a matching that leaves more critical cells grows the
+    # dense Smith stage
+    seen = _spy_on_residuals(monkeypatch)
+    names = [f"p{i}" for i in range(10)]
+    homology(order_complex(build_poset(names, list(zip(names, names[1:])))))
+    assert seen[-1][1] == [1] + [0] * 9
+    homology(order_complex(build_tower(SPHERE, 2).levels[2]))
+    assert seen[-1][1] == [1, 0, 1]
+
+
+# H_1 = Z, yet coreduction leaves critical cells whose Morse boundary has
+# a unit entry
+STUCK_FACETS = [(0, 1, 3), (0, 2, 3), (0, 2, 5), (1, 2, 5), (1, 3, 5), (3, 4, 5)]
+
+
+def _has_unit_entry(R):
+    return any(x in (1, -1) for M in R for row in M for x in row)
+
+
+def test_homology_through_a_unit_morse_boundary(monkeypatch):
+    seen = _spy_on_residuals(monkeypatch)
+    K = SimplicialComplex.from_simplices(STUCK_FACETS)
+    _check_against_smith_forms(K, f"facets {STUCK_FACETS!r}")
+    _check_against_ranks_mod_p(K, f"facets {STUCK_FACETS!r}")
+    assert _has_unit_entry(seen[-1][0])
+    assert homology(K).betti == [1, 1, 0]
+
+
+def _random_2_complexes(seed):
+    """Forty seeded 2-complexes on 5-8 vertices with 4-14 triangles, labelled."""
+    rng = random.Random(400 + seed)
+    for i in range(40):
+        triangles = list(itertools.combinations(range(rng.randint(5, 8)), 3))
+        facets = rng.sample(triangles, rng.randint(4, min(14, len(triangles))))
+        yield (f"seed {400 + seed} instance {i}: facets {facets!r}",
+               SimplicialComplex.from_simplices(facets))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_homology_matches_oracles_on_random_2_complexes(seed):
+    for label, K in _random_2_complexes(seed):
+        _check_against_smith_forms(K, label)
+        _check_against_ranks_mod_p(K, label)
+
+
+def test_random_2_complexes_reach_a_unit_morse_boundary(monkeypatch):
+    # order complexes almost never leave a residual with a unit entry; a
+    # few of these complexes do, so the oracles above see flows through one
+    seen = _spy_on_residuals(monkeypatch)
+    for seed in range(5):
+        for _, K in _random_2_complexes(seed):
+            homology(K)
+    assert sum(_has_unit_entry(R) for R, _ in seen) >= 3
+
+
+def test_one_basis_per_complex():
+    # the premise of homology._one_basis: equal complexes, one basis
+    spaces = [
+        ("S2 level 2", order_complex(build_tower(SPHERE, 2).levels[2])),
+        ("RP2", SimplicialComplex.from_simplices(RP2_FACETS)),
+    ]
+    for label, K in spaces:
+        K2 = SimplicialComplex(K.vertices, K.simplices)
+        assert K2 == K, label
+        hp, hp2 = homology(K), homology(K2)
+        assert hp2.free_basis == hp.free_basis, label
+        assert hp2._free_proj == hp._free_proj, label
 
 
 @pytest.mark.parametrize("seed", range(5))
