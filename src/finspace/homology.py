@@ -8,12 +8,14 @@ discrete-Morse matching, and the Morse complex on the critical cells is
 chain equivalent to the complex (Harker-Mischaikow-Mrozek-Nanda, FoCM
 2014), so torsion stays exact.  On order complexes almost every cell is
 paired, and the dense Smith normal form runs only on the small Morse
-complex.  A gradient flow from each critical cell gives its Morse
-boundary and the cycle it stands for, which lifts the Morse free basis
-to cycles of the complex; one sweep over the pairs pulls the free-part
-projection back to functionals on chains.  Induced maps and Lefschetz
-numbers act on the torsion-free part of homology, in that deterministic
-basis.  A profile keeps no boundary operator: the checked
+complex, in the dimensions whose Morse boundary has a nonzero entry: a
+zero Morse complex, the usual outcome on order complexes, needs no
+Smith form at all.  A gradient flow from each critical cell gives its
+Morse boundary and the cycle it stands for, which lifts the Morse free
+basis to cycles of the complex; one sweep over the pairs pulls the
+free-part projection back to functionals on chains.  Induced maps and
+Lefschetz numbers act on the torsion-free part of homology, in that
+deterministic basis.  A profile keeps no boundary operator: the checked
 doors (class_of, induced_on_homology) read it from the complex.
 
 Chains, cycles and chain maps are sparse, in the format of
@@ -53,19 +55,13 @@ __all__ = [
 
 
 def _add_scaled(y, q, x):
-    """y += q * x on sparse dicts; returns the keys added to and dropped from y."""
-    added, dropped = [], []
+    """y += q * x on sparse dicts, dropping the entries that cancel."""
     for k, v in x.items():
-        old = y.get(k, 0)
-        new = old + q * v
+        new = y.get(k, 0) + q * v
         if new:
             y[k] = new
-            if not old:
-                added.append(k)
         else:
-            del y[k]
-            dropped.append(k)
-    return added, dropped
+            y.pop(k, None)
 
 
 def _apply(columns, chain):
@@ -103,14 +99,21 @@ class HomologyProfile:
     def class_of(self, dim, chain):
         """Free-part coordinates of a sparse cycle {simplex index: coefficient}.
 
-        The checked door: a chain that is not a cycle, or a nonzero chain
-        in a dimension the complex lacks (below 0 or above the top),
+        The checked door: a chain that is not a cycle, a nonzero chain in
+        a dimension the complex lacks (below 0 or above the top), a key
+        that is no dim-simplex index or a coefficient that is no int
         raises BasisSolveFailure.
         """
         if not 0 <= dim < len(self.betti):
             if chain:
                 raise BasisSolveFailure(f"nonzero chain in missing dimension {dim}")
             return []
+        n = self.complex.n_simplices(dim)
+        for i, x in chain.items():
+            if not (isinstance(i, int) and 0 <= i < n):
+                raise BasisSolveFailure(f"{i!r} is not one of the {n} {dim}-simplices")
+            if not isinstance(x, int):
+                raise BasisSolveFailure(f"coefficient {x!r} is not an integer")
         if _apply(self.complex.boundary_columns(dim), chain):
             raise BasisSolveFailure("chain is not a cycle")
         return self._coords(dim, chain)
@@ -301,38 +304,51 @@ def _residual_homology(R, sizes):
     """Smith-form homology of a small dense complex.
 
     R[i] is the dense boundary C_i -> C_{i-1} (R[0] has zero rows) and
-    sizes[i] the rank of C_i.  For each i the kernel of R[i] is read off
-    its Smith form (the trailing columns of V span it integrally, the
-    trailing rows of V^-1 give kernel coordinates); the image of R[i+1] is
-    expressed in that kernel basis and a second Smith form splits the
-    quotient into free part and torsion (its U gives the projection, U^-1
-    the basis).  The inverses come from unimodular_inverse: the matrices
-    here are residual-sized.  An inverse is taken only when some of its
-    rows or columns are read, that is, when the kernel or the free part
-    is nonzero.  Returns Betti numbers, torsion, and per dimension the
-    free basis (sizes[i] x betti) and its projection (betti x sizes[i]).
+    sizes[i] the rank of C_i.  A Smith form runs only on a boundary with
+    a nonzero entry: the Smith form of a zero matrix has identity
+    transforms, so a zero R[i] makes all of C_i cycles (identity basis
+    and coordinates), and a zero boundary from above leaves those cycles
+    as the homology, free and with identity basis and projection.  On
+    order complexes coreduction almost always leaves a zero Morse
+    complex, and then no Smith form runs at all.
+
+    Otherwise the kernel of R[i] is read off its Smith form (the trailing
+    columns of V span it integrally, the trailing rows of V^-1 give
+    kernel coordinates); the image of R[i+1] is expressed in that kernel
+    basis and a second Smith form splits the quotient into free part and
+    torsion (its U gives the projection, U^-1 the basis).  The inverses
+    come from unimodular_inverse: the matrices here are residual-sized.
+    An inverse is taken only when some of its rows or columns are read,
+    that is, when the kernel or the free part is nonzero.  Returns Betti
+    numbers, torsion, and per dimension the free basis (sizes[i] x betti)
+    and its projection (betti x sizes[i]).
     """
+    nonzero = [any(map(any, M)) for M in R] + [False]
     betti, torsion, bases, projs = [], [], [], []
-    for i in range(len(sizes)):
-        n_i = sizes[i]
-        sf = smith_normal_form(R[i], ncols=n_i)
-        r = sf.rank
-        z = n_i - r  # kernel rank
-        kernel = list(range(r, n_i))
-        Z = intmat.hstack_cols(sf.V, kernel)
-        Vinv = intmat.unimodular_inverse(sf.V) if kernel else []
-        Kproj = intmat.stack_rows(Vinv, kernel)
+    for i, n_i in enumerate(sizes):
+        if nonzero[i]:
+            sf = smith_normal_form(R[i], ncols=n_i)
+            kernel = list(range(sf.rank, n_i))
+            Z = intmat.hstack_cols(sf.V, kernel)
+            Vinv = intmat.unimodular_inverse(sf.V) if kernel else []
+            Kproj = intmat.stack_rows(Vinv, kernel)
+        else:  # every i-chain is a cycle
+            Z, Kproj = intmat.identity(n_i), intmat.identity(n_i)
+        z = len(Kproj)  # kernel rank
+        if not nonzero[i + 1]:  # no boundaries: the cycles are the homology
+            betti.append(z)
+            torsion.append([])
+            projs.append(Kproj)
+            bases.append(Z)
+            continue
         # boundaries from above, in kernel coordinates
-        if i + 1 < len(sizes) and sizes[i + 1]:
-            A = intmat.matmul(Kproj, R[i + 1])
-        else:
-            A = intmat.zeros(z, 0)
+        A = intmat.matmul(Kproj, R[i + 1])
         sfa = smith_normal_form(A, ncols=intmat.shape(A)[1])
         s = sfa.rank
+        free = list(range(s, z))
         betti.append(z - s)
         torsion.append([x for x in sfa.invariant_factors if x > 1])
-        projs.append(intmat.matmul(intmat.stack_rows(sfa.U, list(range(s, z))), Kproj))
-        free = list(range(s, z))
+        projs.append(intmat.matmul(intmat.stack_rows(sfa.U, free), Kproj))
         Uinv = intmat.unimodular_inverse(sfa.U) if free else intmat.zeros(z, z)
         bases.append(intmat.matmul(Z, intmat.hstack_cols(Uinv, free)))
     return betti, torsion, bases, projs
@@ -439,10 +455,10 @@ def induced_on_homology(chain_columns, src, dst):
 
     The checked door for chain maps from outside the package:
     chain_columns[d] holds one column {target index: coefficient} per
-    source d-simplex, as chain_map_of returns them.  Their sizes, rows
-    and every commuting square are verified (NotAChainMap otherwise); a
-    chain map sends cycles to cycles, so _induced then reads the classes
-    unchecked.
+    source d-simplex, as chain_map_of returns them.  Their sizes, rows,
+    integer coefficients and every commuting square are verified
+    (NotAChainMap otherwise); a chain map sends cycles to cycles, so
+    _induced then reads the classes unchecked.
     """
     sizes = [len(level) for level in src.complex._isimplices]
     got = [len(cols) for cols in chain_columns]
@@ -450,8 +466,12 @@ def induced_on_homology(chain_columns, src, dst):
         raise NotAChainMap(f"chain map has {got} columns per dimension, expected {sizes}")
     for d, cols in enumerate(chain_columns):
         rows = dst.complex.n_simplices(d)
-        if any(not 0 <= i < rows for col in cols for i in col):
-            raise NotAChainMap(f"chain map leaves the {rows} target {d}-simplices")
+        for col in cols:
+            for i, x in col.items():
+                if not (isinstance(i, int) and 0 <= i < rows):
+                    raise NotAChainMap(f"chain map leaves the {rows} target {d}-simplices")
+                if not isinstance(x, int):
+                    raise NotAChainMap(f"chain map coefficient {x!r} is not an integer")
 
     for d in range(1, len(sizes)):
         target = dst.complex.boundary_columns(d)

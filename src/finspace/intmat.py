@@ -4,7 +4,9 @@ Matrices are plain lists of lists of Python ints, so every computation is
 arbitrary precision.  Chain-level data does not live here: boundaries,
 chain maps and cycles are sparse columns.  homology pairs the cells of a
 complex by coreductions and calls the Smith form only on the small dense
-Morse complex of the unpaired (critical) cells.  The other dense matrices are the
+Morse complex of the unpaired (critical) cells, and there only on a
+boundary with a nonzero entry; on most order complexes the Morse complex
+is zero and no Smith form runs.  The other dense matrices are the
 betti-sized induced maps, their inverses and the tests' reference
 computations.  The Smith form keeps S, U and V only; a caller that needs
 U^-1 or V^-1 takes unimodular_inverse of it.

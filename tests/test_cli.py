@@ -104,6 +104,7 @@ SRC_FIXTURES = "src/finspace/fixtures/"
     (("check", "--source", "ex2_12_X.txt", "--multimap", "ex2_12_F.txt"), "check_ex2_12.json"),
     (("check", "--source", "ex2_3_X.txt", "--target", "ex2_3_Y.txt", "--map", "ex2_3_f.txt"),
      "check_map_ex2_3.json"),
+    (("homology", "--poset", "rp2.txt"), "homology_rp2.json"),
 ])
 def test_single_verbs_match_golden_output(capsys, monkeypatch, argv, name):
     """Each report, byte for byte, against the committed copy that CI diffs.

@@ -4,6 +4,7 @@ import importlib
 import itertools
 import random
 import tracemalloc
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from finspace.complexes import (
     SimplicialComplex,
     barycentric_subdivision_space,
     chain_map_of,
+    face_poset,
     induced_simplicial_map,
     order_complex,
 )
@@ -39,7 +41,7 @@ from finspace.dynamics import (
     fixed_points_of_level,
     lambda_nm,
 )
-from finspace.formats import serialize_map, serialize_poset
+from finspace.formats import parse_poset_text, serialize_map, serialize_poset
 from finspace.maps import classify_continuity, is_vietoris_like_map
 from finspace.poset import PosetMap, build_poset, constant_map, identity_map
 from finspace.random_instances import random_endomorphism, random_poset
@@ -112,6 +114,33 @@ def test_class_of_outside_the_complex():
         assert hp.class_of(dim, {}) == [], dim
         with pytest.raises(BasisSolveFailure):
             hp.class_of(dim, z)
+
+
+def _circle4_homology():
+    text = resources.files("finspace.fixtures").joinpath("circle4.txt").read_text()
+    return poset_homology(parse_poset_text(text))
+
+
+def test_class_of_rejects_a_negative_simplex_index():
+    # not read from the end of the list of simplices
+    with pytest.raises(BasisSolveFailure):
+        _circle4_homology().class_of(0, {-1: 1})
+
+
+def test_class_of_rejects_a_simplex_index_past_the_last():
+    hp = _circle4_homology()
+    assert hp.complex.n_simplices(0) == 4
+    with pytest.raises(BasisSolveFailure):
+        hp.class_of(0, {4: 1})
+
+
+def test_class_of_rejects_a_coefficient_that_is_not_an_int():
+    hp = _circle4_homology()
+    with pytest.raises(BasisSolveFailure):
+        hp.class_of(0, {0: 1.5})
+    # a zero coefficient is an int, and a chain that has one is read
+    assert hp.class_of(0, {0: 1, 1: 0}) == [1]
+    assert hp.class_of(1, {0: 0}) == [0]
 
 
 def test_is_acyclic():
@@ -270,6 +299,14 @@ def test_induced_on_homology_rejects_non_chain_maps():
         induced_on_homology([cm[0], cm[1][:-1] + [{len(cm[1]): 1}]], hp, hp)
 
 
+def test_induced_on_homology_rejects_a_coefficient_that_is_not_an_int():
+    hp = _circle4_homology()
+    # the identity columns, scaled by 1/2
+    half = [[{j: 0.5} for j in range(hp.complex.n_simplices(d))] for d in range(2)]
+    with pytest.raises(NotAChainMap):
+        induced_on_homology(half, hp, hp)
+
+
 def test_subdivision_invariance_sample():
     rng = random.Random(11)
     for _ in range(20):
@@ -426,7 +463,8 @@ def test_homology_matches_dense_smith_forms_on_rp2_and_sphere_level1():
 
 def test_residual_smith_stage_on_unreduced_complexes():
     # whole complexes with non-unit entries, so that U, V and their
-    # inverses are far from identities
+    # inverses are far from identities; each also with R[1], R[2] or both
+    # zeroed, still a chain complex, where the Smith forms are skipped
     rng = random.Random(300)
     K = SimplicialComplex.from_simplices(RP2_FACETS)
     corpus = [("RP2", [K.boundary_matrix(d) for d in range(3)], [6, 15, 10])]
@@ -434,15 +472,27 @@ def test_residual_smith_stage_on_unreduced_complexes():
         R, sizes = _random_chain_complex(rng)
         corpus.append((f"seed 300 instance {i}: {R!r}", R, sizes))
     for label, R, sizes in corpus:
-        betti, torsion, bases, projs = _residual_homology(R, sizes)
+        zero1, zero2 = intmat.zeros(sizes[0], sizes[1]), intmat.zeros(sizes[1], sizes[2])
         above = intmat.zeros(sizes[-1], 0)
-        assert (betti, torsion) == _smith_profile(R + [above], sizes + [0]), label
-        for d, (B, P) in enumerate(zip(bases, projs)):
-            assert intmat.matmul(P, B) == intmat.identity(betti[d]), label
-            if d:
-                assert not any(map(any, intmat.matmul(R[d], B))), f"{label}: cycles {d}"
-            if d + 1 < len(sizes):
-                assert not any(map(any, intmat.matmul(P, R[d + 1]))), f"{label}: boundaries {d}"
+        variants = [
+            (label, R),
+            (f"{label}, R[1] zeroed", [R[0], zero1, R[2]]),
+            (f"{label}, R[2] zeroed", [R[0], R[1], zero2]),
+            (f"{label}, R[1] and R[2] zeroed", [R[0], zero1, zero2]),
+        ]
+        for name, Rv in variants:
+            betti, torsion, bases, projs = _residual_homology(Rv, sizes)
+            assert (betti, torsion) == _smith_profile(Rv + [above], sizes + [0]), name
+            for d, (B, P) in enumerate(zip(bases, projs)):
+                assert intmat.matmul(P, B) == intmat.identity(betti[d]), name
+                if d:
+                    assert not any(map(any, intmat.matmul(Rv[d], B))), f"{name}: cycles {d}"
+                if d + 1 < len(sizes):
+                    assert not any(map(any, intmat.matmul(P, Rv[d + 1]))), (
+                        f"{name}: boundaries {d}")
+        # the last variant is the zero complex
+        for d, n in enumerate(sizes):
+            assert bases[d] == projs[d] == intmat.identity(n), f"{name}: dimension {d}"
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -472,16 +522,38 @@ def _spy_on_residuals(monkeypatch):
     return seen
 
 
+def _spy_on_smith_stage(monkeypatch):
+    """Record the Smith forms and unimodular inverses that homology() takes."""
+    calls = []
+    smith, inverse = homology_module.smith_normal_form, intmat.unimodular_inverse
+
+    def smith_spy(M, ncols=None):
+        calls.append("smith_normal_form")
+        return smith(M, ncols=ncols)
+
+    def inverse_spy(M):
+        calls.append("unimodular_inverse")
+        return inverse(M)
+
+    monkeypatch.setattr(homology_module, "smith_normal_form", smith_spy)
+    monkeypatch.setattr(intmat, "unimodular_inverse", inverse_spy)
+    return calls
+
+
 def test_residual_is_minimal_on_the_benchmark_shapes(monkeypatch):
     # the order complexes of the 10-point total order (1023 simplices) and
     # of S2 level 2: a matching that leaves more critical cells grows the
-    # dense Smith stage
+    # dense Smith stage.  Their Morse complexes are zero, so no Smith form
+    # or inverse runs; one that does means the zero-boundary skip regressed.
     seen = _spy_on_residuals(monkeypatch)
+    calls = _spy_on_smith_stage(monkeypatch)
     names = [f"p{i}" for i in range(10)]
     homology(order_complex(build_poset(names, list(zip(names, names[1:])))))
     assert seen[-1][1] == [1] + [0] * 9
+    assert calls == []
     homology(order_complex(build_tower(SPHERE, 2).levels[2]))
     assert seen[-1][1] == [1, 0, 1]
+    assert calls == []
 
 
 # H_1 = Z, yet coreduction leaves critical cells whose Morse boundary has
@@ -500,6 +572,21 @@ def test_homology_through_a_unit_morse_boundary(monkeypatch):
     _check_against_ranks_mod_p(K, f"facets {STUCK_FACETS!r}")
     assert _has_unit_entry(seen[-1][0])
     assert homology(K).betti == [1, 1, 0]
+
+
+def test_smith_stage_runs_on_a_nonzero_morse_boundary(monkeypatch):
+    # the skip of zero boundaries must not reach a nonzero one: the RP2
+    # face poset leaves the Morse boundary Z <-0- Z <-2- Z
+    stuck = SimplicialComplex.from_simplices(STUCK_FACETS)
+    rp2 = order_complex(face_poset(SimplicialComplex.from_simplices(RP2_FACETS)))
+    seen = _spy_on_residuals(monkeypatch)
+    calls = _spy_on_smith_stage(monkeypatch)
+    for label, K in (("STUCK_FACETS", stuck), ("RP2 face poset", rp2)):
+        calls.clear()
+        homology(K)
+        assert calls, label
+    assert seen[-1][0] == [[], [[0]], [[2]]]
+    assert homology(rp2).torsion == [[], [2], []]
 
 
 def _random_2_complexes(seed):
