@@ -18,14 +18,16 @@ Chain-level data has one format: per dimension, a list with one sparse
 column {simplex index: coefficient} per simplex.  boundary_columns builds
 it for a boundary operator.  _chain_columns builds it for a vertex map
 given by positions; a SimplicialMap calls it once, in the constructor
-that checks the map, and chain_map_of returns fresh copies.
+that checks the map, and chain_map_of returns fresh copies.  _push maps
+one chain through positions, unchecked and with no columns.
 boundary_matrix is the dense version of a boundary, kept as an oracle
 for tests.
 
 Orientation: a simplex is the tuple of its vertices sorted by position
 in the complex's vertex order.  A simplicial map sends a simplex to 0
 when two of its vertices share an image, and otherwise to its image
-simplex times the sign of the permutation that sorts the image vertices.
+simplex times the sign of the permutation that sorts the image vertices
+(_image, the one copy of this rule).
 """
 
 from . import intmat
@@ -214,7 +216,7 @@ class SimplicialMap:
                 raise ValueError(f"no image for vertex {v!r}")
         vindex, assignment = target._vindex, self.vertex_assignment
         pos = [vindex[assignment[v]] for v in source.vertices]
-        self._columns = _chain_columns(source, target, pos, check=True)
+        self._columns = _chain_columns(source, target, pos)
 
     def __call__(self, v):
         return self.vertex_assignment[v]
@@ -237,29 +239,48 @@ class SimplicialMap:
         )
 
 
-def _chain_columns(K, L, pos, check):
-    """The chain map K -> L of the vertex map pos, by the module's rule.
+def _image(L, img):
+    """The image in L of a simplex whose vertices go to the positions img:
+    None when two of them share an image, else (index of the sorted
+    image, sign of the permutation that sorts it).  LookupError when the
+    image is no simplex of L."""
+    if len(set(img)) < len(img):
+        return None
+    t = tuple(sorted(img))
+    return L._sindex[len(t) - 1][t], _perm_sign(img)
 
-    pos[i] is the position in L of the image of vertex i of K.  Per
-    dimension, one column per simplex of K: {} when the image
-    degenerates, else {index of the sorted image: sign of the permutation
-    that sorts it}.  With check, an image that is not a simplex of L
-    raises ValueError naming the simplex; without it every image must be
-    one, as for the map of a continuous PosetMap (a chain goes to a
-    chain).
-    """
+
+def _chain_columns(K, L, pos):
+    """The chain map K -> L of the vertex map pos (pos[i] is the position
+    in L of the image of vertex i of K): per dimension, one column per
+    simplex of K, {} when the image degenerates, else {index: sign}.  An
+    image that is no simplex of L raises ValueError naming the simplex.
+    A degenerate image is that of a face, checked in a lower dimension."""
     out = []
     for level in K._isimplices:
         cols = []
         for s in level:
-            img = [pos[v] for v in s]
-            t = tuple(sorted(set(img)))
-            index = L._sindex[len(t) - 1]
-            if check and t not in index:
-                raise ValueError(f"image of {K._named(s)!r} is not a simplex of the target")
-            cols.append({} if len(t) < len(s) else {index[t]: _perm_sign(img)})
+            try:
+                image = _image(L, [pos[v] for v in s])
+            except LookupError:  # no such simplex, or none of its dimension
+                raise ValueError(
+                    f"image of {K._named(s)!r} is not a simplex of the target") from None
+            cols.append(dict([image]) if image else {})
         out.append(cols)
     return out
+
+
+def _push(K, L, pos, dim, chain):
+    """The image of a sparse dim-chain of K under the chain map of pos,
+    without a check: every image must be a simplex of L, as for the map
+    of a continuous PosetMap (a chain goes to a chain)."""
+    level, out = K._isimplices[dim], {}
+    for j, x in chain.items():
+        image = _image(L, [pos[v] for v in level[j]])
+        if image:
+            i, sign = image
+            out[i] = out.get(i, 0) + sign * x
+    return {i: y for i, y in out.items() if y}
 
 
 def order_complex(X):

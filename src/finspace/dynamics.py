@@ -18,7 +18,7 @@ from .errors import (
     NotContinuous,
     SizeBudgetExceeded,
 )
-from .homology import _one_basis, induced_map_of_poset_map, invert, lefschetz_number
+from .homology import _coincidence_number, induced_map_of_poset_map
 from .maps import MultiMap, _gathered, is_vietoris_like_map
 from .complexes import barycentric_subdivision_space, chain_max_map
 from .poset import _positions, identity_map, require_continuous
@@ -103,31 +103,22 @@ class ApproximativeSequence:
     f_maps[n] is f_{n,n+1}: X^{n+1} -> X^n; F_maps[n] is the Vietoris-like
     multimap F_{n+1} = H_{n,n+1} o f_{n,n+1} on X^{n+1}.
 
-    The sequence also keeps each segment that lambda_nm computed: for
-    levels a < b, the pair (h_{a,b*}^-1, f_{a,b*}) of induced maps on free
-    homology, whose matrices are Betti-sized.  A later lambda_nm(n, m)
-    reads the stored segment (n, m), or composes the stored adjacent
-    segments (k, k + 1) from n to m, instead of building maps out of X^m.
-    So a table of lambda values should be asked shortest pair first: once
-    the adjacent segments are stored, every other pair costs only matrix
-    products.  The levels and maps are not to be changed after
-    construction.
-
-    It also keeps, per step n, the positions of h_{n,n+1} and of
+    The sequence keeps, per step n, the positions of h_{n,n+1} and of
     f_{n,n+1} as maps from level n + 1 to level n of the tower, in the
     tower's listing of both levels (re-indexed once, here, for a map
     whose source or target lists an equal level in another order).  A
     point x of X^{n+1} is fixed by F_{n+1} = H o f iff h(x) = f(x), so
-    fixed points and fixed chains are read off these positions.
+    fixed points and fixed chains are read off these positions, and
+    lambda_nm compares them to tell when f = h.  The levels and maps are
+    not to be changed after construction.
     """
 
-    __slots__ = ("tower", "f_maps", "F_maps", "_segments", "_hpos", "_fpos")
+    __slots__ = ("tower", "f_maps", "F_maps", "_hpos", "_fpos")
 
     def __init__(self, tower, f_maps, F_maps):
         self.tower = tower
         self.f_maps = list(f_maps)
         self.F_maps = list(F_maps)
-        self._segments = {}  # (a, b) -> (h_{a,b*}^-1, f_{a,b*})
         self._hpos = _level_positions(tower, tower.h_maps)
         self._fpos = _level_positions(tower, self.f_maps)
 
@@ -216,39 +207,20 @@ def compose_f(seq, n, m):
 def lambda_nm(seq, n, m):
     """Lefschetz number of f_{n,m*} o h_{n,m*}^{-1}.
 
-    Induced maps compose exactly, so the endomorphism is P o Q with
-    P = f_{n,n+1*} o ... o f_{m-1,m*} and Q = h_{m-1,m*}^-1 o ... o
-    h_{n,n+1*}^-1.  It is read off the stored segment (n, m), or off the
-    stored adjacent segments (k, k + 1) when each meets the next in one
-    homology basis (_one_basis).  Otherwise the segment (n, m) is
-    computed from h_{n,m} and f_{n,m} and stored; a call that raises
-    stores nothing.  When f_{k,k+1} = h_{k,k+1} for every step k from n
-    to m - 1 (equal positions in the tower's listing of both levels), the
-    segment reuses h_{n,m*} as f_{n,m*}.  See ApproximativeSequence for
-    the order in which to ask a table.
+    Each call builds both induced maps from the stacked maps and keeps
+    nothing.  When f_{k,k+1} = h_{k,k+1} for every step k from n to
+    m - 1 (equal positions in the tower's listing of both levels),
+    h_{n,m*} serves as f_{n,m*} too.
     """
     if not n < m:
         raise IndexRange(f"need n < m, got {n} >= {m}")
     t = seq.tower
     t._check_level(n)
     t._check_level(m)
-    seg = seq._segments.get((n, m))
-    run = [seg] if seg else [seq._segments.get((k, k + 1)) for k in range(n, m)]
-    if None in run or not all(
-            _one_basis(a[0].target, b[0].source) for a, b in zip(run, run[1:])):
-        h_star = induced_map_of_poset_map(compose_h(t, n, m))
-        h_inv = invert(h_star)
-        if seq._fpos[n:m] == seq._hpos[n:m]:
-            f_star = h_star
-        else:
-            f_star = induced_map_of_poset_map(compose_f(seq, n, m))
-        seq._segments[n, m] = (h_inv, f_star)
-        run = [seq._segments[n, m]]
-    q, p = run[0]
-    for h_inv, f_star in run[1:]:
-        q = q.then(h_inv)
-        p = f_star.then(p)
-    return lefschetz_number(q.then(p))
+    h_star = induced_map_of_poset_map(compose_h(t, n, m))
+    f_is_h = seq._fpos[n:m] == seq._hpos[n:m]
+    f_star = h_star if f_is_h else induced_map_of_poset_map(compose_f(seq, n, m))
+    return _coincidence_number(h_star, f_star)
 
 
 def fixed_points_of_level(seq, n1):

@@ -20,16 +20,18 @@ doors (class_of, induced_on_homology) read it from the complex.
 
 Chains, cycles and chain maps are sparse, in the format of
 SimplicialComplex.boundary_columns: a chain is a dict {simplex index:
-coefficient}, a chain map one such column per source simplex.  Dense
-matrices appear only as the Morse complex, the Smith-form input, and
-the betti-sized InducedMap matrices.
+coefficient}, a chain map one such column per source simplex.  An
+induced map maps only the source's free-basis cycles, through checked
+columns or, for a poset map, through its positions.  Dense matrices
+appear only as the Morse complex, the Smith-form input, and the
+betti-sized InducedMap matrices.
 """
 
 import functools
 import heapq
 
 from . import intmat
-from .complexes import _chain_columns, order_complex
+from .complexes import _push, order_complex
 from .errors import (
     BasisSolveFailure,
     EmptySubspace,
@@ -481,20 +483,20 @@ def induced_on_homology(chain_columns, src, dst):
             lhs = _apply(target, image) if image else {}
             if lhs != _apply(chain_columns[d - 1], col):
                 raise NotAChainMap(f"boundary does not commute in dimension {d}")
-    return _induced(chain_columns, src, dst)
+    return _induced(lambda d, cycle: _apply(chain_columns[d], cycle), src, dst)
 
 
-def _induced(chain_columns, src, dst):
+def _induced(image, src, dst):
     """The induced map of a chain map known to be one, without a check:
-    each source free-basis cycle is pushed through the columns and its
-    coordinates read in the destination basis (HomologyProfile._coords)."""
+    image(d, cycle) gives the image of each source free-basis d-cycle,
+    whose coordinates are read in the destination basis (_coords)."""
     mats = []
     for d in range(max(len(src.betti), len(dst.betti))):
         bs, bt = src.betti_at(d), dst.betti_at(d)
         M = intmat.zeros(bt, bs)
         if bs and bt:
             for j, cycle in enumerate(src.free_basis[d]):
-                for i, x in enumerate(dst._coords(d, _apply(chain_columns[d], cycle))):
+                for i, x in enumerate(dst._coords(d, image(d, cycle))):
                     M[i][j] = x
         mats.append(M)
     return InducedMap(src, dst, mats)
@@ -506,17 +508,15 @@ def induced_map_of_poset_map(f):
     The one check is that f is continuous.  K(f) runs between the cached
     profiles' own complexes: an equal poset cached first may list its
     points in another order than f.source, and then f's positions are
-    re-indexed once.  The chain-map columns come from those positions
-    (complexes._chain_columns) and go to _induced unchecked: a continuous
-    f sends each chain to a chain, and the simplicial chain map of a
-    simplicial map commutes with the boundary by construction.
+    re-indexed once.  Only the source's free-basis cycles go through
+    them (complexes._push), unchecked and with no columns: a continuous
+    f sends each chain to a chain, and K(f) is a chain map.
     """
     require_continuous(f)
-    src = poset_homology(f.source)
-    dst = poset_homology(f.target)
+    src, dst = poset_homology(f.source), poset_homology(f.target)
     K, L = src.complex, dst.complex
     pos = _positions(f, K.vertices, L.vertices, L._vindex)
-    return _induced(_chain_columns(K, L, pos, check=False), src, dst)
+    return _induced(lambda d, cycle: _push(K, L, pos, d, cycle), src, dst)
 
 
 def _one_basis(P, Q):

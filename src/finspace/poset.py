@@ -229,18 +229,20 @@ class FinitePoset:
             stack.extend([c + (j,) for j in succ[c[-1]]])
         return out
 
-    def _chain_count(self):
+    def _chain_count(self, sign=1):
         """The number of nonempty chains, none of them built: the chains
         starting at a point are the point alone and its extensions by the
-        chains starting above it (Python ints, so no overflow)."""
+        chains starting above it (Python ints, so no overflow).  With
+        sign=-1 a chain of i + 1 points counts (-1)^i, since extending a
+        chain flips its sign, and the sum is the Euler characteristic."""
         up, starting = self._up, [0] * len(self)
         for i in reversed(self._order):
-            starting[i] = 1 + sum(map(starting.__getitem__, up[i]))
+            starting[i] = 1 + sign * sum(map(starting.__getitem__, up[i]))
         return sum(starting)
 
     def euler_characteristic(self):
-        """Alternating sum of the chain counts per length."""
-        return sum(1 if len(c) % 2 else -1 for c in self._index_chains())
+        """The alternating chain count, with no chain built (_chain_count)."""
+        return self._chain_count(-1)
 
     # -- cover relation ---------------------------------------------------
 

@@ -332,34 +332,51 @@ def test_order_complex_matches_the_checked_constructor():
 
 
 def test_positional_chain_maps_match_simplicial_maps(monkeypatch):
-    # induced_map_of_poset_map builds its columns from f's positions and
-    # hands them to _induced; the checked SimplicialMap on the element
-    # dict is the oracle, also when the cache holds equal posets listed
-    # in reverse
-    seen = []
+    # induced_map_of_poset_map pushes the source's free-basis cycles
+    # through f's positions and hands that push to _induced; the checked
+    # SimplicialMap on the element dict, through induced_on_homology, is
+    # the oracle, also when the cache holds equal posets listed in reverse
+    pushes = []
     real = homology_module._induced
 
-    def spy(columns, src, dst):
-        seen.append(columns)
-        return real(columns, src, dst)
+    def spy(image, src, dst):
+        pushes.append(image)
+        return real(image, src, dst)
 
     monkeypatch.setattr(homology_module, "_induced", spy)
     seed = 1718
-    checked = reindexed = 0
+    checked = reindexed = cycles = 0
     for i, f in _map_instances(seed, 240):
         poset_homology.cache_clear()
         if i % 2:
             poset_homology(_reversed(f.source))
             poset_homology(_reversed(f.target))
-        seen.clear()
-        induced_map_of_poset_map(f)
+        pushes.clear()
+        got = induced_map_of_poset_map(f)
+        (push,) = pushes
         src, dst = poset_homology(f.source), poset_homology(f.target)
-        want = chain_map_of(SimplicialMap(src.complex, dst.complex, f.assignment))
-        assert seen == [want], _label(seed, i, f)
+        columns = chain_map_of(SimplicialMap(src.complex, dst.complex, f.assignment))
+        label = _label(seed, i, f)
+        assert got.matrices == induced_on_homology(columns, src, dst).matrices, label
+        for d, basis in enumerate(src.free_basis):
+            for cycle in basis:
+                assert push(d, cycle) == homology_module._apply(columns[d], cycle), label
+                cycles += 1
+            # the push maps any chain: each simplex alone goes to its column
+            assert [push(d, {j: 1}) for j in range(len(columns[d]))] == columns[d], label
         checked += 1
         reindexed += src.complex.vertices != f.source.elements
     poset_homology.cache_clear()
-    assert checked >= 200 and reindexed >= 50, (checked, reindexed)
+    assert checked >= 200 and reindexed >= 50 and cycles >= 200, (checked, reindexed, cycles)
+
+
+def test_simplicial_map_rejects_an_image_above_the_target_dimension():
+    # an edge sent onto two vertices that span no edge; the target has
+    # no edges at all, so there is no index of edges to look in
+    K = SimplicialComplex.from_simplices([("a", "b")])
+    L = SimplicialComplex(["x", "y"], [[("x",), ("y",)]])
+    with pytest.raises(ValueError, match="is not a simplex of the target"):
+        SimplicialMap(K, L, {"a": "x", "b": "y"})
 
 
 def test_derived_maps_match_the_checked_doors():

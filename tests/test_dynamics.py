@@ -7,6 +7,7 @@ from importlib import resources
 import pytest
 
 from finspace import dynamics, maps
+from finspace.complexes import chain_map_of, induced_simplicial_map
 from finspace.dynamics import (
     Tower,
     attach_level_maps,
@@ -33,7 +34,9 @@ from finspace.formats import (
 )
 from finspace.homology import (
     _coincidence_number,
+    homology,
     induced_map_of_poset_map,
+    induced_on_homology,
     invert,
     lefschetz_number,
 )
@@ -317,12 +320,18 @@ def test_attach_certificate_agrees_with_graph_scan(seed):
 
 
 def _lambda_oracle(t, f_maps, n, m):
-    """lambda_nm's body before sequences stored segments, on a fresh sequence."""
+    """lambda_{n,m} through the checked doors: the chain maps of
+    K(h_{n,m}) and K(f_{n,m}) (induced_simplicial_map, chain_map_of),
+    checked and read by induced_on_homology in one uncached homology
+    basis per level."""
     seq = attach_level_maps(t, f_maps, certify=False)
-    return _coincidence_number(
-        induced_map_of_poset_map(compose_h(t, n, m)),
-        induced_map_of_poset_map(compose_f(seq, n, m)),
-    )
+    h_sm, f_sm = (induced_simplicial_map(g)
+                  for g in (compose_h(t, n, m), compose_f(seq, n, m)))
+    assert (f_sm.source, f_sm.target) == (h_sm.source, h_sm.target)
+    src, dst = homology(h_sm.source), homology(h_sm.target)
+    h_star, f_star = (induced_on_homology(chain_map_of(sm), src, dst)
+                      for sm in (h_sm, f_sm))
+    return _coincidence_number(h_star, f_star)
 
 
 def _pair_orders(depth, rng):
@@ -336,7 +345,7 @@ def _pair_orders(depth, rng):
 
 @pytest.mark.parametrize("seed", range(700, 704))
 def test_lambda_table_matches_oracle_in_any_order(seed):
-    instances = composed = 0
+    instances = depth2 = 0
     for i, X0, t, f_maps in _random_level_maps(seed):
         want = {
             (n, m): _lambda_oracle(t, f_maps, n, m)
@@ -356,9 +365,9 @@ def test_lambda_table_matches_oracle_in_any_order(seed):
                     f"oracle {want[n, m]}"
                 )
         instances += 1
-        composed += t.depth == 2
+        depth2 += t.depth == 2
     assert instances >= 20, f"seed {seed}: only {instances} instances checked"
-    assert composed, f"seed {seed}: no pair was composed from stored segments"
+    assert depth2, f"seed {seed}: no depth-2 instance, so no pair spans two steps"
 
 
 @pytest.mark.parametrize("name, value", [("ex2_3_X.txt", 2), ("circle4.txt", 0)])
@@ -372,11 +381,8 @@ def test_lambda_closed_forms_at_depth_3(name, value, order_name):
     assert {nm: lambda_nm(seq, *nm) for nm in order} == {nm: value for nm in order}
 
 
-def test_lambda_table_shortest_first_stores_only_adjacent_segments(monkeypatch):
-    # asked shortest pair first with f = h, the table builds one induced
-    # map per adjacent segment and composes every longer pair from them
-    t = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 3)
-    seq = attach_level_maps(t, t.h_maps, certify=False)
+def _spy_induced_maps(monkeypatch):
+    """The maps lambda_nm hands to induced_map_of_poset_map, from now on."""
     real = dynamics.induced_map_of_poset_map
     calls = []
 
@@ -385,30 +391,40 @@ def test_lambda_table_shortest_first_stores_only_adjacent_segments(monkeypatch):
         return real(f)
 
     monkeypatch.setattr(dynamics, "induced_map_of_poset_map", spy)
-    order = _pair_orders(3, random.Random(0))["shortest-first"]
-    assert {nm: lambda_nm(seq, *nm) for nm in order} == {nm: 2 for nm in order}
-    assert set(seq._segments) == {(0, 1), (1, 2), (2, 3)}
-    assert len(calls) == 3
+    return calls
 
 
-def test_lambda_range_checks_come_before_stored_segments(circle):
+def test_lambda_table_builds_one_induced_map_per_pair(monkeypatch):
+    # with f = h each pair builds h_{n,m*} once and reuses it as f_{n,m*},
+    # whatever the order of the table and whatever was asked before
+    t = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 3)
+    seq = attach_level_maps(t, t.h_maps, certify=False)
+    calls = _spy_induced_maps(monkeypatch)
+    for order in _pair_orders(3, random.Random(0)).values():
+        calls.clear()
+        assert {nm: lambda_nm(seq, *nm) for nm in order} == {nm: 2 for nm in order}
+        assert [(f.target, f.source) for f in calls] == [
+            (t.levels[n], t.levels[m]) for n, m in order]
+
+
+def test_lambda_range_checks_come_before_any_induced_map(circle, monkeypatch):
     t = build_tower(circle, 2)
     seq = attach_level_maps(t, t.h_maps)
-    for _ in range(2):  # with no stored segment, then with two
-        stored = dict(seq._segments)
+    calls = _spy_induced_maps(monkeypatch)
+    for _ in range(2):  # before any lambda, then after three
         with pytest.raises(IndexRange, match=r"^level -1 outside 0\.\.2$"):
             lambda_nm(seq, -1, 1)
         with pytest.raises(IndexRange, match=r"^level 3 outside 0\.\.2$"):
             lambda_nm(seq, 0, 3)
         with pytest.raises(IndexRange, match=r"^need n < m, got 2 >= 1$"):
             lambda_nm(seq, 2, 1)
-        assert seq._segments == stored
+        assert not calls
         for n, m in [(0, 1), (1, 2), (0, 2)]:
-            lambda_nm(seq, n, m)
-    assert set(seq._segments) == {(0, 1), (1, 2)}
+            assert lambda_nm(seq, n, m) == 0
+        calls.clear()
 
 
-def test_lambda_that_raises_stores_no_segment():
+def test_lambda_raises_when_h_does_not_invert():
     # the ex2_3 collapse of the sphere model onto M < N as a hand-built
     # comparison map: H_2 does not survive, so h_* does not invert
     X = parse_poset_text(_fixture("ex2_3_X.txt"))
@@ -417,7 +433,6 @@ def test_lambda_that_raises_stores_no_segment():
     seq = attach_level_maps(Tower([Y, X], [f]), [f], certify=False)
     with pytest.raises(NotInvertible):
         lambda_nm(seq, 0, 1)
-    assert not seq._segments
 
 
 def _reordered(X):
@@ -442,8 +457,6 @@ def test_lambda_never_composes_across_two_profiles_of_a_level(monkeypatch):
     cache.cache_clear()
     cache(_reordered(t.levels[1]))
     lambda_nm(seq, 1, 2)
-    # the stored segments meet at level 1 in two bases
-    assert seq._segments[0, 1][0].target is not seq._segments[1, 2][0].source
 
     then = homology_module.InducedMap.then
 
@@ -475,7 +488,7 @@ def test_lambda_constant_maps(chain2):
 
 
 def test_lambda_with_f_equal_to_h_builds_one_induced_map(monkeypatch):
-    # a cold segment builds h_{n,m*} and reuses it as f_{n,m*} when every
+    # lambda_nm(n, m) builds h_{n,m*} and reuses it as f_{n,m*} when every
     # level map equals h on the tower's listing of its levels, also when
     # f is given on an equal level listed in another order
     t = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 2)
@@ -489,7 +502,7 @@ def test_lambda_with_f_equal_to_h_builds_one_induced_map(monkeypatch):
         calls.append(f)
         return real(f)
 
-    # the number of induced maps a cold lambda_nm(n, m) builds
+    # the number of induced maps lambda_nm(n, m) builds
     everywhere_h = {(0, 1): 1, (1, 2): 1, (0, 2): 1}
     for name, f_maps, built in [
         ("f = h", t.h_maps, everywhere_h),

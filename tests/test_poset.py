@@ -33,7 +33,12 @@ from finspace.poset import (
     order_preserving_maps,
     require_continuous,
 )
-from finspace.complexes import barycentric_subdivision_space, chain_max_map
+from finspace.complexes import (
+    SimplicialComplex,
+    barycentric_subdivision_space,
+    chain_max_map,
+    face_poset,
+)
 from finspace.dynamics import Tower, attach_level_maps, build_tower
 from finspace.formats import serialize_map, serialize_poset
 from finspace.maps import MultiMap, graph, is_vietoris_like_map
@@ -330,6 +335,26 @@ def test_all_chains_budget_is_the_exact_chain_count(monkeypatch):
         with pytest.raises(BudgetExceeded):
             X.all_chains()
             pytest.fail(msg)
+
+
+def test_euler_characteristic_matches_the_alternating_chain_count():
+    # the sign-flipping count builds no chain; all_chains is the oracle
+    rng = random.Random(8)
+    for k in range(60):
+        X = random_poset(rng, rng.randint(1, 9), density=rng.choice([0.2, 0.5, 0.8]))
+        want = sum((-1) ** (len(c) - 1) for c in X.all_chains())
+        assert X.euler_characteristic() == want, f"seed 8, instance {k}\nX:\n{serialize_poset(X)}"
+
+
+@pytest.mark.parametrize("n, chains", [(8, 1091669), (9, 14174521)])
+def test_euler_characteristic_of_a_simplex_needs_no_chain_budget(n, chains):
+    # the face posets of the 7- and 8-simplex have more chains than the
+    # budget, 2 a(n) - 1 with a the ordered Bell numbers; they are
+    # contractible, so chi = 1
+    X = face_poset(SimplicialComplex.from_simplices([range(n)]))
+    assert len(X) == 2 ** n - 1
+    assert X._chain_count() == chains > poset.DEFAULT_BUDGET
+    assert X.euler_characteristic() == 1
 
 
 def test_linear_extension_is_topological(circle):
