@@ -130,7 +130,19 @@ class SimplicialComplex:
         return [s for level in self.simplices for s in level]
 
     def simplex_index(self, s):
-        return self._sindex[len(s) - 1][tuple([self._vindex[v] for v in s])]
+        """The index of the simplex s, its vertices in vertex order, within
+        its dimension; ValueError for a tuple that is no simplex."""
+        t = self._positions(s)
+        if t and len(t) <= len(self._sindex) and t in self._sindex[len(t) - 1]:
+            return self._sindex[len(t) - 1][t]
+        raise ValueError(f"{tuple(s)!r} is not a simplex of the complex")
+
+    def _positions(self, s):
+        """The positions of the vertices s; UnknownElement for any other."""
+        try:
+            return tuple([self._vindex[v] for v in s])
+        except KeyError as exc:
+            raise UnknownElement(f"unknown vertex {exc.args[0]!r}") from None
 
     def euler_characteristic(self):
         return sum(
@@ -222,12 +234,16 @@ class SimplicialMap:
         return self.vertex_assignment[v]
 
     def image_simplex(self, s):
-        """Sorted deduplicated image tuple; always a simplex of the target."""
-        vindex = self.target._vindex
-        img = tuple(sorted({vindex[self.vertex_assignment[v]] for v in s}))
-        if img not in self.target._sindex[len(img) - 1]:
-            raise ValueError(f"image of {s!r} is not a simplex of the target")
-        return self.target._named(img)
+        """The deduplicated image of the vertices s, found by _image, as a
+        simplex of the target; ValueError if it is none."""
+        self.source._positions(s)  # UnknownElement for a vertex not in the source
+        target = self.target
+        img = sorted({target._vindex[self.vertex_assignment[v]] for v in s})
+        try:
+            _image(target, img)
+        except LookupError:  # no such simplex, or none of its dimension
+            raise ValueError(f"image of {s!r} is not a simplex of the target") from None
+        return target._named(img)
 
     def then(self, g):
         if g.source != self.target:

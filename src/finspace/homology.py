@@ -40,7 +40,7 @@ from .errors import (
     ProfileMismatch,
 )
 from .intmat import smith_normal_form
-from .poset import _RankMasks, _cone_or_core, _positions, _stong_core, require_continuous
+from .poset import _cone_or_core, _positions, require_continuous
 
 __all__ = [
     "HomologyProfile",
@@ -403,25 +403,21 @@ def is_acyclic(X):
     """
     if len(X) == 0:
         raise EmptySubspace("the empty subspace is not acyclic")
-    hp = _core_homology(X, _RankMasks(X), range(len(X)))
+    hp = _core_homology(X, range(len(X)))
     return hp is None or hp.is_acyclic()
 
 
-def _core_homology(X, masks, points):
-    """None when some points of X are acyclic by a cone or a one-point
-    core, else the homology profile of their Stong core.
+def _core_homology(X, points):
+    """None when the point indices points of X are acyclic by a cone or a
+    one-point core, else the homology profile of their Stong core; both
+    found by poset._cone_or_core, with no subposet built.
 
-    masks are X's rank masks, built once by the caller however many
-    sets it tests, and points lists the point indices, so the points
-    need not form a subposet first.  A set with a maximum or a minimum is
-    contractible (Stong, Trans. AMS 1966), a cone, so it is acyclic
-    without a core.  Otherwise its Stong core, found by this module's
-    _stong_core, is a strong deformation retract (same reference) with
-    the same Betti numbers and torsion; a one-point core is acyclic, and
-    only a larger one becomes a poset, for its homology.  Both tests run
-    in poset._cone_or_core, on the point indices.
+    A set with a maximum or a minimum is contractible (Stong, Trans. AMS
+    1966), a cone.  Otherwise its Stong core is a strong deformation
+    retract (same reference) with the same Betti numbers and torsion, and
+    only a core of more than one point becomes a poset, for its homology.
     """
-    keep = _cone_or_core(masks, points, _stong_core)
+    keep = _cone_or_core(X, points)
     return poset_homology(X._restrict(keep)) if keep and len(keep) > 1 else None
 
 

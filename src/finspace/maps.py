@@ -25,7 +25,6 @@ from .homology import (
 from .poset import (
     DEFAULT_BUDGET,
     PosetMap,
-    _RankMasks,
     _map,
     order_preserving_maps,
     product_subposet,
@@ -187,13 +186,13 @@ def is_vietoris_like_map(f):
     point indices, and a chain's union is their concatenation: fibers
     are disjoint, so it lists each point once.  Each union is tested by
     homology._core_homology on its point indices, without building a
-    subposet, on rank masks of the source built once per certificate: a
-    cone (two int tests) is acyclic without a worklist, and most unions
-    are cones; otherwise the Stong core decides, with homology only for a
-    core of more than one point.  Unions are not memoized, as no two
-    chains can share one: singletons come first, so every fiber is
-    nonempty past them, and disjoint nonempty fibers make distinct
-    chains' unions distinct.  The first failing chain, in enumeration
+    subposet: a cone is acyclic without a worklist; otherwise the Stong
+    core decides, with homology only for a core of more than one point.
+    No test builds rank masks wider than the union it tests, so their
+    size is bounded by the largest union, not by the size of the source.  Unions are not memoized, as no two chains
+    can share one: singletons come first, so every fiber is nonempty
+    past them, and disjoint nonempty fibers make distinct chains' unions
+    distinct.  The first failing chain, in enumeration
     order, is reported.
 
     A map is certified at most once: the certificate is kept on f (the
@@ -212,7 +211,6 @@ def _certify(f):
     fibers = [[] for _ in Y.elements]
     for i, j in enumerate(f._pos):
         fibers[j].append(i)
-    masks = _RankMasks(X)
     # the walk lists index chains in lexicographic order, so a stable sort
     # by length orders them shortest first, then by target positions
     for idx in sorted(Y._index_chains(), key=len):
@@ -220,7 +218,7 @@ def _certify(f):
         if not union:
             return Certificate(ok=False, failing_chain=_chain_elements(Y, idx),
                                reason="empty fiber union (f not surjective)")
-        hp = _core_homology(X, masks, union)
+        hp = _core_homology(X, union)
         if hp is not None and not hp.is_acyclic():
             return Certificate(ok=False, failing_chain=_chain_elements(Y, idx), profile=hp)
     return Certificate(ok=True)

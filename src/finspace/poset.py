@@ -10,9 +10,9 @@ A poset stores its order once, as index lists and a linear extension
 FinitePoset(elements, matrix) or build_poset(elements, relations); both
 turn them into per-point masks of the points below, Python ints, run one
 check on those masks and keep only the lists.  Rank masks are scratch
-data that only this module builds or reads: _RankMasks builds them inside
-the one call that tests sets of points over and over (a Stong core, or a
-fiber union's cone test and core), and other modules pass point indices.
+data that only this module builds or reads: _rank_masks builds them over
+just the set a call tests over and over (a poset's Stong core, or a fiber
+union's core), and other modules pass point indices.
 A dense matrix exists only as the constructor's input and as what
 leq_matrix() returns.
 """
@@ -50,13 +50,10 @@ class FinitePoset:
     lists of the points strictly below each point.  It keeps those lists
     (_down), the lists of the points strictly above (_up) and a linear
     extension (_order, the points by rank, and _rank, each point's rank).
-    No mask is kept.
-    Ranks extend the order, so the only candidate for the maximum of a
-    set is its point of highest rank and the only candidate for its
-    minimum the point of lowest rank: the set has a maximum iff every
-    other point of the set is in that point's down list.  A call that
-    tests many sets, such as core(), builds _RankMasks for itself, where
-    a set is one int and each such test one AND of two ints.
+    No mask is kept.  Ranks extend the order, so a set's maximum or
+    minimum is tested on one point's list (_extreme).  A call that tests
+    many subsets of one set, such as core(), builds _rank_masks of that
+    set, where a subset is one int and each test one AND of two ints.
     """
 
     __slots__ = ("elements", "_index", "_hash", "_down", "_up", "_order", "_rank")
@@ -178,15 +175,10 @@ class FinitePoset:
         return self._extremum(subset, min, self._up)
 
     def _extremum(self, subset, pick, lists):
-        """The point of the subset that pick (max or min) takes by rank, if
-        every other point of the subset is in its list (down or up), else
-        None: ranks extend the order, so no other point can qualify."""
+        """The element _extreme finds among the subset's points, or None."""
         points = set(range(len(self)) if subset is None else map(self.index, subset))
-        if not points:
-            return None
-        m = pick(points, key=self._rank.__getitem__)
-        points.discard(m)
-        return self.elements[m] if points.issubset(lists[m]) else None
+        m = _extreme(self, points, pick, lists) if points else None
+        return None if m is None else self.elements[m]
 
     def linear_extension(self):
         """Elements in a topological order compatible with leq (stable)."""
@@ -268,65 +260,19 @@ class FinitePoset:
         points go lowest element position first, for reproducibility, and
         a poset that has none (such as any poset of fewer than two points)
         is returned itself.  Otherwise _stong_core, the one beat-point
-        worklist, runs on all points, on rank masks built for this call,
-        and the poset is restricted once.  It tests each point lazily,
-        when it is taken lowest position first, and a removal queues again
-        only the points comparable to it.  No point off the worklist is a beat point, so
-        the first queued point that tests as one is the lowest-placed.
+        worklist, runs on rank masks of all points, built for this call,
+        and the poset is restricted once.  It takes the lowest-placed point
+        queued, and the first one that tests as a beat point is the
+        lowest-placed beat point (see _stong_core).
         """
         n = len(self)
         if n < 2:
             return self
-        keep = _stong_core(_RankMasks(self), (1 << n) - 1, range(n))
+        keep = _stong_core(*_rank_masks(self, range(n)))
         return self if len(keep) == n else self._restrict(keep)
 
     def is_contractible(self):
         return len(self.core()) == 1
-
-
-class _RankMasks:
-    """Rank masks of a poset's order, the one place they are built: scratch
-    data for a call that tests sets of points over and over.
-
-    A set of points is an int with bit rank[i] set for point i; below[i]
-    and above[i] are the masks of the points strictly below and above
-    point i.  order, rank, down and up are the poset's own lists.  They
-    take Theta(n^2) bits, so a call builds them once and no poset keeps
-    them.
-    """
-
-    __slots__ = ("order", "rank", "down", "up", "below", "above")
-
-    def __init__(self, P):
-        self.order, self.rank, self.down, self.up = P._order, P._rank, P._down, P._up
-        self.below = list(map(self.mask, self.down))
-        self.above = list(map(self.mask, self.up))
-
-    def mask(self, indices):
-        """The rank mask of the given point indices."""
-        rank = self.rank
-        out = 0
-        for i in indices:
-            out |= 1 << rank[i]
-        return out
-
-    def max_of(self, S):
-        """The index of the maximum of the points in the rank mask S, or None."""
-        if S:
-            top = S.bit_length() - 1
-            m = self.order[top]
-            if self.below[m] & S == S ^ (1 << top):
-                return m
-        return None
-
-    def min_of(self, S):
-        """The index of the minimum of the points in the rank mask S, or None."""
-        low = S & -S
-        if low:
-            m = self.order[low.bit_length() - 1]
-            if self.above[m] & S == S ^ low:
-                return m
-        return None
 
 
 def _bits(mask):
@@ -354,51 +300,91 @@ def _values_above(Y, allowed, values):
     return sorted(allowed)
 
 
-def _cone_or_core(masks, points, stong_core):
-    """None if the point indices points have a maximum or a minimum (a
-    cone), else the sorted indices of their Stong core, found by
-    stong_core (_stong_core, as the caller binds it) on the poset's
-    _RankMasks masks and the points' rank mask, built once for both."""
-    alive = masks.mask(points)
-    if masks.max_of(alive) is not None or masks.min_of(alive) is not None:
+def _extreme(P, points, pick, lists):
+    """The one of the nonempty, distinct point indices points that pick
+    (max or min) takes by rank, if every other point is in its list (down
+    or up), else None: ranks extend the order, so no other point can
+    qualify.  No mask is built."""
+    m, others = pick(points, key=P._rank.__getitem__), len(points) - 1
+    inside = others <= len(lists[m]) and len(set(lists[m]).intersection(points)) == others
+    return m if inside else None
+
+
+def _rank_masks(P, points):
+    """(by_rank, below, above): the rank masks of the point indices points
+    of P, the one place masks are built.  by_rank is the points sorted by
+    rank, a subset is an int with bit b for by_rank[b], and below[b] and
+    above[b] mask the points of the set strictly below and above it.  Only
+    the set's own down lists are read: Theta(k^2) bits for k points."""
+    by_rank = sorted(points, key=P._rank.__getitem__)
+    pos = dict(zip(by_rank, range(len(by_rank))))
+    below, above = [0] * len(by_rank), [0] * len(by_rank)
+    down = P._down
+    for b, i in enumerate(by_rank):
+        bit, mask = 1 << b, 0
+        for j in down[i]:
+            c = pos.get(j)
+            if c is not None:
+                mask |= 1 << c
+                above[c] |= bit
+        below[b] = mask
+    return by_rank, below, above
+
+
+def _has_max(below, S):
+    """Whether the rank mask S has a maximum: its highest-ranked point."""
+    top = S.bit_length() - 1
+    return S > 0 and below[top] & S == S ^ (1 << top)
+
+
+def _has_min(above, S):
+    """Whether the rank mask S has a minimum: its lowest-ranked point."""
+    low = S & -S
+    return S > 0 and above[low.bit_length() - 1] & S == S ^ low
+
+
+def _cone_or_core(P, points):
+    """None if the point indices points of P (a sequence) have a maximum
+    or a minimum (a cone), else the sorted indices of their Stong core.
+    The maximum is tested by _extreme, before any mask is built; otherwise
+    one _rank_masks of the points serves the minimum test and _stong_core."""
+    if _extreme(P, points, max, P._down) is not None:
         return None
-    return stong_core(masks, alive, points)
+    masks = by_rank, _, above = _rank_masks(P, points)
+    if _has_min(above, (1 << len(by_rank)) - 1):
+        return None
+    return _stong_core(*masks)
 
 
-def _stong_core(masks, alive, points):
-    """Sorted indices of the Stong core of some points of a poset.
+def _stong_core(by_rank, below, above):
+    """Sorted point indices of the Stong core of a set of points, from its
+    _rank_masks, so no subposet is built.
 
-    masks are the poset's _RankMasks, points an iterable of point
-    indices, read once, and alive their rank mask, so no subposet is
-    built.  y is a beat point iff the live points below it have a
-    maximum or those above it a minimum.  The worklist, an int
-    with one bit per point in index order, is tested lazily: its lowest
-    point is taken, and dropped if it is no beat point.  Only removing a
-    point comparable to y can make y one, as its tests read nothing
-    else, and each removal queues those points again.  So no live point
-    off the worklist is a beat point, and the first queued point that
-    tests as one is the lowest-index beat point, as FinitePoset.core
-    promises.
+    y is a beat point iff the live points below it have a maximum or
+    those above it a minimum.  The worklist, an int with one bit per
+    point in index order, is tested lazily: its lowest point is taken,
+    and dropped if it is no beat point.  Only removing a point comparable
+    to y can make y one, and each removal queues the live ones of those
+    points again.  So the first queued point that tests as a beat point
+    is the lowest-index one, as FinitePoset.core promises.
     """
-    rank, below, above = masks.rank, masks.below, masks.above
-    max_of, min_of, up, down = masks.max_of, masks.min_of, masks.up, masks.down
-    points = sorted(points)
-    bit = {i: 1 << b for b, i in enumerate(points)}
-    keep = work = (1 << len(points)) - 1  # keep: the live points
+    by_index = sorted(range(len(by_rank)), key=by_rank.__getitem__)
+    # rank position -> its worklist bit: the inverse permutation of by_index
+    queue_bit = [1 << w for w in sorted(range(len(by_rank)), key=by_index.__getitem__)]
+    alive = work = (1 << len(by_rank)) - 1
     while work:
         low = work & -work
         work ^= low
-        x = points[low.bit_length() - 1]
-        if max_of(below[x] & alive) is None and min_of(above[x] & alive) is None:
+        b = by_index[low.bit_length() - 1]
+        if not (_has_max(below, below[b] & alive) or _has_min(above, above[b] & alive)):
             continue
-        alive ^= 1 << rank[x]
-        keep ^= low
-        for y in up[x]:
-            work |= bit.get(y, 0)
-        for y in down[x]:
-            work |= bit.get(y, 0)
-        work &= keep
-    return [points[b] for b in _bits(keep)]
+        alive ^= 1 << b
+        near = (below[b] | above[b]) & alive
+        while near:
+            low = near & -near
+            work |= queue_bit[low.bit_length() - 1]
+            near ^= low
+    return sorted([by_rank[b] for b in _bits(alive)])
 
 
 def _check_unique(elements, index):

@@ -69,6 +69,23 @@ def test_doors_name_simplices_by_their_vertices():
     assert K.simplex_index(("a", "b")) == 0 and K.simplices[1] == (("a", "b"),)
 
 
+@pytest.mark.parametrize("lookup, s, error, message", [
+    ("image_simplex", ("a", "b"), ValueError, r"^image of \('a', 'b'\) is not a simplex"),
+    ("image_simplex", ("z",), UnknownElement, r"^unknown vertex 'z'$"),
+    ("simplex_index", ("a", "b"), ValueError, r"^\('a', 'b'\) is not a simplex"),
+    ("simplex_index", (), ValueError, r"^\(\) is not a simplex"),
+    ("simplex_index", ("a", "a"), ValueError, r"^\('a', 'a'\) is not a simplex"),
+    ("simplex_index", ("z",), UnknownElement, r"^unknown vertex 'z'$"),
+])
+def test_simplex_lookups_name_their_errors(lookup, s, error, message):
+    # two isolated vertices: no tuple of two vertices is a simplex, and no
+    # dimension holds the empty tuple
+    K = SimplicialComplex("ab", [["a", "b"]])
+    owner = SimplicialMap(K, K, {"a": "a", "b": "b"}) if lookup == "image_simplex" else K
+    with pytest.raises(error, match=message):
+        getattr(owner, lookup)(s)
+
+
 def test_order_complex_of_circle(circle):
     K = order_complex(circle)
     assert [K.n_simplices(d) for d in (0, 1)] == [4, 4]

@@ -53,6 +53,7 @@ from finspace.random_instances import random_monotone_map, random_poset
 
 # the module, not the function finspace.homology that the package exports
 homology_module = importlib.import_module("finspace.homology")
+poset_module = importlib.import_module("finspace.poset")
 
 
 def _fixture(name):
@@ -220,7 +221,7 @@ def test_certified_attach_reuses_certificates(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("certified attach ran a Stong worklist")
 
-    monkeypatch.setattr(homology_module, "_stong_core", refuse)
+    monkeypatch.setattr(poset_module, "_stong_core", refuse)
     seq = attach_level_maps(t, t.h_maps)
     assert [len(F.source) for F in seq.F_maps] == [26, 146]
 

@@ -63,6 +63,7 @@ from finspace.random_instances import (
 
 # the module, not the function finspace.homology that the package exports
 homology_module = importlib.import_module("finspace.homology")
+poset_module = importlib.import_module("finspace.poset")
 
 
 @pytest.fixture
@@ -175,19 +176,19 @@ def _refuse_recertification(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a certified map was certified again")
 
-    monkeypatch.setattr(homology_module, "_stong_core", refuse)
+    monkeypatch.setattr(poset_module, "_stong_core", refuse)
     monkeypatch.setattr(homology_module, "poset_homology", refuse)
 
 
 def test_certificate_is_kept_on_the_map(monkeypatch):
     h1 = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 2).h_maps[1]
-    real_core, worklists = homology_module._stong_core, []
+    real_core, worklists = poset_module._stong_core, []
 
     def counting_core(*args):
         worklists.append(1)
         return real_core(*args)
 
-    monkeypatch.setattr(homology_module, "_stong_core", counting_core)
+    monkeypatch.setattr(poset_module, "_stong_core", counting_core)
     first = is_vietoris_like_map(h1)
     assert first.ok and worklists  # the first call ran Stong worklists
     _refuse_recertification(monkeypatch)
@@ -265,20 +266,20 @@ def test_vietoris_certificate_matches_subposet_cores(seed, monkeypatch):
             if f is not None:
                 corpus.append(("random map", f))
     reached = []  # index sets of the unions that get past the cone test
-    real_stong_core = homology_module._stong_core
+    real_stong_core = poset_module._stong_core
 
-    def counting_stong_core(view, alive, points):
-        points = list(points)
-        reached.append(frozenset(points))
-        return real_stong_core(view, alive, points)
+    def counting_stong_core(by_rank, below, above):
+        reached.append(frozenset(by_rank))
+        return real_stong_core(by_rank, below, above)
 
-    monkeypatch.setattr(homology_module, "_stong_core", counting_stong_core)
+    monkeypatch.setattr(poset_module, "_stong_core", counting_stong_core)
     outcomes = set()
     skipped = passed_on = 0
     for i, (kind, f) in enumerate(corpus):
         reached.clear()
         unions = {}
         got = _certificate_fields(is_vietoris_like_map(f))
+        certified = reached[:]  # the oracle's core() calls run the worklist too
         want = _certificate_fields(_vietoris_by_subposets(f, unions))
         label = (
             f"seed {900 + seed} instance {i} ({kind})\n"
@@ -287,16 +288,16 @@ def test_vietoris_certificate_matches_subposet_cores(seed, monkeypatch):
         assert got == want, label
         outcomes.add("ok" if got[0] else got[2] or "not acyclic")
         unions = {frozenset(map(f.source.index, u)): hp for u, hp in unions.items()}
-        assert len(set(reached)) == len(reached) and set(reached) <= unions.keys(), label
+        assert len(set(certified)) == len(certified) and set(certified) <= unions.keys(), label
         # a union skips the worklist iff it has a maximum or a minimum, and
         # then the oracle must have found it acyclic
         for u in unions:
             pts = [f.source.elements[k] for k in u]
             cone = f.source.maximum(pts) is not None or f.source.minimum(pts) is not None
-            assert cone == (u not in reached), label
+            assert cone == (u not in certified), label
             assert unions[u] is None or not cone, label
-        skipped += len(unions) - len(reached)
-        passed_on += len(reached)
+        skipped += len(unions) - len(certified)
+        passed_on += len(certified)
     assert outcomes == {"ok", "not acyclic", "empty fiber union (f not surjective)"}
     assert skipped and passed_on  # the cone test both short-circuits and passes on
 
@@ -308,7 +309,7 @@ def test_identity_certificates_need_no_stong_core(seed, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a cone reached the Stong-core worklist")
 
-    monkeypatch.setattr(homology_module, "_stong_core", refuse)
+    monkeypatch.setattr(poset_module, "_stong_core", refuse)
     rng = random.Random(1100 + seed)
     for i in range(40):
         X = random_poset(rng, 8, density=rng.choice([0.2, 0.4, 0.6]))
@@ -328,6 +329,31 @@ def test_certificate_builds_no_subposet(monkeypatch):
     h1 = t.h_maps[1]
     assert (len(h1.source), len(h1.target)) == (146, 26)
     assert is_vietoris_like_map(h1).ok
+
+
+def test_certificate_masks_no_wider_than_a_fiber_union(monkeypatch):
+    """Rank masks cover the points of one fiber union, not the source: on
+    the S^2 model at depth 3 no mask build takes more points than the
+    largest union of the map it certifies."""
+    real_masks, widths = poset_module._rank_masks, []
+
+    def recording_masks(P, points):
+        points = list(points)
+        widths.append(len(points))
+        return real_masks(P, points)
+
+    monkeypatch.setattr(poset_module, "_rank_masks", recording_masks)
+    t = build_tower(build_poset("abcdef", [
+        ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+        ("c", "e"), ("c", "f"), ("d", "e"), ("d", "f"),
+    ]), 3)
+    for n, h in enumerate(t.h_maps):
+        sizes = [len(fiber) for fiber in h.fibers().values()]
+        index = h.target.index
+        largest = max(sum(sizes[index(y)] for y in c) for c in h.target.all_chains())
+        widths.clear()
+        assert is_vietoris_like_map(h).ok
+        assert widths and max(widths) <= largest < len(h.source), n
 
 
 def test_composition_lemmas(circle):

@@ -454,8 +454,8 @@ def _sphere_fiber_unions(seed, count, min_size=20):
 
 
 def test_core_matches_the_beat_point_loop():
-    # whole posets through core(), random subsets through the index-set
-    # worklist on the enclosing poset's rank view
+    # whole posets through core(), random subsets through the worklist on
+    # rank masks of the subset alone
     seed = 34
     rng = random.Random(seed)
     removed = removed_in_subsets = 0
@@ -466,8 +466,7 @@ def test_core_matches_the_beat_point_loop():
             f"seed {seed}, instance {k}\nX:\n{serialize_poset(X)}")
         removed += len(X) - len(got)
         subset = set(rng.sample(range(len(X)), rng.randint(1, len(X))))
-        masks = poset._RankMasks(X)
-        keep = poset._stong_core(masks, masks.mask(subset), sorted(subset))
+        keep = poset._stong_core(*poset._rank_masks(X, subset))
         want = _core_by_rescanning(X.subposet([X.elements[i] for i in subset]))
         assert [X.elements[i] for i in keep] == list(want.elements), (
             f"seed {seed}, instance {k}, subset {sorted(subset)}\n"
@@ -479,14 +478,45 @@ def test_core_matches_the_beat_point_loop():
 def test_stong_core_reads_points_once(circle):
     # points may be a one-shot iterator: every subset of the circle, and a
     # chain whose core is its top
-    masks = poset._RankMasks(circle)
     for size in range(1, 5):
         for subset in itertools.combinations(range(4), size):
-            keep = poset._stong_core(masks, masks.mask(subset), iter(subset))
+            keep = poset._stong_core(*poset._rank_masks(circle, iter(subset)))
             want = _core_by_rescanning(circle.subposet([circle.elements[i] for i in subset]))
             assert [circle.elements[i] for i in keep] == list(want.elements), subset
     chain = build_poset("pqr", [("p", "q"), ("q", "r")])
-    assert poset._stong_core(poset._RankMasks(chain), 7, iter(range(3))) == [2]
+    assert poset._stong_core(*poset._rank_masks(chain, iter(range(3)))) == [2]
+
+
+class _WholeMasks:
+    """Rank masks of a whole poset, as poset built them before masks
+    covered only the set under test: a set of points is an int with bit
+    rank[i] set for point i, and below[i] and above[i] are the masks of
+    the points strictly below and above point i.  A reference for the
+    oracles below."""
+
+    def __init__(self, P):
+        self.order, self.rank, self.down, self.up = P._order, P._rank, P._down, P._up
+        self.below = list(map(self.mask, self.down))
+        self.above = list(map(self.mask, self.up))
+
+    def mask(self, indices):
+        return sum({1 << self.rank[i] for i in indices})
+
+    def max_of(self, S):
+        if S:
+            top = S.bit_length() - 1
+            m = self.order[top]
+            if self.below[m] & S == S ^ (1 << top):
+                return m
+        return None
+
+    def min_of(self, S):
+        low = S & -S
+        if low:
+            m = self.order[low.bit_length() - 1]
+            if self.above[m] & S == S ^ low:
+                return m
+        return None
 
 
 def _stong_core_by_flags(masks, alive, points):
@@ -538,8 +568,8 @@ def test_stong_core_matches_the_flag_worklist(circle):
     instances = removed = 0
     for k, X, subset in _tower_subsets(rng, circle):
         rng.shuffle(subset)
-        masks = poset._RankMasks(X)
-        got = poset._stong_core(masks, masks.mask(subset), iter(subset))
+        masks = _WholeMasks(X)
+        got = poset._stong_core(*poset._rank_masks(X, iter(subset)))
         want = _stong_core_by_flags(masks, masks.mask(subset), subset)
         assert got == want, (
             f"seed {seed}, instance {k}, subset {sorted(subset)}\n"
@@ -596,7 +626,7 @@ def test_rank_view_matches_the_matrix():
     for k, X, leq in _view_corpus(seed, 360):
         msg = f"seed {seed}, instance {k}\nX:\n{serialize_poset(X)}"
         els, n = X.elements, len(X)
-        order, rank, masks = X._order, X._rank, poset._RankMasks(X)
+        order, rank, masks = X._order, X._rank, _WholeMasks(X)
         assert sorted(order) == list(range(n)), msg
         assert all(rank[i] == r for r, i in enumerate(order)), msg
         for i in range(n):
@@ -606,6 +636,16 @@ def test_rank_view_matches_the_matrix():
             assert masks.below[i] == sum(1 << rank[j] for j in below), msg
             assert masks.above[i] == sum(1 << rank[j] for j in above), msg
             assert all(rank[j] < rank[i] for j in below), msg
+        # masks of a set: bit b for its b-th point by rank, comparisons
+        # inside the set only
+        for points in (range(n), range(0, n, 2), range(n - 1, -1, -3)):
+            by_rank, below, above = poset._rank_masks(X, points)
+            assert by_rank == sorted(points, key=rank.__getitem__), msg
+            for b, i in enumerate(by_rank):
+                assert below[b] == sum(1 << c for c, j in enumerate(by_rank)
+                                       if j != i and leq[j, i]), msg
+                assert above[b] == sum(1 << c for c, j in enumerate(by_rank)
+                                       if j != i and leq[i, j]), msg
         assert all(X.leq(x, y) == leq[i, j]
                    for i, x in enumerate(els) for j, y in enumerate(els)), msg
         strict = leq & ~np.eye(n, dtype=bool)
@@ -910,7 +950,7 @@ def _maps_by_dict(X, Y, candidates):
     dict and checked again by the PosetMap constructor."""
     order = X.linear_extension()
     preds = {x: X.strict_down_set(x) for x in order}
-    masks = poset._RankMasks(Y)
+    masks = _WholeMasks(Y)
     allowed = [masks.mask(map(Y.index, candidates(x))) for x in order]
     value, stack, out = {}, [], []
     while True:
@@ -934,7 +974,7 @@ def _random_monotone_by_dict(rng, X, Y, attempts=200):
     """The element-dict body of random_monotone_map."""
     order = X.linear_extension()
     preds = {x: X.strict_down_set(x) for x in order}
-    masks, everything = poset._RankMasks(Y), (1 << len(Y)) - 1
+    masks, everything = _WholeMasks(Y), (1 << len(Y)) - 1
     for _ in range(attempts):
         partial = {}
         for x in order:
