@@ -32,7 +32,7 @@ simplex times the sign of the permutation that sorts the image vertices
 
 from . import intmat
 from .errors import UnknownElement
-from .poset import _derived, _map, require_continuous
+from .poset import _CHAIN_MAX, _derived, _map, require_continuous
 
 
 class SimplicialComplex:
@@ -226,23 +226,28 @@ class SimplicialMap:
         for v in source.vertices:
             if v not in self.vertex_assignment:
                 raise ValueError(f"no image for vertex {v!r}")
-        vindex, assignment = target._vindex, self.vertex_assignment
-        pos = [vindex[assignment[v]] for v in source.vertices]
+        assignment = self.vertex_assignment
+        pos = target._positions([assignment[v] for v in source.vertices])
         self._columns = _chain_columns(source, target, pos)
 
     def __call__(self, v):
+        if v not in self.source._vindex:
+            raise UnknownElement(f"unknown vertex {v!r}")
         return self.vertex_assignment[v]
 
     def image_simplex(self, s):
-        """The deduplicated image of the vertices s, found by _image, as a
-        simplex of the target; ValueError if it is none."""
-        self.source._positions(s)  # UnknownElement for a vertex not in the source
-        target = self.target
-        img = sorted({target._vindex[self.vertex_assignment[v]] for v in s})
+        """The deduplicated image of the source simplex s (in any vertex
+        order), found by _image, as a simplex of the target; ValueError if
+        it is none, or else if s is no simplex of the source."""
+        source, target = self.source, self.target
+        t = sorted(source._positions(s))
+        assignment, vertices = self.vertex_assignment, source.vertices
+        img = sorted({target._vindex[assignment[vertices[i]]] for i in t})
         try:
             _image(target, img)
         except LookupError:  # no such simplex, or none of its dimension
             raise ValueError(f"image of {s!r} is not a simplex of the target") from None
+        source.simplex_index(source._named(t))  # ValueError for a non-simplex
         return target._named(img)
 
     def then(self, g):
@@ -356,9 +361,14 @@ def chain_max_map(X1, X):
     element order, which need not follow the order of X, so the maximum
     is not read off the end of the tuple: it is the point of the chain
     with the highest rank in X (ranks extend the order).
+
+    The map is marked (poset._CHAIN_MAX in its _certificate slot), so its
+    certificate first tries maps._contracts.
     """
     index, rank, order = X._index, X._rank, X._order
-    return _map(X1, X, [order[max([rank[index[x]] for x in c])] for c in X1.elements])
+    h = _map(X1, X, [order[max([rank[index[x]] for x in c])] for c in X1.elements])
+    h._certificate = _CHAIN_MAX
+    return h
 
 
 def barycentric_subdivision_complex(K):

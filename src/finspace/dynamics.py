@@ -152,7 +152,8 @@ def attach_level_maps(t, f_maps, certify=True):
       Vietoris-like if h is.
     * A chain-maximum h always is: for a chain d of X^n, adding max d to
       each chain of h^{-1}(d) is a self-map of h^{-1}(d) lying above both
-      the identity and a constant, so h^{-1}(d) is contractible.
+      the identity and a constant, so h^{-1}(d) is contractible; for an
+      h from chain_max_map, is_vietoris_like_map checks this contraction.
 
     So CertificationFailed (level n + 1) names h_n and its failing chain;
     only a hand-built Tower whose h_maps break the chain-maximum contract

@@ -23,6 +23,7 @@ from .homology import (
     invert,
 )
 from .poset import (
+    _CHAIN_MAX,
     DEFAULT_BUDGET,
     PosetMap,
     _map,
@@ -180,37 +181,40 @@ class Certificate:
 def is_vietoris_like_map(f):
     """Check that every union of fibers over a chain of the target is acyclic.
 
-    All chains are enumerated (acyclicity over maximal chains does not
-    imply it for subchains), shortest first.  The fibers come from one
-    pass over the map's positions (PosetMap._pos) as lists of source
-    point indices, and a chain's union is their concatenation: fibers
-    are disjoint, so it lists each point once.  Each union is tested by
-    homology._core_homology on its point indices, without building a
-    subposet: a cone is acyclic without a worklist; otherwise the Stong
-    core decides, with homology only for a core of more than one point.
-    No test builds rank masks wider than the union it tests, so their
-    size is bounded by the largest union, not by the size of the source.  Unions are not memoized, as no two chains
-    can share one: singletons come first, so every fiber is nonempty
-    past them, and disjoint nonempty fibers make distinct chains' unions
-    distinct.  The first failing chain, in enumeration
-    order, is reported.
+    A map built by complexes.chain_max_map is first tried by _contracts.
+    Otherwise all chains are enumerated (acyclicity over maximal chains
+    does not imply it for subchains), shortest first.  The fibers come
+    from one pass over the map's positions (PosetMap._pos) as lists of
+    source point indices, and a chain's union is their concatenation:
+    fibers are disjoint, so it lists each point once.  Each union is
+    tested by homology._core_homology on its point indices, without
+    building a subposet: a cone is acyclic without a worklist; otherwise
+    the Stong core decides, with homology only for a core of more than
+    one point.  No test builds rank masks wider than the union it tests,
+    so their size is bounded by the largest union, not by the size of
+    the source.  Unions are not memoized, as no two chains can share
+    one: singletons come first, so every fiber is nonempty past them,
+    and disjoint nonempty fibers make distinct chains' unions distinct.
+    The first failing chain, in enumeration order, is reported.
 
     A map is certified at most once: the certificate is kept on f (the
     slot PosetMap._certificate) and returned as is by later calls.  A call
     that raises, such as NotContinuous, keeps nothing.
     """
-    if f._certificate is None:
-        f._certificate = _certify(f)
-    return f._certificate
+    cert = f._certificate
+    if cert is None or cert is _CHAIN_MAX:
+        cert = f._certificate = _certify(f)
+    return cert
 
 
 def _certify(f):
-    """The certificate of is_vietoris_like_map, computed afresh."""
+    """The certificate of is_vietoris_like_map, computed afresh: ok for a
+    map marked by chain_max_map that passes _contracts, else by Stong."""
+    if f._certificate is _CHAIN_MAX and _contracts(f):
+        return Certificate(ok=True)
     require_continuous(f)
     X, Y = f.source, f.target
-    fibers = [[] for _ in Y.elements]
-    for i, j in enumerate(f._pos):
-        fibers[j].append(i)
+    fibers = _fibers(f)
     # the walk lists index chains in lexicographic order, so a stable sort
     # by length orders them shortest first, then by target positions
     for idx in sorted(Y._index_chains(), key=len):
@@ -222,6 +226,55 @@ def _certify(f):
         if hp is not None and not hp.is_acyclic():
             return Certificate(ok=False, failing_chain=_chain_elements(Y, idx), profile=hp)
     return Certificate(ok=True)
+
+
+def _contracts(f):
+    """Whether f: X1 -> X passes, per point t of X, a check that contracts
+    every fiber union over a chain of X with maximum t.
+
+    The witness: m = (t,), D = f^-1(down-set of t, t in it) and g(x) = x
+    with t added, found in X1's own index.  Checked on X1's _down lists:
+    f(m) = t; each x in D has g(x) in X1, f(g(x)) = t and x <= g(x) >= m;
+    each x' < x in D is in D, with g(x') <= g(x).  Proof: for a chain d
+    with maximum t, U = f^-1(d) lies in D and holds f^-1(t), so m.  g
+    maps U into f^-1(t), preserves order, and id_U <= g >= const_m.
+    Comparable maps are homotopic (Barmak, LNM 2032, ch. 1), so U is
+    contractible: nonempty and acyclic.  The pair test at t = f(x) also
+    proves f continuous, so a pass gives the Stong path's certificate.
+    """
+    X1, X = f.source, f.target
+    pos, down, index, elements = f._pos, X1._down, X1._index, X1.elements
+    key, fibers = X._index.__getitem__, _fibers(f)
+    for t, y in enumerate(X.elements):
+        m = index.get((y,))
+        if m is None or pos[m] != t:
+            return False
+        g = {}  # point index x of D_t -> point index of g_t(x)
+        for s in (t, *X._down[t]):
+            for i in fibers[s]:
+                x = elements[i]
+                gi = i if y in x else index.get(tuple(sorted((*x, y), key=key)))
+                if gi is None or pos[gi] != t:
+                    return False
+                below = down[gi]
+                if not ((gi == i or i in below) and (gi == m or m in below)):
+                    return False
+                g[i] = gi
+        for i, gi in g.items():
+            below = down[gi]
+            for k in down[i]:
+                gk = g.get(k)
+                if gk is None or not (gk == gi or gk in below):
+                    return False
+    return True
+
+
+def _fibers(f):
+    """Per target point, the ascending indices of the source points over it."""
+    fibers = [[] for _ in f.target.elements]
+    for i, j in enumerate(f._pos):
+        fibers[j].append(i)
+    return fibers
 
 
 def _chain_elements(Y, idx):

@@ -548,7 +548,8 @@ class PosetMap:
     source, target and _pos are never reassigned, and __hash__ and
     __eq__ are by value.  Its Vietoris-like certificate, a pure function
     of the three, is computed at most once: maps.is_vietoris_like_map
-    keeps it in the private slot _certificate (None until then).
+    keeps it in the private slot _certificate (None until then, or
+    _CHAIN_MAX from complexes.chain_max_map).
     """
 
     __slots__ = ("source", "target", "_pos", "_certificate")
@@ -620,6 +621,10 @@ class PosetMap:
         if self.source != self.target:
             raise ValueError("fixed points need an endomorphism")
         return [x for x, fx in self.assignment.items() if fx == x]
+
+
+# the _certificate of an uncertified map built by complexes.chain_max_map
+_CHAIN_MAX = object()
 
 
 def _fill_map(f, source, target, pos):

@@ -86,6 +86,22 @@ def test_simplex_lookups_name_their_errors(lookup, s, error, message):
         getattr(owner, lookup)(s)
 
 
+def test_simplicial_map_rejects_unknown_vertices_and_non_simplices():
+    K = SimplicialComplex("ab", [["a", "b"]])
+    with pytest.raises(UnknownElement, match=r"^unknown vertex 'z'$"):
+        SimplicialMap(K, K, {"a": "z", "b": "b"})
+    # an extra key is no vertex of the source
+    sm = SimplicialMap(K, K, {"a": "a", "b": "a", "z": "a"})
+    with pytest.raises(UnknownElement, match=r"^unknown vertex 'z'$"):
+        sm("z")
+    # both vertices go to a, a simplex, but (a, b) is no simplex of the source
+    with pytest.raises(ValueError, match=r"^\('a', 'b'\) is not a simplex"):
+        sm.image_simplex(("a", "b"))
+    with pytest.raises(ValueError, match=r"^\('b', 'b'\) is not a simplex"):
+        sm.image_simplex(("b", "b"))
+    assert sm("b") == "a" and sm.image_simplex(("b",)) == ("a",)
+
+
 def test_order_complex_of_circle(circle):
     K = order_complex(circle)
     assert [K.n_simplices(d) for d in (0, 1)] == [4, 4]

@@ -20,6 +20,7 @@ from finspace.errors import (
     UnknownElement,
 )
 from finspace import maps
+from finspace.complexes import barycentric_subdivision_space, chain_max_map
 from finspace.dynamics import build_tower
 from finspace.formats import (
     parse_map_text,
@@ -180,8 +181,28 @@ def _refuse_recertification(monkeypatch):
     monkeypatch.setattr(homology_module, "poset_homology", refuse)
 
 
+def _unmarked(f):
+    """A copy of f without chain_max_map's mark: it takes the Stong path."""
+    return poset_module._map(f.source, f.target, f._pos)
+
+
+def _outcome(f):
+    """A map's certificate fields, or the pair NotContinuous names."""
+    try:
+        return _certificate_fields(is_vietoris_like_map(f))
+    except NotContinuous as exc:
+        return exc.pair
+
+
+def _marked(f):
+    """A copy of f marked as chain_max_map marks its maps."""
+    g = _unmarked(f)
+    g._certificate = poset_module._CHAIN_MAX
+    return g
+
+
 def test_certificate_is_kept_on_the_map(monkeypatch):
-    h1 = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 2).h_maps[1]
+    h1 = _unmarked(build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 2).h_maps[1])
     real_core, worklists = poset_module._stong_core, []
 
     def counting_core(*args):
@@ -252,7 +273,7 @@ def _certificate_fields(cert):
 @pytest.mark.parametrize("seed", range(4))
 def test_vietoris_certificate_matches_subposet_cores(seed, monkeypatch):
     rng = random.Random(900 + seed)
-    corpus = [("corpus", f) for f in vietoris_map_corpus(rng, 8)]
+    corpus = [("corpus", _unmarked(f)) for f in vietoris_map_corpus(rng, 8)]
     while len(corpus) < 48:
         X = random_poset(rng, 8, density=rng.choice([0.2, 0.4]))
         Y = random_poset(rng, 4, density=0.5)
@@ -334,7 +355,8 @@ def test_certificate_builds_no_subposet(monkeypatch):
 def test_certificate_masks_no_wider_than_a_fiber_union(monkeypatch):
     """Rank masks cover the points of one fiber union, not the source: on
     the S^2 model at depth 3 no mask build takes more points than the
-    largest union of the map it certifies."""
+    largest union of the map it certifies (each h without its mark, so
+    that the Stong path runs)."""
     real_masks, widths = poset_module._rank_masks, []
 
     def recording_masks(P, points):
@@ -352,8 +374,108 @@ def test_certificate_masks_no_wider_than_a_fiber_union(monkeypatch):
         index = h.target.index
         largest = max(sum(sizes[index(y)] for y in c) for c in h.target.all_chains())
         widths.clear()
-        assert is_vietoris_like_map(h).ok
+        assert is_vietoris_like_map(_unmarked(h)).ok
         assert widths and max(widths) <= largest < len(h.source), n
+
+
+@pytest.mark.filterwarnings("ignore:subdivision level")
+@pytest.mark.parametrize("name, depth", [
+    ("ex2_3_X.txt", 4), ("circle4.txt", 5), ("rp2.txt", 2),
+])
+def test_chain_max_certificates_match_the_stong_path(name, depth, monkeypatch):
+    """Each h_n is certified by its checked contraction, with no Stong
+    worklist, to the certificate the Stong path gives an unmarked copy."""
+    t = build_tower(parse_poset_text(_fixture(name)), depth)
+    real_core, worklists = poset_module._stong_core, []
+
+    def counting_core(*args):
+        worklists.append(1)
+        return real_core(*args)
+
+    monkeypatch.setattr(poset_module, "_stong_core", counting_core)
+    for n, h in enumerate(t.h_maps):
+        assert h._certificate is poset_module._CHAIN_MAX and maps._contracts(h), n
+        got = is_vietoris_like_map(h).as_dict()
+        assert not worklists, n
+        assert got == is_vietoris_like_map(_unmarked(h)).as_dict() == {"ok": True}, n
+        worklists.clear()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_marked_maps_that_are_no_chain_maximum_keep_the_stong_certificate(seed):
+    """Marked as chain_max_map marks, a map that is no chain-maximum map
+    gets the certificate of its unmarked copy: the contraction check fails
+    and the Stong path runs, or it passes and proves the same result."""
+    rng = random.Random(1300 + seed)
+    t = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 2)
+    X0, X1, X2 = t.levels
+    cases = [constant_map(X1, X0, X0.elements[-1]), t.h_maps[1].then(t.h_maps[0])]
+    for source, target in ((X1, X0), (X2, X1), (X2, X0), (X1, X1)):
+        for _ in range(6):
+            f = random_monotone_map(rng, source, target)
+            if f is not None:
+                cases.append(f)
+    outcomes = set()
+    for i, f in enumerate(cases):
+        got, want = is_vietoris_like_map(_marked(f)), is_vietoris_like_map(_unmarked(f))
+        label = f"seed {1300 + seed} case {i}\nf:\n{serialize_map(f)}"
+        assert got.as_dict() == want.as_dict(), label
+        assert _certificate_fields(got) == _certificate_fields(want), label
+        outcomes.add("ok" if got.ok else got.reason or "not acyclic")
+    assert {"ok", "empty fiber union (f not surjective)", "not acyclic"} <= outcomes
+
+
+def test_contraction_check_catches_each_broken_part():
+    """Each marked map fails exactly one part of the contraction check, and
+    the Stong path finds it not Vietoris-like or not continuous: without
+    that part, the check would certify it."""
+    vee = build_poset("abc", [("a", "c"), ("b", "c")])
+    V1 = barycentric_subdivision_space(vee)
+    order = [(x, y) for x in V1.elements for y in V1.elements if V1.lt(x, y)]
+    a, c, ac, bc = ("a",), ("c",), ("a", "c"), ("b", "c")
+
+    def on_order(add=(), drop=()):
+        """chain_max_map from the chains of vee under another order."""
+        relations = [r for r in order if r not in drop] + list(add)
+        return chain_max_map(build_poset(V1.elements, relations), vee)
+
+    line = build_poset("abc", [("a", "b"), ("b", "c")])
+    h = chain_max_map(barycentric_subdivision_space(line), line)
+    pushed = list(h._pos)  # (a, b) sent above its maximum
+    pushed[h.source.index(("a", "b"))] = line.index("c")
+    two = build_poset("MN", [("M", "N")])
+    apart = build_poset("ac", [])
+    cases = {
+        "g preserves the order": on_order(add=[(a, bc)]),
+        "x <= g(x)": on_order(drop=[(a, ac)]),
+        "m <= g(x)": on_order(drop=[(c, ac)]),
+        "f(g(x)) = t": _marked(poset_module._map(h.source, line, pushed)),
+        "f(m) = t": _marked(constant_map(barycentric_subdivision_space(two), two, "N")),
+        "x' < x lies in D": chain_max_map(build_poset([a, c], [(a, c)]), apart),
+    }
+    for part, f in cases.items():
+        assert not maps._contracts(f), part
+        want = _outcome(_unmarked(f))
+        assert want[0] is not True, part
+        assert _outcome(f) == want, part
+
+
+def test_marked_map_that_is_not_monotone_raises_and_keeps_its_mark():
+    t = build_tower(parse_poset_text(_fixture("circle4.txt")), 1)
+    X0, X1 = t.levels
+    h = t.h_maps[0]
+    # send one edge point to its lower end: not order-preserving
+    edge = next(x for x in X1.elements if len(x) == 2)
+    low = next(v for v in edge if v != h(edge))
+    pos = list(h._pos)
+    pos[X1.index(edge)] = X0.index(low)
+    marked = _marked(poset_module._map(X1, X0, pos))
+    with pytest.raises(NotContinuous) as info:
+        is_vietoris_like_map(marked)
+    with pytest.raises(NotContinuous) as want:
+        is_vietoris_like_map(poset_module._map(X1, X0, pos))
+    assert info.value.pair == want.value.pair
+    assert marked._certificate is poset_module._CHAIN_MAX
 
 
 def test_composition_lemmas(circle):
