@@ -1,33 +1,26 @@
 """Order complexes, face posets, barycentric subdivision and chain maps.
 
-The two functors at work: K sends a poset to the simplicial complex of
-its chains, X sends a complex to the poset of its simplices under
-inclusion.  Composing them either way gives barycentric subdivision.
+K sends a poset to the simplicial complex of its chains, X sends a
+complex to the poset of its simplices under inclusion; composed either
+way they give barycentric subdivision.
 
-Inside, a complex lives in the index space of its vertex order: a
-simplex is the ascending tuple of its vertices' positions, and the
-simplex index, boundary columns, face poset, homology and chain maps all
-read those int tuples.  Element tuples appear only at the doors: the
-checked SimplicialComplex constructor (and from_simplices) takes them,
-the simplices attribute lists them (built on first read), simplex_index
-and image_simplex take and return them, and error messages show them.
-order_complex builds its complex from the index chains of the poset's
-one chain walk, with no check: chains are closed under faces.
+A complex lives in the index space of its vertex order: a simplex is the
+ascending tuple of its vertices' positions, oriented in that order.
+Element tuples appear only at the doors: the checked constructor,
+simplices, simplex_index, image_simplex and error messages.
 
-Chain-level data has one format: per dimension, a list with one sparse
-column {simplex index: coefficient} per simplex.  boundary_columns builds
-it for a boundary operator.  _chain_columns builds it for a vertex map
-given by positions; a SimplicialMap calls it once, in the constructor
-that checks the map, and chain_map_of returns fresh copies.  _push maps
-one chain through positions, unchecked and with no columns.
-boundary_matrix is the dense version of a boundary, kept as an oracle
-for tests.
+Faces have one format, the face table: cells numbered globally,
+dimension by dimension, each with the numbers of its faces, the one
+omitting vertex k at k.  An order complex gets it from the poset's chain
+walk (_order_complex), any other complex from _face_table.  Chains have
+one format: per dimension, one sparse column {simplex index:
+coefficient} per simplex, as boundary_columns, _chain_columns and
+chain_map_of give them; _push maps one chain, unchecked.
+boundary_matrix is a dense oracle for tests.
 
-Orientation: a simplex is the tuple of its vertices sorted by position
-in the complex's vertex order.  A simplicial map sends a simplex to 0
-when two of its vertices share an image, and otherwise to its image
-simplex times the sign of the permutation that sorts the image vertices
-(_image, the one copy of this rule).
+A simplicial map sends a simplex to 0 when two of its vertices share an
+image, else to its image simplex times the sign of the permutation that
+sorts the image vertices (_image, the one copy of this rule).
 """
 
 from . import intmat
@@ -39,12 +32,10 @@ class SimplicialComplex:
     """Abstract simplicial complex with a fixed global vertex order.
 
     Simplices are kept per dimension as ascending tuples of vertex
-    positions (the private _isimplices), oriented as the module docstring
-    says; simplices gives the same tuples with the vertices themselves.
-    This constructor is the checked door: it rejects duplicate vertices,
-    a simplex with the wrong number of distinct vertices, a duplicate
-    simplex and a missing face.  order_complex builds complexes that are
-    valid by construction through _complex, without the check.
+    positions (_isimplices); simplices names their vertices.  This
+    constructor is the checked door: it rejects duplicate vertices, a
+    simplex with the wrong number of distinct vertices, a duplicate
+    simplex and a missing face.  Order complexes skip it (_complex).
     """
 
     __slots__ = ("vertices", "_vindex", "_isimplices", "_sindex", "_simplices")
@@ -67,15 +58,7 @@ class SimplicialComplex:
                 seen.add(t)
                 canon.append(t)
             isims.append(canon)
-        _fill_complex(self, vertices, vindex, isims)
-        for dim in range(1, len(isims)):
-            index = self._sindex[dim - 1]
-            for s in isims[dim]:
-                for k in range(dim + 1):
-                    face = s[:k] + s[k + 1:]
-                    if face not in index:
-                        raise ValueError(
-                            f"missing face {self._named(face)!r} of {self._named(s)!r}")
+        _face_table(_fill_complex(self, vertices, vindex, isims))
 
     @classmethod
     def from_simplices(cls, simplices, vertices=None):
@@ -158,11 +141,8 @@ class SimplicialComplex:
         """
         if dim <= 0 or dim >= len(self._isimplices):
             return [{} for _ in range(self.n_simplices(dim))]
-        index = self._sindex[dim - 1]
-        return [
-            {index[s[:k] + s[k + 1:]]: -1 if k % 2 else 1 for k in range(dim + 1)}
-            for s in self._isimplices[dim]
-        ]
+        return [{f: -1 if k % 2 else 1 for k, f in enumerate(row)}
+                for row in _face_table(self, dim)]
 
     def boundary_matrix(self, dim):
         """The dense matrix of boundary_columns(dim), a reference for tests.
@@ -196,6 +176,32 @@ def _fill_complex(K, vertices, vindex, isimplices):
     K._isimplices = tuple(tuple(level) for level in isimplices)
     K._sindex = [{s: i for i, s in enumerate(level)} for level in K._isimplices]
     return K
+
+
+def _face_table(K, dim=None):
+    """The face table of K: cells numbered globally, dimension by
+    dimension, and per cell the numbers of its faces, the one omitting
+    vertex k at k (vertices have ()).  With dim, the rows of the
+    dim-simplices only, in indices of the (dim-1)-simplices.
+
+    The one lookup of faces by slicing and hashing, for complexes that
+    do not come from a poset's chain walk; a missing face raises
+    ValueError naming it.
+    """
+    levels = K._isimplices
+    rows = [] if dim else [()] * K.n_simplices(0)
+    for d in (dim,) if dim else range(1, len(levels)):
+        index = K._sindex[d - 1]
+        off = 0 if dim else len(rows) - len(levels[d - 1])
+        try:
+            rows += zip(*[[index[s[:k] + s[k + 1:]] + off for s in levels[d]]
+                          for k in range(d + 1)])
+        except KeyError:
+            s, k = next((s, k) for s in levels[d] for k in range(d + 1)
+                        if s[:k] + s[k + 1:] not in index)
+            raise ValueError(f"missing face {K._named(s[:k] + s[k + 1:])!r} "
+                             f"of {K._named(s)!r}") from None
+    return rows
 
 
 def _complex(vertices, vindex, isimplices):
@@ -305,53 +311,58 @@ def _push(K, L, pos, dim, chain):
 
 
 def order_complex(X):
-    """K(X): the complex whose i-simplices are the i-chains of X.
+    """K(X): the complex whose i-simplices are the i-chains of X, in the
+    order of the poset's chain walk (lexicographic per dimension)."""
+    return _order_complex(X)[0]
 
-    The chains come from the poset's one chain walk as index tuples,
-    each sorted once; per dimension they keep the walk's order.  Chains
-    are closed under faces, so the complex is built without a check, and
-    it shares X's element index as its vertex index.
+
+def _order_complex(X):
+    """K(X) and its face table (the format of _face_table), both read off
+    the poset's chain walk.
+
+    Chains are closed under faces, so the complex is built without a
+    check, and it shares X's element index as its vertex index.  When
+    the index order is no linear extension, a chain is sorted into a
+    simplex and its face row permuted with it.
     """
-    by_dim = []
-    for c in X._index_chains():
-        d = len(c) - 1
-        if d == len(by_dim):  # a chain comes after its prefix: no length is skipped
-            by_dim.append([])
-        by_dim[d].append(tuple(sorted(c)))
-    return _complex(X.elements, X._index, by_dim)
+    levels, faces = X._index_chains()
+    if any(u and u[0] < i for i, u in enumerate(X._up)):
+        c = len(X)
+        for level in levels[1:]:
+            for k, s in enumerate(level):
+                order = sorted(range(len(s)), key=s.__getitem__)
+                level[k] = tuple([s[i] for i in order])
+                faces[c] = tuple([faces[c][i] for i in order])
+                c += 1
+    return _complex(X.elements, X._index, levels), faces
 
 
 def face_poset(K):
     """X(K): simplices of K ordered by face inclusion.
 
-    The points below a simplex are its proper nonempty faces, so the
-    order goes to the poset with no closure and no check.  It is a
-    partial order by construction: antisymmetric (faces of each other
-    have the same vertices, and K holds each simplex once) and transitive
-    (a face of a face of s is a face of s).  That needs K closed under
-    faces: a face K lacks raises UnknownElement.
+    The points below a simplex are its proper nonempty faces, read off
+    K's face table: a partial order by construction, so the poset gets
+    no closure and no check.  A face K lacks raises UnknownElement.
     """
-    start = [0]  # position of the first simplex of each dimension
-    for level in K._isimplices:
-        start.append(start[-1] + len(level))
+    try:
+        faces = _face_table(K)
+    except ValueError as exc:
+        raise UnknownElement(*exc.args) from None
+    return _face_poset(K, faces)
+
+
+def _face_poset(K, faces):
+    """face_poset from K's face table: the faces below a simplex are its
+    codimension-1 faces and the faces below them."""
     down = []
-    for level in K._isimplices:
-        for s in level:
-            faces = []
-            for mask in range(1, (1 << len(s)) - 1):
-                face = tuple([v for k, v in enumerate(s) if mask >> k & 1])
-                i = K._sindex[len(face) - 1].get(face)
-                if i is None:
-                    raise UnknownElement(
-                        f"face {K._named(face)!r} of {K._named(s)!r} is not a simplex of K")
-                faces.append(start[len(face) - 1] + i)
-            down.append(sorted(faces))
+    for row in faces:
+        down.append(sorted(set(row).union(*map(down.__getitem__, row))))
     return _derived(K.all_simplices(), down)
 
 
 def barycentric_subdivision_space(X):
     """X' = X(K(X)): elements are the nonempty chains of X under inclusion."""
-    return face_poset(order_complex(X))
+    return _face_poset(*_order_complex(X))
 
 
 def chain_max_map(X1, X):

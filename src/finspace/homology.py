@@ -4,34 +4,30 @@ homology() first matches the cells of the complex by coreductions
 (Mrozek-Batko, *Coreduction homology algorithm*, DCG 2009): a cell
 with no unprocessed face is critical, and a cell with exactly one
 unprocessed face is paired with it.  The pairs form an acyclic
-discrete-Morse matching, and the Morse complex on the critical cells is
+discrete-Morse matching, whose Morse complex on the critical cells is
 chain equivalent to the complex (Harker-Mischaikow-Mrozek-Nanda, FoCM
 2014), so torsion stays exact.  On order complexes almost every cell is
-paired, and the dense Smith normal form runs only on the small Morse
-complex, in the dimensions whose Morse boundary has a nonzero entry: a
-zero Morse complex, the usual outcome on order complexes, needs no
-Smith form at all.  A gradient flow from each critical cell gives its
-Morse boundary and the cycle it stands for, which lifts the Morse free
-basis to cycles of the complex; one sweep over the pairs pulls the
-free-part projection back to functionals on chains.  Induced maps and
+paired, and a Smith normal form runs only on a Morse boundary with a
+nonzero entry, which order complexes seldom have.  A gradient flow from
+each critical cell gives its Morse boundary and the cycle it stands
+for, lifting the Morse free basis to cycles; one sweep over the pairs
+pulls the free-part projection back to chains.  Induced maps and
 Lefschetz numbers act on the torsion-free part of homology, in that
-deterministic basis.  A profile keeps no boundary operator: the checked
-doors (class_of, induced_on_homology) read it from the complex.
+deterministic basis.  The checked doors (class_of, induced_on_homology)
+read the boundary from the complex.
 
 Chains, cycles and chain maps are sparse, in the format of
-SimplicialComplex.boundary_columns: a chain is a dict {simplex index:
-coefficient}, a chain map one such column per source simplex.  An
-induced map maps only the source's free-basis cycles, through checked
-columns or, for a poset map, through its positions.  Dense matrices
-appear only as the Morse complex, the Smith-form input, and the
-betti-sized InducedMap matrices.
+SimplicialComplex.boundary_columns.  An induced map maps only the
+source's free-basis cycles, through checked columns or, for a poset
+map, through its positions.  Dense matrices appear only as the Morse
+complex and the betti-sized InducedMap matrices.
 """
 
 import functools
 import heapq
 
 from . import intmat
-from .complexes import _push, order_complex
+from .complexes import _face_table, _order_complex, _push
 from .errors import (
     BasisSolveFailure,
     EmptySubspace,
@@ -160,38 +156,30 @@ class HomologyProfile:
 class _Coreduction:
     """A discrete-Morse matching of a complex, found by coreductions.
 
-    Cells are numbered globally, dimension by dimension (offsets[d] is
-    the number of the first d-simplex), and faces[c] lists the faces of
-    cell c, the face omitting vertex k at position k with boundary sign
-    (-1)^k.  One pass (Mrozek-Batko, DCG 2009) takes the cells in that
-    order.  A cell whose faces are all processed becomes critical (an
-    ace).  Then every unprocessed cell k with exactly one unprocessed
-    face q is matched with it from a queue: q is the queen, k its king,
-    and pairs[dim q] records (q, k, position of q in faces[k]) in match
-    order.  Every other face of k was processed before the pair, so the
-    matching is acyclic: expanding a queen brings in only queens matched
-    earlier.  mate[c] is the index in pairs of the pair of a queen c, -1
-    for any other cell.
+    faces is the complex's face table (complexes._face_table): cells
+    numbered dimension by dimension (offsets[d] is the first d-simplex),
+    the face omitting vertex k at k with boundary sign (-1)^k.  One pass
+    (Mrozek-Batko, DCG 2009) takes the cells in that order.  A cell whose
+    faces are all processed becomes critical (an ace).  Then every
+    unprocessed cell k with exactly one unprocessed face q is matched
+    with it from a queue: q is the queen, k its king, and pairs[dim q]
+    records (q, k, position of q in faces[k]) in match order.  Every
+    other face of k was processed before, so the matching is acyclic:
+    expanding a queen brings in only queens matched earlier.  mate[c]
+    is the index in pairs of the pair of a queen c, else -1.
 
-    The Morse complex on the aces is chain equivalent to the complex
-    (Harker-Mischaikow-Mrozek-Nanda, FoCM 2014).  One gradient flow per
-    ace of positive dimension gives cols[a], its Morse boundary, and
-    lift[a], the chain it stands for; lifted() and pulled_back() are the
-    inclusion and the projection.
+    One gradient flow per ace of positive dimension gives cols[a], its
+    Morse boundary, and lift[a], the chain it stands for; lifted() and
+    pulled_back() are the inclusion and the projection.
     """
 
-    def __init__(self, K):
+    def __init__(self, K, faces):
         levels = K._isimplices
         self.offsets = offsets = [0]
         for level in levels:
             offsets.append(offsets[-1] + len(level))
         total = offsets[-1]
-        self.faces = faces = [()] * offsets[1]
-        for d in range(1, len(levels)):
-            index, off = K._sindex[d - 1], offsets[d - 1]
-            faces += zip(*[
-                [index[s[:k] + s[k + 1:]] + off for s in levels[d]] for k in range(d + 1)
-            ])
+        self.faces = faces
         cofaces = [[] for _ in range(offsets[-2])] + [()] * len(levels[-1])
         for c in range(offsets[1], total):
             for f in faces[c]:
@@ -307,23 +295,19 @@ def _residual_homology(R, sizes):
 
     R[i] is the dense boundary C_i -> C_{i-1} (R[0] has zero rows) and
     sizes[i] the rank of C_i.  A Smith form runs only on a boundary with
-    a nonzero entry: the Smith form of a zero matrix has identity
-    transforms, so a zero R[i] makes all of C_i cycles (identity basis
-    and coordinates), and a zero boundary from above leaves those cycles
-    as the homology, free and with identity basis and projection.  On
-    order complexes coreduction almost always leaves a zero Morse
-    complex, and then no Smith form runs at all.
+    a nonzero entry: a zero R[i] makes all of C_i cycles, and a zero
+    boundary from above leaves them as the homology, with identity basis
+    and projection.
 
-    Otherwise the kernel of R[i] is read off its Smith form (the trailing
-    columns of V span it integrally, the trailing rows of V^-1 give
-    kernel coordinates); the image of R[i+1] is expressed in that kernel
-    basis and a second Smith form splits the quotient into free part and
-    torsion (its U gives the projection, U^-1 the basis).  The inverses
-    come from unimodular_inverse: the matrices here are residual-sized.
-    An inverse is taken only when some of its rows or columns are read,
-    that is, when the kernel or the free part is nonzero.  Returns Betti
-    numbers, torsion, and per dimension the free basis (sizes[i] x betti)
-    and its projection (betti x sizes[i]).
+    Otherwise the kernel of R[i] is read off its Smith form (trailing
+    columns of V span it, trailing rows of V^-1 give coordinates); the
+    image of R[i+1] in that kernel basis gets a second Smith form, which
+    splits the quotient into free part and torsion (U gives the
+    projection, U^-1 the basis).  An inverse (unimodular_inverse, on
+    residual-sized matrices) is taken only when the kernel or the free
+    part is nonzero.  Returns Betti numbers, torsion, and per dimension
+    the free basis (sizes[i] x betti) and its projection (betti x
+    sizes[i]).
     """
     nonzero = [any(map(any, M)) for M in R] + [False]
     betti, torsion, bases, projs = [], [], [], []
@@ -365,10 +349,15 @@ def homology(K):
     Morse boundary and the cycle it stands for, and the free-part
     projection is pulled back to the complex by one sweep over the pairs.
     """
+    return _homology(K, _face_table(K))
+
+
+def _homology(K, faces):
+    """homology(K), given K's face table (complexes._face_table)."""
     dims = K.dimension + 1
     if dims == 0:
         return HomologyProfile(K, [], [], [], [])
-    m = _Coreduction(K)
+    m = _Coreduction(K, faces)
     cells = m.aces
     R = [intmat.zeros(0, len(cells[0]))] + [
         [[m.cols[c].get(f, 0) for c in cells[d]] for f in cells[d - 1]]
@@ -392,7 +381,7 @@ def homology(K):
 @functools.lru_cache(maxsize=4096)
 def poset_homology(X):
     """Homology of the order complex of a poset (cached; posets are immutable)."""
-    return homology(order_complex(X))
+    return _homology(*_order_complex(X))
 
 
 def is_acyclic(X):

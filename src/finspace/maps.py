@@ -182,20 +182,15 @@ def is_vietoris_like_map(f):
     """Check that every union of fibers over a chain of the target is acyclic.
 
     A map built by complexes.chain_max_map is first tried by _contracts.
-    Otherwise all chains are enumerated (acyclicity over maximal chains
-    does not imply it for subchains), shortest first.  The fibers come
-    from one pass over the map's positions (PosetMap._pos) as lists of
-    source point indices, and a chain's union is their concatenation:
-    fibers are disjoint, so it lists each point once.  Each union is
-    tested by homology._core_homology on its point indices, without
-    building a subposet: a cone is acyclic without a worklist; otherwise
-    the Stong core decides, with homology only for a core of more than
-    one point.  No test builds rank masks wider than the union it tests,
-    so their size is bounded by the largest union, not by the size of
-    the source.  Unions are not memoized, as no two chains can share
-    one: singletons come first, so every fiber is nonempty past them,
-    and disjoint nonempty fibers make distinct chains' unions distinct.
-    The first failing chain, in enumeration order, is reported.
+    Otherwise every chain is tested (acyclicity over maximal chains does
+    not imply it for subchains), in the order of the chain walk, shortest
+    first.  A chain's union concatenates its fibers, lists of source
+    point indices from one pass over PosetMap._pos; fibers are disjoint,
+    so it lists each point once.  homology._core_homology tests it with
+    no subposet built: a cone is acyclic, else the Stong core decides,
+    over rank masks no wider than the union.  No two chains share a
+    union (singletons come first, so every fiber is nonempty past them),
+    so none is memoized.  The first failing chain is reported.
 
     A map is certified at most once: the certificate is kept on f (the
     slot PosetMap._certificate) and returned as is by later calls.  A call
@@ -215,9 +210,7 @@ def _certify(f):
     require_continuous(f)
     X, Y = f.source, f.target
     fibers = _fibers(f)
-    # the walk lists index chains in lexicographic order, so a stable sort
-    # by length orders them shortest first, then by target positions
-    for idx in sorted(Y._index_chains(), key=len):
+    for idx in (c for level in Y._index_chains()[0] for c in level):
         union = [i for j in idx for i in fibers[j]]
         if not union:
             return Certificate(ok=False, failing_chain=_chain_elements(Y, idx),

@@ -13,11 +13,10 @@ check on those masks and keep only the lists.  Rank masks are scratch
 data that only this module builds or reads: _rank_masks builds them over
 just the set a call tests over and over (a poset's Stong core, or a fiber
 union's core), and other modules pass point indices.
-A dense matrix exists only as the constructor's input and as what
-leq_matrix() returns.
 """
 
-from itertools import compress
+from bisect import bisect_left
+from itertools import compress, repeat
 
 from .errors import (
     BudgetExceeded,
@@ -34,26 +33,20 @@ class FinitePoset:
     """A finite poset: element ids plus one stored copy of the order.
 
     Orders are checked once, where raw data enters.  This constructor
-    takes a leq matrix as any n x n nested sequence of truthy values
-    (leq_matrix[i][j] for x_i <= x_j; 2-D arrays too), rejects
-    duplicate ids and a matrix of the wrong shape, reads each column
-    into a mask of the points below and drops the matrix.  build_poset
-    closes raw relations into such masks instead.  Both hand them to
-    _strict_down, the one check that the order is reflexive,
-    antisymmetric (CycleError) and transitive.  Orders derived from a
-    valid one (subposet, opposite, core, product_subposet) and face
-    inclusion (complexes.face_poset), a partial order by construction,
-    skip the check.  leq_matrix() rebuilds a matrix on request; no order
-    query reads one.
+    takes a leq matrix (any n x n nested sequence of truthy values,
+    leq_matrix[i][j] for x_i <= x_j), rejects duplicate ids and a wrong
+    shape, and reads each column into a mask of the points below;
+    build_poset closes raw relations into such masks.  _strict_down is
+    the one check of both: reflexive, antisymmetric (CycleError) and
+    transitive.  Orders derived from a valid one, and face inclusion,
+    skip it.
 
-    Every poset is filled the same way, by _fill, from the ascending index
-    lists of the points strictly below each point.  It keeps those lists
-    (_down), the lists of the points strictly above (_up) and a linear
-    extension (_order, the points by rank, and _rank, each point's rank).
-    No mask is kept.  Ranks extend the order, so a set's maximum or
-    minimum is tested on one point's list (_extreme).  A call that tests
-    many subsets of one set, such as core(), builds _rank_masks of that
-    set, where a subset is one int and each test one AND of two ints.
+    _fill keeps, per point, the ascending lists of the points strictly
+    below (_down) and above (_up), and a linear extension (_order, the
+    points by rank; _rank, each point's rank), but no mask.  Ranks extend
+    the order, so a set's maximum or minimum is tested on one point's
+    list (_extreme); a call that tests many subsets of one set builds
+    _rank_masks of it.
     """
 
     __slots__ = ("elements", "_index", "_hash", "_down", "_up", "_order", "_rank")
@@ -191,35 +184,52 @@ class FinitePoset:
         return [c for c in self.all_chains() if len(c) == length + 1]
 
     def all_chains(self):
-        """Every nonempty chain, as leq-increasing tuples of elements.
-
-        The chains of _index_chains, the one chain walk, in its order and
-        under its budget, with each point index replaced by its element.
-        """
+        """Every nonempty chain, as leq-increasing tuples of elements, in
+        lexicographic order of their index tuples (_index_chains, sorted)."""
         els = self.elements
-        return [tuple([els[i] for i in c]) for c in self._index_chains()]
+        return [tuple([els[i] for i in c])
+                for c in sorted([c for level in self._index_chains()[0] for c in level])]
 
     def _index_chains(self):
-        """Every nonempty chain, as a leq-increasing tuple of point indices.
+        """Every nonempty chain, level by level, and its faces: (levels, faces).
 
-        Deterministic depth-first preorder (an explicit stack, no recursion)
-        from each point in index order, extending to strictly greater
-        points in index order; so the chains come in lexicographic order
-        of their index tuples.  The chains are counted before any is
-        built: more than DEFAULT_BUDGET raise BudgetExceeded.
+        levels[d] lists the chains of d + 1 points, leq-increasing tuples
+        of point indices, in lexicographic order: each chain of a level is
+        extended by the points above its last, ascending.  faces[c] lists
+        the global numbers (level by level) of the faces of chain c, the
+        one omitting position k at k, found with no hashing: for c = q +
+        (j,), the face omitting j is q, and the one omitting k < len(q) is
+        the child by j of q's k-th face f, at first[f] plus the position
+        of j in the up list of f's last point.  The chains are counted
+        first: more than DEFAULT_BUDGET raise BudgetExceeded.
         """
-        n = len(self)
-        succ = [up[::-1] for up in self._up]
+        n, up = len(self), self._up
         # fewer than 2 ** n chains: a small poset cannot exceed the budget
         if 2 ** n - 1 > DEFAULT_BUDGET and self._chain_count() > DEFAULT_BUDGET:
             raise BudgetExceeded(f"chain enumeration exceeded its budget of {DEFAULT_BUDGET}")
-        stack = [(i,) for i in reversed(range(n))]
-        out = []
-        while stack:
-            c = stack.pop()
-            out.append(c)
-            stack.extend([c + (j,) for j in succ[c[-1]]])
-        return out
+        level, levels, faces, first, p = [(i,) for i in range(n)], [], [()] * n, [], 0
+        get, inc, append = first.__getitem__, (1).__add__, faces.append
+        while level:
+            levels.append(level)
+            nxt = []
+            for c in level:
+                ups, pf = up[c[-1]], faces[p]
+                first.append(len(faces))
+                if not pf:  # the point p: (p, j) has the faces j and p
+                    nxt += [(p, j) for j in ups]
+                    faces += zip(ups, repeat(p))
+                elif ups:
+                    # the faces but the prefix end in c[-1], so their
+                    # children by ups are numbered from first[face] on
+                    bs = [*map(get, pf[:-1])]
+                    fq, uq = first[pf[-1]], up[c[-2]]
+                    for j in ups:
+                        nxt.append(c + (j,))
+                        append((*bs, fq + bisect_left(uq, j), p))
+                        bs = [*map(inc, bs)]
+                p += 1
+            level = nxt
+        return levels, faces
 
     def _chain_count(self, sign=1):
         """The number of nonempty chains, none of them built: the chains
@@ -258,12 +268,9 @@ class FinitePoset:
         A point is a down-beat point if its strict down-set has a maximum,
         an up-beat point if its strict up-set has a minimum.  The beat
         points go lowest element position first, for reproducibility, and
-        a poset that has none (such as any poset of fewer than two points)
-        is returned itself.  Otherwise _stong_core, the one beat-point
-        worklist, runs on rank masks of all points, built for this call,
-        and the poset is restricted once.  It takes the lowest-placed point
-        queued, and the first one that tests as a beat point is the
-        lowest-placed beat point (see _stong_core).
+        a poset that has none is returned itself.  Otherwise _stong_core,
+        the one beat-point worklist, runs on rank masks of all points,
+        and the poset is restricted once.
         """
         n = len(self)
         if n < 2:
@@ -535,21 +542,16 @@ class PosetMap:
 
     A map stores its values once, in the private slot _pos: _pos[i] is
     the index in target of the image of source point i, so every map
-    lives in the index space of its two posets (see FinitePoset).  This
-    constructor is the only door for an element dict: it checks that
-    every source point has a value in the target.
-    Maps the package derives from valid data (then, identity_map,
-    chain_max_map, order_preserving_maps, random_monotone_map, the graph
-    projections and the core inclusion of maps.projections_on_core) are
-    built from positions by _map, without that check.  assignment is a
-    fresh dict {x: f(x)} derived from the positions on each read.
+    lives in the index space of its two posets.  This constructor, the
+    only door for an element dict, checks that every source point has a
+    value in the target; maps the package derives from valid data are
+    built from positions by _map, unchecked.  assignment is a fresh dict
+    {x: f(x)} on each read.
 
-    Like everything in this module a map is immutable after construction:
-    source, target and _pos are never reassigned, and __hash__ and
-    __eq__ are by value.  Its Vietoris-like certificate, a pure function
-    of the three, is computed at most once: maps.is_vietoris_like_map
-    keeps it in the private slot _certificate (None until then, or
-    _CHAIN_MAX from complexes.chain_max_map).
+    A map is immutable, hashed and compared by value.  Its Vietoris-like
+    certificate, a pure function of it, is computed at most once:
+    maps.is_vietoris_like_map keeps it in the slot _certificate (None
+    until then, or _CHAIN_MAX from complexes.chain_max_map).
     """
 
     __slots__ = ("source", "target", "_pos", "_certificate")
@@ -688,15 +690,12 @@ def require_continuous(f):
 def order_preserving_maps(X, Y, candidates, budget=DEFAULT_BUDGET):
     """Lazily yield every order-preserving f: X -> Y with f(x) in candidates(x).
 
-    Backtracks over the points of X in the order of its linear extension
-    (X._order), which lists every strict predecessor of a point
-    before it, so a left-to-right assignment has always fixed them when
-    the point is reached; an explicit stack of value iterators means the
-    depth of X costs no recursion.  Values are tried in Y.index order; a
-    value is kept only if it lies above the values of all strict
-    predecessors.  Every kept value (a partial assignment expanded by
-    one point) counts against the budget, and the assignment after the
-    budget-th one raises BudgetExceeded.
+    Backtracks, with an explicit stack of value iterators, over the
+    points of X in linear-extension order (X._order), so a point's
+    strict predecessors are assigned before it.  Values are tried in
+    Y.index order and kept only above the values of all strict
+    predecessors.  Every kept value counts against the budget; the one
+    after the budget-th raises BudgetExceeded.
     """
     order, preds = X._order, X._down
     allowed = [set(map(Y.index, candidates(X.elements[i]))) for i in order]

@@ -1,5 +1,6 @@
 """Exact integral homology, induced maps, Lefschetz numbers, inverses."""
 
+import heapq
 import importlib
 import itertools
 import random
@@ -9,9 +10,10 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finspace import intmat
+from finspace import complexes, intmat
 from finspace.complexes import (
     SimplicialComplex,
+    SimplicialMap,
     barycentric_subdivision_space,
     chain_map_of,
     face_poset,
@@ -116,9 +118,12 @@ def test_class_of_outside_the_complex():
             hp.class_of(dim, z)
 
 
+def _fixture(name):
+    return parse_poset_text(resources.files("finspace.fixtures").joinpath(name).read_text())
+
+
 def _circle4_homology():
-    text = resources.files("finspace.fixtures").joinpath("circle4.txt").read_text()
-    return poset_homology(parse_poset_text(text))
+    return poset_homology(_fixture("circle4.txt"))
 
 
 def test_class_of_rejects_a_negative_simplex_index():
@@ -681,3 +686,221 @@ def test_classify_continuity_of_level3_multimap_in_small_memory(sphere_tower3):
         tracemalloc.stop()
     assert flags.as_dict() == {"usc": True, "lsc": False, "susc": False, "slsc": False}
     assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+# -- the chain walk's face table against slicing and hashing ----------------
+
+
+def _depth_first_chains(P):
+    """Every chain as a leq-increasing index tuple, in lexicographic order,
+    by the depth-first walk the level-by-level walk replaced."""
+    succ = [up[::-1] for up in P._up]
+    stack, out = [(i,) for i in reversed(range(len(P)))], []
+    while stack:
+        c = stack.pop()
+        out.append(c)
+        stack.extend([c + (j,) for j in succ[c[-1]]])
+    return out
+
+
+def _hashed_faces(K):
+    """The face rows of K found by slicing each simplex and hashing it."""
+    levels, faces = K._isimplices, [()] * K.n_simplices(0)
+    for d in range(1, len(levels)):
+        index, off = K._sindex[d - 1], len(faces) - len(levels[d - 1])
+        faces += zip(*[
+            [index[s[:k] + s[k + 1:]] + off for s in levels[d]] for k in range(d + 1)
+        ])
+    return faces
+
+
+class _HashedCoreduction:
+    """The coreduction matching on hashed face rows, as it was built
+    before the chain walk handed over its face table."""
+
+    def __init__(self, K):
+        levels = K._isimplices
+        offsets = [0]
+        for level in levels:
+            offsets.append(offsets[-1] + len(level))
+        total = offsets[-1]
+        self.faces = faces = _hashed_faces(K)
+        cofaces = [[] for _ in range(offsets[-2])] + [()] * len(levels[-1])
+        for c in range(offsets[1], total):
+            for f in faces[c]:
+                cofaces[f].append(c)
+        count = [len(f) for f in faces]
+        done = bytearray(total)
+        self.mate = mate = [-1] * total
+        self.pairs = pairs = [[] for _ in levels]
+        self.aces = aces = [[] for _ in levels]
+        queue = []
+        for d in range(len(levels)):
+            for a in range(offsets[d], offsets[d + 1]):
+                if done[a]:
+                    continue
+                aces[d].append(a)
+                processed = (a,)
+                while processed:
+                    for c in processed:
+                        done[c] = 1
+                        for j in cofaces[c]:
+                            count[j] -= 1
+                            if count[j] == 1:
+                                queue.append(j)
+                    processed = ()
+                    while queue:
+                        k = queue.pop()
+                        if not done[k] and count[k] == 1:
+                            pos = next(i for i, q in enumerate(faces[k]) if not done[q])
+                            q = faces[k][pos]
+                            level_pairs = pairs[len(faces[k]) - 2]
+                            mate[q] = len(level_pairs)
+                            level_pairs.append((q, k, pos))
+                            processed = (q, k)
+                            break
+        self.lift, self.cols = {}, {}
+        for level in aces[1:]:
+            for a in level:
+                self.lift[a], self.cols[a] = self._flow(a)
+
+    def _flow(self, a):
+        faces, mate = self.faces, self.mate
+        pairs = self.pairs[len(faces[a]) - 2]
+        boundary, heap = {}, []
+        for pos, f in enumerate(faces[a]):
+            boundary[f] = -1 if pos & 1 else 1
+            if mate[f] >= 0:
+                heap.append(-mate[f])
+        heapq.heapify(heap)
+        chain = {a: 1}
+        while heap:
+            q, k, qpos = pairs[-heapq.heappop(heap)]
+            x = boundary.pop(q, 0)
+            if not x:
+                continue
+            y = x if qpos & 1 else -x
+            chain[k] = y
+            for pos, g in enumerate(faces[k]):
+                if pos == qpos:
+                    continue
+                old = boundary.get(g, 0)
+                new = old - y if pos & 1 else old + y
+                if new:
+                    boundary[g] = new
+                    if not old and mate[g] >= 0:
+                        heapq.heappush(heap, -mate[g])
+                else:
+                    del boundary[g]
+        return chain, boundary
+
+
+def _shuffled(rng, X):
+    """X with its elements listed in a random order."""
+    names = list(X.elements)
+    rng.shuffle(names)
+    return build_poset(names, [(x, y) for x in names for y in names if X.lt(x, y)])
+
+
+def _walk_oracle_instances(seed):
+    """(label, poset): posets whose index order is no linear extension,
+    random posets as drawn and shuffled, and tower levels."""
+    rng = random.Random(seed)
+    rels = [(x, y) for x in SPHERE.elements for y in SPHERE.elements if SPHERE.lt(x, y)]
+    yield "S2 model listed fedcba", build_poset("fedcba", rels)
+    for i in range(120):
+        X = random_poset(rng, rng.randint(1, 8), density=rng.choice([0.2, 0.5, 0.8]))
+        yield f"seed {seed}, instance {i}", X if i % 3 == 0 else _shuffled(rng, X)
+    towers = [("S2", SPHERE, 3), ("RP2", _fixture("rp2.txt"), 1),
+              ("circle", _fixture("circle4.txt"), 4)]
+    for name, X, depth in towers:
+        for n, level in enumerate(build_tower(X, depth).levels):
+            yield f"{name} level {n}", level
+
+
+def _is_linear_extension(P):
+    return all(i < j for i, up in enumerate(P._up) for j in up)
+
+
+def test_chain_walk_matches_slicing_and_hashing():
+    # the walk's simplices, face rows and coreduction matching are those
+    # of the depth-first walk and of faces found by slicing and hashing
+    seed = 2929
+    scrambled = 0
+    for label, P in _walk_oracle_instances(seed):
+        label = f"{label}\n{serialize_poset(P)}"
+        K, faces = complexes._order_complex(P)
+        by_dim = [[] for _ in K._isimplices]
+        for c in _depth_first_chains(P):
+            by_dim[len(c) - 1].append(tuple(sorted(c)))
+        assert K._isimplices == tuple(map(tuple, by_dim)), label
+        assert faces == _hashed_faces(K), label
+        if len(P):
+            got, want = homology_module._Coreduction(K, faces), _HashedCoreduction(K)
+            for name in ("aces", "pairs", "mate", "lift", "cols"):
+                assert getattr(got, name) == getattr(want, name), f"{name}: {label}"
+        scrambled += not _is_linear_extension(P)
+    assert scrambled >= 30, scrambled
+
+
+# -- induced maps above dimension 0 ---------------------------------------------
+
+
+def _lift(X1, X, sigma):
+    """The automorphism of the chain poset X1 of X that the automorphism
+    sigma of X (a dict) induces, chain by chain."""
+    return {c: tuple(sorted(map(sigma.__getitem__, c), key=X.index)) for c in X1.elements}
+
+
+def _rp2_automorphisms(count):
+    """The first count vertex permutations other than the identity that
+    keep the triangles of the RP2 fixture, as maps of its face poset."""
+    X = _fixture("rp2.txt")
+    simplex = {x: tuple(map(int, x.strip("()").split("."))) for x in X.elements}
+    triangles = {s for s in simplex.values() if len(s) == 3}
+    found = []
+    for perm in itertools.permutations(range(1, 7)):
+        image = dict(zip(range(1, 7), perm))
+        if perm == tuple(range(1, 7)) or {
+                tuple(sorted(map(image.__getitem__, t))) for t in triangles} != triangles:
+            continue
+        found.append((f"RP2 vertex permutation {perm}", X, {
+            x: "(" + ".".join(map(str, sorted(map(image.__getitem__, s)))) + ")"
+            for x, s in simplex.items()}))
+        if len(found) == count:
+            return found
+
+
+def test_induced_maps_above_dimension_zero():
+    # automorphisms that act on H_1 or H_2: the swap a <-> b of the S2
+    # model, lifted to levels 1 and 2 (a reflection, degree -1 on H_2), a
+    # rotation of a 6-point circle (degree +1 on H_1) and RP2 symmetries
+    # (torsion H_1, so only H_0 is free), each also on a shuffled listing,
+    # where images of simplices need sorting and carry signs; the checked
+    # SimplicialMap through induced_on_homology and the chain-level Hopf
+    # trace are the oracles
+    tower = build_tower(SPHERE, 2).levels
+    sigma = {x: {"a": "b", "b": "a"}.get(x, x) for x in SPHERE.elements}
+    cases = []
+    for n, X in enumerate(tower):
+        sigma = _lift(X, tower[n - 1], sigma) if n else sigma
+        cases.append((f"S2 swap a <-> b at level {n}", X, sigma, 2, [[-1]], 0))
+    rels = [(f"x{i}", f"y{i}") for i in range(3)] + [(f"x{(i + 1) % 3}", f"y{i}") for i in range(3)]
+    crown = build_poset([f"{p}{i}" for p in "xy" for i in range(3)], rels)
+    rotation = {f"{p}{i}": f"{p}{(i + 1) % 3}" for p in "xy" for i in range(3)}
+    cases.append(("rotation of a 6-point circle", crown, rotation, 1, [[1]], 0))
+    cases += [(*case, 0, [[1]], 1) for case in _rp2_automorphisms(3)]
+    seed = 2930
+    rng = random.Random(seed)
+    poset_homology.cache_clear()
+    for label, X, sigma, dim, matrix, lam in cases:
+        for P in (X, _shuffled(rng, X)):
+            f = PosetMap(P, P, sigma)
+            msg = f"seed {seed}, {label}\n{serialize_poset(P)}"
+            got = induced_map_of_poset_map(f)
+            hp = poset_homology(P)
+            cm = chain_map_of(SimplicialMap(hp.complex, hp.complex, sigma))
+            assert got.matrices == induced_on_homology(cm, hp, hp).matrices, msg
+            assert got.matrix_at(dim) == matrix, msg
+            assert lefschetz_number(got) == _hopf_trace(f) == lam, msg
+            poset_homology.cache_clear()

@@ -38,9 +38,11 @@ from finspace.complexes import (
     barycentric_subdivision_space,
     chain_max_map,
     face_poset,
+    order_complex,
 )
 from finspace.dynamics import Tower, attach_level_maps, build_tower
 from finspace.formats import serialize_map, serialize_poset
+from finspace.homology import poset_homology
 from finspace.maps import MultiMap, graph, is_vietoris_like_map
 from finspace.random_instances import random_monotone_map, random_poset
 
@@ -307,18 +309,30 @@ def test_all_chains_needs_no_recursion():
     assert chains[15] == tuple(names) and chains[-1] == ("p15",)
 
 
-def test_all_chains_fails_before_it_allocates():
+def _fails_before_it_allocates(entry):
     # 2**25 - 1 chains: counted, not built, before the budget trips
     names = [f"p{i}" for i in range(25)]
     X = build_poset(names, list(zip(names, names[1:])))
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded):
-            X.all_chains()
+            entry(X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_all_chains_fails_before_it_allocates():
+    _fails_before_it_allocates(FinitePoset.all_chains)
+
+
+@pytest.mark.parametrize("entry", [
+    order_complex, poset_homology, barycentric_subdivision_space,
+], ids=lambda entry: entry.__name__)
+def test_chain_walk_fails_before_it_allocates(entry):
+    # the other doors of the chain walk: no chain or face row is built
+    _fails_before_it_allocates(entry)
 
 
 def test_all_chains_budget_is_the_exact_chain_count(monkeypatch):
