@@ -18,8 +18,8 @@ maps and multimaps of that instance.
 
 import random
 from dataclasses import dataclass
-from importlib import resources
 from itertools import islice
+from pathlib import Path
 
 from .complexes import barycentric_subdivision_space, chain_max_map
 from .dynamics import build_tower, compose_h
@@ -77,7 +77,7 @@ class CaseResult:
 
 
 def _read(name):
-    return resources.files("finspace.fixtures").joinpath(name).read_text()
+    return (Path(__file__).parent / "fixtures" / name).read_text()
 
 
 def _poset(name):

@@ -25,7 +25,7 @@ sorts the image vertices (_image, the one copy of this rule).
 
 from . import intmat
 from .errors import UnknownElement
-from .poset import _CHAIN_MAX, _derived, _map, require_continuous
+from .poset import _derived, _map, require_continuous
 
 
 class SimplicialComplex:
@@ -371,15 +371,18 @@ def chain_max_map(X1, X):
     X1 is barycentric_subdivision_space(X).  Its chains are stored in
     element order, which need not follow the order of X, so the maximum
     is not read off the end of the tuple: it is the point of the chain
-    with the highest rank in X (ranks extend the order).
-
-    The map is marked (poset._CHAIN_MAX in its _certificate slot), so its
-    certificate first tries maps._contracts.
+    with the highest rank in X (ranks extend the order).  UnknownElement
+    names the first point of X1 that is no nonempty tuple of points of X.
+    X1 holds the one-point chains of X, so maps._contracts is tried.
     """
     index, rank, order = X._index, X._rank, X._order
-    h = _map(X1, X, [order[max([rank[index[x]] for x in c])] for c in X1.elements])
-    h._certificate = _CHAIN_MAX
-    return h
+    try:
+        if set(map(type, X1.elements)) <= {tuple}:
+            return _map(X1, X, [order[max([rank[index[x]] for x in c])] for c in X1.elements])
+    except (KeyError, ValueError):  # a point of c not in X, or c = ()
+        pass
+    bad = next(c for c in X1.elements if not (type(c) is tuple and c and set(c) <= index.keys()))
+    raise UnknownElement(f"{bad!r} is not a nonempty tuple of target points")
 
 
 def barycentric_subdivision_complex(K):

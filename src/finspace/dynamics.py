@@ -19,7 +19,7 @@ from .errors import (
     SizeBudgetExceeded,
 )
 from .homology import _coincidence_number, induced_map_of_poset_map
-from .maps import MultiMap, _gathered, is_vietoris_like_map
+from .maps import MultiMap, _fibers, _gathered, is_vietoris_like_map
 from .complexes import barycentric_subdivision_space, chain_max_map
 from .poset import _positions, identity_map, require_continuous
 
@@ -150,10 +150,9 @@ def attach_level_maps(t, f_maps, certify=True):
       homotopy equivalence: U_c is acyclic exactly when h^{-1}(f(c)) is.
     * f is continuous, so f(c) is a chain of X^n, and every F_{n+1} is
       Vietoris-like if h is.
-    * A chain-maximum h always is: for a chain d of X^n, adding max d to
-      each chain of h^{-1}(d) is a self-map of h^{-1}(d) lying above both
-      the identity and a constant, so h^{-1}(d) is contractible; for an
-      h from chain_max_map, is_vietoris_like_map checks this contraction.
+    * A chain-maximum h always is: adding max d to each chain of
+      h^{-1}(d), d a chain of X^n, contracts it.  is_vietoris_like_map
+      checks this for any h whose source holds the one-point chains.
 
     So CertificationFailed (level n + 1) names h_n and its failing chain;
     only a hand-built Tower whose h_maps break the chain-maximum contract
@@ -188,10 +187,8 @@ def attach_level_maps(t, f_maps, certify=True):
     for n, (hpos, fpos) in enumerate(zip(seq._hpos, seq._fpos)):
         # F_{n+1}(x) is the fiber of h over f(x): one frozenset per fiber
         X = t.levels[n + 1]
-        fibers = [[] for _ in t.levels[n].elements]
-        for x, j in zip(X.elements, hpos):
-            fibers[j].append(x)
-        fibers = [frozenset(fiber) for fiber in fibers]
+        fibers = [frozenset(map(X.elements.__getitem__, fiber))
+                  for fiber in _fibers(hpos, len(t.levels[n]))]
         if not all(fibers):
             for i, j in enumerate(fpos):
                 if not fibers[j]:

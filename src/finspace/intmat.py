@@ -147,7 +147,7 @@ def smith_normal_form(M, ncols=None):
         if S[t][t] < 0:
             _row_negate(S, U, t)
 
-        # clear row and column t; remainders restart the elimination
+        # clear row and column t; a remainder, in (0, pivot), is the new pivot
         while True:
             dirty = False
             for i in range(t + 1, m):
@@ -156,8 +156,6 @@ def smith_normal_form(M, ncols=None):
                     _row_addmul(S, U, i, t, -q)
                     if S[i][t] != 0:
                         _row_swap(S, U, t, i)
-                        if S[t][t] < 0:
-                            _row_negate(S, U, t)
                         dirty = True
             for j in range(t + 1, n):
                 if S[t][j] != 0:
@@ -168,8 +166,6 @@ def smith_normal_form(M, ncols=None):
                         dirty = True
             if not dirty:
                 break
-        if S[t][t] < 0:
-            _row_negate(S, U, t)
 
         # enforce the divisibility chain
         d = S[t][t]

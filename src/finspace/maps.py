@@ -23,7 +23,6 @@ from .homology import (
     invert,
 )
 from .poset import (
-    _CHAIN_MAX,
     DEFAULT_BUDGET,
     PosetMap,
     _map,
@@ -181,12 +180,12 @@ class Certificate:
 def is_vietoris_like_map(f):
     """Check that every union of fibers over a chain of the target is acyclic.
 
-    A map built by complexes.chain_max_map is first tried by _contracts.
+    A map whose source holds the one-point chains of its target is first
+    tried by _contracts; a pass is a proof, so equal maps certify alike.
     Otherwise every chain is tested (acyclicity over maximal chains does
     not imply it for subchains), in the order of the chain walk, shortest
-    first.  A chain's union concatenates its fibers, lists of source
-    point indices from one pass over PosetMap._pos; fibers are disjoint,
-    so it lists each point once.  homology._core_homology tests it with
+    first.  A chain's union concatenates its fibers, disjoint lists of
+    source point indices.  homology._core_homology tests it with
     no subposet built: a cone is acyclic, else the Stong core decides,
     over rank masks no wider than the union.  No two chains share a
     union (singletons come first, so every fiber is nonempty past them),
@@ -197,19 +196,19 @@ def is_vietoris_like_map(f):
     that raises, such as NotContinuous, keeps nothing.
     """
     cert = f._certificate
-    if cert is None or cert is _CHAIN_MAX:
+    if cert is None:
         cert = f._certificate = _certify(f)
     return cert
 
 
 def _certify(f):
-    """The certificate of is_vietoris_like_map, computed afresh: ok for a
-    map marked by chain_max_map that passes _contracts, else by Stong."""
-    if f._certificate is _CHAIN_MAX and _contracts(f):
+    """The certificate of is_vietoris_like_map from one fiber grouping: ok
+    if _contracts passes (X must hold (y,) for y first in Y), else by Stong."""
+    X, Y = f.source, f.target
+    fibers = _fibers(f._pos, len(Y))
+    if Y.elements[:1] in X._index and _contracts(f, fibers):
         return Certificate(ok=True)
     require_continuous(f)
-    X, Y = f.source, f.target
-    fibers = _fibers(f)
     for idx in (c for level in Y._index_chains()[0] for c in level):
         union = [i for j in idx for i in fibers[j]]
         if not union:
@@ -221,9 +220,9 @@ def _certify(f):
     return Certificate(ok=True)
 
 
-def _contracts(f):
-    """Whether f: X1 -> X passes, per point t of X, a check that contracts
-    every fiber union over a chain of X with maximum t.
+def _contracts(f, fibers):
+    """Whether f: X1 -> X (fibers: its _fibers) passes, per point t of X,
+    a check that contracts every fiber union over a chain with maximum t.
 
     The witness: m = (t,), D = f^-1(down-set of t, t in it) and g(x) = x
     with t added, found in X1's own index.  Checked on X1's _down lists:
@@ -237,7 +236,7 @@ def _contracts(f):
     """
     X1, X = f.source, f.target
     pos, down, index, elements = f._pos, X1._down, X1._index, X1.elements
-    key, fibers = X._index.__getitem__, _fibers(f)
+    key = X._index.__getitem__
     for t, y in enumerate(X.elements):
         m = index.get((y,))
         if m is None or pos[m] != t:
@@ -246,7 +245,10 @@ def _contracts(f):
         for s in (t, *X._down[t]):
             for i in fibers[s]:
                 x = elements[i]
-                gi = i if y in x else index.get(tuple(sorted((*x, y), key=key)))
+                try:
+                    gi = i if y in x else index.get(tuple(sorted((*x, y), key=key)))
+                except (KeyError, TypeError):  # x is no tuple of points of X
+                    return False
                 if gi is None or pos[gi] != t:
                     return False
                 below = down[gi]
@@ -262,10 +264,10 @@ def _contracts(f):
     return True
 
 
-def _fibers(f):
-    """Per target point, the ascending indices of the source points over it."""
-    fibers = [[] for _ in f.target.elements]
-    for i, j in enumerate(f._pos):
+def _fibers(pos, size):
+    """Per j < size, the ascending indices i with pos[i] == j."""
+    fibers = [[] for _ in range(size)]
+    for i, j in enumerate(pos):
         fibers[j].append(i)
     return fibers
 

@@ -551,7 +551,7 @@ class PosetMap:
     A map is immutable, hashed and compared by value.  Its Vietoris-like
     certificate, a pure function of it, is computed at most once:
     maps.is_vietoris_like_map keeps it in the slot _certificate (None
-    until then, or _CHAIN_MAX from complexes.chain_max_map).
+    until then).
     """
 
     __slots__ = ("source", "target", "_pos", "_certificate")
@@ -623,10 +623,6 @@ class PosetMap:
         if self.source != self.target:
             raise ValueError("fixed points need an endomorphism")
         return [x for x, fx in self.assignment.items() if fx == x]
-
-
-# the _certificate of an uncertified map built by complexes.chain_max_map
-_CHAIN_MAX = object()
 
 
 def _fill_map(f, source, target, pos):

@@ -144,6 +144,36 @@ def test_coincide_verb(capsys):
     assert rep["lambda"] == 1 and rep["witnesses"] == ["B"]
 
 
+@pytest.mark.parametrize("mode, hypothesis", [("1", "f Vietoris-like"), ("2", "q Vietoris-like")])
+def test_coincide_verb_map_multimap(capsys, monkeypatch, mode, hypothesis):
+    """The swap of A and B against the up-set multimap of the cone
+    A < C > B: the cone is acyclic, so lambda = 1, and C is the one
+    coincidence.  Byte for byte against the report that CI diffs."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(root)
+    code, out, _ = run(
+        capsys, "--emit", "json", "coincide", "--source", SRC_FIXTURES + "ex4_2_X.txt",
+        "--f", "tests/data/ex4_2_swap.txt", "--multimap", "tests/data/ex4_2_upsets.txt",
+        "--mode", mode,
+    )
+    rep = json.loads(out)
+    assert code == 0
+    assert rep["variant"] == f"map-multimap mode {mode}" and rep["hypotheses"] == [hypothesis]
+    assert rep["lambda"] == 1 and rep["witnesses"] == ["C"] and rep["conclusion_verified"]
+    assert out.encode() == (root / "tests" / "data" / f"coincide_ex4_2_mode{mode}.json").read_bytes()
+
+
+def test_check_verb_map_that_is_not_continuous(capsys, tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("A -> C\nB -> B\nC -> A\n")  # A < C goes to C > A
+    code, rep, _ = run_json(
+        capsys, "check", "--source", fixture("ex4_2_X.txt"), "--map", str(path),
+    )
+    assert code == 0
+    assert rep["kind"] == "map" and rep["continuous"] is False
+    assert rep["violating_pair"] == ["A", "C"] and "vietoris_like" not in rep
+
+
 def test_compose_verb(capsys):
     code, rep, _ = run_json(
         capsys,

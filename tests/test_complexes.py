@@ -3,6 +3,7 @@
 import copy
 import importlib
 import random
+import re
 from itertools import islice
 
 import numpy as np
@@ -16,6 +17,7 @@ from finspace.complexes import (
     barycentric_subdivision_complex,
     barycentric_subdivision_space,
     chain_map_of,
+    chain_max_map,
     face_poset,
     induced_simplicial_map,
     order_complex,
@@ -405,6 +407,27 @@ def test_positional_chain_maps_match_simplicial_maps(monkeypatch):
         reindexed += src.complex.vertices != f.source.elements
     poset_homology.cache_clear()
     assert checked >= 200 and reindexed >= 50 and cycles >= 200, (checked, reindexed, cycles)
+
+
+@pytest.mark.parametrize("points, relations, bad", [
+    (["p0", "p1"], [("p0", "p1")], "p0"),  # a name is no chain of its letters
+    (["a", "b"], [("a", "b")], "a"),  # not even when its letters are points
+    ([1, 2], [(1, 2)], 1),
+    ([()], [], ()),
+])
+def test_chain_max_map_names_a_point_that_is_no_chain(points, relations, bad):
+    """chain_max_map(X, X) on a poset whose points are no nonempty tuples
+    of its points names the first of them."""
+    X = build_poset(points, relations)
+    with pytest.raises(UnknownElement, match=re.escape(f"{bad!r} is not a nonempty tuple")):
+        chain_max_map(X, X)
+
+
+def test_chain_max_map_names_the_first_chain_with_an_unknown_point():
+    X = build_poset("ab", [("a", "b")])
+    X1 = build_poset([("a",), ("a", "z"), ("b",), 3], [(("a",), ("a", "z"))])
+    with pytest.raises(UnknownElement, match=re.escape("('a', 'z') is not a nonempty tuple")):
+        chain_max_map(X1, X)
 
 
 def test_simplicial_map_rejects_an_image_above_the_target_dimension():

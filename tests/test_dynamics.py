@@ -7,7 +7,12 @@ from importlib import resources
 import pytest
 
 from finspace import dynamics, maps
-from finspace.complexes import chain_map_of, induced_simplicial_map
+from finspace.complexes import (
+    barycentric_subdivision_space,
+    chain_map_of,
+    chain_max_map,
+    induced_simplicial_map,
+)
 from finspace.dynamics import (
     Tower,
     attach_level_maps,
@@ -21,6 +26,7 @@ from finspace.dynamics import (
 )
 from finspace.errors import (
     CertificationFailed,
+    EmptyValue,
     IndexRange,
     NotContinuous,
     NotInvertible,
@@ -202,6 +208,16 @@ def test_attach_certification_failure_names_h_chain():
     # the graph scan rejects the same F
     F = attach_level_maps(t, [f], certify=False).F_maps[0]
     assert not is_vietoris_like_multimap(F).ok
+
+
+def test_uncertified_attach_names_a_point_with_an_empty_value(chain2):
+    """A hand-built tower whose h misses the point M of level 0: a level
+    map f that sends ('M',) to M gives F(('M',)) = h^-1(M), empty."""
+    X1 = barycentric_subdivision_space(chain2)
+    t = Tower([chain2, X1], [constant_map(X1, chain2, "N")])
+    f = chain_max_map(X1, chain2)
+    with pytest.raises(EmptyValue, match=r"empty image set at \('M',\)"):
+        attach_level_maps(t, [f], certify=False)
 
 
 def test_certified_attach_builds_no_graph(monkeypatch):

@@ -21,7 +21,7 @@ from finspace.errors import (
 )
 from finspace import maps
 from finspace.complexes import barycentric_subdivision_space, chain_max_map
-from finspace.dynamics import build_tower
+from finspace.dynamics import build_tower, compose_h
 from finspace.formats import (
     parse_map_text,
     parse_poset_text,
@@ -181,28 +181,38 @@ def _refuse_recertification(monkeypatch):
     monkeypatch.setattr(homology_module, "poset_homology", refuse)
 
 
-def _unmarked(f):
-    """A copy of f without chain_max_map's mark: it takes the Stong path."""
-    return poset_module._map(f.source, f.target, f._pos)
+def _stong_path(monkeypatch):
+    """Make the contraction check fail, so that every map takes the
+    per-chain Stong walk."""
+    monkeypatch.setattr(maps, "_contracts", lambda f, fibers: False)
 
 
-def _outcome(f):
+@pytest.fixture
+def by_stong(monkeypatch):
+    """by_stong(f): the certificate a fresh copy of f gets from the
+    per-chain Stong walk, with the contraction check made to fail."""
+    def certify(f):
+        with monkeypatch.context() as patch:
+            _stong_path(patch)
+            return is_vietoris_like_map(poset_module._map(f.source, f.target, f._pos))
+    return certify
+
+
+def _contracts(f):
+    """maps._contracts of f, with f's own fibers."""
+    return maps._contracts(f, maps._fibers(f._pos, len(f.target)))
+
+
+def _outcome(f, certify=is_vietoris_like_map):
     """A map's certificate fields, or the pair NotContinuous names."""
     try:
-        return _certificate_fields(is_vietoris_like_map(f))
+        return _certificate_fields(certify(f))
     except NotContinuous as exc:
         return exc.pair
 
 
-def _marked(f):
-    """A copy of f marked as chain_max_map marks its maps."""
-    g = _unmarked(f)
-    g._certificate = poset_module._CHAIN_MAX
-    return g
-
-
-def test_certificate_is_kept_on_the_map(monkeypatch):
-    h1 = _unmarked(build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 2).h_maps[1])
+def _counting_stong_core(monkeypatch):
+    """Count the Stong worklists run from now on: one entry per call."""
     real_core, worklists = poset_module._stong_core, []
 
     def counting_core(*args):
@@ -210,6 +220,13 @@ def test_certificate_is_kept_on_the_map(monkeypatch):
         return real_core(*args)
 
     monkeypatch.setattr(poset_module, "_stong_core", counting_core)
+    return worklists
+
+
+def test_certificate_is_kept_on_the_map(monkeypatch):
+    _stong_path(monkeypatch)
+    h1 = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 2).h_maps[1]
+    worklists = _counting_stong_core(monkeypatch)
     first = is_vietoris_like_map(h1)
     assert first.ok and worklists  # the first call ran Stong worklists
     _refuse_recertification(monkeypatch)
@@ -272,8 +289,9 @@ def _certificate_fields(cert):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_vietoris_certificate_matches_subposet_cores(seed, monkeypatch):
+    _stong_path(monkeypatch)
     rng = random.Random(900 + seed)
-    corpus = [("corpus", _unmarked(f)) for f in vietoris_map_corpus(rng, 8)]
+    corpus = [("corpus", f) for f in vietoris_map_corpus(rng, 8)]
     while len(corpus) < 48:
         X = random_poset(rng, 8, density=rng.choice([0.2, 0.4]))
         Y = random_poset(rng, 4, density=0.5)
@@ -352,11 +370,11 @@ def test_certificate_builds_no_subposet(monkeypatch):
     assert is_vietoris_like_map(h1).ok
 
 
-def test_certificate_masks_no_wider_than_a_fiber_union(monkeypatch):
+def test_certificate_masks_no_wider_than_a_fiber_union(monkeypatch, by_stong):
     """Rank masks cover the points of one fiber union, not the source: on
     the S^2 model at depth 3 no mask build takes more points than the
-    largest union of the map it certifies (each h without its mark, so
-    that the Stong path runs)."""
+    largest union of the map it certifies (with the contraction check
+    made to fail, so that the Stong path runs)."""
     real_masks, widths = poset_module._rank_masks, []
 
     def recording_masks(P, points):
@@ -374,7 +392,7 @@ def test_certificate_masks_no_wider_than_a_fiber_union(monkeypatch):
         index = h.target.index
         largest = max(sum(sizes[index(y)] for y in c) for c in h.target.all_chains())
         widths.clear()
-        assert is_vietoris_like_map(_unmarked(h)).ok
+        assert by_stong(h).ok
         assert widths and max(widths) <= largest < len(h.source), n
 
 
@@ -382,30 +400,71 @@ def test_certificate_masks_no_wider_than_a_fiber_union(monkeypatch):
 @pytest.mark.parametrize("name, depth", [
     ("ex2_3_X.txt", 4), ("circle4.txt", 5), ("rp2.txt", 2),
 ])
-def test_chain_max_certificates_match_the_stong_path(name, depth, monkeypatch):
+def test_chain_max_certificates_match_the_stong_path(name, depth, monkeypatch, by_stong):
     """Each h_n is certified by its checked contraction, with no Stong
-    worklist, to the certificate the Stong path gives an unmarked copy."""
+    worklist, to the certificate the Stong path gives it."""
     t = build_tower(parse_poset_text(_fixture(name)), depth)
-    real_core, worklists = poset_module._stong_core, []
-
-    def counting_core(*args):
-        worklists.append(1)
-        return real_core(*args)
-
-    monkeypatch.setattr(poset_module, "_stong_core", counting_core)
+    worklists = _counting_stong_core(monkeypatch)
     for n, h in enumerate(t.h_maps):
-        assert h._certificate is poset_module._CHAIN_MAX and maps._contracts(h), n
+        assert h._certificate is None and _contracts(h), n
         got = is_vietoris_like_map(h).as_dict()
         assert not worklists, n
-        assert got == is_vietoris_like_map(_unmarked(h)).as_dict() == {"ok": True}, n
+        assert got == by_stong(h).as_dict() == {"ok": True}, n
         worklists.clear()
 
 
+@pytest.mark.parametrize("name, depth", [("ex2_3_X.txt", 3), ("circle4.txt", 3)])
+def test_equal_maps_certify_alike(name, depth, monkeypatch):
+    """Copies of h_n equal to it, however built, are certified by the
+    contraction check too, with no Stong worklist: a copy from positions,
+    the stacked h_{n,n+1} (the identity, then h_n) and h_n read back from
+    its serialized text."""
+    t = build_tower(parse_poset_text(_fixture(name)), depth)
+    worklists = _counting_stong_core(monkeypatch)
+    for n, h in enumerate(t.h_maps):
+        copies = {
+            "positions": poset_module._map(h.source, h.target, h._pos),
+            "compose_h": compose_h(t, n, n + 1),
+            "serialized": parse_map_text(serialize_map(h), h.source, h.target),
+        }
+        for how, g in copies.items():
+            assert g == h and g._certificate is None, (n, how)
+            assert is_vietoris_like_map(g).as_dict() == {"ok": True}, (n, how)
+            assert not worklists, (n, how)
+
+
+def test_non_tuple_points_over_a_one_point_chain_take_the_stong_path(by_stong):
+    """A source that holds (y,) beside points that are no tuples of target
+    points gets the Stong certificate: the contraction check fails and
+    raises nothing."""
+    one = build_poset("y", [])
+    cases = {
+        "a string point": build_poset([("y",), "b"], []),
+        "an int point": build_poset([("y",), 7], []),
+        "a tuple of unknown points": build_poset([("y",), ("z",)], []),
+        "above (y,)": build_poset([("y",), "b", 7], [(("y",), "b"), (("y",), 7)]),
+    }
+    for what, X in cases.items():
+        f = constant_map(X, one, "y")
+        assert not _contracts(f), what
+        got = is_vietoris_like_map(f)
+        assert got.as_dict() == by_stong(f).as_dict(), what
+        assert got.ok == (what == "above (y,)"), what
+
+
 @pytest.mark.parametrize("seed", range(3))
-def test_marked_maps_that_are_no_chain_maximum_keep_the_stong_certificate(seed):
-    """Marked as chain_max_map marks, a map that is no chain-maximum map
-    gets the certificate of its unmarked copy: the contraction check fails
-    and the Stong path runs, or it passes and proves the same result."""
+def test_maps_that_are_no_chain_maximum_keep_the_stong_certificate(seed, monkeypatch, by_stong):
+    """A map that is no chain-maximum map gets its Stong certificate,
+    whether its source holds the one-point chains of its target or not:
+    the contraction check fails and the Stong path runs, or it passes and
+    proves the same result."""
+    tried, real_contracts = [], maps._contracts
+
+    def recording_contracts(f, fibers):
+        tried.append(real_contracts(f, fibers))
+        return tried[-1]
+
+    monkeypatch.setattr(maps, "_contracts", recording_contracts)
     rng = random.Random(1300 + seed)
     t = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 2)
     X0, X1, X2 = t.levels
@@ -417,16 +476,17 @@ def test_marked_maps_that_are_no_chain_maximum_keep_the_stong_certificate(seed):
                 cases.append(f)
     outcomes = set()
     for i, f in enumerate(cases):
-        got, want = is_vietoris_like_map(_marked(f)), is_vietoris_like_map(_unmarked(f))
+        got, want = is_vietoris_like_map(f), by_stong(f)
         label = f"seed {1300 + seed} case {i}\nf:\n{serialize_map(f)}"
         assert got.as_dict() == want.as_dict(), label
         assert _certificate_fields(got) == _certificate_fields(want), label
         outcomes.add("ok" if got.ok else got.reason or "not acyclic")
     assert {"ok", "empty fiber union (f not surjective)", "not acyclic"} <= outcomes
+    assert False in tried  # the check ran and failed on some of the maps
 
 
-def test_contraction_check_catches_each_broken_part():
-    """Each marked map fails exactly one part of the contraction check, and
+def test_contraction_check_catches_each_broken_part(by_stong):
+    """Each map fails exactly one part of the contraction check, and
     the Stong path finds it not Vietoris-like or not continuous: without
     that part, the check would certify it."""
     vee = build_poset("abc", [("a", "c"), ("b", "c")])
@@ -449,18 +509,18 @@ def test_contraction_check_catches_each_broken_part():
         "g preserves the order": on_order(add=[(a, bc)]),
         "x <= g(x)": on_order(drop=[(a, ac)]),
         "m <= g(x)": on_order(drop=[(c, ac)]),
-        "f(g(x)) = t": _marked(poset_module._map(h.source, line, pushed)),
-        "f(m) = t": _marked(constant_map(barycentric_subdivision_space(two), two, "N")),
+        "f(g(x)) = t": poset_module._map(h.source, line, pushed),
+        "f(m) = t": constant_map(barycentric_subdivision_space(two), two, "N"),
         "x' < x lies in D": chain_max_map(build_poset([a, c], [(a, c)]), apart),
     }
     for part, f in cases.items():
-        assert not maps._contracts(f), part
-        want = _outcome(_unmarked(f))
+        assert not _contracts(f), part
+        want = _outcome(f, by_stong)
         assert want[0] is not True, part
         assert _outcome(f) == want, part
 
 
-def test_marked_map_that_is_not_monotone_raises_and_keeps_its_mark():
+def test_non_monotone_map_over_one_point_chains_keeps_no_certificate(by_stong):
     t = build_tower(parse_poset_text(_fixture("circle4.txt")), 1)
     X0, X1 = t.levels
     h = t.h_maps[0]
@@ -469,13 +529,14 @@ def test_marked_map_that_is_not_monotone_raises_and_keeps_its_mark():
     low = next(v for v in edge if v != h(edge))
     pos = list(h._pos)
     pos[X1.index(edge)] = X0.index(low)
-    marked = _marked(poset_module._map(X1, X0, pos))
+    f = poset_module._map(X1, X0, pos)
+    assert not _contracts(f)
     with pytest.raises(NotContinuous) as info:
-        is_vietoris_like_map(marked)
+        is_vietoris_like_map(f)
     with pytest.raises(NotContinuous) as want:
-        is_vietoris_like_map(poset_module._map(X1, X0, pos))
+        by_stong(f)
     assert info.value.pair == want.value.pair
-    assert marked._certificate is poset_module._CHAIN_MAX
+    assert f._certificate is None
 
 
 def test_composition_lemmas(circle):
