@@ -184,12 +184,13 @@ class _Coreduction:
         for c in range(offsets[1], total):
             for f in faces[c]:
                 cofaces[f].append(c)
-        count = [len(f) for f in faces]  # unprocessed faces
+        count = list(map(len, faces))  # unprocessed faces
         done = bytearray(total)
         self.mate = mate = [-1] * total
         self.pairs = pairs = [[] for _ in levels]
         self.aces = aces = [[] for _ in levels]
         queue = []  # cells that had one unprocessed face when counted
+        push, pop = queue.append, queue.pop
         for d in range(len(levels)):
             for a in range(offsets[d], offsets[d + 1]):
                 if done[a]:
@@ -200,16 +201,19 @@ class _Coreduction:
                     for c in processed:
                         done[c] = 1
                         for j in cofaces[c]:
-                            count[j] -= 1
-                            if count[j] == 1:
-                                queue.append(j)
+                            left = count[j] - 1
+                            count[j] = left
+                            if left == 1:
+                                push(j)
                     processed = ()
                     while queue:
-                        k = queue.pop()
+                        k = pop()
                         if not done[k] and count[k] == 1:
-                            pos = next(i for i, q in enumerate(faces[k]) if not done[q])
-                            q = faces[k][pos]
-                            level_pairs = pairs[len(faces[k]) - 2]
+                            row = faces[k]
+                            for pos, q in enumerate(row):
+                                if not done[q]:
+                                    break
+                            level_pairs = pairs[len(row) - 2]
                             mate[q] = len(level_pairs)
                             level_pairs.append((q, k, pos))
                             processed = (q, k)
@@ -380,8 +384,32 @@ def _homology(K, faces):
 
 @functools.lru_cache(maxsize=4096)
 def poset_homology(X):
-    """Homology of the order complex of a poset (cached; posets are immutable)."""
-    return _homology(*_order_complex(X))
+    """Homology of the order complex of a poset (cached; posets are immutable).
+
+    A cone (a maximum or a minimum; Stong, Trans. AMS 1966) builds no
+    matching.  Ranks extend the order, so only the last point by rank
+    can be a maximum and only the first a minimum.
+    """
+    K, faces = _order_complex(X)
+    n = len(X)
+    if n and (len(X._down[X._order[-1]]) == n - 1 or len(X._up[X._order[0]]) == n - 1):
+        return _cone_homology(K)
+    return _homology(K, faces)
+
+
+def _cone_homology(K):
+    """The profile _homology gives a nonempty connected acyclic complex.
+
+    Vertex 0 is the first ace and the only one in dimension 0, so it is
+    the free basis of H_0, and pulled_back spreads its value 1 over every
+    vertex (the augmentation); no higher dimension has a free part.
+    """
+    dims = K.dimension + 1
+    return HomologyProfile(
+        K, [1] + [0] * (dims - 1), [[] for _ in range(dims)],
+        [[{0: 1}]] + [[] for _ in range(dims - 1)],
+        [[dict.fromkeys(range(K.n_simplices(0)), 1)]] + [[] for _ in range(dims - 1)],
+    )
 
 
 def is_acyclic(X):

@@ -163,6 +163,20 @@ def test_coincide_verb_map_multimap(capsys, monkeypatch, mode, hypothesis):
     assert out.encode() == (root / "tests" / "data" / f"coincide_ex4_2_mode{mode}.json").read_bytes()
 
 
+def test_coincide_verb_multimap_multimap_case_1(capsys):
+    # Theorem 3.10, case 1, on the 4-point circle: lambda is 0, so the
+    # theorem concludes nothing, and every point is a coincidence
+    code, rep, _ = run_json(
+        capsys, "coincide", "--source", fixture("circle4.txt"),
+        "--multimap", fixture("ex2_8_F.txt"), "--multimap-g", fixture("ex2_8_G.txt"),
+        "--case", "1",
+    )
+    assert code == 0
+    assert rep["variant"] == "multimap-multimap case 1"
+    assert rep["lambda"] == 0 and rep["inconclusive"] is True
+    assert rep["witnesses"] == ["A", "B", "C", "D"]
+
+
 def test_check_verb_map_that_is_not_continuous(capsys, tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("A -> C\nB -> B\nC -> A\n")  # A < C goes to C > A

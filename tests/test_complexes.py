@@ -439,6 +439,25 @@ def test_simplicial_map_rejects_an_image_above_the_target_dimension():
         SimplicialMap(K, L, {"a": "x", "b": "y"})
 
 
+def test_simplicial_map_then_composes_the_vertex_assignments():
+    # the 2-simplex collapsed onto an edge, then the edge's swap: the
+    # edge (a, c) goes to (y, x), so its column flips sign
+    K = SimplicialComplex.from_simplices([("a", "b", "c")])
+    E = SimplicialComplex.from_simplices([("x", "y")])
+    f = SimplicialMap(K, E, {"a": "x", "b": "x", "c": "y"})
+    swap = SimplicialMap(E, E, {"x": "y", "y": "x"})
+    got = f.then(swap)
+    want = SimplicialMap(K, E, {"a": "y", "b": "y", "c": "x"})
+    assert (got.source, got.target) == (K, E)
+    assert got.vertex_assignment == want.vertex_assignment
+    assert got._columns == want._columns
+    assert got._columns[1][K.simplex_index(("a", "c"))] == {0: -1}
+    with pytest.raises(ValueError, match="not composable"):
+        f.then(f)
+    with pytest.raises(ValueError, match="not composable"):
+        swap.then(f)
+
+
 def test_derived_maps_match_the_checked_doors():
     # induced_map_of_poset_map skips the chain-map check, and GraphSpace
     # and projections_on_core build their maps from positions; the

@@ -843,6 +843,61 @@ def test_chain_walk_matches_slicing_and_hashing():
     assert scrambled >= 30, scrambled
 
 
+# -- cones ---------------------------------------------------------------------
+
+
+def _assert_same_profile(got, want, label):
+    for name in ("betti", "torsion", "free_basis", "_free_proj"):
+        assert getattr(got, name) == getattr(want, name), f"{name}: {label}"
+
+
+def _cone_cases():
+    names = [f"p{i}" for i in range(10)]
+    yield "10-point total order", build_poset(names, list(zip(names, names[1:])))
+    yield "one point", build_poset(["a"], [])
+    yield "a minimum only", build_poset("abc", [("a", "b"), ("a", "c")])
+    yield "maximum listed first", build_poset("zab", [("a", "z"), ("b", "z")])
+
+
+def test_cone_profile_matches_the_coreduction():
+    # a poset with a maximum or a minimum skips the matching; its profile
+    # is the one the coreduction and the Smith stage give, basis included
+    seed = 3131
+    rng = random.Random(seed)
+    cones = scrambled = 0
+    for i in range(3000):
+        X = random_poset(rng, 8, density=rng.choice([0.3, 0.5, 0.8]))
+        X = X if i % 2 == 0 else _shuffled(rng, X)
+        label = f"seed {seed}, instance {i}\n{serialize_poset(X)}"
+        want = homology_module._homology(*complexes._order_complex(X))
+        _assert_same_profile(poset_homology.__wrapped__(X), want, label)
+        if X.maximum() is not None or X.minimum() is not None:
+            cones += 1
+            scrambled += not _is_linear_extension(X)  # relisted cones
+    assert cones >= 1600 and scrambled >= 500, (cones, scrambled)
+    for label, X in _cone_cases():
+        want = homology_module._homology(*complexes._order_complex(X))
+        _assert_same_profile(poset_homology.__wrapped__(X), want, label)
+        assert want.betti == [1] + [0] * (len(want.betti) - 1), label
+    assert poset_homology.__wrapped__(build_poset([], [])).betti == []
+
+
+def test_cones_build_no_matching(monkeypatch):
+    built = []
+
+    class Spy(homology_module._Coreduction):
+        def __init__(self, K, faces):
+            built.append(K)
+            super().__init__(K, faces)
+
+    monkeypatch.setattr(homology_module, "_Coreduction", Spy)
+    for label, X in _cone_cases():
+        poset_homology.__wrapped__(X)
+        assert built == [], label
+    assert poset_homology.__wrapped__(build_tower(SPHERE, 2).levels[2]).betti == [1, 0, 1]
+    assert len(built) == 1
+
+
 # -- induced maps above dimension 0 ---------------------------------------------
 
 
