@@ -11,12 +11,12 @@ simplices, simplex_index, image_simplex and error messages.
 
 Faces have one format, the face table: cells numbered globally,
 dimension by dimension, each with the numbers of its faces, the one
-omitting vertex k at k.  An order complex gets it from the poset's chain
-walk (_order_complex), any other complex from _face_table.  Chains have
-one format: per dimension, one sparse column {simplex index:
-coefficient} per simplex, as boundary_columns, _chain_columns and
-chain_map_of give them; _push maps one chain, unchecked.
-boundary_matrix is a dense oracle for tests.
+omitting vertex k at k.  An order complex gets it from the poset's
+_chain_faces on request (_order_complex), any other complex from
+_face_table.  Chains have one format: per dimension, one sparse column
+{simplex index: coefficient} per simplex, as boundary_columns,
+_chain_columns and chain_map_of give them; _push maps one chain,
+unchecked.  boundary_matrix is a dense oracle for tests.
 
 A simplicial map sends a simplex to 0 when two of its vertices share an
 image, else to its image simplex times the sign of the permutation that
@@ -116,8 +116,11 @@ class SimplicialComplex:
         """The index of the simplex s, its vertices in vertex order, within
         its dimension; ValueError for a tuple that is no simplex."""
         t = self._positions(s)
-        if t and len(t) <= len(self._sindex) and t in self._sindex[len(t) - 1]:
-            return self._sindex[len(t) - 1][t]
+        try:
+            if t:
+                return _simplex_dict(self, len(t) - 1)[t]
+        except LookupError:  # no such simplex, or none of its dimension
+            pass
         raise ValueError(f"{tuple(s)!r} is not a simplex of the complex")
 
     def _positions(self, s):
@@ -174,8 +177,18 @@ class SimplicialComplex:
 def _fill_complex(K, vertices, vindex, isimplices):
     K.vertices, K._vindex, K._simplices = vertices, vindex, None
     K._isimplices = tuple(tuple(level) for level in isimplices)
-    K._sindex = [{s: i for i, s in enumerate(level)} for level in K._isimplices]
+    K._sindex = [None] * len(K._isimplices)
     return K
+
+
+def _simplex_dict(K, d):
+    """K's {d-simplex: index}, built on first lookup; IndexError above
+    the top dimension."""
+    index = K._sindex[d]
+    if index is None:
+        level = K._isimplices[d]
+        index = K._sindex[d] = dict(zip(level, range(len(level))))
+    return index
 
 
 def _face_table(K, dim=None):
@@ -191,7 +204,7 @@ def _face_table(K, dim=None):
     levels = K._isimplices
     rows = [] if dim else [()] * K.n_simplices(0)
     for d in (dim,) if dim else range(1, len(levels)):
-        index = K._sindex[d - 1]
+        index = _simplex_dict(K, d - 1)
         off = 0 if dim else len(rows) - len(levels[d - 1])
         try:
             rows += zip(*[[index[s[:k] + s[k + 1:]] + off for s in levels[d]]
@@ -274,7 +287,7 @@ def _image(L, img):
     if len(set(img)) < len(img):
         return None
     t = tuple(sorted(img))
-    return L._sindex[len(t) - 1][t], _perm_sign(img)
+    return _simplex_dict(L, len(t) - 1)[t], _perm_sign(img)
 
 
 def _chain_columns(K, L, pos):
@@ -316,25 +329,27 @@ def order_complex(X):
     return _order_complex(X)[0]
 
 
-def _order_complex(X):
-    """K(X) and its face table (the format of _face_table), both read off
-    the poset's chain walk.
+def _order_complex(X, faces=False):
+    """(K(X), its face table if faces else None), read off the poset's
+    chain walk and _chain_faces.
 
     Chains are closed under faces, so the complex is built without a
     check, and it shares X's element index as its vertex index.  When
     the index order is no linear extension, a chain is sorted into a
     simplex and its face row permuted with it.
     """
-    levels, faces = X._index_chains()
+    levels = X._index_chains()
+    table = X._chain_faces(levels) if faces else None
     if any(u and u[0] < i for i, u in enumerate(X._up)):
         c = len(X)
         for level in levels[1:]:
             for k, s in enumerate(level):
                 order = sorted(range(len(s)), key=s.__getitem__)
                 level[k] = tuple([s[i] for i in order])
-                faces[c] = tuple([faces[c][i] for i in order])
+                if faces:
+                    table[c] = tuple([table[c][i] for i in order])
                 c += 1
-    return _complex(X.elements, X._index, levels), faces
+    return _complex(X.elements, X._index, levels), table
 
 
 def face_poset(K):
@@ -362,7 +377,7 @@ def _face_poset(K, faces):
 
 def barycentric_subdivision_space(X):
     """X' = X(K(X)): elements are the nonempty chains of X under inclusion."""
-    return _face_poset(*_order_complex(X))
+    return _face_poset(*_order_complex(X, faces=True))
 
 
 def chain_max_map(X1, X):

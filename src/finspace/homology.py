@@ -387,14 +387,13 @@ def poset_homology(X):
     """Homology of the order complex of a poset (cached; posets are immutable).
 
     A cone (a maximum or a minimum; Stong, Trans. AMS 1966) builds no
-    matching.  Ranks extend the order, so only the last point by rank
+    face table and no matching.  Ranks extend the order, so only the last point by rank
     can be a maximum and only the first a minimum.
     """
-    K, faces = _order_complex(X)
     n = len(X)
     if n and (len(X._down[X._order[-1]]) == n - 1 or len(X._up[X._order[0]]) == n - 1):
-        return _cone_homology(K)
-    return _homology(K, faces)
+        return _cone_homology(_order_complex(X)[0])
+    return _homology(*_order_complex(X, faces=True))
 
 
 def _cone_homology(K):

@@ -57,8 +57,7 @@ class SmithForm:
     """Result of a Smith decomposition S = U * M * V.
 
     U and V are unimodular.  The diagonal of S carries the invariant
-    factors d1 | d2 | ... followed by zeros.  A caller that needs an
-    inverse transform takes unimodular_inverse(U) or unimodular_inverse(V).
+    factors d1 | d2 | ... followed by zeros.
     """
 
     def __init__(self, S, U, V):
@@ -186,12 +185,25 @@ def smith_normal_form(M, ncols=None):
 
 
 def unimodular_inverse(M):
-    """Exact inverse of a matrix that is invertible over the integers."""
+    """Exact inverse of a matrix invertible over the integers: fraction-free
+    Gauss-Jordan (Bareiss, Math. Comp. 22, 1968) turns [M | I] into
+    [d*I | d*M^-1], d = +-det M, every entry a minor, so bounded."""
     m, n = shape(M)
     if m != n:
         raise NotInvertible(f"matrix is {m}x{n}, not square")
-    sf = smith_normal_form(M)
-    if any(sf.S[i][i] not in (1, -1) for i in range(n)):
+    A = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M)]
+    d = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if A[i][k]), None)
+        if p is None:
+            raise NotInvertible("matrix is not unimodular")
+        A[k], A[p] = A[p], A[k]
+        pivot, prev = A[k], d
+        d = pivot[k]
+        for i, row in enumerate(A):
+            if i != k:
+                a = row[k]
+                A[i] = [(d * x - a * y) // prev for x, y in zip(row, pivot)]
+    if d not in (1, -1):
         raise NotInvertible("matrix is not unimodular")
-    # S = U M V with S = I  =>  M^-1 = V U
-    return matmul(sf.V, sf.U)
+    return [[d * x for x in row[n:]] for row in A]

@@ -209,7 +209,7 @@ def _certify(f):
     if Y.elements[:1] in X._index and _contracts(f, fibers):
         return Certificate(ok=True)
     require_continuous(f)
-    for idx in (c for level in Y._index_chains()[0] for c in level):
+    for idx in (c for level in Y._index_chains() for c in level):
         union = [i for j in idx for i in fibers[j]]
         if not union:
             return Certificate(ok=False, failing_chain=_chain_elements(Y, idx),

@@ -16,7 +16,7 @@ union's core), and other modules pass point indices.
 """
 
 from bisect import bisect_left
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 
 from .errors import (
     BudgetExceeded,
@@ -180,56 +180,54 @@ class FinitePoset:
     # -- chains and Euler characteristic ---------------------------------
 
     def chains(self, length):
-        """All i-chains, i = length: strictly increasing (i+1)-tuples."""
-        return [c for c in self.all_chains() if len(c) == length + 1]
+        """All i-chains, i = length, as all_chains lists them: one level."""
+        levels, els = self._index_chains(), self.elements
+        level = levels[length] if 0 <= length < len(levels) else []
+        return [tuple([els[i] for i in c]) for c in level]
 
     def all_chains(self):
         """Every nonempty chain, as leq-increasing tuples of elements, in
         lexicographic order of their index tuples (_index_chains, sorted)."""
-        els = self.elements
-        return [tuple([els[i] for i in c])
-                for c in sorted([c for level in self._index_chains()[0] for c in level])]
+        els, chains = self.elements, chain.from_iterable(self._index_chains())
+        return [tuple([els[i] for i in c]) for c in sorted(chains)]
 
     def _index_chains(self):
-        """Every nonempty chain, level by level, and its faces: (levels, faces).
-
-        levels[d] lists the chains of d + 1 points, leq-increasing tuples
-        of point indices, in lexicographic order: each chain of a level is
-        extended by the points above its last, ascending.  faces[c] lists
-        the global numbers (level by level) of the faces of chain c, the
-        one omitting position k at k, found with no hashing: for c = q +
-        (j,), the face omitting j is q, and the one omitting k < len(q) is
-        the child by j of q's k-th face f, at first[f] plus the position
-        of j in the up list of f's last point.  The chains are counted
-        first: more than DEFAULT_BUDGET raise BudgetExceeded.
-        """
+        """Every nonempty chain: levels[d] lists those of d + 1 points,
+        leq-increasing index tuples, in lexicographic order, each chain of
+        a level extended by the points above its last, ascending.  More
+        than DEFAULT_BUDGET chains, counted first, raise BudgetExceeded."""
         n, up = len(self), self._up
         # fewer than 2 ** n chains: a small poset cannot exceed the budget
         if 2 ** n - 1 > DEFAULT_BUDGET and self._chain_count() > DEFAULT_BUDGET:
             raise BudgetExceeded(f"chain enumeration exceeded its budget of {DEFAULT_BUDGET}")
-        level, levels, faces, first, p = [(i,) for i in range(n)], [], [()] * n, [], 0
-        get, inc, append = first.__getitem__, (1).__add__, faces.append
+        level, levels = [(i,) for i in range(n)], []
         while level:
             levels.append(level)
-            nxt = []
-            for c in level:
-                ups, pf = up[c[-1]], faces[p]
-                first.append(len(faces))
-                if not pf:  # the point p: (p, j) has the faces j and p
-                    nxt += [(p, j) for j in ups]
-                    faces += zip(ups, repeat(p))
-                elif ups:
-                    # the faces but the prefix end in c[-1], so their
-                    # children by ups are numbered from first[face] on
-                    bs = [*map(get, pf[:-1])]
-                    fq, uq = first[pf[-1]], up[c[-2]]
-                    for j in ups:
-                        nxt.append(c + (j,))
-                        append((*bs, fq + bisect_left(uq, j), p))
-                        bs = [*map(inc, bs)]
-                p += 1
-            level = nxt
-        return levels, faces
+            level = [c + (j,) for c in level for j in up[c[-1]]]
+        return levels
+
+    def _chain_faces(self, levels):
+        """The face table (see complexes) of the walk's levels as listed:
+        for c = q + (j,), the face omitting j is q, and the one omitting
+        k < len(q) the child by j of q's k-th face f, at first[f] plus the
+        position of j in the up list of f's last point."""
+        up = self._up
+        faces, first = [()] * len(self), []
+        get, inc, append = first.__getitem__, (1).__add__, faces.append
+        for p, c in enumerate(chain.from_iterable(levels)):
+            ups, pf = up[c[-1]], faces[p]
+            first.append(len(faces))
+            if not pf:  # the point p: (p, j) has the faces j and p
+                faces += zip(ups, repeat(p))
+            elif ups:
+                # the faces but the prefix end in c[-1], so their
+                # children by ups are numbered from first[face] on
+                bs = [*map(get, pf[:-1])]
+                fq, uq = first[pf[-1]], up[c[-2]]
+                for j in ups:
+                    append((*bs, fq + bisect_left(uq, j), p))
+                    bs = [*map(inc, bs)]
+        return faces
 
     def _chain_count(self, sign=1):
         """The number of nonempty chains, none of them built: the chains

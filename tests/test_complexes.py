@@ -4,13 +4,13 @@ import copy
 import importlib
 import random
 import re
-from itertools import islice
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finspace import casebook, complexes, intmat
+from finspace import casebook, complexes, intmat, maps
 from finspace.complexes import (
     SimplicialComplex,
     SimplicialMap,
@@ -30,8 +30,8 @@ from finspace.homology import (
     induced_on_homology,
     poset_homology,
 )
-from finspace.maps import graph, projections_on_core
-from finspace.poset import PosetMap, build_poset, constant_map, identity_map
+from finspace.maps import graph, is_vietoris_like_map, projections_on_core
+from finspace.poset import FinitePoset, PosetMap, build_poset, constant_map, identity_map
 from finspace.random_instances import random_monotone_map, random_poset
 
 # the package re-exports the function homology under the module's name
@@ -362,12 +362,151 @@ def test_order_complex_matches_the_checked_constructor():
                 assert K.boundary_columns(d) == want.boundary_columns(d), label
             # the walk lists chains level by level, each level in
             # lexicographic order, which _certify relies on
-            levels = P._index_chains()[0]
+            levels = P._index_chains()
             assert [len(c) for level in levels for c in level] == sorted(
                 len(c) for c in P.all_chains()), label
             assert all(level == sorted(level) for level in levels), label
         checked += 1
     assert checked >= 200, checked
+
+
+def test_only_homology_and_subdivision_build_a_face_table(monkeypatch, circle):
+    # the walk lists chains only; the two callers that read faces, the
+    # homology of a non-cone and subdivision, ask _chain_faces once each
+    calls = []
+    real = FinitePoset._chain_faces
+
+    def spy(P, levels):
+        calls.append(P)
+        return real(P, levels)
+
+    monkeypatch.setattr(FinitePoset, "_chain_faces", spy)
+    names = [f"p{i}" for i in range(6)]
+    cone = build_poset(names, list(zip(names, names[1:])))
+    h = chain_max_map(barycentric_subdivision_space(circle), circle)
+    assert calls == [circle]
+    calls.clear()
+    for X in (circle, cone):
+        order_complex(X)
+        X.all_chains()
+        induced_simplicial_map(identity_map(X))
+    assert poset_homology.__wrapped__(cone).betti == [1] + [0] * 5
+    monkeypatch.setattr(maps, "_contracts", lambda f, fibers: False)
+    assert is_vietoris_like_map(h).ok  # the Stong path: one-point cores
+    assert calls == []
+    assert poset_homology.__wrapped__(circle).betti == [1, 1]
+    assert calls == [circle]
+
+
+def _eager_index(K):
+    """The {simplex: index} dict of every dimension, built at once."""
+    return [{s: i for i, s in enumerate(level)} for level in K._isimplices]
+
+
+def _eager_image(index, img):
+    """_image on eager dicts: None, (index, sign) or LookupError."""
+    if len(set(img)) < len(img):
+        return None
+    t = tuple(sorted(img))
+    if not t or len(t) > len(index) or t not in index[len(t) - 1]:
+        return LookupError
+    return index[len(t) - 1][t], (-1) ** sum(a > b for a, b in combinations(img, 2))
+
+
+def _eager_columns(K, L, pos):
+    """_chain_columns on eager dicts, or the message of its ValueError."""
+    index, out = _eager_index(L), []
+    for level in K._isimplices:
+        out.append([])
+        for s in level:
+            image = _eager_image(index, [pos[v] for v in s])
+            if image is LookupError:
+                return f"image of {K._named(s)!r} is not a simplex of the target"
+            out[-1].append(dict([image]) if image else {})
+    return out
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except (LookupError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _index_instances(seed, count):
+    """(label, K): complexes closed from random simplices and order
+    complexes of random posets, some listed in reverse."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 2:
+            X = random_poset(rng, 7, density=rng.choice([0.3, 0.6]))
+            yield f"seed {seed}, instance {i}", order_complex(X if i % 4 == 1 else _reversed(X))
+        else:
+            vs = [f"v{k}" for k in range(rng.randint(1, 7))]
+            sims = [rng.sample(vs, rng.randint(1, min(4, len(vs))))
+                    for _ in range(rng.randint(1, 5))]
+            yield f"seed {seed}, instance {i}", SimplicialComplex.from_simplices(sims)
+
+
+def test_lazy_simplex_index_matches_eager_dicts():
+    # simplex_index, _image (through image_simplex) and _chain_columns read
+    # a dimension's dict built on first lookup; dicts built all at once
+    # are the oracle, errors and lookups above the top dimension included
+    seed = 3636
+    rng = random.Random(seed)
+    instances = list(_index_instances(seed, 240))
+    maps_checked = 0
+    for (label, K), (_, L) in zip(instances, instances[1:] + instances[:1]):
+        index = _eager_index(K)
+        for d, level in enumerate(K._isimplices):
+            for s in level:
+                assert K.simplex_index(K._named(s)) == index[d][s], label
+        for _ in range(20):
+            t = tuple(rng.choices(K.vertices, k=rng.randint(0, K.dimension + 2)))
+            pos = tuple(K._vindex[v] for v in t)
+            want = index[len(pos) - 1].get(pos) if 0 < len(pos) <= len(index) else None
+            want = (ValueError, f"{t!r} is not a simplex of the complex") if want is None else want
+            assert _outcome(K.simplex_index, t) == want, label
+        for _ in range(20):
+            img = rng.choices(range(len(K.vertices)), k=rng.randint(1, K.dimension + 2))
+            got = _outcome(complexes._image, K, img)
+            want = _eager_image(index, img)
+            if want is LookupError:  # KeyError, or IndexError above the top
+                assert issubclass(got[0], LookupError), label
+            else:
+                assert got == want, label
+        for target in (K, L):
+            pos = [rng.randrange(len(target.vertices)) for _ in K.vertices]
+            got = _outcome(complexes._chain_columns, K, target, pos)
+            want = _eager_columns(K, target, pos)
+            assert got == (want if type(want) is list else (ValueError, want)), label
+            if type(want) is list:
+                maps_checked += 1
+                assignment = dict(zip(K.vertices, map(target.vertices.__getitem__, pos)))
+                sm, tindex = SimplicialMap(K, target, assignment), _eager_index(target)
+                probes = [tuple(rng.choices(K.vertices, k=rng.randint(0, K.dimension + 2)))
+                          for _ in range(10)]
+                for s in K.all_simplices() + probes:
+                    t = tuple(sorted(map(K._vindex.__getitem__, s)))
+                    img = sorted({pos[i] for i in t})
+                    if _eager_image(tindex, img) is LookupError:
+                        want = ValueError, f"image of {s!r} is not a simplex of the target"
+                    elif _eager_image(index, t) is LookupError or len(set(t)) < len(t):
+                        want = ValueError, f"{K._named(t)!r} is not a simplex of the complex"
+                    else:
+                        want = target._named(img)
+                    assert _outcome(sm.image_simplex, s) == want, label
+    assert maps_checked >= 200, maps_checked
+
+
+def test_a_cone_induced_map_builds_only_the_vertex_index():
+    names = [f"p{i}" for i in range(8)]
+    X = build_poset(names, list(zip(names, names[1:])))
+    f = PosetMap(X, X, {x: names[min(i + 1, 7)] for i, x in enumerate(names)})
+    poset_homology.cache_clear()
+    assert induced_map_of_poset_map(f).matrices == [[[1]]] + [[]] * 7
+    K = poset_homology(X).complex
+    assert K._sindex[0] is not None and K._sindex[1:] == [None] * 7
 
 
 def test_positional_chain_maps_match_simplicial_maps(monkeypatch):

@@ -707,7 +707,7 @@ def _hashed_faces(K):
     """The face rows of K found by slicing each simplex and hashing it."""
     levels, faces = K._isimplices, [()] * K.n_simplices(0)
     for d in range(1, len(levels)):
-        index, off = K._sindex[d - 1], len(faces) - len(levels[d - 1])
+        index, off = complexes._simplex_dict(K, d - 1), len(faces) - len(levels[d - 1])
         faces += zip(*[
             [index[s[:k] + s[k + 1:]] + off for s in levels[d]] for k in range(d + 1)
         ])
@@ -823,13 +823,15 @@ def _is_linear_extension(P):
 
 
 def test_chain_walk_matches_slicing_and_hashing():
-    # the walk's simplices, face rows and coreduction matching are those
-    # of the depth-first walk and of faces found by slicing and hashing
+    # the walk's simplices, asked with or without faces, its face rows
+    # (_chain_faces) and the coreduction matching are those of the
+    # depth-first walk and of faces found by slicing and hashing
     seed = 2929
     scrambled = 0
     for label, P in _walk_oracle_instances(seed):
         label = f"{label}\n{serialize_poset(P)}"
-        K, faces = complexes._order_complex(P)
+        K, faces = complexes._order_complex(P, faces=True)
+        assert complexes._order_complex(P) == (K, None), label
         by_dim = [[] for _ in K._isimplices]
         for c in _depth_first_chains(P):
             by_dim[len(c) - 1].append(tuple(sorted(c)))
@@ -869,14 +871,14 @@ def test_cone_profile_matches_the_coreduction():
         X = random_poset(rng, 8, density=rng.choice([0.3, 0.5, 0.8]))
         X = X if i % 2 == 0 else _shuffled(rng, X)
         label = f"seed {seed}, instance {i}\n{serialize_poset(X)}"
-        want = homology_module._homology(*complexes._order_complex(X))
+        want = homology_module._homology(*complexes._order_complex(X, faces=True))
         _assert_same_profile(poset_homology.__wrapped__(X), want, label)
         if X.maximum() is not None or X.minimum() is not None:
             cones += 1
             scrambled += not _is_linear_extension(X)  # relisted cones
     assert cones >= 1600 and scrambled >= 500, (cones, scrambled)
     for label, X in _cone_cases():
-        want = homology_module._homology(*complexes._order_complex(X))
+        want = homology_module._homology(*complexes._order_complex(X, faces=True))
         _assert_same_profile(poset_homology.__wrapped__(X), want, label)
         assert want.betti == [1] + [0] * (len(want.betti) - 1), label
     assert poset_homology.__wrapped__(build_poset([], [])).betti == []

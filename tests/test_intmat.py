@@ -1,5 +1,8 @@
 """Smith normal form and exact integer matrix algebra."""
 
+import random
+import signal
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -88,6 +91,85 @@ def test_unimodular_inverse():
         unimodular_inverse([[2, 0], [0, 1]])
     with pytest.raises(NotInvertible):
         unimodular_inverse([[1, 2, 3]])
+
+
+def _smith_inverse(M):
+    """The inverse as it was found before elimination: M^-1 = V U from
+    the Smith form S = U M V = I."""
+    n = len(M)
+    sf = smith_normal_form(M)
+    if any(sf.S[i][i] not in (1, -1) for i in range(n)):
+        raise NotInvertible("matrix is not unimodular")
+    return intmat.matmul(sf.V, sf.U)
+
+
+def _unimodular(rng, n, steps):
+    """A random n x n unimodular matrix: the identity under steps random
+    elementary row operations (add a multiple, swap, negate)."""
+    M = intmat.identity(n)
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        op = rng.random() if n > 1 else 1
+        if op < 0.8:
+            k = rng.choice([-3, -2, -1, 1, 2, 3])
+            M[i] = [a + k * b for a, b in zip(M[i], M[j])]
+        elif op < 0.9:
+            M[i], M[j] = M[j], M[i]
+        else:
+            M[i] = [-a for a in M[i]]
+    return M
+
+
+def test_unimodular_inverse_matches_the_smith_form_inverse():
+    # the inverse is unique, so elimination must give the Smith form's;
+    # at most 4n steps, since the Smith form stalls on some denser draws
+    seed = 3333
+    rng = random.Random(seed)
+    assert unimodular_inverse([]) == []
+    for i in range(600):
+        n = rng.randint(1, 8)
+        M = _unimodular(rng, n, rng.randint(0, 4 * n))
+        label = f"seed {seed}, instance {i}: {M}"
+        got = unimodular_inverse(M)
+        assert got == _smith_inverse(M), label
+        assert intmat.matmul(M, got) == intmat.identity(n), label
+
+
+@pytest.mark.parametrize("M, message", [
+    ([[1, 2, 3]], "matrix is 1x3, not square"),
+    ([[]], "matrix is 1x0, not square"),
+    ([[0]], "matrix is not unimodular"),
+    ([[1, 2], [2, 4]], "matrix is not unimodular"),
+    ([[2, 0], [0, 1]], "matrix is not unimodular"),
+    ([[2, 1], [1, 3]], "matrix is not unimodular"),
+    ([[0, 0, 1], [0, 0, 1], [1, 1, 0]], "matrix is not unimodular"),
+])
+def test_unimodular_inverse_rejects_other_matrices(M, message):
+    with pytest.raises(NotInvertible, match=f"^{message}$"):
+        unimodular_inverse(M)
+
+
+def _on_deadline(signum, frame):
+    raise TimeoutError("unimodular_inverse ran past its deadline")
+
+
+def test_unimodular_inverse_of_20x20_finishes():
+    # every entry elimination builds is a minor of [M | I], so it stays
+    # bounded; each call runs under a deadline, so a stall fails the test
+    seed = 3434
+    rng = random.Random(seed)
+    previous = signal.signal(signal.SIGALRM, _on_deadline)
+    try:
+        for i in range(5):
+            M = _unimodular(rng, 20, 400)
+            signal.setitimer(signal.ITIMER_REAL, 2)
+            try:
+                got = unimodular_inverse(M)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            assert intmat.matmul(M, got) == intmat.identity(20), f"seed {seed}, instance {i}"
+    finally:
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_matmul_edge_shapes():

@@ -288,6 +288,23 @@ def test_chains_and_euler(circle):
     assert circle.euler_characteristic() == 0
 
 
+def test_chains_reads_one_level_of_the_walk():
+    # chains(length) reads one level of the walk; the all_chains filter it
+    # replaced is the oracle, lengths below 0 and above the top included,
+    # also on listings whose index order is no linear extension
+    seed = 3232
+    rng = random.Random(seed)
+    for i in range(200):
+        X = random_poset(rng, 8, density=rng.choice([0.2, 0.5, 0.8]))
+        if i % 2:
+            X = build_poset(X.elements[::-1], X.covers())
+        every = X.all_chains()
+        for length in range(-3, max(map(len, every)) + 2):
+            want = [c for c in every if len(c) == length + 1]
+            assert X.chains(length) == want, f"seed {seed}, instance {i}, length {length}"
+    assert build_poset([], []).chains(0) == build_poset([], []).chains(-1) == []
+
+
 def _stack_depth():
     frame, depth = sys._getframe(), 0
     while frame is not None:
