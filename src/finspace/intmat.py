@@ -111,7 +111,12 @@ def smith_normal_form(M, ncols=None):
     """Diagonalize an integer matrix: returns SmithForm with S = U*M*V.
 
     Pivoting picks the smallest nonzero absolute value in the remaining
-    block, which keeps entry growth tame at the scales we care about.
+    block.  That does not bound entry growth: on some dense matrices, a
+    6 x 5 one with entries in [-30, 30] among them, the elimination
+    stalls while the entries grow to thousands of digits (see ROADMAP
+    item 2, a Smith form that cannot stall).  The package calls it on
+    Morse boundaries and betti-sized induced maps, whose entries stay
+    small.
     `ncols` disambiguates the width of matrices with zero rows.
     """
     m, n = shape(M)

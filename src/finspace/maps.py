@@ -187,7 +187,7 @@ def is_vietoris_like_map(f):
     first.  A chain's union concatenates its fibers, disjoint lists of
     source point indices.  homology._core_homology tests it with
     no subposet built: a cone is acyclic, else the Stong core decides,
-    over rank masks no wider than the union.  No two chains share a
+    by a worklist on the union's points alone.  No two chains share a
     union (singletons come first, so every fiber is nonempty past them),
     so none is memoized.  The first failing chain is reported.
 

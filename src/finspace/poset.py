@@ -9,13 +9,13 @@ A poset stores its order once, as index lists and a linear extension
 (see FinitePoset).  Raw orders enter through one door,
 FinitePoset(elements, matrix) or build_poset(elements, relations); both
 turn them into per-point masks of the points below, Python ints, run one
-check on those masks and keep only the lists.  Rank masks are scratch
-data that only this module builds or reads: _rank_masks builds them over
-just the set a call tests over and over (a poset's Stong core, or a fiber
-union's core), and other modules pass point indices.
+check on those masks and keep only the lists.  Stong cores, of a poset
+or of a set of its points (a fiber union), run on those lists too
+(_stong_core), and other modules pass point indices.
 """
 
 from bisect import bisect_left
+from heapq import heappop, heappush
 from itertools import chain, compress, repeat
 
 from .errors import (
@@ -45,8 +45,7 @@ class FinitePoset:
     below (_down) and above (_up), and a linear extension (_order, the
     points by rank; _rank, each point's rank), but no mask.  Ranks extend
     the order, so a set's maximum or minimum is tested on one point's
-    list (_extreme); a call that tests many subsets of one set builds
-    _rank_masks of it.
+    list (_extreme).
     """
 
     __slots__ = ("elements", "_index", "_hash", "_down", "_up", "_order", "_rank")
@@ -180,8 +179,9 @@ class FinitePoset:
     # -- chains and Euler characteristic ---------------------------------
 
     def chains(self, length):
-        """All i-chains, i = length, as all_chains lists them: one level."""
-        levels, els = self._index_chains(), self.elements
+        """All i-chains, i = length, as all_chains lists them: one level of
+        the walk, which stops there, and so does its budget."""
+        levels, els = self._index_chains(max(length + 1, 0)), self.elements
         level = levels[length] if 0 <= length < len(levels) else []
         return [tuple([els[i] for i in c]) for c in level]
 
@@ -191,17 +191,18 @@ class FinitePoset:
         els, chains = self.elements, chain.from_iterable(self._index_chains())
         return [tuple([els[i] for i in c]) for c in sorted(chains)]
 
-    def _index_chains(self):
-        """Every nonempty chain: levels[d] lists those of d + 1 points,
-        leq-increasing index tuples, in lexicographic order, each chain of
-        a level extended by the points above its last, ascending.  More
-        than DEFAULT_BUDGET chains, counted first, raise BudgetExceeded."""
+    def _index_chains(self, depth=None):
+        """Every nonempty chain of at most depth points (default: any):
+        levels[d] lists those of d + 1 points, leq-increasing index tuples,
+        in lexicographic order, each chain of a level extended by the
+        points above its last, ascending.  More than DEFAULT_BUDGET of
+        those chains, counted first, raise BudgetExceeded."""
         n, up = len(self), self._up
         # fewer than 2 ** n chains: a small poset cannot exceed the budget
-        if 2 ** n - 1 > DEFAULT_BUDGET and self._chain_count() > DEFAULT_BUDGET:
+        if 2 ** n - 1 > DEFAULT_BUDGET and self._chain_count(depth=depth) > DEFAULT_BUDGET:
             raise BudgetExceeded(f"chain enumeration exceeded its budget of {DEFAULT_BUDGET}")
         level, levels = [(i,) for i in range(n)], []
-        while level:
+        while level and len(levels) != depth:
             levels.append(level)
             level = [c + (j,) for c in level for j in up[c[-1]]]
         return levels
@@ -229,15 +230,24 @@ class FinitePoset:
                     bs = [*map(inc, bs)]
         return faces
 
-    def _chain_count(self, sign=1):
+    def _chain_count(self, sign=1, depth=None):
         """The number of nonempty chains, none of them built: the chains
         starting at a point are the point alone and its extensions by the
         chains starting above it (Python ints, so no overflow).  With
         sign=-1 a chain of i + 1 points counts (-1)^i, since extending a
-        chain flips its sign, and the sum is the Euler characteristic."""
+        chain flips its sign, and the sum is the Euler characteristic.
+        With a depth, only chains of at most depth points count, by at
+        most depth rounds of the recursion over all points."""
         up, starting = self._up, [0] * len(self)
-        for i in reversed(self._order):
-            starting[i] = 1 + sign * sum(map(starting.__getitem__, up[i]))
+        if depth is None:
+            for i in reversed(self._order):
+                starting[i] = 1 + sign * sum(map(starting.__getitem__, up[i]))
+        else:
+            for _ in range(depth):
+                shorter = starting
+                starting = [1 + sign * sum(map(shorter.__getitem__, ups)) for ups in up]
+                if starting == shorter:
+                    break
         return sum(starting)
 
     def euler_characteristic(self):
@@ -267,13 +277,13 @@ class FinitePoset:
         an up-beat point if its strict up-set has a minimum.  The beat
         points go lowest element position first, for reproducibility, and
         a poset that has none is returned itself.  Otherwise _stong_core,
-        the one beat-point worklist, runs on rank masks of all points,
-        and the poset is restricted once.
+        the one beat-point worklist, runs on the order's lists of all
+        points, and the poset is restricted once.
         """
         n = len(self)
         if n < 2:
             return self
-        keep = _stong_core(*_rank_masks(self, range(n)))
+        keep = _stong_core(self, range(n))
         return self if len(keep) == n else self._restrict(keep)
 
     def is_contractible(self):
@@ -315,81 +325,69 @@ def _extreme(P, points, pick, lists):
     return m if inside else None
 
 
-def _rank_masks(P, points):
-    """(by_rank, below, above): the rank masks of the point indices points
-    of P, the one place masks are built.  by_rank is the points sorted by
-    rank, a subset is an int with bit b for by_rank[b], and below[b] and
-    above[b] mask the points of the set strictly below and above it.  Only
-    the set's own down lists are read: Theta(k^2) bits for k points."""
-    by_rank = sorted(points, key=P._rank.__getitem__)
-    pos = dict(zip(by_rank, range(len(by_rank))))
-    below, above = [0] * len(by_rank), [0] * len(by_rank)
-    down = P._down
-    for b, i in enumerate(by_rank):
-        bit, mask = 1 << b, 0
-        for j in down[i]:
-            c = pos.get(j)
-            if c is not None:
-                mask |= 1 << c
-                above[c] |= bit
-        below[b] = mask
-    return by_rank, below, above
-
-
-def _has_max(below, S):
-    """Whether the rank mask S has a maximum: its highest-ranked point."""
-    top = S.bit_length() - 1
-    return S > 0 and below[top] & S == S ^ (1 << top)
-
-
-def _has_min(above, S):
-    """Whether the rank mask S has a minimum: its lowest-ranked point."""
-    low = S & -S
-    return S > 0 and above[low.bit_length() - 1] & S == S ^ low
-
-
 def _cone_or_core(P, points):
     """None if the point indices points of P (a sequence) have a maximum
     or a minimum (a cone), else the sorted indices of their Stong core.
-    The maximum is tested by _extreme, before any mask is built; otherwise
-    one _rank_masks of the points serves the minimum test and _stong_core."""
-    if _extreme(P, points, max, P._down) is not None:
+    Both extremes are tested by _extreme before the worklist runs."""
+    if (_extreme(P, points, max, P._down) is not None
+            or _extreme(P, points, min, P._up) is not None):
         return None
-    masks = by_rank, _, above = _rank_masks(P, points)
-    if _has_min(above, (1 << len(by_rank)) - 1):
-        return None
-    return _stong_core(*masks)
+    return _stong_core(P, points)
 
 
-def _stong_core(by_rank, below, above):
-    """Sorted point indices of the Stong core of a set of points, from its
-    _rank_masks, so no subposet is built.
+def _stong_core(P, points):
+    """Sorted indices of the Stong core of the distinct point indices
+    points of P, read once; no subposet is built.
 
-    y is a beat point iff the live points below it have a maximum or
-    those above it a minimum.  The worklist, an int with one bit per
-    point in index order, is tested lazily: its lowest point is taken,
-    and dropped if it is no beat point.  Only removing a point comparable
-    to y can make y one, and each removal queues the live ones of those
-    points again.  So the first queued point that tests as a beat point
-    is the lowest-index one, as FinitePoset.core promises.
+    The set's down lists are restricted to it once, in local index
+    order, and its up lists derived from them.  Per live point the
+    counts of live points strictly below and above it are kept.  y is a
+    down-beat point iff a live m below it has one live point fewer below
+    it than y: the live points below m are below y and differ from m,
+    so with m they are all those below y, and m is their maximum.  The
+    up test is dual; a removed point's counts become -2, which no live
+    count less one equals.
+
+    Every point starts queued and is tested in its turn, in index order.
+    Only removing a point comparable to y can make y a beat point, and a
+    removal changes only the counts of the live points comparable to it;
+    those already tested it queues again, in a heap tested lowest first
+    before the next turn.  So the first queued point that tests as a
+    beat point is the lowest-index one, as FinitePoset.core promises.
     """
-    by_index = sorted(range(len(by_rank)), key=by_rank.__getitem__)
-    # rank position -> its worklist bit: the inverse permutation of by_index
-    queue_bit = [1 << w for w in sorted(range(len(by_rank)), key=by_index.__getitem__)]
-    alive = work = (1 << len(by_rank)) - 1
-    while work:
-        low = work & -work
-        work ^= low
-        b = by_index[low.bit_length() - 1]
-        if not (_has_max(below, below[b] & alive) or _has_min(above, above[b] & alive)):
-            continue
-        alive ^= 1 << b
-        near = (below[b] | above[b]) & alive
-        while near:
-            low = near & -near
-            work |= queue_bit[low.bit_length() - 1]
-            near ^= low
-    return sorted([by_rank[b] for b in _bits(alive)])
+    keep = sorted(points)
+    local_of = dict(zip(keep, range(len(keep)))).get
+    down, up = [], [[] for _ in keep]
+    for k, i in enumerate(keep):
+        below = []
+        for j in P._down[i]:
+            m = local_of(j)
+            if m is not None:
+                below.append(m)
+                up[m].append(k)
+        down.append(below)
+    n_below, n_above = list(map(len, down)), list(map(len, up))
+    below_of, above_of = n_below.__getitem__, n_above.__getitem__
+    live, queued = bytearray(b"\1") * len(keep), bytearray(b"\1") * len(keep)
+    heap = []
+    for turn in range(len(keep)):
+        heap.append(turn)  # the heap is empty at each turn
+        while heap:
+            y = heappop(heap)
+            queued[y] = 0
+            if not (below_of(y) - 1 in map(below_of, down[y])
+                    or above_of(y) - 1 in map(above_of, up[y])):
+                continue
+            live[y] = 0
+            n_below[y] = n_above[y] = -2
+            for near, counts in ((down[y], n_above), (up[y], n_below)):
+                for m in near:
+                    if live[m]:
+                        counts[m] -= 1
+                        if not queued[m]:
+                            queued[m] = 1
+                            heappush(heap, m)
+    return list(compress(keep, live))
 
 
 def _check_unique(elements, index):

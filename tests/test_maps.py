@@ -307,9 +307,10 @@ def test_vietoris_certificate_matches_subposet_cores(seed, monkeypatch):
     reached = []  # index sets of the unions that get past the cone test
     real_stong_core = poset_module._stong_core
 
-    def counting_stong_core(by_rank, below, above):
-        reached.append(frozenset(by_rank))
-        return real_stong_core(by_rank, below, above)
+    def counting_stong_core(P, points):
+        points = list(points)
+        reached.append(frozenset(points))
+        return real_stong_core(P, points)
 
     monkeypatch.setattr(poset_module, "_stong_core", counting_stong_core)
     outcomes = set()
@@ -370,30 +371,34 @@ def test_certificate_builds_no_subposet(monkeypatch):
     assert is_vietoris_like_map(h1).ok
 
 
-def test_certificate_masks_no_wider_than_a_fiber_union(monkeypatch, by_stong):
-    """Rank masks cover the points of one fiber union, not the source: on
-    the S^2 model at depth 3 no mask build takes more points than the
-    largest union of the map it certifies (with the contraction check
-    made to fail, so that the Stong path runs)."""
-    real_masks, widths = poset_module._rank_masks, []
+def test_certificate_worklists_take_only_a_fiber_unions_points(monkeypatch, by_stong):
+    """The Stong worklist runs on the points of one fiber union, not the
+    source: on the S^2 model at depth 3 every worklist a certificate runs
+    receives exactly the points of one union of the map's fibers over a
+    chain of its target (with the contraction check made to fail, so that
+    the Stong path runs)."""
+    real_core, received = poset_module._stong_core, []
 
-    def recording_masks(P, points):
+    def recording_core(P, points):
         points = list(points)
-        widths.append(len(points))
-        return real_masks(P, points)
+        received.append((P, frozenset(points), len(points)))
+        return real_core(P, points)
 
-    monkeypatch.setattr(poset_module, "_rank_masks", recording_masks)
+    monkeypatch.setattr(poset_module, "_stong_core", recording_core)
     t = build_tower(build_poset("abcdef", [
         ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
         ("c", "e"), ("c", "f"), ("d", "e"), ("d", "f"),
     ]), 3)
     for n, h in enumerate(t.h_maps):
-        sizes = [len(fiber) for fiber in h.fibers().values()]
-        index = h.target.index
-        largest = max(sum(sizes[index(y)] for y in c) for c in h.target.all_chains())
-        widths.clear()
+        fibers, index = h.fibers(), h.source.index
+        unions = {frozenset(index(x) for y in c for x in fibers[y])
+                  for c in h.target.all_chains()}
+        received.clear()
         assert by_stong(h).ok
-        assert widths and max(widths) <= largest < len(h.source), n
+        assert received, n
+        for P, points, size in received:
+            assert P is h.source and size == len(points) < len(h.source), n
+            assert points in unions, n
 
 
 @pytest.mark.filterwarnings("ignore:subdivision level")

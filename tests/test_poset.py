@@ -2,6 +2,7 @@
 
 import heapq
 import itertools
+import math
 import random
 import sys
 import tracemalloc
@@ -305,6 +306,21 @@ def test_chains_reads_one_level_of_the_walk():
     assert build_poset([], []).chains(0) == build_poset([], []).chains(-1) == []
 
 
+def test_chains_budget_covers_only_the_levels_walked():
+    # a 25-point total order has 2**25 - 1 chains, but only 25 + 300 of at
+    # most two points; the walk stops at the level asked for, and a level
+    # whose chains and shorter ones exceed the budget still raises
+    names = [f"p{i:02d}" for i in range(25)]
+    X = build_poset(names, list(zip(names, names[1:])))
+    assert X.chains(0) == [(x,) for x in names]
+    assert len(X.chains(1)) == 300 and X.chains(1)[:2] == [("p00", "p01"), ("p00", "p02")]
+    assert X._chain_count(depth=7) == sum(math.comb(25, k) for k in range(1, 8)) < 10 ** 6
+    with pytest.raises(BudgetExceeded):
+        X.chains(7)  # 1,807,780 chains of at most 8 points
+    with pytest.raises(BudgetExceeded):
+        X.all_chains()
+
+
 def _stack_depth():
     frame, depth = sys._getframe(), 0
     while frame is not None:
@@ -486,7 +502,7 @@ def _sphere_fiber_unions(seed, count, min_size=20):
 
 def test_core_matches_the_beat_point_loop():
     # whole posets through core(), random subsets through the worklist on
-    # rank masks of the subset alone
+    # the subset's points alone
     seed = 34
     rng = random.Random(seed)
     removed = removed_in_subsets = 0
@@ -497,7 +513,7 @@ def test_core_matches_the_beat_point_loop():
             f"seed {seed}, instance {k}\nX:\n{serialize_poset(X)}")
         removed += len(X) - len(got)
         subset = set(rng.sample(range(len(X)), rng.randint(1, len(X))))
-        keep = poset._stong_core(*poset._rank_masks(X, subset))
+        keep = poset._stong_core(X, subset)
         want = _core_by_rescanning(X.subposet([X.elements[i] for i in subset]))
         assert [X.elements[i] for i in keep] == list(want.elements), (
             f"seed {seed}, instance {k}, subset {sorted(subset)}\n"
@@ -511,19 +527,19 @@ def test_stong_core_reads_points_once(circle):
     # chain whose core is its top
     for size in range(1, 5):
         for subset in itertools.combinations(range(4), size):
-            keep = poset._stong_core(*poset._rank_masks(circle, iter(subset)))
+            keep = poset._stong_core(circle, iter(subset))
             want = _core_by_rescanning(circle.subposet([circle.elements[i] for i in subset]))
             assert [circle.elements[i] for i in keep] == list(want.elements), subset
     chain = build_poset("pqr", [("p", "q"), ("q", "r")])
-    assert poset._stong_core(*poset._rank_masks(chain, iter(range(3)))) == [2]
+    assert poset._stong_core(chain, iter(range(3))) == [2]
 
 
 class _WholeMasks:
-    """Rank masks of a whole poset, as poset built them before masks
-    covered only the set under test: a set of points is an int with bit
-    rank[i] set for point i, and below[i] and above[i] are the masks of
-    the points strictly below and above point i.  A reference for the
-    oracles below."""
+    """Rank masks of a whole poset, a second copy of the order that poset
+    no longer builds: a set of points is an int with bit rank[i] set for
+    point i, and below[i] and above[i] are the masks of the points
+    strictly below and above point i.  A reference for the oracles
+    below."""
 
     def __init__(self, P):
         self.order, self.rank, self.down, self.up = P._order, P._rank, P._down, P._up
@@ -551,9 +567,9 @@ class _WholeMasks:
 
 
 def _stong_core_by_flags(masks, alive, points):
-    """The flag-dict and heap worklist _stong_core replaced: down/up flags
-    for every point first, a heap of the beat points, and a re-test of the
-    points comparable to each removed one."""
+    """The flag-dict and heap worklist of an earlier core(), on masks:
+    down/up flags for every point first, a heap of the beat points, and a
+    re-test of the points comparable to each removed one."""
     rank, below, above = masks.rank, masks.below, masks.above
     max_of, min_of = masks.max_of, masks.min_of
     down = {y: max_of(below[y] & alive) is not None for y in points}
@@ -600,7 +616,7 @@ def test_stong_core_matches_the_flag_worklist(circle):
     for k, X, subset in _tower_subsets(rng, circle):
         rng.shuffle(subset)
         masks = _WholeMasks(X)
-        got = poset._stong_core(*poset._rank_masks(X, iter(subset)))
+        got = poset._stong_core(X, iter(subset))
         want = _stong_core_by_flags(masks, masks.mask(subset), subset)
         assert got == want, (
             f"seed {seed}, instance {k}, subset {sorted(subset)}\n"
@@ -609,6 +625,19 @@ def test_stong_core_matches_the_flag_worklist(circle):
         removed += len(subset) - len(got)
     assert instances == 26 + 146 + 866 + 5 * 40
     assert removed, "the corpus should contain beat points"
+
+
+def test_core_of_a_tower_graph_matches_the_flag_worklist():
+    """core() of the graph of F_3 on the S^2 model at depth 3, 8786 points
+    whose core keeps one point per point of level 3, equals the flag
+    worklist's core on whole-poset masks, element for element."""
+    t = build_tower(SPHERE, 3)
+    G = graph(attach_level_maps(t, t.h_maps, certify=False).F_maps[2]).space
+    masks = _WholeMasks(G)
+    want = _stong_core_by_flags(masks, masks.mask(range(len(G))), range(len(G)))
+    got = G.core()
+    assert len(G) == 8786 and len(got) == len(t.levels[3]) == 866
+    assert got.elements == tuple(G.elements[i] for i in want)
 
 
 def _matrix_extremum(X, leq, subset):
@@ -667,16 +696,6 @@ def test_rank_view_matches_the_matrix():
             assert masks.below[i] == sum(1 << rank[j] for j in below), msg
             assert masks.above[i] == sum(1 << rank[j] for j in above), msg
             assert all(rank[j] < rank[i] for j in below), msg
-        # masks of a set: bit b for its b-th point by rank, comparisons
-        # inside the set only
-        for points in (range(n), range(0, n, 2), range(n - 1, -1, -3)):
-            by_rank, below, above = poset._rank_masks(X, points)
-            assert by_rank == sorted(points, key=rank.__getitem__), msg
-            for b, i in enumerate(by_rank):
-                assert below[b] == sum(1 << c for c, j in enumerate(by_rank)
-                                       if j != i and leq[j, i]), msg
-                assert above[b] == sum(1 << c for c, j in enumerate(by_rank)
-                                       if j != i and leq[i, j]), msg
         assert all(X.leq(x, y) == leq[i, j]
                    for i, x in enumerate(els) for j, y in enumerate(els)), msg
         strict = leq & ~np.eye(n, dtype=bool)
