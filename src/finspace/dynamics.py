@@ -10,6 +10,7 @@ approximated map.
 """
 
 import warnings
+from itertools import compress
 
 from .errors import (
     CertificationFailed,
@@ -238,21 +239,23 @@ def fixed_chain_search(seq, m):
     """All h-compatible chains (x_0, ..., x_N) fixed by F from level m up.
 
     x_n = h_{n,n+1}(x_{n+1}) pins the whole chain once the top element is
-    chosen, so the search reduces to scanning X^N for elements whose
-    h-images at levels >= m are fixed points of the corresponding F.  The
-    chain is walked down by positions, and x_n is fixed iff
-    f_{n-1,n}(x_n) = h_{n-1,n}(x_n) = x_{n-1}.
+    chosen, and x_n is fixed iff f_{n-1,n}(x_n) = h_{n-1,n}(x_n) = x_{n-1}.
+    So the points whose chains are fixed from level m up are marked level
+    by level: a point of level k is good iff its h-image is good and, for
+    k >= m, f(x) = h(x).  Only the chains of good tops are walked down.
     """
     t = seq.tower
     t._check_level(m)
     N = t.depth
     hpos, fpos = seq._hpos, seq._fpos
+    good = [True] * len(t.levels[0])
+    for k in range(1, N + 1):
+        h, f = hpos[k - 1], fpos[k - 1]
+        good = [good[y] and (k < m or f[x] == y) for x, y in enumerate(h)]
     out = []
-    for top in range(len(t.levels[N])):
+    for top in compress(range(len(good)), good):
         chain = [top]
         for n in range(N - 1, -1, -1):
             chain.append(hpos[n][chain[-1]])
-        chain.reverse()  # now chain[n] is a point index of X^n
-        if all(fpos[n1 - 1][chain[n1]] == chain[n1 - 1] for n1 in range(max(m, 1), N + 1)):
-            out.append(tuple(L.elements[i] for L, i in zip(t.levels, chain)))
+        out.append(tuple(L.elements[i] for L, i in zip(t.levels, reversed(chain))))
     return out

@@ -9,8 +9,13 @@ boundary with a nonzero entry; on most order complexes the Morse complex
 is zero and no Smith form runs.  The other dense matrices are the
 betti-sized induced maps, their inverses and the tests' reference
 computations.  The Smith form keeps S, U and V only; a caller that needs
-U^-1 or V^-1 takes unimodular_inverse of it.
+U^-1 or V^-1 takes unimodular_inverse of it.  It is built from one
+row step (_step): Hermite passes, Euclid's algorithm down each column,
+run on the matrix and on its transpose until it is diagonal, then a
+sweep over pairs of diagonal entries for the divisibility chain.
 """
+
+from math import gcd
 
 from .errors import NotInvertible
 
@@ -25,10 +30,6 @@ def identity(n):
 
 def shape(M):
     return (len(M), len(M[0]) if M else 0)
-
-
-def copy(M):
-    return [row[:] for row in M]
 
 
 def matmul(A, B):
@@ -76,117 +77,111 @@ class SmithForm:
         return [self.S[t][t] for t in range(min(m, n)) if self.S[t][t] != 0]
 
 
-def _row_swap(S, U, i, j):
-    S[i], S[j] = S[j], S[i]
-    U[i], U[j] = U[j], U[i]
+def _step(mats, r, i, s, t, x, y):
+    """Rows r and i of each matrix become s*row r + t*row i and
+    x*row r + y*row i: one row step, unimodular when s*y - t*x = +-1."""
+    for M in mats:
+        R, I = M[r], M[i]
+        if (s, t) != (1, 0):
+            M[r] = [s * u + t * v for u, v in zip(R, I)]
+        M[i] = [x * u + y * v for u, v in zip(R, I)]
 
 
-def _col_swap(S, V, i, j):
-    for r in S:
-        r[i], r[j] = r[j], r[i]
-    for r in V:
-        r[i], r[j] = r[j], r[i]
+def _hermite(S, U):
+    """Row-reduce S to Hermite form, taking U through the same row steps.
+
+    In each column Euclid's algorithm runs on the entries at or below the
+    pivot row r: the smallest entry leads, and every other entry drops to
+    its remainder by one subtraction of a multiple of the leader's row
+    (a divisible entry is cleared), until one entry, the gcd, is left.
+    It moves to row r, is made positive, and the entries above it are
+    reduced into [0, pivot).  (Clearing each entry instead by the Bezout
+    step [[s, t], [-b/g, a/g]] of its pair multiplies the row by entries
+    of the column, and on rank-deficient matrices the rows that hold no
+    pivot squared in size from column to column.)
+    """
+    r = 0
+    for c in range(len(S[0])):
+        rows = [i for i in range(r, len(S)) if S[i][c]]
+        while len(rows) > 1:
+            p = min(rows, key=lambda i: abs(S[i][c]))
+            for i in rows:
+                if i != p:
+                    _step((S, U), p, i, 1, 0, -(S[i][c] // S[p][c]), 1)
+            rows = [i for i in rows if S[i][c]]
+        if not rows:
+            continue
+        if rows[0] != r:
+            _step((S, U), r, rows[0], 0, 1, 1, 0)
+        if S[r][c] < 0:
+            S[r], U[r] = [-x for x in S[r]], [-x for x in U[r]]
+        for k in range(r):
+            q = S[k][c] // S[r][c]
+            if q:
+                _step((S, U), r, k, 1, 0, -q, 1)
+        r += 1
 
 
-def _row_negate(S, U, i):
-    S[i] = [-x for x in S[i]]
-    U[i] = [-x for x in U[i]]
+def _transpose(M):
+    return [list(col) for col in zip(*M)]
 
 
-def _row_addmul(S, U, i, j, k):
-    # row i += k * row j
-    S[i] = [a + k * b for a, b in zip(S[i], S[j])]
-    U[i] = [a + k * b for a, b in zip(U[i], U[j])]
-
-
-def _col_addmul(S, V, j, i, k):
-    # col j += k * col i
-    for r in S:
-        r[j] += k * r[i]
-    for r in V:
-        r[j] += k * r[i]
+def _is_diagonal(S):
+    return all(not x for i, row in enumerate(S) for j, x in enumerate(row) if i != j)
 
 
 def smith_normal_form(M, ncols=None):
     """Diagonalize an integer matrix: returns SmithForm with S = U*M*V.
 
-    Pivoting picks the smallest nonzero absolute value in the remaining
-    block.  That does not bound entry growth: on some dense matrices, a
-    6 x 5 one with entries in [-30, 30] among them, the elimination
-    stalls while the entries grow to thousands of digits (see ROADMAP
-    item 2, a Smith form that cannot stall).  The package calls it on
-    Morse boundaries and betti-sized induced maps, whose entries stay
-    small.
+    Hermite passes on the rows of S, with U, and on the rows of its
+    transpose, with V^T, alternate until S is diagonal (Kannan and
+    Bachem, SIAM J. Comput. 8, 1979).  A sweep over pairs of diagonal
+    entries then turns (a, b) into (g, l) = (gcd, lcm) = L diag(a, b) R:
+    with s*a + t*b = g, L = [[s, t], [-b/g, a/g]] takes U's rows and
+    R = [[1, -tb/g], [1, sa/g]] V's columns.  The nonzero entries lead,
+    positive, in a divisibility chain.
+
+    The passes end.  Once a position's row and column are clean (zero
+    off the diagonal), no later step touches them: a pass finds no other
+    entry in that column to reduce and reduces nothing by that row.  In
+    the leading unfinished position a pass leaves the gcd of its column
+    (on the transpose, of its row), so the pivot there only divides.  It
+    stays the same only if it divided the whole line: then it led from
+    the first round, the pass cleared the line by subtracting multiples
+    of the pivot's own line, which the pass before had cleared and this
+    one leaves as it is, and the position is finished.  So a round that
+    leaves an entry off the diagonal in the leading unfinished row or
+    column makes that pivot a proper divisor of the last one.  Within a
+    pass, each of Euclid's rounds shrinks the leading entry of a column.
+    Entries have no proven bound (Kannan and Bachem's principal-minor
+    order gives one); tests/test_intmat.py runs dense and rank-deficient
+    seeded families under a deadline.
     `ncols` disambiguates the width of matrices with zero rows.
     """
     m, n = shape(M)
     if m == 0 and ncols is not None:
         n = ncols
-    S = copy(M)
-    U, V = identity(m), identity(n)
-
-    t = 0
-    while t < min(m, n):
-        # locate smallest nonzero entry in S[t:, t:]
-        pivot = None
-        best = None
-        for i in range(t, m):
-            row = S[i]
-            for j in range(t, n):
-                x = row[j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        i, j = pivot
-        if i != t:
-            _row_swap(S, U, t, i)
-        if j != t:
-            _col_swap(S, V, t, j)
-        if S[t][t] < 0:
-            _row_negate(S, U, t)
-
-        # clear row and column t; a remainder, in (0, pivot), is the new pivot
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if S[i][t] != 0:
-                    q = S[i][t] // S[t][t]
-                    _row_addmul(S, U, i, t, -q)
-                    if S[i][t] != 0:
-                        _row_swap(S, U, t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if S[t][j] != 0:
-                    q = S[t][j] // S[t][t]
-                    _col_addmul(S, V, j, t, -q)
-                    if S[t][j] != 0:
-                        _col_swap(S, V, t, j)
-                        dirty = True
-            if not dirty:
-                break
-
-        # enforce the divisibility chain
-        d = S[t][t]
-        fix = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if S[i][j] % d != 0:
-                    fix = i
-                    break
-            if fix is not None:
-                break
-        if fix is not None:
-            _row_addmul(S, U, t, fix, 1)
-            continue  # redo elimination at the same t
-        t += 1
-
-    return SmithForm(S, U, V)
+    S, U, Vt = [list(row) for row in M], identity(m), identity(n)
+    if m and n:
+        A, B = U, Vt
+        _hermite(S, A)
+        while not _is_diagonal(S):
+            S, A, B = _transpose(S), B, A
+            _hermite(S, A)
+        if A is Vt:
+            S = _transpose(S)
+    k = sum(1 for t in range(min(m, n)) if S[t][t])
+    for i in range(k):
+        for j in range(i + 1, k):
+            a, b = S[i][i], S[j][j]
+            g = gcd(a, b)
+            if g != a:
+                s = pow(a // g, -1, b // g)
+                t = (g - s * a) // b
+                _step((U,), i, j, s, t, -b // g, a // g)
+                _step((Vt,), i, j, 1, 1, -t * b // g, s * a // g)
+                S[i][i], S[j][j] = g, a // g * b
+    return SmithForm(S, U, _transpose(Vt))
 
 
 def unimodular_inverse(M):

@@ -314,6 +314,39 @@ def test_fixed_points_from_positions_match_membership(seed):
     assert checked >= 20 and fixed >= 10, (checked, fixed)
 
 
+def _fixed_chains_by_walk(seq, m):
+    """fixed_chain_search as a walk down from every top: each chain is
+    built from positions and then tested level by level."""
+    t = seq.tower
+    N, hpos, fpos = t.depth, seq._hpos, seq._fpos
+    out = []
+    for top in range(len(t.levels[N])):
+        chain = [top]
+        for n in range(N - 1, -1, -1):
+            chain.append(hpos[n][chain[-1]])
+        chain.reverse()
+        if all(fpos[n1 - 1][chain[n1]] == chain[n1 - 1] for n1 in range(max(m, 1), N + 1)):
+            out.append(tuple(L.elements[i] for L, i in zip(t.levels, chain)))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_fixed_chains_by_marks_match_the_walk_from_every_top(seed):
+    # the search marks good points level by level and walks only the good
+    # tops; walking every top and testing the whole chain gives the same
+    # chains in the same order
+    found = 0
+    for i, X0, t, f_maps in _random_level_maps(740 + seed, count=40):
+        seq = attach_level_maps(t, f_maps, certify=False)
+        label = (f"seed {740 + seed} instance {i}: X0 = {serialize_poset(X0)!r} "
+                 + " ".join(f"f_{k} = {serialize_map(g)!r}" for k, g in enumerate(f_maps)))
+        for m in range(t.depth + 1):
+            want = _fixed_chains_by_walk(seq, m)
+            assert fixed_chain_search(seq, m) == want, f"{label} m = {m}"
+            found += 0 < len(want) < len(t.levels[-1])
+    assert found >= 10, found
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_attach_certificate_agrees_with_graph_scan(seed):
     # certifying h stands in for the graph scan of each F = H o f, which

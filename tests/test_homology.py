@@ -193,6 +193,17 @@ def test_induced_identity_and_composition():
     assert comp.matrix_at(1) == [[1]]  # swap twice is the identity
 
 
+def test_composition_reads_zero_matrices_past_a_maps_top():
+    # the identity of a point has one matrix, the inclusion of a point into
+    # the sphere three: the composite reads the first map as zero past
+    # dimension 0, whose matrices are betti-sized, 0 x 0 and 1 x 0
+    pt = build_poset("x", [])
+    first = induced_map_of_poset_map(identity_map(pt))
+    comp = first.then(induced_map_of_poset_map(PosetMap(pt, SPHERE, {"x": "a"})))
+    assert [intmat.shape(M) for M in comp.matrices] == [(1, 1), (0, 0), (1, 0)]
+    assert comp.matrices == [[[1]], [], [[]]]
+
+
 def test_rotation_and_reflection_degrees():
     circle = build_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
     # swapping both antipodal pairs is a rotation: degree +1, no fixed point

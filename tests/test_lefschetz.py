@@ -142,6 +142,17 @@ def test_classical_lefschetz_identity(wedge, circle):
     assert rep.lambda_ == 0 and rep.chi_fix == 0 and len(rep.witnesses) == 4
 
 
+def test_classical_report_carries_chi_fix():
+    sphere = build_poset(
+        "ABCDEF",
+        [("C", "A"), ("D", "A"), ("C", "B"), ("D", "B"),
+         ("E", "C"), ("F", "C"), ("E", "D"), ("F", "D")],
+    )
+    report = classical_lefschetz(identity_map(sphere)).as_dict()
+    assert report["lambda"] == report["chi_fix"] == 2
+    assert report["conclusion_verified"] and not report["inconclusive"]
+
+
 def test_classical_lefschetz_random_agreement():
     rng = random.Random(123)
     for _ in range(60):

@@ -321,6 +321,15 @@ def test_chains_budget_covers_only_the_levels_walked():
         X.all_chains()
 
 
+def test_chain_count_of_an_antichain_stops_when_the_counts_settle():
+    # 30 points have up to 2**30 - 1 chains, so the budget count runs; on an
+    # antichain its rounds settle after one, and no level past the first
+    # has a chain
+    X = build_poset([f"p{i}" for i in range(30)], [])
+    assert X.chains(0) == [(x,) for x in X.elements]
+    assert X.chains(5) == []
+
+
 def _stack_depth():
     frame, depth = sys._getframe(), 0
     while frame is not None:
@@ -837,6 +846,18 @@ def test_homotopy_fence(wedge):
     assert are_homotopic(f, g)
     with pytest.raises(BudgetExceeded):
         are_homotopic(f, g, budget=1)
+
+
+def test_homotopy_fence_search_counts_its_neighbours():
+    # the constant map at c lies above the one at a, found as the fourth
+    # neighbour generated (after the map at a itself, below and above, and
+    # the map at b), so a budget of two runs out and one of four does not
+    pt = build_poset("x", [])
+    abc = build_poset("abc", [("a", "b"), ("b", "c")])
+    f, g = constant_map(pt, abc, "a"), constant_map(pt, abc, "c")
+    with pytest.raises(BudgetExceeded, match="^homotopy fence search budget exhausted$"):
+        are_homotopic(f, g, budget=2)
+    assert are_homotopic(f, g, budget=4)
 
 
 def test_homotopy_distinguishes_circle_maps(circle):
