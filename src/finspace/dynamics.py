@@ -95,7 +95,8 @@ def compose_h(t, n, m):
 
 def fiber_H(t, n, m):
     """H_{n,m}(x) = preimage of x under h_{n,m}; each value has a minimum."""
-    return MultiMap(t.levels[n], t.levels[m], compose_h(t, n, m).fibers())
+    fibers = compose_h(t, n, m).fibers()
+    return MultiMap(t.levels[n], t.levels[m], fibers)
 
 
 class ApproximativeSequence:
@@ -204,22 +205,33 @@ def compose_f(seq, n, m):
 
 
 def lambda_nm(seq, n, m):
-    """Lefschetz number of f_{n,m*} o h_{n,m*}^{-1}.
+    """Lefschetz number of f_{n,m*} o h_{n,m*}^{-1} on H(X^n).
 
-    Each call builds both induced maps from the stacked maps and keeps
-    nothing.  When f_{k,k+1} = h_{k,k+1} for every step k from n to
-    m - 1 (equal positions in the tower's listing of both levels),
-    h_{n,m*} serves as f_{n,m*} too.
+    Steps cancel from the top down: while step k = j - 1 has f_k = h_k
+    (equal positions in the tower's listing of both levels) and h_k is
+    Vietoris-like, h_{k*} is an isomorphism (McCord, Duke Math. J. 1966;
+    Barmak, Mrozek & Wanner, Math. Z. 2020), so f_{n,j*} h_{n,j*}^{-1} =
+    f_{n,k*} h_{k*} h_{k*}^{-1} h_{n,k*}^{-1} = f_{n,k*} h_{n,k*}^{-1}.
+    A step with f_k != h_k certifies nothing, and h_k keeps its
+    certificate, so only the first call (or a certified attach) pays for
+    it.  If every step cancels, the map is the identity on H(X^n), whose
+    Lefschetz number is the Euler characteristic of X^n, a chain count.
+    Otherwise both induced maps of the shorter pair (n, j) are built from
+    the stacked maps, and neither is kept.
     """
     if not n < m:
         raise IndexRange(f"need n < m, got {n} >= {m}")
     t = seq.tower
     t._check_level(n)
     t._check_level(m)
-    h_star = induced_map_of_poset_map(compose_h(t, n, m))
-    f_is_h = seq._fpos[n:m] == seq._hpos[n:m]
-    f_star = h_star if f_is_h else induced_map_of_poset_map(compose_f(seq, n, m))
-    return _coincidence_number(h_star, f_star)
+    j = m
+    while (j > n and seq._fpos[j - 1] == seq._hpos[j - 1]
+           and is_vietoris_like_map(t.h_maps[j - 1]).ok):
+        j -= 1
+    if j == n:
+        return t.levels[n].euler_characteristic()
+    return _coincidence_number(induced_map_of_poset_map(compose_h(t, n, j)),
+                               induced_map_of_poset_map(compose_f(seq, n, j)))
 
 
 def fixed_points_of_level(seq, n1):

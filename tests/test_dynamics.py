@@ -153,6 +153,14 @@ def test_fiber_H(chain2):
     assert all(ident(x) == frozenset({x}) for x in t.levels[1].elements)
 
 
+def test_fiber_H_names_a_level_outside_the_tower(chain2):
+    t = build_tower(chain2, 2)
+    with pytest.raises(IndexRange, match=r"^level 5 outside 0\.\.2$"):
+        fiber_H(t, 0, 5)
+    with pytest.raises(IndexRange, match=r"^level 3 outside 0\.\.2$"):
+        fiber_H(t, 3, 3)
+
+
 def test_fiber_H_deeper(circle):
     t = build_tower(circle, 2)
     for n, m in [(0, 1), (1, 2), (0, 2)]:
@@ -444,17 +452,16 @@ def _spy_induced_maps(monkeypatch):
     return calls
 
 
-def test_lambda_table_builds_one_induced_map_per_pair(monkeypatch):
-    # with f = h each pair builds h_{n,m*} once and reuses it as f_{n,m*},
-    # whatever the order of the table and whatever was asked before
+def test_lambda_table_with_f_equal_to_h_builds_no_induced_map(monkeypatch):
+    # with f = h every step cancels, so each pair reads the Euler
+    # characteristic of level n and builds no induced map, whatever the
+    # order of the table and whatever was asked before
     t = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 3)
     seq = attach_level_maps(t, t.h_maps, certify=False)
     calls = _spy_induced_maps(monkeypatch)
     for order in _pair_orders(3, random.Random(0)).values():
-        calls.clear()
         assert {nm: lambda_nm(seq, *nm) for nm in order} == {nm: 2 for nm in order}
-        assert [(f.target, f.source) for f in calls] == [
-            (t.levels[n], t.levels[m]) for n, m in order]
+        assert not calls
 
 
 def test_lambda_range_checks_come_before_any_induced_map(circle, monkeypatch):
@@ -537,38 +544,83 @@ def test_lambda_constant_maps(chain2):
     assert lambda_nm(seq, 1, 2) == 1
 
 
-def test_lambda_with_f_equal_to_h_builds_one_induced_map(monkeypatch):
-    # lambda_nm(n, m) builds h_{n,m*} and reuses it as f_{n,m*} when every
-    # level map equals h on the tower's listing of its levels, also when
-    # f is given on an equal level listed in another order
+def test_lambda_builds_induced_maps_only_below_the_cancelled_steps(monkeypatch):
+    # the top steps with f = h on the tower's listing of their levels
+    # cancel, also when f is given on an equal level listed in another
+    # order; lambda_nm(n, m) builds h_{n,j*} and f_{n,j*} for the first
+    # step j - 1 from the top with f != h, and no induced map if none
     t = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 2)
     relisted = [PosetMap(_reordered(t.levels[n + 1]), t.levels[n], h.assignment)
                 for n, h in enumerate(t.h_maps)]
     const = constant_map(t.levels[1], t.levels[0], t.levels[0].elements[0])
-    real = dynamics.induced_map_of_poset_map
-    calls = []
 
-    def spy(f):
-        calls.append(f)
-        return real(f)
-
-    # the number of induced maps lambda_nm(n, m) builds
-    everywhere_h = {(0, 1): 1, (1, 2): 1, (0, 2): 1}
+    # the pair (n, j) of the induced maps lambda_nm(n, m) builds, if any
+    everywhere_h = {(0, 1): None, (1, 2): None, (0, 2): None}
     for name, f_maps, built in [
         ("f = h", t.h_maps, everywhere_h),
         ("f = h, relisted", relisted, everywhere_h),
-        ("f_0 constant", [const, t.h_maps[1]], {(0, 1): 2, (1, 2): 1, (0, 2): 2}),
+        ("f_0 constant", [const, t.h_maps[1]], {(0, 1): (0, 1), (1, 2): None, (0, 2): (0, 1)}),
     ]:
         for n, m in built:
             want = _lambda_oracle(t, f_maps, n, m)
             seq = attach_level_maps(t, f_maps, certify=False)
-            calls.clear()
-            monkeypatch.setattr(dynamics, "induced_map_of_poset_map", spy)
+            calls = _spy_induced_maps(monkeypatch)
             got = lambda_nm(seq, n, m)
             monkeypatch.undo()
             label = f"{name}: lambda_nm({n}, {m})"
             assert got == want, f"{label} = {got}, oracle {want}"
-            assert len(calls) == built[n, m], label
+            pair = built[n, m]
+            assert [(f.target, f.source) for f in calls] == (
+                [] if pair is None else [(t.levels[pair[0]], t.levels[pair[1]])] * 2
+            ), label
+
+
+def _random_top_h_maps(seed, count=12):
+    """Seeded towers of depth 2 or 3 over random posets whose level maps
+    equal h on the steps from a random cut up: f_k = h_k for k >= cut, a
+    random monotone (else constant) map below it.
+
+    Yields (instance index, X0, tower, level maps, cut).
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        X0 = random_poset(rng, 5, density=0.5)
+        depth = rng.randint(2, 3)
+        try:
+            t = build_tower(X0, depth, size_budget=200)
+        except SizeBudgetExceeded:
+            continue
+        cut = rng.randint(0, depth)
+        f_maps = list(t.h_maps)
+        for k in range(cut):
+            f = random_monotone_map(rng, t.levels[k + 1], t.levels[k], attempts=30)
+            f_maps[k] = f if f is not None else constant_map(
+                t.levels[k + 1], t.levels[k], t.levels[k].elements[0])
+        yield i, X0, t, f_maps, cut
+
+
+@pytest.mark.parametrize("seed", range(760, 763))
+def test_lambda_with_f_equal_to_h_on_the_top_steps_matches_oracle(seed):
+    # the top steps cancel and the rest take the homology route: every pair
+    # agrees with the oracle, and the table certifies h_k exactly on the
+    # steps k with f_k = h_k, so a step with f_k != h_k certifies nothing
+    partial = nowhere_h = 0
+    for i, X0, t, f_maps, cut in _random_top_h_maps(seed):
+        label = (f"seed {seed} instance {i} cut {cut}: X0 = {serialize_poset(X0)!r} "
+                 + " ".join(f"f_{k} = {serialize_map(g)!r}" for k, g in enumerate(f_maps)))
+        seq = attach_level_maps(t, f_maps, certify=False)
+        differ = [seq._fpos[k] != seq._hpos[k] for k in range(t.depth)]
+        d = max((k for k in range(t.depth) if differ[k]), default=-1)
+        for n in range(t.depth):
+            for m in range(n + 1, t.depth + 1):
+                want = _lambda_oracle(t, f_maps, n, m)
+                got = lambda_nm(seq, n, m)
+                assert got == want, f"{label}: lambda_nm({n}, {m}) = {got}, oracle {want}"
+                partial += n <= d < m - 1
+        assert [h._certificate is None for h in t.h_maps] == differ, label
+        nowhere_h += all(differ)
+    assert partial >= 5, f"seed {seed}: only {partial} pairs cancel a step and keep one"
+    assert nowhere_h, f"seed {seed}: no instance with f != h on every step"
 
 
 def test_lambda_matches_multimap_lefschetz(circle):
