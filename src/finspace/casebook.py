@@ -217,8 +217,7 @@ def case_ex2_16():
         ("every value has a minimum",
          all(Y.minimum(F(x)) is not None for x in X.elements))
     )
-    gs = graph(F)
-    checks.append(("graph has betti (1, 1)", _betti(gs.space) == [1, 1]))
+    checks.append(("graph has betti (1, 1)", _betti(graph(F).space) == [1, 1]))
     checks.append(("F not vietoris-like", not is_vietoris_like_multimap(F).ok))
     return CaseResult("ex2_16", checks)
 

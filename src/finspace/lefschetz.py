@@ -7,15 +7,17 @@ fixed points.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .errors import HypothesisFailed, NoSelector, NotComposable
 from .homology import _coincidence_number, induced_map_of_poset_map, lefschetz_number
 from .maps import (
+    _projections_on_core,
     compose_multimaps,
     graph,
     induced_multimap_homology,
     is_vietoris_like_map,
-    projections_on_core,
+    is_vietoris_like_multimap,
 )
 from .poset import DEFAULT_BUDGET, order_preserving_maps, require_continuous
 
@@ -86,19 +88,19 @@ def _require(cert, hypothesis, **kwargs):
 def theorem_A(f, g):
     """Coincidence theorem: f Vietoris-like, Lambda(g_* f_*^-1) != 0
     forces a point with f(x) = g(x)."""
+    witnesses = coincidence_points(f, g)  # checks the shapes first
     require_continuous(g)
     _require(is_vietoris_like_map(f), "f is not Vietoris-like")
     lam = _coincidence_number(induced_map_of_poset_map(f), induced_map_of_poset_map(g))
-    return _finish(lam, ["f Vietoris-like"], coincidence_points(f, g))
+    return _finish(lam, ["f Vietoris-like"], witnesses)
 
 
 def theorem_B(F):
     """Lefschetz fixed point theorem for Vietoris-like multimaps."""
     if F.source != F.target:
         raise ValueError("theorem needs an endo-multimap")
-    gs = graph(F)
-    _require(is_vietoris_like_map(gs.p), "F is not a Vietoris-like multimap")
-    lam = lefschetz_number(induced_multimap_homology(F, gs))
+    _require(is_vietoris_like_multimap(F), "F is not a Vietoris-like multimap")
+    lam = lefschetz_number(induced_multimap_homology(F))
     witnesses = [x for x in F.source.elements if x in F(x)]
     return _finish(lam, ["F Vietoris-like multimap"], witnesses)
 
@@ -116,23 +118,14 @@ def theorem_C(chain):
             raise NotComposable(f"links {i} and {i + 1} do not compose")
     if chain[0].source != chain[-1].target:
         raise NotComposable("composition is not an endo-multimap")
-    certs, graphs = [], []
     for i, G in enumerate(chain):
-        gs = graph(G)
-        _require(
-            is_vietoris_like_map(gs.p),
-            f"link {i} is not a Vietoris-like multimap",
-            index=i,
-        )
-        certs.append(f"G{i} Vietoris-like multimap")
-        graphs.append(gs)
-    induced = induced_multimap_homology(chain[0], graphs[0])
-    for G, gs in zip(chain[1:], graphs[1:]):
-        induced = induced.then(induced_multimap_homology(G, gs))
-    lam = lefschetz_number(induced)
-    F = chain[0]
-    for G in chain[1:]:
-        F = compose_multimaps(F, G)
+        _require(is_vietoris_like_multimap(G),
+                 f"link {i} is not a Vietoris-like multimap", index=i)
+    certs = [f"G{i} Vietoris-like multimap" for i in range(len(chain))]
+    lam = lefschetz_number(
+        reduce(lambda a, b: a.then(b), map(induced_multimap_homology, chain))
+    )
+    F = reduce(compose_multimaps, chain)
     witnesses = [x for x in F.source.elements if x in F(x)]
     return _finish(lam, certs, witnesses, details={"composition": repr(F)})
 
@@ -151,8 +144,8 @@ def classical_lefschetz(f):
     return report
 
 
-def _map_multimap_lambda(f, gs, mode):
-    """The Lefschetz number of a map f against the multimap F of graph gs.
+def _map_multimap_lambda(f, F, mode):
+    """The Lefschetz number of a map f against the multimap F.
 
     mode 1: Lambda(F_* f_*^-1); mode 2: Lambda(f_* F_*^-1) with
     F_*^-1 = p_* q_*^-1.  Callers certify what makes f_* (mode 1) or
@@ -160,8 +153,8 @@ def _map_multimap_lambda(f, gs, mode):
     """
     f_star = induced_map_of_poset_map(f)
     if mode == 1:
-        return _coincidence_number(f_star, induced_multimap_homology(gs.multimap, gs))
-    p_star, q_star = projections_on_core(gs)
+        return _coincidence_number(f_star, induced_multimap_homology(F))
+    p_star, q_star = _projections_on_core(F)
     return _coincidence_number(q_star, p_star.then(f_star))
 
 
@@ -172,17 +165,18 @@ def corollary_multimap_coincidence(f, F, mode):
     mode 2: second graph projection of F Vietoris-like,
             Lambda(f_* F_*^-1) with F_*^-1 = p_* q_*^-1.
     """
+    if f.source != F.source or f.target != F.target:
+        raise ValueError("map and multimap must share source and target")
     require_continuous(f)
-    gs = graph(F)
     if mode == 1:
         _require(is_vietoris_like_map(f), "f is not Vietoris-like")
         certs = ["f Vietoris-like"]
     elif mode == 2:
-        _require(is_vietoris_like_map(gs.q), "second projection is not Vietoris-like")
+        _require(is_vietoris_like_map(graph(F).q), "second projection is not Vietoris-like")
         certs = ["q Vietoris-like"]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    lam = _map_multimap_lambda(f, gs, mode)
+    lam = _map_multimap_lambda(f, F, mode)
     witnesses = [x for x in f.source.elements if f(x) in F(x)]
     return _finish(lam, certs, witnesses)
 
@@ -209,20 +203,17 @@ def theorem_310(F, G, case, budget=DEFAULT_BUDGET):
     Selectors are searched lazily under the budget; the search stops at
     the first selector that qualifies.
     """
-    if F.source != G.source or F.target != G.target:
-        raise ValueError("multimaps must share source and target")
-    gs = graph(F)
+    witnesses = multimap_coincidence_points(F, G)  # checks the shapes first
     if case == 1:
-        _require(is_vietoris_like_map(gs.p), "F is not a Vietoris-like multimap")
+        _require(is_vietoris_like_multimap(F), "F is not a Vietoris-like multimap")
         g = _find_selector(G, vietoris_required=True, budget=budget)
-        lam = _map_multimap_lambda(g, gs, 1)
+        lam = _map_multimap_lambda(g, F, 1)
         certs = ["F Vietoris-like multimap", "G has Vietoris-like selector"]
     elif case == 2:
-        _require(
-            is_vietoris_like_map(gs.q), "second projection of F is not Vietoris-like"
-        )
+        _require(is_vietoris_like_map(graph(F).q),
+                 "second projection of F is not Vietoris-like")
         g = _find_selector(G, vietoris_required=False, budget=budget)
-        lam = _map_multimap_lambda(g, gs, 2)
+        lam = _map_multimap_lambda(g, F, 2)
         certs = ["q of Gamma(F) Vietoris-like", "G has selector"]
     elif case == 3:
         g = _find_selector(G, vietoris_required=True, budget=budget)
@@ -233,5 +224,4 @@ def theorem_310(F, G, case, budget=DEFAULT_BUDGET):
         certs = ["G has Vietoris-like selector", "F has selector"]
     else:
         raise ValueError(f"unknown case {case!r}")
-    witnesses = multimap_coincidence_points(F, G)
     return _finish(lam, certs, witnesses)

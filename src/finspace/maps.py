@@ -33,13 +33,16 @@ from .poset import (
 
 
 class MultiMap:
-    """Total multivalued map: every point gets a non-empty image set."""
+    """Total multivalued map: every point gets a non-empty image set.
 
-    __slots__ = ("source", "target", "values")
+    Values are not to be changed after construction: graph(F) keeps the
+    graph, a pure function of them, in the slot _graph (None until then).
+    """
+
+    __slots__ = ("source", "target", "values", "_graph")
 
     def __init__(self, source, target, values):
-        self.source = source
-        self.target = target
+        self.source, self.target, self._graph = source, target, None
         vals = {}
         for x in source.elements:
             if x not in values:
@@ -79,7 +82,7 @@ def _gathered(source, target, values, pos):
     """The multimap sending source point i to values[pos[i]], taken
     without a check: values lists nonempty frozensets of target points."""
     F = object.__new__(MultiMap)
-    F.source, F.target = source, target
+    F.source, F.target, F._graph = source, target, None
     F.values = dict(zip(source.elements, [values[j] for j in pos]))
     return F
 
@@ -97,7 +100,7 @@ class GraphSpace:
     (poset._map) without a check: they preserve the product order.
     """
 
-    __slots__ = ("space", "p", "q", "multimap")
+    __slots__ = ("space", "p", "q")
 
     def __init__(self, F):
         X, Y = F.source, F.target
@@ -109,11 +112,14 @@ class GraphSpace:
         self.space = product_subposet(X, Y, pairs)
         self.p = _map(self.space, X, [X._index[x] for x, _ in pairs])
         self.q = _map(self.space, Y, [Y._index[y] for _, y in pairs])
-        self.multimap = F
 
 
 def graph(F):
-    return GraphSpace(F)
+    """The GraphSpace of F, built on the first call and kept on F."""
+    gs = F._graph
+    if gs is None:
+        gs = F._graph = GraphSpace(F)
+    return gs
 
 
 @dataclass
@@ -278,17 +284,19 @@ def _chain_elements(Y, idx):
 
 
 def is_vietoris_like_multimap(F):
-    """A multimap is Vietoris-like iff the first graph projection is."""
+    """A multimap is Vietoris-like iff the first graph projection is;
+    F keeps its graph and p its certificate, so F is certified at most once."""
     return is_vietoris_like_map(graph(F).p)
 
 
-def projections_on_core(gs):
-    """(p_*, q_*) for the graph projections restricted to the graph's core.
+def _projections_on_core(F):
+    """(p_*, q_*) for F's graph projections restricted to the graph's core.
 
     The Stong core inclusion i induces isomorphisms, so (q o i)_* (p o i)_*^-1
     equals q_* p_*^-1 and (p o i)_* (q o i)_*^-1 equals p_* q_*^-1, while
     the chain complexes stay small.  i is built from positions (poset._map).
     """
+    gs = graph(F)
     p, q = gs.p, gs.q
     core = gs.space.core()
     if len(core) < len(gs.space):
@@ -297,9 +305,9 @@ def projections_on_core(gs):
     return induced_map_of_poset_map(p), induced_map_of_poset_map(q)
 
 
-def induced_multimap_homology(F, gs=None):
+def induced_multimap_homology(F):
     """F_* = q_* o p_*^-1 on free homology, via the graph projections."""
-    p_star, q_star = projections_on_core(gs or graph(F))
+    p_star, q_star = _projections_on_core(F)
     try:
         p_inv = invert(p_star)
     except NotInvertible as exc:

@@ -105,6 +105,13 @@ SRC_FIXTURES = "src/finspace/fixtures/"
     (("check", "--source", "ex2_3_X.txt", "--target", "ex2_3_Y.txt", "--map", "ex2_3_f.txt"),
      "check_map_ex2_3.json"),
     (("homology", "--poset", "rp2.txt"), "homology_rp2.json"),
+    (("compose", "--posets", "ex4_3_X.txt", "ex4_3_X.txt", "ex4_3_X.txt",
+      "--multimaps", "ex4_3_G0.txt", "ex4_3_G1.txt"), "compose_ex4_3.json"),
+    *((("coincide", "--source", "circle4.txt", "--multimap", "ex2_8_F.txt",
+        "--multimap-g", "ex2_8_G.txt", "--case", case), f"coincide_ex2_8_case{case}.json")
+      for case in "123"),
+    (("coincide", "--source", "ex_postA_X.txt", "--f", "ex_postA_f.txt", "--g", "ex_postA_g.txt"),
+     "coincide_ex_postA.json"),
 ])
 def test_single_verbs_match_golden_output(capsys, monkeypatch, argv, name):
     """Each report, byte for byte, against the committed copy that CI diffs.
@@ -113,7 +120,7 @@ def test_single_verbs_match_golden_output(capsys, monkeypatch, argv, name):
     root = Path(__file__).resolve().parents[1]
     monkeypatch.chdir(root)
     verb, *options = argv
-    options = [o if o.startswith("--") else SRC_FIXTURES + o for o in options]
+    options = [SRC_FIXTURES + o if o.endswith(".txt") else o for o in options]
     code, out, _ = run(capsys, "--emit", "json", verb, *options)
     assert code == 0
     assert out.encode() == (root / "tests" / "data" / name).read_bytes()

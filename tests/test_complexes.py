@@ -30,7 +30,7 @@ from finspace.homology import (
     induced_on_homology,
     poset_homology,
 )
-from finspace.maps import graph, is_vietoris_like_map, projections_on_core
+from finspace.maps import _projections_on_core, graph, is_vietoris_like_map
 from finspace.poset import FinitePoset, PosetMap, build_poset, constant_map, identity_map
 from finspace.random_instances import random_monotone_map, random_poset
 
@@ -599,7 +599,7 @@ def test_simplicial_map_then_composes_the_vertex_assignments():
 
 def test_derived_maps_match_the_checked_doors():
     # induced_map_of_poset_map skips the chain-map check, and GraphSpace
-    # and projections_on_core build their maps from positions; the
+    # and _projections_on_core build their maps from positions; the
     # checked doors (induced_on_homology on a SimplicialMap's columns,
     # PosetMap on element dicts) are the oracles
     seed = 1719
@@ -632,7 +632,7 @@ def test_derived_maps_match_the_checked_doors():
             core = gs.space.core()
             inc = PosetMap(core, gs.space, {x: x for x in core.elements})
             want = [induced_map_of_poset_map(inc.then(g)).matrices for g in (p, q)]
-            assert [m.matrices for m in projections_on_core(gs)] == want, label
+            assert [m.matrices for m in _projections_on_core(F)] == want, label
             shrunk += len(core) < len(gs.space)
     assert shrunk >= 20, shrunk
 

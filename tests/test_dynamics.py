@@ -50,6 +50,7 @@ from finspace.lefschetz import coincidence_points
 from finspace.maps import (
     MultiMap,
     classify_continuity,
+    graph,
     induced_multimap_homology,
     is_vietoris_like_map,
     is_vietoris_like_multimap,
@@ -248,6 +249,21 @@ def test_certified_attach_reuses_certificates(monkeypatch):
     monkeypatch.setattr(poset_module, "_stong_core", refuse)
     seq = attach_level_maps(t, t.h_maps)
     assert [len(F.source) for F in seq.F_maps] == [26, 146]
+
+
+def test_unchecked_attach_multimaps_keep_their_graph():
+    # F_maps are gathered without MultiMap's check; each keeps its graph,
+    # and Lambda through the kept graph is that of a checked equal copy
+    t = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 2)
+    seq = attach_level_maps(t, t.h_maps, certify=False)
+    for F in seq.F_maps:
+        fresh = MultiMap(F.source, F.target, F.values)
+        assert F == fresh and F._graph is None
+        want = lefschetz_number(induced_multimap_homology(fresh))
+        assert lefschetz_number(induced_multimap_homology(F)) == want == 2
+        kept = graph(F)
+        assert lefschetz_number(induced_multimap_homology(F)) == want
+        assert graph(F) is kept and kept is not graph(fresh)
 
 
 def _random_level_maps(seed, count=25):

@@ -27,10 +27,11 @@ from finspace.lefschetz import (
 )
 from finspace.maps import (
     MultiMap,
+    _projections_on_core,
     compose_multimaps,
     graph,
     induced_multimap_homology,
-    projections_on_core,
+    is_vietoris_like_multimap,
 )
 from finspace.poset import PosetMap, build_poset, constant_map, identity_map
 from finspace.random_instances import (
@@ -72,6 +73,12 @@ def test_theorem_A_rejects_non_vietoris_f(wedge):
     g = constant_map(wedge, chain2, "M")
     with pytest.raises(HypothesisFailed):
         theorem_A(f, g)
+
+
+def test_theorem_A_checks_shapes_first(wedge, circle):
+    # the identity certifies, so only a shape check stops this pair
+    with pytest.raises(ValueError, match="must share source and target"):
+        theorem_A(identity_map(wedge), constant_map(wedge, circle, "a"))
 
 
 def test_theorem_B_down_set_multimap(wedge):
@@ -132,7 +139,36 @@ def test_theorem_C_builds_each_link_graph_once(wedge, monkeypatch):
     F = MultiMap(wedge, wedge, {x: wedge.down_set(x) for x in wedge.elements})
     G = MultiMap(wedge, wedge, {x: {"C"} for x in wedge.elements})
     theorem_C([F, G, F])
-    assert built == [F, G, F]
+    assert built == [F, G]
+
+
+def test_a_multimap_is_certified_once(wedge, monkeypatch):
+    # the graph and p's certificate are kept on F, so certifying F and
+    # then running theorem B and F_* certify p once
+    certified = []
+    real_certify = maps._certify
+
+    def spy(f):
+        certified.append(f)
+        return real_certify(f)
+
+    monkeypatch.setattr(maps, "_certify", spy)
+    F = MultiMap(wedge, wedge, {x: wedge.down_set(x) for x in wedge.elements})
+    assert is_vietoris_like_multimap(F).ok
+    theorem_B(F)
+    induced_multimap_homology(F)
+    assert certified == [graph(F).p]
+
+
+def test_theorem_310_case_3_builds_no_graph(circle, monkeypatch):
+    def refuse(F):
+        raise AssertionError("theorem_310 case 3 built a graph")
+
+    monkeypatch.setattr(maps, "GraphSpace", refuse)
+    F = MultiMap(circle, circle, {x: circle.down_set(x) for x in circle.elements})
+    G = MultiMap(circle, circle, {x: circle.up_set(x) for x in circle.elements})
+    rep = theorem_310(F, G, case=3)
+    assert rep.lambda_ == 0 and rep.witnesses == ["a", "b", "c", "d"]
 
 
 def test_classical_lefschetz_identity(wedge, circle):
@@ -174,6 +210,13 @@ def test_corollary_modes(wedge):
         corollary_multimap_coincidence(identity_map(wedge), down, mode=9)
 
 
+def test_corollary_checks_shapes_first(wedge, circle):
+    F = MultiMap(wedge, circle, {x: {"a"} for x in wedge.elements})
+    for mode in (1, 2):
+        with pytest.raises(ValueError, match="must share source and target"):
+            corollary_multimap_coincidence(identity_map(wedge), F, mode)
+
+
 def _outcome(compute):
     try:
         return compute()
@@ -184,13 +227,13 @@ def _outcome(compute):
 def test_map_multimap_lambda_matches_both_expressions():
     # oracle: the two expressions corollary_multimap_coincidence and
     # theorem_310 evaluated inline, uncertified, so failures compare too
-    def old_mode_1(f, F, gs):
+    def old_mode_1(f, F):
         return lefschetz_number(
-            invert(induced_map_of_poset_map(f)).then(induced_multimap_homology(F, gs))
+            invert(induced_map_of_poset_map(f)).then(induced_multimap_homology(F))
         )
 
-    def old_mode_2(f, F, gs):
-        p_star, q_star = projections_on_core(gs)
+    def old_mode_2(f, F):
+        p_star, q_star = _projections_on_core(F)
         F_inv = invert(q_star).then(p_star)
         return lefschetz_number(F_inv.then(induced_map_of_poset_map(f)))
 
@@ -201,10 +244,9 @@ def test_map_multimap_lambda_matches_both_expressions():
         X = random_poset(rng, 6)
         f = random_endomorphism(rng, X)
         F = susc_acyclic_multimap(rng, X)
-        gs = graph(F)
         for mode, old in ((1, old_mode_1), (2, old_mode_2)):
-            want = _outcome(lambda: old(f, F, gs))
-            got = _outcome(lambda: _map_multimap_lambda(f, gs, mode))
+            want = _outcome(lambda: old(f, F))
+            got = _outcome(lambda: _map_multimap_lambda(f, F, mode))
             assert got == want, (
                 f"seed {seed}, instance {i}, mode {mode}: {got!r} != {want!r}\n"
                 f"X:\n{serialize_poset(X)}f:\n{serialize_map(f)}"

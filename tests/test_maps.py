@@ -103,6 +103,12 @@ def test_graph_uses_componentwise_order(circle):
     assert gs.p(("A", "C")) == "A" and gs.q(("A", "C")) == "C"
 
 
+def test_graph_is_kept_on_the_multimap(circle):
+    F = MultiMap(circle, circle, {x: circle.down_set(x) for x in circle.elements})
+    assert graph(F) is graph(F)
+    assert graph(F) is not graph(MultiMap(F.source, F.target, F.values))
+
+
 def test_classify_continuity(chain2, circle):
     down = MultiMap(circle, circle, {x: circle.down_set(x) for x in circle.elements})
     flags = classify_continuity(down)
