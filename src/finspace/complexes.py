@@ -13,7 +13,9 @@ Faces have one format, the face table: cells numbered globally,
 dimension by dimension, each with the numbers of its faces, the one
 omitting vertex k at k.  An order complex gets it from the poset's
 _chain_faces on request (_order_complex), any other complex from
-_face_table.  Chains have one format: per dimension, one sparse column
+_face_table.  A cone's homology takes its order complex deferred
+(_DeferredOrderComplex): the chain walk runs when its simplices are
+first read.  Chains have one format: per dimension, one sparse column
 {simplex index: coefficient} per simplex, as boundary_columns,
 _chain_columns and chain_map_of give them; _push maps one chain,
 unchecked.  boundary_matrix is a dense oracle for tests.
@@ -311,12 +313,15 @@ def _chain_columns(K, L, pos):
 
 
 def _push(K, L, pos, dim, chain):
-    """The image of a sparse dim-chain of K under the chain map of pos,
-    without a check: every image must be a simplex of L, as for the map
-    of a continuous PosetMap (a chain goes to a chain)."""
-    level, out = K._isimplices[dim], {}
+    """The image of a sparse dim-chain of the order complex K in the
+    order complex L under the chain map of pos, without a check: every
+    image must be a simplex of L, as for the map of a continuous
+    PosetMap (a chain goes to a chain).  Vertex i is 0-simplex i in an
+    order complex, so a 0-chain goes by pos alone and reads no simplex
+    (nor walks a _DeferredOrderComplex)."""
+    level, out = K._isimplices[dim] if dim else None, {}
     for j, x in chain.items():
-        image = _image(L, [pos[v] for v in level[j]])
+        image = _image(L, [pos[v] for v in level[j]]) if dim else (pos[j], 1)
         if image:
             i, sign = image
             out[i] = out.get(i, 0) + sign * x
@@ -350,6 +355,44 @@ def _order_complex(X, faces=False):
                     table[c] = tuple([table[c][i] for i in order])
                 c += 1
     return _complex(X.elements, X._index, levels), table
+
+
+class _DeferredOrderComplex(SimplicialComplex):
+    """order_complex(X) whose chain walk waits for its first reader.
+
+    The vertices and their index are X's from the start.  The three
+    slots that hold simplices stay unset, and Python calls __getattr__
+    only for an attribute it does not find, so the first read of any of
+    them runs _order_complex and fills all three; from then on the
+    complex reads as, and equals, the one order_complex(X) builds.
+    """
+
+    __slots__ = ("_poset",)
+
+    def __getattr__(self, name):
+        if name not in ("_isimplices", "_sindex", "_simplices"):
+            return object.__getattribute__(self, name)  # AttributeError
+        K = _order_complex(self._poset)[0]
+        self._isimplices, self._sindex, self._simplices = K._isimplices, K._sindex, None
+        return getattr(self, name)
+
+
+def _deferred_order_complex(X):
+    """(_DeferredOrderComplex of X, the point count of X's longest chain),
+    in O(points + comparable pairs), with no chain built.
+
+    The budget is checked at once, as the walk checks it
+    (FinitePoset._chain_budget).  The longest chain starting at
+    a point is the point and the longest starting above it, found from
+    the top of the linear extension down.
+    """
+    X._chain_budget()
+    K = object.__new__(_DeferredOrderComplex)
+    K.vertices, K._vindex, K._poset = X.elements, X._index, X
+    longest, up = [0] * len(X), X._up
+    for i in reversed(X._order):
+        longest[i] = 1 + max(map(longest.__getitem__, up[i]), default=0)
+    return K, max(longest, default=0)
 
 
 def face_poset(K):

@@ -27,7 +27,7 @@ import functools
 import heapq
 
 from . import intmat
-from .complexes import _face_table, _order_complex, _push
+from .complexes import _deferred_order_complex, _face_table, _order_complex, _push
 from .errors import (
     BasisSolveFailure,
     EmptySubspace,
@@ -386,28 +386,27 @@ def _homology(K, faces):
 def poset_homology(X):
     """Homology of the order complex of a poset (cached; posets are immutable).
 
-    A cone (a maximum or a minimum; Stong, Trans. AMS 1966) builds no
-    face table and no matching.  Ranks extend the order, so only the last point by rank
-    can be a maximum and only the first a minimum.
+    A cone (a maximum or a minimum; Stong, Trans. AMS 1966) walks no
+    chain until its complex is read.  Ranks extend the order, so only
+    the last point by rank can be a maximum and only the first a minimum.
     """
     n = len(X)
     if n and (len(X._down[X._order[-1]]) == n - 1 or len(X._up[X._order[0]]) == n - 1):
-        return _cone_homology(_order_complex(X)[0])
+        return _cone_homology(*_deferred_order_complex(X))
     return _homology(*_order_complex(X, faces=True))
 
 
-def _cone_homology(K):
-    """The profile _homology gives a nonempty connected acyclic complex.
-
-    Vertex 0 is the first ace and the only one in dimension 0, so it is
-    the free basis of H_0, and pulled_back spreads its value 1 over every
-    vertex (the augmentation); no higher dimension has a free part.
+def _cone_homology(K, dims):
+    """The profile _homology gives the order complex K of a cone, whose
+    longest chain has dims points, read off with no simplex: vertex 0 is
+    the first ace and the only one in dimension 0, so it is the free
+    basis of H_0, and pulled_back spreads its value 1 over every vertex
+    (the augmentation); no higher dimension has a free part.
     """
-    dims = K.dimension + 1
     return HomologyProfile(
         K, [1] + [0] * (dims - 1), [[] for _ in range(dims)],
         [[{0: 1}]] + [[] for _ in range(dims - 1)],
-        [[dict.fromkeys(range(K.n_simplices(0)), 1)]] + [[] for _ in range(dims - 1)],
+        [[dict.fromkeys(range(len(K.vertices)), 1)]] + [[] for _ in range(dims - 1)],
     )
 
 

@@ -109,7 +109,8 @@ def theorem_C(chain):
     """Fixed point theorem for a composition of Vietoris-like multimaps.
 
     Lambda is the alternating-trace of the product of the individual
-    induced maps; the witness scan runs over the composed multimap.
+    induced maps, each computed once per distinct link; the witness scan
+    runs over the composed multimap.
     """
     if not chain:
         raise NotComposable("empty composition")
@@ -122,9 +123,11 @@ def theorem_C(chain):
         _require(is_vietoris_like_multimap(G),
                  f"link {i} is not a Vietoris-like multimap", index=i)
     certs = [f"G{i} Vietoris-like multimap" for i in range(len(chain))]
-    lam = lefschetz_number(
-        reduce(lambda a, b: a.then(b), map(induced_multimap_homology, chain))
-    )
+    stars = {}  # keyed by id: a multimap defines __eq__ and so is unhashable
+    for G in chain:
+        if id(G) not in stars:
+            stars[id(G)] = induced_multimap_homology(G)
+    lam = lefschetz_number(reduce(lambda a, b: a.then(b), [stars[id(G)] for G in chain]))
     F = reduce(compose_multimaps, chain)
     witnesses = [x for x in F.source.elements if x in F(x)]
     return _finish(lam, certs, witnesses, details={"composition": repr(F)})

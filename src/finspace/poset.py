@@ -195,17 +195,19 @@ class FinitePoset:
         """Every nonempty chain of at most depth points (default: any):
         levels[d] lists those of d + 1 points, leq-increasing index tuples,
         in lexicographic order, each chain of a level extended by the
-        points above its last, ascending.  More than DEFAULT_BUDGET of
-        those chains, counted first, raise BudgetExceeded."""
-        n, up = len(self), self._up
-        # fewer than 2 ** n chains: a small poset cannot exceed the budget
-        if 2 ** n - 1 > DEFAULT_BUDGET and self._chain_count(depth=depth) > DEFAULT_BUDGET:
-            raise BudgetExceeded(f"chain enumeration exceeded its budget of {DEFAULT_BUDGET}")
-        level, levels = [(i,) for i in range(n)], []
+        points above its last, ascending, within _chain_budget."""
+        self._chain_budget(depth)
+        level, levels, up = [(i,) for i in range(len(self))], [], self._up
         while level and len(levels) != depth:
             levels.append(level)
             level = [c + (j,) for c in level for j in up[c[-1]]]
         return levels
+
+    def _chain_budget(self, depth=None):
+        """BudgetExceeded if more than DEFAULT_BUDGET chains have at most
+        depth points, counted (fewer than 2 ** n never are)."""
+        if 2 ** len(self) - 1 > DEFAULT_BUDGET and self._chain_count(depth=depth) > DEFAULT_BUDGET:
+            raise BudgetExceeded(f"chain enumeration exceeded its budget of {DEFAULT_BUDGET}")
 
     def _chain_faces(self, levels):
         """The face table (see complexes) of the walk's levels as listed:
@@ -525,12 +527,7 @@ def build_poset(elements, relations):
     return _fill(object.__new__(FinitePoset), elements, index, _strict_down(elements, down))
 
 
-def min_open_set(X, x):
-    return X.down_set(x)
-
-
-def min_closed_set(X, x):
-    return X.up_set(x)
+min_open_set, min_closed_set = FinitePoset.down_set, FinitePoset.up_set
 
 
 class PosetMap:

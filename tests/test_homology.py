@@ -1,5 +1,6 @@
 """Exact integral homology, induced maps, Lefschetz numbers, inverses."""
 
+import functools
 import heapq
 import importlib
 import itertools
@@ -44,9 +45,10 @@ from finspace.dynamics import (
     lambda_nm,
 )
 from finspace.formats import parse_poset_text, serialize_map, serialize_poset
+from finspace.lefschetz import classical_lefschetz
 from finspace.maps import classify_continuity, is_vietoris_like_map
-from finspace.poset import PosetMap, build_poset, constant_map, identity_map
-from finspace.random_instances import random_endomorphism, random_poset
+from finspace.poset import FinitePoset, PosetMap, build_poset, constant_map, identity_map
+from finspace.random_instances import random_endomorphism, random_monotone_map, random_poset
 
 homology_module = importlib.import_module("finspace.homology")
 
@@ -860,8 +862,13 @@ def test_chain_walk_matches_slicing_and_hashing():
 
 
 def _assert_same_profile(got, want, label):
-    for name in ("betti", "torsion", "free_basis", "_free_proj"):
+    # a cone's complex walks here, on its first read
+    for name in ("betti", "torsion", "free_basis", "_free_proj", "complex"):
         assert getattr(got, name) == getattr(want, name), f"{name}: {label}"
+
+
+def _is_cone(X):
+    return X.maximum() is not None or X.minimum() is not None
 
 
 def _cone_cases():
@@ -884,7 +891,7 @@ def test_cone_profile_matches_the_coreduction():
         label = f"seed {seed}, instance {i}\n{serialize_poset(X)}"
         want = homology_module._homology(*complexes._order_complex(X, faces=True))
         _assert_same_profile(poset_homology.__wrapped__(X), want, label)
-        if X.maximum() is not None or X.minimum() is not None:
+        if _is_cone(X):
             cones += 1
             scrambled += not _is_linear_extension(X)  # relisted cones
     assert cones >= 1600 and scrambled >= 500, (cones, scrambled)
@@ -909,6 +916,88 @@ def test_cones_build_no_matching(monkeypatch):
         assert built == [], label
     assert poset_homology.__wrapped__(build_tower(SPHERE, 2).levels[2]).betti == [1, 0, 1]
     assert len(built) == 1
+
+
+def _no_walk(*args, **kwargs):
+    raise AssertionError("the chain walk ran")
+
+
+def test_cones_walk_no_chain_until_the_complex_is_read(monkeypatch):
+    # with the chain walk made to fail, a cone's profile, Lambda(f) =
+    # chi(Fix f) and Lambda of an induced map still come out; the complex
+    # walks on its first read and is then order_complex(X)
+    rng = random.Random(3535)
+    names = [f"p{i}" for i in range(10)]
+    for label, X in _cone_cases():
+        want = order_complex(X)
+        maps = [random_endomorphism(rng, X) for _ in range(5)]
+        if label == "10-point total order":
+            maps.append(PosetMap(X, X, {x: names[min(i + 1, 9)] for i, x in enumerate(names)}))
+        poset_homology.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(FinitePoset, "_index_chains", _no_walk)
+            hp = poset_homology(X)
+            assert hp.betti == [1] + [0] * want.dimension, label
+            for f in maps:
+                rep = classical_lefschetz(f)
+                assert rep.lambda_ == rep.chi_fix == 1 and rep.conclusion_verified, label
+                assert lefschetz_number(induced_map_of_poset_map(f)) == 1, label
+        assert hp.complex.n_simplices(1) == want.n_simplices(1), label
+        assert hp.complex == want, label
+    poset_homology.cache_clear()
+
+
+def _eager_route(X):
+    """poset_homology as it was with a cone's complex walked at once."""
+    if not _is_cone(X):
+        return homology_module._homology(*complexes._order_complex(X, faces=True))
+    K = order_complex(X)
+    dims = K.dimension + 1
+    return homology_module.HomologyProfile(
+        K, [1] + [0] * (dims - 1), [[] for _ in range(dims)],
+        [[{0: 1}]] + [[] for _ in range(dims - 1)],
+        [[dict.fromkeys(range(K.n_simplices(0)), 1)]] + [[] for _ in range(dims - 1)],
+    )
+
+
+def test_cone_induced_maps_match_the_eager_route(monkeypatch):
+    # maps cone -> non-cone, non-cone -> cone and cone -> cone, relisted
+    # or not: the same matrices as with every cone's complex walked at once
+    seed = 3636
+    rng = random.Random(seed)
+    kinds = dict.fromkeys([(True, False), (False, True), (True, True)], 0)
+    for i in range(1500):
+        X, Y = (random_poset(rng, 7, density=rng.choice([0.3, 0.5, 0.8])) for _ in "XY")
+        X, Y = (P if rng.random() < 0.5 else _shuffled(rng, P) for P in (X, Y))
+        kind = (_is_cone(X), _is_cone(Y))
+        f = random_monotone_map(rng, X, Y) if kind in kinds else None
+        if f is None:
+            continue
+        kinds[kind] += 1
+        label = f"seed {seed}, instance {i}\n{serialize_map(f)}"
+        poset_homology.cache_clear()
+        got = induced_map_of_poset_map(f).matrices
+        with monkeypatch.context() as m:
+            m.setattr(homology_module, "poset_homology", functools.lru_cache(_eager_route))
+            assert induced_map_of_poset_map(f).matrices == got, label
+    poset_homology.cache_clear()
+    assert min(kinds.values()) >= 150, kinds
+
+
+def test_relisted_cones_walk_to_sorted_simplices():
+    seed = 3737
+    rng = random.Random(seed)
+    relisted = 0
+    for i in range(600):
+        X = _shuffled(rng, random_poset(rng, 7, density=rng.choice([0.3, 0.5, 0.8])))
+        if not _is_cone(X) or _is_linear_extension(X):
+            continue
+        relisted += 1
+        K = poset_homology.__wrapped__(X).complex
+        chains = sorted(tuple(sorted(map(X.index, c))) for c in X.all_chains())
+        assert sorted(s for level in K._isimplices for s in level) == chains, i
+        assert K._isimplices == order_complex(X)._isimplices, i
+    assert relisted >= 150, relisted
 
 
 # -- induced maps above dimension 0 ---------------------------------------------

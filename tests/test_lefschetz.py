@@ -142,6 +142,23 @@ def test_theorem_C_builds_each_link_graph_once(wedge, monkeypatch):
     assert built == [F, G]
 
 
+def test_theorem_C_computes_each_link_F_star_once(wedge, monkeypatch):
+    F = MultiMap(wedge, wedge, {x: wedge.down_set(x) for x in wedge.elements})
+    G = MultiMap(wedge, wedge, {x: {"C"} for x in wedge.elements})
+    stars = [induced_multimap_homology(H) for H in (F, G, F)]
+    want = lefschetz_number(stars[0].then(stars[1]).then(stars[2]))
+    seen = []
+    real = maps._projections_on_core
+
+    def spy(H):
+        seen.append(H)
+        return real(H)
+
+    monkeypatch.setattr(maps, "_projections_on_core", spy)
+    assert theorem_C([F, G, F]).lambda_ == want
+    assert seen == [F, G] and seen[0] is F
+
+
 def test_a_multimap_is_certified_once(wedge, monkeypatch):
     # the graph and p's certificate are kept on F, so certifying F and
     # then running theorem B and F_* certify p once
