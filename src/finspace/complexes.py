@@ -15,15 +15,18 @@ omitting vertex k at k.  An order complex gets it from the poset's
 _chain_faces on request (_order_complex), any other complex from
 _face_table.  A cone's homology takes its order complex deferred
 (_DeferredOrderComplex): the chain walk runs when its simplices are
-first read.  Chains have one format: per dimension, one sparse column
-{simplex index: coefficient} per simplex, as boundary_columns,
-_chain_columns and chain_map_of give them; _push maps one chain,
-unchecked.  boundary_matrix is a dense oracle for tests.
+first read, and two such complexes compare by their posets.  Chains
+have one format: per dimension, one sparse column {simplex index:
+coefficient} per simplex, as boundary_columns, _chain_columns and
+chain_map_of give them; _push maps one chain, unchecked.
+boundary_matrix is a dense oracle for tests.
 
 A simplicial map sends a simplex to 0 when two of its vertices share an
 image, else to its image simplex times the sign of the permutation that
 sorts the image vertices (_image, the one copy of this rule).
 """
+
+from itertools import chain, repeat
 
 from . import intmat
 from .errors import UnknownElement
@@ -92,15 +95,14 @@ class SimplicialComplex:
         Built from the index tuples on first read and kept.
         """
         if self._simplices is None:
-            name = self._named
+            names = repeat(self.vertices.__getitem__)
             self._simplices = tuple(
-                tuple([name(s) for s in level]) for level in self._isimplices)
+                tuple(map(tuple, map(map, names, level))) for level in self._isimplices)
         return self._simplices
 
     def _named(self, s):
         """The simplex with vertex positions s, as a tuple of vertices."""
-        v = self.vertices
-        return tuple([v[i] for i in s])
+        return tuple(map(self.vertices.__getitem__, s))
 
     @property
     def dimension(self):
@@ -334,18 +336,19 @@ def order_complex(X):
     return _order_complex(X)[0]
 
 
-def _order_complex(X, faces=False):
+def _order_complex(X, faces=False, count=None):
     """(K(X), its face table if faces else None), read off the poset's
-    chain walk and _chain_faces.
+    chain walk and _chain_faces; count is X's chain count, if known, for
+    the walk's budget.
 
     Chains are closed under faces, so the complex is built without a
     check, and it shares X's element index as its vertex index.  When
     the index order is no linear extension, a chain is sorted into a
     simplex and its face row permuted with it.
     """
-    levels = X._index_chains()
+    levels = X._index_chains(count=count)
     table = X._chain_faces(levels) if faces else None
-    if any(u and u[0] < i for i, u in enumerate(X._up)):
+    if not _index_extends(X):
         c = len(X)
         for level in levels[1:]:
             for k, s in enumerate(level):
@@ -355,6 +358,12 @@ def _order_complex(X, faces=False):
                     table[c] = tuple([table[c][i] for i in order])
                 c += 1
     return _complex(X.elements, X._index, levels), table
+
+
+def _index_extends(X):
+    """Whether X's index order is a linear extension: every point lies
+    below points of higher index only."""
+    return not any(u and u[0] < i for i, u in enumerate(X._up))
 
 
 class _DeferredOrderComplex(SimplicialComplex):
@@ -375,6 +384,16 @@ class _DeferredOrderComplex(SimplicialComplex):
         K = _order_complex(self._poset)[0]
         self._isimplices, self._sindex, self._simplices = K._isimplices, K._sindex, None
         return getattr(self, name)
+
+    def __eq__(self, other):
+        """Two of them with one listing are equal iff their posets are, as
+        their walks then are; so neither walks.  Any other complex is
+        compared simplex by simplex."""
+        if isinstance(other, _DeferredOrderComplex):
+            return self.vertices == other.vertices and self._poset == other._poset
+        return SimplicialComplex.__eq__(self, other)
+
+    __hash__ = SimplicialComplex.__hash__
 
 
 def _deferred_order_complex(X):
@@ -414,7 +433,10 @@ def _face_poset(K, faces):
     codimension-1 faces and the faces below them."""
     down = []
     for row in faces:
-        down.append(sorted(set(row).union(*map(down.__getitem__, row))))
+        below = set(row)
+        for f in row:
+            below.update(down[f])
+        down.append(sorted(below))
     return _derived(K.all_simplices(), down)
 
 
@@ -423,20 +445,43 @@ def barycentric_subdivision_space(X):
     return _face_poset(*_order_complex(X, faces=True))
 
 
+def _subdivision(X, count=None):
+    """(barycentric_subdivision_space(X), the positions of chain_max_map
+    on it), from one chain walk; count is X's chain count, if known.
+
+    A point of X' is a simplex, ascending in X's index order; when that
+    order is a linear extension, the simplex is the walk's leq-increasing
+    chain and its maximum is its last point.
+    """
+    K, faces = _order_complex(X, faces=True, count=count)
+    X1 = _face_poset(K, faces)
+    del faces  # the face table is dropped before the positions are listed
+    chains = chain.from_iterable(K._isimplices)
+    return X1, [c[-1] for c in chains] if _index_extends(X) else _chain_maxima(X, chains)
+
+
+def _chain_maxima(X, chains):
+    """The position in X of each chain's maximum, the chains given as
+    point indices of X: its point of highest rank (ranks extend the
+    order)."""
+    rank, order = X._rank, X._order
+    return [order[max(map(rank.__getitem__, c))] for c in chains]
+
+
 def chain_max_map(X1, X):
     """The comparison map h: X1 -> X sending each chain of X to its maximum.
 
     X1 is barycentric_subdivision_space(X).  Its chains are stored in
     element order, which need not follow the order of X, so the maximum
-    is not read off the end of the tuple: it is the point of the chain
-    with the highest rank in X (ranks extend the order).  UnknownElement
-    names the first point of X1 that is no nonempty tuple of points of X.
-    X1 holds the one-point chains of X, so maps._contracts is tried.
+    is not read off the end of the tuple: _chain_maxima takes the point
+    of the chain with the highest rank in X.  UnknownElement names the
+    first point of X1 that is no nonempty tuple of points of X.  X1
+    holds the one-point chains of X, so maps._contracts is tried.
     """
-    index, rank, order = X._index, X._rank, X._order
+    index = X._index
     try:
         if set(map(type, X1.elements)) <= {tuple}:
-            return _map(X1, X, [order[max([rank[index[x]] for x in c])] for c in X1.elements])
+            return _map(X1, X, _chain_maxima(X, [[index[x] for x in c] for c in X1.elements]))
     except (KeyError, ValueError):  # a point of c not in X, or c = ()
         pass
     bad = next(c for c in X1.elements if not (type(c) is tuple and c and set(c) <= index.keys()))

@@ -20,9 +20,9 @@ from .errors import (
     SizeBudgetExceeded,
 )
 from .homology import _coincidence_number, induced_map_of_poset_map
-from .maps import MultiMap, _fibers, _gathered, is_vietoris_like_map
-from .complexes import barycentric_subdivision_space, chain_max_map
-from .poset import _positions, identity_map, require_continuous
+from .maps import MultiMap, _fiber_multimap, is_vietoris_like_map
+from .complexes import _subdivision
+from .poset import _map, _positions, identity_map, require_continuous
 
 DEFAULT_SIZE_BUDGET = 20000
 _WARN_LEVEL_SIZE = 5000
@@ -54,7 +54,11 @@ def build_tower(X0, depth, size_budget=DEFAULT_SIZE_BUDGET):
     """Subdivide depth times; each h sends a chain to its maximum.
 
     A level's size, the chain count of the level below, is checked
-    against the budget and the warning size before the level is built.
+    against the budget and the warning size before the level is built,
+    and serves the chain walk's own budget, so each level is counted
+    once.  One walk of X^n gives X^{n+1} and the positions of h_n
+    (complexes._subdivision): chain_max_map's maxima, with no chain
+    looked up by its elements.
     """
     if depth < 0:
         raise IndexRange(f"negative depth {depth}")
@@ -70,9 +74,9 @@ def build_tower(X0, depth, size_budget=DEFAULT_SIZE_BUDGET):
                 f"subdivision level {n + 1} has {size} elements; "
                 "deeper levels grow super-exponentially"
             )
-        Xn1 = barycentric_subdivision_space(Xn)
+        Xn1, hpos = _subdivision(Xn, size)
         levels.append(Xn1)
-        h_maps.append(chain_max_map(Xn1, Xn))
+        h_maps.append(_map(Xn1, Xn, hpos))
     return Tower(levels, h_maps)
 
 
@@ -103,7 +107,8 @@ class ApproximativeSequence:
     """A tower plus one level map per step and the derived endo-multimaps.
 
     f_maps[n] is f_{n,n+1}: X^{n+1} -> X^n; F_maps[n] is the Vietoris-like
-    multimap F_{n+1} = H_{n,n+1} o f_{n,n+1} on X^{n+1}.
+    multimap F_{n+1} = H_{n,n+1} o f_{n,n+1} on X^{n+1}.  Those that
+    attach_level_maps derives build their values on first read.
 
     The sequence keeps, per step n, the positions of h_{n,n+1} and of
     f_{n,n+1} as maps from level n + 1 to level n of the tower, in the
@@ -136,7 +141,9 @@ def _level_positions(t, maps):
 def attach_level_maps(t, f_maps, certify=True):
     """Validate level maps and derive the fixed-point multimaps.
 
-    Each f must be continuous from X^{n+1} to X^n (same direction as h).
+    Each f must be continuous from X^{n+1} to X^n (same direction as h);
+    an f that is_vietoris_like_map has certified is not checked again,
+    since it keeps a certificate only for a continuous map.
     F_{n+1}(x) = H_{n,n+1}(f(x)) is the fiber of h = h_{n,n+1} over f(x).
     Unless certify=False, F_{n+1} is certified Vietoris-like by certifying
     h (as ``tower build`` does), without building the graph of F:
@@ -160,6 +167,12 @@ def attach_level_maps(t, f_maps, certify=True):
     only a hand-built Tower whose h_maps break the chain-maximum contract
     reaches it.  An h_n certified before, here or by a caller, is not
     certified again: is_vietoris_like_map keeps each map's certificate.
+
+    Each F_{n+1} is kept as the positions of h and f (maps._FiberMultiMap):
+    its values, one frozenset per fiber of h, are built on their first
+    read, and lambda_nm, fixed_points_of_level and fixed_chain_search
+    never read them.  EmptyValue names the first point x whose f(x) h
+    misses, found on the positions.
     """
     if len(f_maps) != t.depth:
         raise IndexRange(
@@ -171,7 +184,8 @@ def attach_level_maps(t, f_maps, certify=True):
                 f"level map {n} does not go from level {n + 1} to level {n}"
             )
         try:
-            require_continuous(f)
+            if f._certificate is None:  # a kept certificate proves f continuous
+                require_continuous(f)
         except NotContinuous as exc:
             raise NotContinuous(
                 f"level map {n} is not continuous at pair {exc.pair!r}",
@@ -187,15 +201,12 @@ def attach_level_maps(t, f_maps, certify=True):
                 )
     seq = ApproximativeSequence(t, f_maps, [])
     for n, (hpos, fpos) in enumerate(zip(seq._hpos, seq._fpos)):
-        # F_{n+1}(x) is the fiber of h over f(x): one frozenset per fiber
-        X = t.levels[n + 1]
-        fibers = [frozenset(map(X.elements.__getitem__, fiber))
-                  for fiber in _fibers(hpos, len(t.levels[n]))]
-        if not all(fibers):
-            for i, j in enumerate(fpos):
-                if not fibers[j]:
-                    raise EmptyValue(f"empty image set at {X.elements[i]!r}")
-        seq.F_maps.append(_gathered(X, X, fibers, fpos))
+        # F_{n+1}(x) is the fiber of h over f(x), empty where h misses f(x)
+        X, hit = t.levels[n + 1], set(hpos)
+        if not hit.issuperset(fpos):
+            i = next(i for i, j in enumerate(fpos) if j not in hit)
+            raise EmptyValue(f"empty image set at {X.elements[i]!r}")
+        seq.F_maps.append(_fiber_multimap(X, X, hpos, fpos, len(t.levels[n])))
     return seq
 
 
@@ -253,21 +264,19 @@ def fixed_chain_search(seq, m):
     x_n = h_{n,n+1}(x_{n+1}) pins the whole chain once the top element is
     chosen, and x_n is fixed iff f_{n-1,n}(x_n) = h_{n-1,n}(x_n) = x_{n-1}.
     So the points whose chains are fixed from level m up are marked level
-    by level: a point of level k is good iff its h-image is good and, for
-    k >= m, f(x) = h(x).  Only the chains of good tops are walked down.
+    by level: every point below level max(m, 1) is good, and a point of a
+    higher level k is good iff f(x) = h(x) and its h-image is good.  The
+    chains of good tops, ordered by top, are then walked down and named
+    one level at a time, each level's point indices in one map.
     """
     t = seq.tower
     t._check_level(m)
     N = t.depth
     hpos, fpos = seq._hpos, seq._fpos
-    good = [True] * len(t.levels[0])
-    for k in range(1, N + 1):
-        h, f = hpos[k - 1], fpos[k - 1]
-        good = [good[y] and (k < m or f[x] == y) for x, y in enumerate(h)]
-    out = []
-    for top in compress(range(len(good)), good):
-        chain = [top]
-        for n in range(N - 1, -1, -1):
-            chain.append(hpos[n][chain[-1]])
-        out.append(tuple(L.elements[i] for L, i in zip(t.levels, reversed(chain))))
-    return out
+    good = [True] * len(t.levels[max(m - 1, 0)])
+    for k in range(max(m, 1), N + 1):
+        good = [y == fx and good[y] for y, fx in zip(hpos[k - 1], fpos[k - 1])]
+    walk = [list(compress(range(len(good)), good))]
+    for n in range(N - 1, -1, -1):
+        walk.append(list(map(hpos[n].__getitem__, walk[-1])))
+    return list(zip(*[map(L.elements.__getitem__, idx) for L, idx in zip(t.levels, walk[::-1])]))

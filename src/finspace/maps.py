@@ -17,6 +17,7 @@ from .errors import (
     ProjectionNotIso,
     UnknownElement,
 )
+from .complexes import _index_extends
 from .homology import (
     _core_homology,
     induced_map_of_poset_map,
@@ -78,12 +79,34 @@ class MultiMap:
         return f"MultiMap({{{parts}}})"
 
 
-def _gathered(source, target, values, pos):
-    """The multimap sending source point i to values[pos[i]], taken
-    without a check: values lists nonempty frozensets of target points."""
-    F = object.__new__(MultiMap)
+class _FiberMultiMap(MultiMap):
+    """The multimap sending source point i to the fiber over fpos[i] of
+    the map with positions hpos from the target into a space of size
+    points, taken without a check: every such fiber must be nonempty.
+
+    Built from positions alone (_fiber_multimap).  The slot values stays
+    unset, and Python calls __getattr__ only for an attribute it does
+    not find, so the first read of values builds it, one frozenset per
+    fiber; from then on the multimap reads as, and equals, the MultiMap
+    with those values.
+    """
+
+    __slots__ = ("_hpos", "_fpos", "_size")
+
+    def __getattr__(self, name):
+        if name != "values":
+            return object.__getattribute__(self, name)  # AttributeError
+        get = self.target.elements.__getitem__
+        fibers = [frozenset(map(get, fiber)) for fiber in _fibers(self._hpos, self._size)]
+        self.values = dict(zip(self.source.elements, map(fibers.__getitem__, self._fpos)))
+        return self.values
+
+
+def _fiber_multimap(source, target, hpos, fpos, size):
+    """The _FiberMultiMap of hpos and fpos, its values not yet built."""
+    F = object.__new__(_FiberMultiMap)
     F.source, F.target, F._graph = source, target, None
-    F.values = dict(zip(source.elements, [values[j] for j in pos]))
+    F._hpos, F._fpos, F._size = hpos, fpos, size
     return F
 
 
@@ -243,6 +266,7 @@ def _contracts(f, fibers):
     X1, X = f.source, f.target
     pos, down, index, elements = f._pos, X1._down, X1._index, X1.elements
     key = X._index.__getitem__
+    extends = _index_extends(X)
     for t, y in enumerate(X.elements):
         m = index.get((y,))
         if m is None or pos[m] != t:
@@ -252,7 +276,11 @@ def _contracts(f, fibers):
             for i in fibers[s]:
                 x = elements[i]
                 try:
-                    gi = i if y in x else index.get(tuple(sorted((*x, y), key=key)))
+                    # for a chain-maximum map t lies above every point of
+                    # x, so it sorts last when X's index order is a linear
+                    # extension; any g that passes the checks below will do
+                    gi = i if y in x else index.get(
+                        x + (y,) if extends else tuple(sorted((*x, y), key=key)))
                 except (KeyError, TypeError):  # x is no tuple of points of X
                     return False
                 if gi is None or pos[gi] != t:

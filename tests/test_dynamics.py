@@ -3,6 +3,7 @@
 import importlib
 import random
 from importlib import resources
+from itertools import compress
 
 import pytest
 
@@ -102,23 +103,24 @@ def test_size_budget(circle):
 
 
 def test_size_budget_is_checked_before_the_level_is_built(circle, monkeypatch):
-    real_subdivision = dynamics.barycentric_subdivision_space
+    # build_tower subdivides through complexes._subdivision, one walk per level
+    real_subdivision = dynamics._subdivision
 
-    def refuse_large(X):
-        X1 = real_subdivision(X)
+    def refuse_large(X, count):
+        X1, hpos = real_subdivision(X, count)
         assert len(X1) <= 10, f"a level of {len(X1)} points was built past the budget"
-        return X1
+        return X1, hpos
 
-    monkeypatch.setattr(dynamics, "barycentric_subdivision_space", refuse_large)
+    monkeypatch.setattr(dynamics, "_subdivision", refuse_large)
     with pytest.raises(SizeBudgetExceeded, match=r"^level 2 has 16 elements \(budget 10\)$"):
         build_tower(circle, 2, size_budget=10)
 
-    def warned_first(X):
-        X1 = real_subdivision(X)
+    def warned_first(X, count):
+        X1, hpos = real_subdivision(X, count)
         assert len(X1) <= 5000 or record, "a level past 5000 points came before its warning"
-        return X1
+        return X1, hpos
 
-    monkeypatch.setattr(dynamics, "barycentric_subdivision_space", warned_first)
+    monkeypatch.setattr(dynamics, "_subdivision", warned_first)
     with pytest.warns(UserWarning, match="level 4 has 5186 elements") as record:
         t = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 4)
     assert [len(L) for L in t.levels] == [6, 26, 146, 866, 5186]
@@ -685,3 +687,179 @@ def test_compose_f(chain2):
     seq = attach_level_maps(t, [f0, f1])
     f02 = compose_f(seq, 0, 2)
     assert all(f02(x) == "M" for x in t.levels[2].elements)
+
+
+# -- the tower pass on positions, against copies of the element-wise code -------
+
+
+def _chain_max_positions_by_elements(X1, X):
+    """chain_max_map's positions as they were computed element by element:
+    each chain's points looked up in X, the maximum by rank."""
+    index, rank, order = X._index, X._rank, X._order
+    return [order[max([rank[index[x]] for x in c])] for c in X1.elements]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_tower_h_positions_match_chain_max_map(seed):
+    # build_tower reads h off the chain walk; chain_max_map, and the old
+    # element-wise rule, are the oracles.  Every other tower starts from
+    # the reversed listing, whose index order is no linear extension once
+    # a relation holds, so h_0 is read by rank there
+    rng = random.Random(780 + seed)
+    relisted = 0
+    for i in range(60):
+        X0 = random_poset(rng, 6, density=0.4)
+        if i % 2:
+            X0 = _reversed(X0)
+            relisted += any(u and u[0] < k for k, u in enumerate(X0._up))
+        try:
+            t = build_tower(X0, 2, size_budget=400)
+        except SizeBudgetExceeded:
+            t = build_tower(X0, 1)
+        label = f"seed {780 + seed} instance {i}: X0 = {serialize_poset(X0)!r}"
+        for n, h in enumerate(t.h_maps):
+            X, X1 = t.levels[n], t.levels[n + 1]
+            sub = barycentric_subdivision_space(X)
+            assert X1.elements == sub.elements and X1 == sub, label
+            want = _chain_max_positions_by_elements(X1, X)
+            assert list(h._pos) == list(chain_max_map(X1, X)._pos) == want, label
+            assert h.source is X1 and h.target is X, label
+    assert relisted >= 12, relisted
+
+
+def _fibers_as_before(pos, size):
+    fibers = [[] for _ in range(size)]
+    for i, j in enumerate(pos):
+        fibers[j].append(i)
+    return fibers
+
+
+def _eager_F_maps(t, f_maps):
+    """attach_level_maps's multimaps as they were built: every value at
+    once, one frozenset per fiber of h, gathered into a MultiMap with no
+    check; EmptyValue at the first point whose value is empty."""
+    out = []
+    for n, (h, f) in enumerate(zip(t.h_maps, f_maps)):
+        X, Y = t.levels[n + 1], t.levels[n]
+        hpos = [Y.index(h(x)) for x in X.elements]
+        fpos = [Y.index(f(x)) for x in X.elements]
+        fibers = [frozenset(map(X.elements.__getitem__, fiber))
+                  for fiber in _fibers_as_before(hpos, len(Y))]
+        if not all(fibers):
+            for i, j in enumerate(fpos):
+                if not fibers[j]:
+                    raise EmptyValue(f"empty image set at {X.elements[i]!r}")
+        F = object.__new__(MultiMap)
+        F.source, F.target, F._graph = X, X, None
+        F.values = dict(zip(X.elements, [fibers[j] for j in fpos]))
+        out.append(F)
+    return out
+
+
+def _lifted(X1, X, sigma):
+    """The automorphism of the chain poset X1 of X induced by sigma."""
+    return {c: tuple(sorted(map(sigma.__getitem__, c), key=X.index)) for c in X1.elements}
+
+
+def _sphere_level_map_cases():
+    """(label, tower, level maps) on the S2 model at depth 2: f = h, a
+    constant f, and h o sigma for the three pair swaps sigma, lifted."""
+    t = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 2)
+    yield "f = h", t, list(t.h_maps)
+    yield "constant", t, [constant_map(t.levels[n + 1], t.levels[n], t.levels[n].elements[-1])
+                          for n in range(2)]
+    for k in (1, 2, 3):
+        sigma = {x: x for x in t.levels[0].elements}
+        for a, b in ("AB", "CD", "EF")[:k]:
+            sigma[a], sigma[b] = b, a
+        f_maps = []
+        for n, h in enumerate(t.h_maps):
+            sigma = _lifted(t.levels[n + 1], t.levels[n], sigma)
+            f_maps.append(PosetMap(h.source, h.target, {x: h(sigma[x]) for x in h.source.elements}))
+        yield f"{k} pairs swapped", t, f_maps
+
+
+def test_deferred_multimaps_equal_the_eager_ones(monkeypatch):
+    # attach keeps positions and builds no value; read, the values, ==,
+    # repr, the graph and Lambda are those of the eagerly built multimaps
+    for label, t, f_maps in _sphere_level_map_cases():
+        assert all(is_vietoris_like_map(h).ok for h in t.h_maps), label
+        with monkeypatch.context() as m:
+            m.setattr(maps, "_fibers", _no_values)
+            seq = attach_level_maps(t, f_maps)
+            chains = fixed_chain_search(seq, 1)
+            lams = [lambda_nm(seq, n, n + 1) for n in range(2)]
+        assert isinstance(seq.F_maps, list) and isinstance(seq.f_maps, list), label
+        assert chains == _fixed_chains_by_membership(seq, 1), label
+        for F, G, lam in zip(seq.F_maps, _eager_F_maps(t, f_maps), lams):
+            assert F.values == G.values and F == G and G == F, label
+            assert repr(F) == repr(G), label
+            gF, gG = graph(F), graph(G)
+            assert gF.space.elements == gG.space.elements and gF.space == gG.space, label
+            assert gF.p._pos == gG.p._pos and gF.q._pos == gG.q._pos, label
+            assert (lefschetz_number(induced_multimap_homology(F))
+                    == lefschetz_number(induced_multimap_homology(G)) == lam), label
+            assert classify_continuity(F) == classify_continuity(G), label
+
+
+def _no_values(*args, **kwargs):
+    raise AssertionError("a multimap's values were built")
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_empty_value_message_is_unchanged(seed):
+    # hand-built towers whose h is constant miss every other point below,
+    # so the level maps meet empty values; the error names the same point
+    rng = random.Random(820 + seed)
+    raised = 0
+    for i, X0, t, f_maps in _random_level_maps(820 + seed):
+        hs = [constant_map(h.source, h.target, rng.choice(h.target.elements)) for h in t.h_maps]
+        hand = Tower(t.levels, hs)
+        label = f"seed {820 + seed} instance {i}: X0 = {serialize_poset(X0)!r}"
+        try:
+            _eager_F_maps(hand, f_maps)
+        except EmptyValue as exc:
+            with pytest.raises(EmptyValue) as info:
+                attach_level_maps(hand, f_maps, certify=False)
+            assert str(info.value) == str(exc), label
+            raised += 1
+        else:
+            seq = attach_level_maps(hand, f_maps, certify=False)
+            assert seq.F_maps == _eager_F_maps(hand, f_maps), label
+    assert raised >= 10, raised
+
+
+def _fixed_chains_as_before(seq, m):
+    """fixed_chain_search as it was: marks level by level, then one walk
+    down per good top, named point by point."""
+    t = seq.tower
+    N = t.depth
+    hpos, fpos = seq._hpos, seq._fpos
+    good = [True] * len(t.levels[0])
+    for k in range(1, N + 1):
+        h, f = hpos[k - 1], fpos[k - 1]
+        good = [good[y] and (k < m or f[x] == y) for x, y in enumerate(h)]
+    out = []
+    for top in compress(range(len(good)), good):
+        chain = [top]
+        for n in range(N - 1, -1, -1):
+            chain.append(hpos[n][chain[-1]])
+        out.append(tuple(L.elements[i] for L, i in zip(t.levels, reversed(chain))))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_fixed_chains_match_the_walk_as_before(seed):
+    found = 0
+    for i, X0, t, f_maps in _random_level_maps(840 + seed, count=40):
+        seq = attach_level_maps(t, f_maps, certify=False)
+        label = f"seed {840 + seed} instance {i}: X0 = {serialize_poset(X0)!r}"
+        for m in range(t.depth + 1):
+            want = _fixed_chains_as_before(seq, m)
+            assert fixed_chain_search(seq, m) == want, f"{label} m = {m}"
+            found += 0 < len(want) < len(t.levels[-1])
+    assert found >= 10, found
+    for label, t, f_maps in _sphere_level_map_cases():
+        seq = attach_level_maps(t, f_maps)
+        for m in range(3):
+            assert fixed_chain_search(seq, m) == _fixed_chains_as_before(seq, m), label
