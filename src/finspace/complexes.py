@@ -15,11 +15,11 @@ omitting vertex k at k.  An order complex gets it from the poset's
 _chain_faces on request (_order_complex), any other complex from
 _face_table.  A cone's homology takes its order complex deferred
 (_DeferredOrderComplex): the chain walk runs when its simplices are
-first read, and two such complexes compare by their posets.  Chains
-have one format: per dimension, one sparse column {simplex index:
-coefficient} per simplex, as boundary_columns, _chain_columns and
-chain_map_of give them; _push maps one chain, unchecked.
-boundary_matrix is a dense oracle for tests.
+first read, and two such complexes of one listing and equal posets
+are equal with no walk.  Chains have one format: per dimension, one
+sparse column {simplex index: coefficient} per simplex, as
+boundary_columns, _chain_columns and chain_map_of give them; _push maps
+one chain, unchecked.  boundary_matrix is a dense oracle for tests.
 
 A simplicial map sends a simplex to 0 when two of its vertices share an
 image, else to its image simplex times the sign of the permutation that
@@ -336,17 +336,16 @@ def order_complex(X):
     return _order_complex(X)[0]
 
 
-def _order_complex(X, faces=False, count=None):
+def _order_complex(X, faces=False):
     """(K(X), its face table if faces else None), read off the poset's
-    chain walk and _chain_faces; count is X's chain count, if known, for
-    the walk's budget.
+    chain walk and _chain_faces.
 
     Chains are closed under faces, so the complex is built without a
     check, and it shares X's element index as its vertex index.  When
     the index order is no linear extension, a chain is sorted into a
     simplex and its face row permuted with it.
     """
-    levels = X._index_chains(count=count)
+    levels = X._index_chains()
     table = X._chain_faces(levels) if faces else None
     if not _index_extends(X):
         c = len(X)
@@ -386,11 +385,14 @@ class _DeferredOrderComplex(SimplicialComplex):
         return getattr(self, name)
 
     def __eq__(self, other):
-        """Two of them with one listing are equal iff their posets are, as
-        their walks then are; so neither walks.  Any other complex is
-        compared simplex by simplex."""
-        if isinstance(other, _DeferredOrderComplex):
-            return self.vertices == other.vertices and self._poset == other._poset
+        """Two of them with one listing and equal posets are equal, as
+        their walks are; so neither walks.  Otherwise the complexes are
+        compared simplex by simplex, with no walk when the listings
+        differ: two unequal posets can have one order complex (a total
+        order and its opposite)."""
+        if (isinstance(other, _DeferredOrderComplex) and self.vertices == other.vertices
+                and self._poset == other._poset):
+            return True
         return SimplicialComplex.__eq__(self, other)
 
     __hash__ = SimplicialComplex.__hash__
@@ -445,15 +447,15 @@ def barycentric_subdivision_space(X):
     return _face_poset(*_order_complex(X, faces=True))
 
 
-def _subdivision(X, count=None):
+def _subdivision(X):
     """(barycentric_subdivision_space(X), the positions of chain_max_map
-    on it), from one chain walk; count is X's chain count, if known.
+    on it), from one chain walk.
 
     A point of X' is a simplex, ascending in X's index order; when that
     order is a linear extension, the simplex is the walk's leq-increasing
     chain and its maximum is its last point.
     """
-    K, faces = _order_complex(X, faces=True, count=count)
+    K, faces = _order_complex(X, faces=True)
     X1 = _face_poset(K, faces)
     del faces  # the face table is dropped before the positions are listed
     chains = chain.from_iterable(K._isimplices)

@@ -54,9 +54,8 @@ def build_tower(X0, depth, size_budget=DEFAULT_SIZE_BUDGET):
     """Subdivide depth times; each h sends a chain to its maximum.
 
     A level's size, the chain count of the level below, is checked
-    against the budget and the warning size before the level is built,
-    and serves the chain walk's own budget, so each level is counted
-    once.  One walk of X^n gives X^{n+1} and the positions of h_n
+    against the budget and the warning size before the level is built.
+    One walk of X^n gives X^{n+1} and the positions of h_n
     (complexes._subdivision): chain_max_map's maxima, with no chain
     looked up by its elements.
     """
@@ -74,7 +73,7 @@ def build_tower(X0, depth, size_budget=DEFAULT_SIZE_BUDGET):
                 f"subdivision level {n + 1} has {size} elements; "
                 "deeper levels grow super-exponentially"
             )
-        Xn1, hpos = _subdivision(Xn, size)
+        Xn1, hpos = _subdivision(Xn)
         levels.append(Xn1)
         h_maps.append(_map(Xn1, Xn, hpos))
     return Tower(levels, h_maps)

@@ -276,9 +276,11 @@ def _contracts(f, fibers):
             for i in fibers[s]:
                 x = elements[i]
                 try:
-                    # for a chain-maximum map t lies above every point of
-                    # x, so it sorts last when X's index order is a linear
-                    # extension; any g that passes the checks below will do
+                    # when X's index order is a linear extension, g(x) is
+                    # looked up as x + (y,): right when t lies above every
+                    # point of x, as for a chain-maximum map.  A map that
+                    # needs t sorted into x fails here and falls to the
+                    # Stong path; any g that passes the checks below will do
                     gi = i if y in x else index.get(
                         x + (y,) if extends else tuple(sorted((*x, y), key=key)))
                 except (KeyError, TypeError):  # x is no tuple of points of X

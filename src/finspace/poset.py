@@ -191,24 +191,22 @@ class FinitePoset:
         els, chains = self.elements, chain.from_iterable(self._index_chains())
         return [tuple([els[i] for i in c]) for c in sorted(chains)]
 
-    def _index_chains(self, depth=None, count=None):
+    def _index_chains(self, depth=None):
         """Every nonempty chain of at most depth points (default: any):
         levels[d] lists those of d + 1 points, leq-increasing index tuples,
         in lexicographic order, each chain of a level extended by the
         points above its last, ascending, within _chain_budget."""
-        self._chain_budget(depth, count)
+        self._chain_budget(depth)
         level, levels, up = [(i,) for i in range(len(self))], [], self._up
         while level and len(levels) != depth:
             levels.append(level)
             level = [c + (j,) for c in level for j in up[c[-1]]]
         return levels
 
-    def _chain_budget(self, depth=None, count=None):
+    def _chain_budget(self, depth=None):
         """BudgetExceeded if more than DEFAULT_BUDGET chains have at most
-        depth points, counted unless count is given (fewer than 2 ** n
-        never are)."""
-        if 2 ** len(self) - 1 > DEFAULT_BUDGET and (
-                count or self._chain_count(depth=depth)) > DEFAULT_BUDGET:
+        depth points, counted (fewer than 2 ** n never are)."""
+        if 2 ** len(self) - 1 > DEFAULT_BUDGET and self._chain_count(depth=depth) > DEFAULT_BUDGET:
             raise BudgetExceeded(f"chain enumeration exceeded its budget of {DEFAULT_BUDGET}")
 
     def _chain_faces(self, levels):

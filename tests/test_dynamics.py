@@ -106,8 +106,8 @@ def test_size_budget_is_checked_before_the_level_is_built(circle, monkeypatch):
     # build_tower subdivides through complexes._subdivision, one walk per level
     real_subdivision = dynamics._subdivision
 
-    def refuse_large(X, count):
-        X1, hpos = real_subdivision(X, count)
+    def refuse_large(X):
+        X1, hpos = real_subdivision(X)
         assert len(X1) <= 10, f"a level of {len(X1)} points was built past the budget"
         return X1, hpos
 
@@ -115,8 +115,8 @@ def test_size_budget_is_checked_before_the_level_is_built(circle, monkeypatch):
     with pytest.raises(SizeBudgetExceeded, match=r"^level 2 has 16 elements \(budget 10\)$"):
         build_tower(circle, 2, size_budget=10)
 
-    def warned_first(X, count):
-        X1, hpos = real_subdivision(X, count)
+    def warned_first(X):
+        X1, hpos = real_subdivision(X)
         assert len(X1) <= 5000 or record, "a level past 5000 points came before its warning"
         return X1, hpos
 

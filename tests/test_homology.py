@@ -974,6 +974,23 @@ def test_two_profiles_of_one_cone_meet_in_one_basis_with_no_walk(monkeypatch):
     poset_homology.cache_clear()
 
 
+def test_unwalked_cones_of_unequal_posets_with_one_complex_are_equal():
+    # a < b < c and c < b < a, one listing: two posets, one order complex;
+    # their deferred complexes compare equal by walking, and a map across
+    # the two keeps lambda = 1
+    X = build_poset("abc", [("a", "b"), ("b", "c")])
+    Y = build_poset("abc", [("c", "b"), ("b", "a")])
+    poset_homology.cache_clear()
+    K, L = poset_homology(X).complex, poset_homology(Y).complex
+    assert X != Y and isinstance(K, complexes._DeferredOrderComplex)
+    assert K == L == order_complex(Y) == order_complex(X) and hash(K) == hash(L)
+    assert lefschetz_number(induced_map_of_poset_map(constant_map(X, Y, "a"))) == 1
+    f = induced_map_of_poset_map(constant_map(X, Y, "a"))
+    g = induced_map_of_poset_map(constant_map(Y, X, "c"))
+    assert lefschetz_number(f.then(g)) == 1
+    poset_homology.cache_clear()
+
+
 def _eager_route(X):
     """poset_homology as it was with a cone's complex walked at once."""
     if not _is_cone(X):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import itertools
 import random
 from importlib import resources
 
@@ -494,6 +495,34 @@ def test_maps_that_are_no_chain_maximum_keep_the_stong_certificate(seed, monkeyp
         outcomes.add("ok" if got.ok else got.reason or "not acyclic")
     assert {"ok", "empty fiber union (f not surjective)", "not acyclic"} <= outcomes
     assert False in tried  # the check ran and failed on some of the maps
+
+
+def test_direct_lookup_of_g_decides_as_the_sorted_one(monkeypatch):
+    """On a subdivision X' -> X, a map that fixes the one-point chains
+    passes the contraction check iff it passes with g(x) found by sorting
+    t into x, whether X's index order is a linear extension or not: a
+    passing map is continuous, so every point of x lies below t, which
+    sorts last.  Of every such map, only h passes."""
+    posets = {
+        "line": build_poset("abc", [("a", "b"), ("b", "c")]),
+        "line relisted": build_poset("cab", [("a", "b"), ("b", "c")]),
+        "vee": build_poset("abc", [("a", "c"), ("b", "c")]),
+        "N relisted": build_poset("dcba", [("a", "c"), ("b", "c"), ("b", "d")]),
+        "diamond": build_poset("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]),
+    }
+    for name, X in posets.items():
+        h = chain_max_map(barycentric_subdivision_space(X), X)
+        X1 = h.source
+        free = [i for i, x in enumerate(X1.elements) if len(x) > 1]
+        for values in itertools.product(range(len(X)), repeat=len(free)):
+            pos = list(h._pos)
+            for i, j in zip(free, values):
+                pos[i] = j
+            f = poset_module._map(X1, X, pos)
+            with monkeypatch.context() as patch:
+                patch.setattr(maps, "_index_extends", lambda X: False)
+                sorted_lookup = _contracts(f)
+            assert _contracts(f) == sorted_lookup == (pos == list(h._pos)), (name, pos)
 
 
 def test_contraction_check_catches_each_broken_part(by_stong):
