@@ -477,8 +477,8 @@ def chain_max_map(X1, X):
     element order, which need not follow the order of X, so the maximum
     is not read off the end of the tuple: _chain_maxima takes the point
     of the chain with the highest rank in X.  UnknownElement names the
-    first point of X1 that is no nonempty tuple of points of X.  X1
-    holds the one-point chains of X, so maps._contracts is tried.
+    first point of X1 that is no nonempty tuple of points of X.
+    maps._contracts certifies h by a contraction read off X1's order.
     """
     index = X._index
     try:

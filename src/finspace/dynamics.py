@@ -160,7 +160,8 @@ def attach_level_maps(t, f_maps, certify=True):
       Vietoris-like if h is.
     * A chain-maximum h always is: adding max d to each chain of
       h^{-1}(d), d a chain of X^n, contracts it.  is_vietoris_like_map
-      checks this for any h whose source holds the one-point chains.
+      checks such a contraction on any h, read off the order of its
+      source (maps._contracts).
 
     So CertificationFailed (level n + 1) names h_n and its failing chain;
     only a hand-built Tower whose h_maps break the chain-maximum contract

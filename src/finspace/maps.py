@@ -17,7 +17,6 @@ from .errors import (
     ProjectionNotIso,
     UnknownElement,
 )
-from .complexes import _index_extends
 from .homology import (
     _core_homology,
     induced_map_of_poset_map,
@@ -209,8 +208,8 @@ class Certificate:
 def is_vietoris_like_map(f):
     """Check that every union of fibers over a chain of the target is acyclic.
 
-    A map whose source holds the one-point chains of its target is first
-    tried by _contracts; a pass is a proof, so equal maps certify alike.
+    Every map is first tried by _contracts, a contraction read off the
+    order; a pass is a proof, so equal maps certify alike.
     Otherwise every chain is tested (acyclicity over maximal chains does
     not imply it for subchains), in the order of the chain walk, shortest
     first.  A chain's union concatenates its fibers, disjoint lists of
@@ -232,10 +231,10 @@ def is_vietoris_like_map(f):
 
 def _certify(f):
     """The certificate of is_vietoris_like_map from one fiber grouping: ok
-    if _contracts passes (X must hold (y,) for y first in Y), else by Stong."""
+    if _contracts passes, else by Stong."""
     X, Y = f.source, f.target
     fibers = _fibers(f._pos, len(Y))
-    if Y.elements[:1] in X._index and _contracts(f, fibers):
+    if _contracts(f, fibers):
         return Certificate(ok=True)
     require_continuous(f)
     for idx in (c for level in Y._index_chains() for c in level):
@@ -253,49 +252,42 @@ def _contracts(f, fibers):
     """Whether f: X1 -> X (fibers: its _fibers) passes, per point t of X,
     a check that contracts every fiber union over a chain with maximum t.
 
-    The witness: m = (t,), D = f^-1(down-set of t, t in it) and g(x) = x
-    with t added, found in X1's own index.  Checked on X1's _down lists:
-    f(m) = t; each x in D has g(x) in X1, f(g(x)) = t and x <= g(x) >= m;
-    each x' < x in D is in D, with g(x') <= g(x).  Proof: for a chain d
-    with maximum t, U = f^-1(d) lies in D and holds f^-1(t), so m.  g
-    maps U into f^-1(t), preserves order, and id_U <= g >= const_m.
-    Comparable maps are homotopic (Barmak, LNM 2032, ch. 1), so U is
-    contractible: nonempty and acyclic.  The pair test at t = f(x) also
-    proves f continuous, so a pass gives the Stong path's certificate.
+    The witness is read off X1's order alone: m is the point of f^-1(t)
+    of lowest rank, and g(x) the first point of f^-1(t), in index order,
+    at or above x, recorded by one sweep of the fiber's _down lists; so
+    f(g(x)) = t and x <= g(x).  Checked: g is defined on exactly
+    D = f^-1(down-set of t, t in it), m <= g(x) on D, and g preserves
+    order.  Proof: for a chain d with maximum t, U = f^-1(d) lies in D
+    and holds f^-1(t), so m.  g maps U into f^-1(t), preserves order,
+    and id_U <= g >= const_m.  Comparable maps are homotopic (Barmak,
+    LNM 2032, ch. 1), so U is contractible: nonempty and acyclic.  g is
+    defined on the points below f^-1(t), so D holding all of them makes
+    f continuous, and a pass gives the Stong path's certificate.
     """
-    X1, X = f.source, f.target
-    pos, down, index, elements = f._pos, X1._down, X1._index, X1.elements
-    key = X._index.__getitem__
-    extends = _index_extends(X)
-    for t, y in enumerate(X.elements):
-        m = index.get((y,))
-        if m is None or pos[m] != t:
+    down, rank = f.source._down, f.source._rank.__getitem__
+    for t, below_t in enumerate(f.target._down):
+        fiber = fibers[t]
+        if not fiber:
             return False
         g = {}  # point index x of D_t -> point index of g_t(x)
-        for s in (t, *X._down[t]):
+        for i in fiber:
+            g.setdefault(i, i)
+            for k in down[i]:
+                g.setdefault(k, i)
+        m, size = min(fiber, key=rank), 0
+        for s in (t, *below_t):
             for i in fibers[s]:
-                x = elements[i]
-                try:
-                    # when X's index order is a linear extension, g(x) is
-                    # looked up as x + (y,): right when t lies above every
-                    # point of x, as for a chain-maximum map.  A map that
-                    # needs t sorted into x fails here and falls to the
-                    # Stong path; any g that passes the checks below will do
-                    gi = i if y in x else index.get(
-                        x + (y,) if extends else tuple(sorted((*x, y), key=key)))
-                except (KeyError, TypeError):  # x is no tuple of points of X
+                gi = g.get(i)
+                if gi is None or not (gi == m or m in down[gi]):
                     return False
-                if gi is None or pos[gi] != t:
-                    return False
-                below = down[gi]
-                if not ((gi == i or i in below) and (gi == m or m in below)):
-                    return False
-                g[i] = gi
+            size += len(fibers[s])
+        if len(g) != size:
+            return False
         for i, gi in g.items():
             below = down[gi]
             for k in down[i]:
-                gk = g.get(k)
-                if gk is None or not (gk == gi or gk in below):
+                gk = g[k]
+                if not (gk == gi or gk in below):
                     return False
     return True
 

@@ -757,7 +757,8 @@ def _eager_F_maps(t, f_maps):
 
 
 def _lifted(X1, X, sigma):
-    """The automorphism of the chain poset X1 of X induced by sigma."""
+    """The automorphism of the chain poset X1 of X that the automorphism
+    sigma of X (a dict) induces, chain by chain; test_homology imports it."""
     return {c: tuple(sorted(map(sigma.__getitem__, c), key=X.index)) for c in X1.elements}
 
 

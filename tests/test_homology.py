@@ -49,6 +49,7 @@ from finspace.lefschetz import classical_lefschetz
 from finspace.maps import classify_continuity, is_vietoris_like_map
 from finspace.poset import FinitePoset, PosetMap, build_poset, constant_map, identity_map
 from finspace.random_instances import random_endomorphism, random_monotone_map, random_poset
+from test_dynamics import _lifted
 
 homology_module = importlib.import_module("finspace.homology")
 
@@ -1047,12 +1048,6 @@ def test_relisted_cones_walk_to_sorted_simplices():
 # -- induced maps above dimension 0 ---------------------------------------------
 
 
-def _lift(X1, X, sigma):
-    """The automorphism of the chain poset X1 of X that the automorphism
-    sigma of X (a dict) induces, chain by chain."""
-    return {c: tuple(sorted(map(sigma.__getitem__, c), key=X.index)) for c in X1.elements}
-
-
 def _rp2_automorphisms(count):
     """The first count vertex permutations other than the identity that
     keep the triangles of the RP2 fixture, as maps of its face poset."""
@@ -1084,7 +1079,7 @@ def test_induced_maps_above_dimension_zero():
     sigma = {x: {"a": "b", "b": "a"}.get(x, x) for x in SPHERE.elements}
     cases = []
     for n, X in enumerate(tower):
-        sigma = _lift(X, tower[n - 1], sigma) if n else sigma
+        sigma = _lifted(X, tower[n - 1], sigma) if n else sigma
         cases.append((f"S2 swap a <-> b at level {n}", X, sigma, 2, [[-1]], 0))
     rels = [(f"x{i}", f"y{i}") for i in range(3)] + [(f"x{(i + 1) % 3}", f"y{i}") for i in range(3)]
     crown = build_poset([f"{p}{i}" for p in "xy" for i in range(3)], rels)

@@ -445,10 +445,11 @@ def test_equal_maps_certify_alike(name, depth, monkeypatch):
             assert not worklists, (n, how)
 
 
-def test_non_tuple_points_over_a_one_point_chain_take_the_stong_path(by_stong):
-    """A source that holds (y,) beside points that are no tuples of target
-    points gets the Stong certificate: the contraction check fails and
-    raises nothing."""
+def test_points_that_are_no_tuples_are_certified_by_their_order(by_stong):
+    """The contraction check reads the source's order, not its point
+    names: over a one-point target it passes on the cone above ("y",),
+    whatever its other points are, fails on the discrete spaces, and
+    raises on none.  Either way the certificate is the Stong path's."""
     one = build_poset("y", [])
     cases = {
         "a string point": build_poset([("y",), "b"], []),
@@ -458,7 +459,7 @@ def test_non_tuple_points_over_a_one_point_chain_take_the_stong_path(by_stong):
     }
     for what, X in cases.items():
         f = constant_map(X, one, "y")
-        assert not _contracts(f), what
+        assert _contracts(f) == (what == "above (y,)"), what
         got = is_vietoris_like_map(f)
         assert got.as_dict() == by_stong(f).as_dict(), what
         assert got.ok == (what == "above (y,)"), what
@@ -497,12 +498,10 @@ def test_maps_that_are_no_chain_maximum_keep_the_stong_certificate(seed, monkeyp
     assert False in tried  # the check ran and failed on some of the maps
 
 
-def test_direct_lookup_of_g_decides_as_the_sorted_one(monkeypatch):
-    """On a subdivision X' -> X, a map that fixes the one-point chains
-    passes the contraction check iff it passes with g(x) found by sorting
-    t into x, whether X's index order is a linear extension or not: a
-    passing map is continuous, so every point of x lies below t, which
-    sorts last.  Of every such map, only h passes."""
+def test_of_the_maps_fixing_one_point_chains_only_h_contracts():
+    """On a subdivision X' -> X, of every map that fixes the one-point
+    chains only h passes the contraction check, whether X's index order
+    is a linear extension or not."""
     posets = {
         "line": build_poset("abc", [("a", "b"), ("b", "c")]),
         "line relisted": build_poset("cab", [("a", "b"), ("b", "c")]),
@@ -510,6 +509,7 @@ def test_direct_lookup_of_g_decides_as_the_sorted_one(monkeypatch):
         "N relisted": build_poset("dcba", [("a", "c"), ("b", "c"), ("b", "d")]),
         "diamond": build_poset("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]),
     }
+    tried = 0
     for name, X in posets.items():
         h = chain_max_map(barycentric_subdivision_space(X), X)
         X1 = h.source
@@ -518,17 +518,74 @@ def test_direct_lookup_of_g_decides_as_the_sorted_one(monkeypatch):
             pos = list(h._pos)
             for i, j in zip(free, values):
                 pos[i] = j
-            f = poset_module._map(X1, X, pos)
-            with monkeypatch.context() as patch:
-                patch.setattr(maps, "_index_extends", lambda X: False)
-                sorted_lookup = _contracts(f)
-            assert _contracts(f) == sorted_lookup == (pos == list(h._pos)), (name, pos)
+            assert _contracts(poset_module._map(X1, X, pos)) == (pos == list(h._pos)), (name, pos)
+            tried += 1
+    assert tried == 16619
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_maps_that_pass_the_contraction_check_are_vietoris_like(seed, by_stong):
+    """Soundness: every map that passes the contraction check is
+    continuous and certified by the Stong path.  The maps are arbitrary
+    positions, continuous maps, and chain-maximum maps with up to two
+    points moved, into random targets of up to 4 points."""
+    rng = random.Random(1700 + seed)
+    outcomes = {True: 0, False: 0}
+    for i in range(10000):
+        Y = random_poset(rng, 4, density=rng.choice([0.3, 0.6]))
+        kind = rng.randrange(3)
+        if kind == 2:
+            X = barycentric_subdivision_space(Y)
+            pos = list(chain_max_map(X, Y)._pos)
+            for _ in range(rng.randint(0, 2)):
+                pos[rng.randrange(len(pos))] = rng.randrange(len(Y))
+            f = poset_module._map(X, Y, pos)
+        else:
+            X = random_poset(rng, 7, density=rng.choice([0.2, 0.5]))
+            f = random_monotone_map(rng, X, Y) if kind else None
+            if f is None:
+                f = poset_module._map(X, Y, [rng.randrange(len(Y)) for _ in X.elements])
+        passed = _contracts(f)
+        outcomes[passed] += 1
+        if passed:
+            label = (f"seed {1700 + seed} instance {i}\n"
+                     f"X:\n{serialize_poset(X)}Y:\n{serialize_poset(Y)}f:\n{serialize_map(f)}")
+            assert require_continuous(f) is f, label
+            assert by_stong(f).ok, label
+    assert outcomes[True] > 1000 and outcomes[False] > 1000
+
+
+@pytest.mark.filterwarnings("ignore:subdivision level")
+@pytest.mark.parametrize("seed", range(2))
+def test_identities_and_h_of_relisted_posets_contract(seed, monkeypatch):
+    """Identity maps, and h from the subdivisions of a poset whose index
+    order is no linear extension, certify by the contraction check: no
+    chain's fiber union is tested, so no Stong worklist runs."""
+    worklists = _counting_stong_core(monkeypatch)
+    walked = []
+    monkeypatch.setattr(maps, "_core_homology", lambda *args: walked.append(args))
+    rng = random.Random(1900 + seed)
+    no_extension = 0
+    for i in range(20):
+        X = random_poset(rng, 6, density=rng.choice([0.3, 0.5]))
+        relisted = build_poset(X.elements[::-1], [
+            (x, y) for x in X.elements for y in X.elements if X.lt(x, y)])
+        no_extension += any(up and up[0] < j for j, up in enumerate(relisted._up))
+        t = build_tower(relisted, 2)
+        certified = [identity_map(relisted), *t.h_maps, *map(identity_map, t.levels),
+                     chain_max_map(barycentric_subdivision_space(relisted), relisted)]
+        for f in certified:
+            assert is_vietoris_like_map(f).ok, (
+                f"seed {1900 + seed} instance {i}\n{serialize_poset(relisted)}")
+    assert not worklists and not walked
+    assert no_extension > 10
 
 
 def test_contraction_check_catches_each_broken_part(by_stong):
-    """Each map fails exactly one part of the contraction check, and
-    the Stong path finds it not Vietoris-like or not continuous: without
-    that part, the check would certify it."""
+    """Each map fails the contraction check at the part its name gives,
+    and the Stong path finds it not Vietoris-like or not continuous.
+    Without the order, m <= g(x) and "D alone" parts, the check would
+    certify the map that fails it."""
     vee = build_poset("abc", [("a", "c"), ("b", "c")])
     V1 = barycentric_subdivision_space(vee)
     order = [(x, y) for x in V1.elements for y in V1.elements if V1.lt(x, y)]
@@ -547,11 +604,13 @@ def test_contraction_check_catches_each_broken_part(by_stong):
     apart = build_poset("ac", [])
     cases = {
         "g preserves the order": on_order(add=[(a, bc)]),
-        "x <= g(x)": on_order(drop=[(a, ac)]),
+        "g is defined on D: a lies below no point over c": on_order(drop=[(a, ac)]),
         "m <= g(x)": on_order(drop=[(c, ac)]),
-        "f(g(x)) = t": poset_module._map(h.source, line, pushed),
-        "f(m) = t": constant_map(barycentric_subdivision_space(two), two, "N"),
-        "x' < x lies in D": chain_max_map(build_poset([a, c], [(a, c)]), apart),
+        "g is defined on D: (a, b) is sent above its maximum":
+            poset_module._map(h.source, line, pushed),
+        "the fiber over M is nonempty":
+            constant_map(barycentric_subdivision_space(two), two, "N"),
+        "g is defined on D alone": chain_max_map(build_poset([a, c], [(a, c)]), apart),
     }
     for part, f in cases.items():
         assert not _contracts(f), part
