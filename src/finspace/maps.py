@@ -261,8 +261,8 @@ def _contracts(f, fibers):
     and holds f^-1(t), so m.  g maps U into f^-1(t), preserves order,
     and id_U <= g >= const_m.  Comparable maps are homotopic (Barmak,
     LNM 2032, ch. 1), so U is contractible: nonempty and acyclic.  g is
-    defined on the points below f^-1(t), so D holding all of them makes
-    f continuous, and a pass gives the Stong path's certificate.
+    defined on the points at or below f^-1(t), so D holding all of them
+    makes f continuous, and a pass gives the Stong path's certificate.
     """
     down, rank = f.source._down, f.source._rank.__getitem__
     for t, below_t in enumerate(f.target._down):

@@ -550,8 +550,7 @@ def test_maps_that_pass_the_contraction_check_are_vietoris_like(seed, by_stong):
         if passed:
             label = (f"seed {1700 + seed} instance {i}\n"
                      f"X:\n{serialize_poset(X)}Y:\n{serialize_poset(Y)}f:\n{serialize_map(f)}")
-            assert require_continuous(f) is f, label
-            assert by_stong(f).ok, label
+            assert _outcome(f, by_stong)[0] is True, label  # a NotContinuous pair fails too
     assert outcomes[True] > 1000 and outcomes[False] > 1000
 
 
