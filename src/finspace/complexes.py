@@ -13,13 +13,15 @@ Faces have one format, the face table: cells numbered globally,
 dimension by dimension, each with the numbers of its faces, the one
 omitting vertex k at k.  An order complex gets it from the poset's
 _chain_faces on request (_order_complex), any other complex from
-_face_table.  A cone's homology takes its order complex deferred
-(_DeferredOrderComplex): the chain walk runs when its simplices are
-first read, and two such complexes of one listing and equal posets
-are equal with no walk.  Chains have one format: per dimension, one
-sparse column {simplex index: coefficient} per simplex, as
-boundary_columns, _chain_columns and chain_map_of give them; _push maps
-one chain, unchecked.  boundary_matrix is a dense oracle for tests.
+_face_table.  The homology of a cone or of a subdivision level takes
+its order complex deferred (_DeferredOrderComplex): the chain walk runs
+when its simplices are first read, and two such complexes of one
+listing and equal posets are equal with no walk.  Chains have one
+format: per dimension, one sparse column {simplex index: coefficient}
+per simplex, as boundary_columns, _chain_columns and chain_map_of give
+them; _push maps one chain of an order complex, unchecked, and _apply
+one chain through any columns.  boundary_matrix is a dense oracle for
+tests.
 
 A simplicial map sends a simplex to 0 when two of its vertices share an
 image, else to its image simplex times the sign of the permutation that
@@ -330,6 +332,24 @@ def _push(K, L, pos, dim, chain):
     return {i: y for i, y in out.items() if y}
 
 
+def _add_scaled(y, q, x):
+    """y += q * x on sparse dicts, dropping the entries that cancel."""
+    for k, v in x.items():
+        new = y.get(k, 0) + q * v
+        if new:
+            y[k] = new
+        else:
+            y.pop(k, None)
+
+
+def _apply(columns, chain):
+    """Image of a sparse chain {cell: coefficient} under sparse columns."""
+    out = {}
+    for j, x in chain.items():
+        _add_scaled(out, x, columns[j])
+    return out
+
+
 def order_complex(X):
     """K(X): the complex whose i-simplices are the i-chains of X, in the
     order of the poset's chain walk (lexicographic per dimension)."""
@@ -380,9 +400,26 @@ class _DeferredOrderComplex(SimplicialComplex):
     def __getattr__(self, name):
         if name not in ("_isimplices", "_sindex", "_simplices"):
             return object.__getattribute__(self, name)  # AttributeError
-        K = _order_complex(self._poset)[0]
-        self._isimplices, self._sindex, self._simplices = K._isimplices, K._sindex, None
+        self._walk()
         return getattr(self, name)
+
+    @property
+    def dimension(self):
+        """The points of the poset's longest chain less one, with no walk:
+        the longest chain starting at a point is the point and the longest
+        starting above it, found from the top of the linear extension down."""
+        X = self._poset
+        longest, up = [0] * len(X), X._up
+        for i in reversed(X._order):
+            longest[i] = 1 + max(map(longest.__getitem__, up[i]), default=0)
+        return max(longest, default=0) - 1
+
+    def _walk(self, faces=False):
+        """Fill the three slots by _order_complex(X, faces) and return
+        what it returns."""
+        K, table = _order_complex(self._poset, faces)
+        self._isimplices, self._sindex, self._simplices = K._isimplices, K._sindex, None
+        return K, table
 
     def __eq__(self, other):
         """Two of them with one listing and equal posets are equal, as
@@ -399,21 +436,16 @@ class _DeferredOrderComplex(SimplicialComplex):
 
 
 def _deferred_order_complex(X):
-    """(_DeferredOrderComplex of X, the point count of X's longest chain),
-    in O(points + comparable pairs), with no chain built.
+    """The _DeferredOrderComplex of X, in O(points + comparable pairs),
+    with no chain built.
 
     The budget is checked at once, as the walk checks it
-    (FinitePoset._chain_budget).  The longest chain starting at
-    a point is the point and the longest starting above it, found from
-    the top of the linear extension down.
+    (FinitePoset._chain_budget).
     """
     X._chain_budget()
     K = object.__new__(_DeferredOrderComplex)
     K.vertices, K._vindex, K._poset = X.elements, X._index, X
-    longest, up = [0] * len(X), X._up
-    for i in reversed(X._order):
-        longest[i] = 1 + max(map(longest.__getitem__, up[i]), default=0)
-    return K, max(longest, default=0)
+    return K
 
 
 def face_poset(K):
@@ -443,8 +475,12 @@ def _face_poset(K, faces):
 
 
 def barycentric_subdivision_space(X):
-    """X' = X(K(X)): elements are the nonempty chains of X under inclusion."""
-    return _face_poset(*_order_complex(X, faces=True))
+    """X' = X(K(X)): elements are the nonempty chains of X under inclusion.
+
+    X' is linked to X (_subdivided), so poset_homology(X') reads its
+    Betti numbers and torsion off X's, with no chain of X' walked.
+    """
+    return _subdivided(X)[0]
 
 
 def _subdivision(X):
@@ -455,11 +491,26 @@ def _subdivision(X):
     order is a linear extension, the simplex is the walk's leq-increasing
     chain and its maximum is its last point.
     """
-    K, faces = _order_complex(X, faces=True)
-    X1 = _face_poset(K, faces)
-    del faces  # the face table is dropped before the positions are listed
+    X1, K = _subdivided(X)
     chains = chain.from_iterable(K._isimplices)
     return X1, [c[-1] for c in chains] if _index_extends(X) else _chain_maxima(X, chains)
+
+
+def _subdivided(X):
+    """(X' = X(K(X)), K(X)) from one chain walk.
+
+    X'._base is X, or X's own base when X is a subdivision itself: the
+    first poset below X' that subdivides none, which the link keeps
+    alive as long as X'.  |K(X')| is the barycentric subdivision of
+    |K(X)| (McCord, Duke Math. J. 1966; Barmak, LNM 2032, ch. 1), so
+    poset_homology(X') takes its invariants from that base and walks X'
+    only when its free basis is read.  The face table is dropped on
+    return, before a caller lists any positions.
+    """
+    K, faces = _order_complex(X, faces=True)
+    X1 = _face_poset(K, faces)
+    X1._base = getattr(X, "_base", X)
+    return X1, K
 
 
 def _chain_maxima(X, chains):

@@ -16,6 +16,13 @@ Lefschetz numbers act on the torsion-free part of homology, in that
 deterministic basis.  The checked doors (class_of, induced_on_homology)
 read the boundary from the complex.
 
+poset_homology reads two kinds of poset with no chain walked.  A cone
+is acyclic (Stong, Trans. AMS 1966).  A subdivision level has the
+homology of the poset it subdivides (McCord, Duke Math. J. 1966), so
+its Betti numbers and torsion are its base's, in time linear in its
+comparable pairs, with its chain budget still counted; its free basis
+is built on first read, by the route above (_LevelHomology).
+
 Chains, cycles and chain maps are sparse, in the format of
 SimplicialComplex.boundary_columns.  An induced map maps only the
 source's free-basis cycles, through checked columns or, for a poset
@@ -27,7 +34,14 @@ import functools
 import heapq
 
 from . import intmat
-from .complexes import _deferred_order_complex, _face_table, _order_complex, _push
+from .complexes import (
+    _add_scaled,
+    _apply,
+    _deferred_order_complex,
+    _face_table,
+    _order_complex,
+    _push,
+)
 from .errors import (
     BasisSolveFailure,
     EmptySubspace,
@@ -50,24 +64,6 @@ __all__ = [
     "lefschetz_number",
     "invert",
 ]
-
-
-def _add_scaled(y, q, x):
-    """y += q * x on sparse dicts, dropping the entries that cancel."""
-    for k, v in x.items():
-        new = y.get(k, 0) + q * v
-        if new:
-            y[k] = new
-        else:
-            y.pop(k, None)
-
-
-def _apply(columns, chain):
-    """Image of a sparse chain {cell: coefficient} under sparse columns."""
-    out = {}
-    for j, x in chain.items():
-        _add_scaled(out, x, columns[j])
-    return out
 
 
 class HomologyProfile:
@@ -389,20 +385,54 @@ def poset_homology(X):
     A cone (a maximum or a minimum; Stong, Trans. AMS 1966) walks no
     chain until its complex is read.  Ranks extend the order, so only
     the last point by rank can be a maximum and only the first a minimum.
+    A subdivision level (complexes._subdivided) keeps as its _base the
+    first poset B below it that subdivides none.  The level has B's
+    homology (McCord, Duke Math. J. 1966), so B's cached profile gives
+    its Betti numbers and torsion, and its free basis waits for its
+    first read (_LevelHomology).  Either way the chain budget is counted
+    at the call (_deferred_order_complex).
     """
     n = len(X)
     if n and (len(X._down[X._order[-1]]) == n - 1 or len(X._up[X._order[0]]) == n - 1):
-        return _cone_homology(*_deferred_order_complex(X))
+        return _cone_homology(_deferred_order_complex(X))
+    base = getattr(X, "_base", None)
+    if base is not None:
+        return _LevelHomology(_deferred_order_complex(X), poset_homology(base))
     return _homology(*_order_complex(X, faces=True))
 
 
-def _cone_homology(K, dims):
-    """The profile _homology gives the order complex K of a cone, whose
-    longest chain has dims points, read off with no simplex: vertex 0 is
-    the first ace and the only one in dimension 0, so it is the free
-    basis of H_0, and pulled_back spreads its value 1 over every vertex
-    (the augmentation); no higher dimension has a free part.
+class _LevelHomology(HomologyProfile):
+    """The profile of a subdivision level: its base's Betti numbers and
+    torsion, and the level's deferred order complex.
+
+    The free basis and its projection are built on their first read, by
+    _homology on one chain walk with faces, which also fills the complex;
+    so they are the ones the full route gives.  That read raises
+    BasisSolveFailure if the walk's invariants differ from the base's.
+    A complex read before the basis walks the level once more.
     """
+
+    def __init__(self, K, base):
+        self.complex, self.betti, self.torsion = K, base.betti, base.torsion
+
+    def __getattr__(self, name):
+        if name not in ("free_basis", "_free_proj"):
+            raise AttributeError(name)
+        hp = _homology(*self.complex._walk(faces=True))
+        if not hp.same_shape(self):
+            raise BasisSolveFailure(f"subdivision level {hp.summary()}, base {self.summary()}")
+        self.free_basis, self._free_proj = hp.free_basis, hp._free_proj
+        return getattr(self, name)
+
+
+def _cone_homology(K):
+    """The profile _homology gives the order complex K of a cone, read off
+    with no simplex: vertex 0 is the first ace and the only one in
+    dimension 0, so it is the free basis of H_0, and pulled_back spreads
+    its value 1 over every vertex (the augmentation); no higher dimension
+    has a free part.
+    """
+    dims = K.dimension + 1
     return HomologyProfile(
         K, [1] + [0] * (dims - 1), [[] for _ in range(dims)],
         [[{0: 1}]] + [[] for _ in range(dims - 1)],

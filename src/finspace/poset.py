@@ -48,7 +48,7 @@ class FinitePoset:
     list (_extreme).
     """
 
-    __slots__ = ("elements", "_index", "_hash", "_down", "_up", "_order", "_rank")
+    __slots__ = ("elements", "_index", "_hash", "_down", "_up", "_order", "_rank", "_base")
 
     def __init__(self, elements, leq_matrix):
         elements = tuple(elements)

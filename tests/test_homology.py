@@ -23,6 +23,7 @@ from finspace.complexes import (
 )
 from finspace.errors import (
     BasisSolveFailure,
+    BudgetExceeded,
     EmptySubspace,
     NotAChainMap,
     NotInvertible,
@@ -52,6 +53,7 @@ from finspace.random_instances import random_endomorphism, random_monotone_map, 
 from test_dynamics import _lifted
 
 homology_module = importlib.import_module("finspace.homology")
+poset_module = importlib.import_module("finspace.poset")
 
 
 def _betti(hp):
@@ -915,7 +917,9 @@ def test_cones_build_no_matching(monkeypatch):
     for label, X in _cone_cases():
         poset_homology.__wrapped__(X)
         assert built == [], label
-    assert poset_homology.__wrapped__(build_tower(SPHERE, 2).levels[2]).betti == [1, 0, 1]
+    # an unlinked copy of a tower level: no cone, no base to read
+    L = build_tower(SPHERE, 2).levels[2]
+    assert poset_homology.__wrapped__(FinitePoset(L.elements, L.leq_matrix())).betti == [1, 0, 1]
     assert len(built) == 1
 
 
@@ -1043,6 +1047,141 @@ def test_relisted_cones_walk_to_sorted_simplices():
         assert sorted(s for level in K._isimplices for s in level) == chains, i
         assert K._isimplices == order_complex(X)._isimplices, i
     assert relisted >= 150, relisted
+
+
+# -- subdivision levels ----------------------------------------------------------
+
+
+def _full_route(X):
+    return homology_module._homology(*complexes._order_complex(X, faces=True))
+
+
+def _subdivision_cases():
+    """(label, level): subdivision levels, each linked to its base."""
+    for name, fixture, depth in [("S2", "ex2_3_X.txt", 3), ("circle", "circle4.txt", 3),
+                                 ("RP2", "rp2.txt", 2)]:
+        for n, level in enumerate(build_tower(_fixture(fixture), depth).levels[1:], 1):
+            yield f"{name} level {n}", level
+    s3 = itertools.combinations(range(5), 4)
+    torus = [(i, (i + a) % 7, (i + 3) % 7) for i in range(7) for a in (1, 2)]
+    for name, facets in [("S3", s3), ("7-vertex torus", torus)]:
+        yield f"{name} level 1", barycentric_subdivision_space(
+            face_poset(SimplicialComplex.from_simplices(facets)))
+    seed = 4242
+    rng = random.Random(seed)
+    for i in range(40):
+        X = random_poset(rng, 5, density=rng.choice([0.2, 0.5, 0.8]))
+        X = X if i % 2 == 0 else _shuffled(rng, X)
+        yield f"seed {seed}, instance {i}\n{serialize_poset(X)}", build_tower(X, 2).levels[2]
+    yield "empty", barycentric_subdivision_space(build_poset([], []))
+
+
+def test_subdivision_levels_read_the_homology_of_their_base():
+    # the invariants come from the base, with no chain of the level walked;
+    # the basis, read later, is the full route's
+    linked = 0
+    for label, X in _subdivision_cases():
+        got, want = poset_homology.__wrapped__(X), _full_route(X)
+        assert (got.betti, got.torsion) == (want.betti, want.torsion), label
+        linked += isinstance(got, homology_module._LevelHomology)
+        _assert_same_profile(got, want, label)
+    assert linked >= 40, linked
+
+
+def test_subdivision_invariants_on_the_named_spaces():
+    betti = {"S2": [1, 0, 1], "circle": [1, 1], "RP2": [1, 0, 0],
+             "S3": [1, 0, 0, 1], "7-vertex torus": [1, 2, 1]}
+    for label, X in itertools.islice(_subdivision_cases(), 10):
+        hp = poset_homology.__wrapped__(X)
+        assert hp.betti == betti[label.split(" level")[0]], label
+        assert hp.torsion_at(1) == ([2] if label.startswith("RP2") else []), label
+
+
+def test_a_subdivision_profile_composes_with_a_full_route_profile():
+    # the lifted swap of S2 on level 2, then the identity through the
+    # full-route profile of an unlinked copy: one basis, as the
+    # complexes are equal
+    tower = build_tower(SPHERE, 2).levels
+    sigma = {x: {"a": "b", "b": "a"}.get(x, x) for x in SPHERE.elements}
+    for n in (1, 2):
+        sigma = _lifted(tower[n], tower[n - 1], sigma)
+    poset_homology.cache_clear()
+    swap = induced_map_of_poset_map(PosetMap(tower[2], tower[2], sigma))
+    assert isinstance(swap.source, homology_module._LevelHomology)
+    full = _full_route(FinitePoset(tower[2].elements, tower[2].leq_matrix()))
+    ident = chain_map_of(SimplicialMap(full.complex, full.complex,
+                                       {x: x for x in full.complex.vertices}))
+    ident = induced_on_homology(ident, full, full)
+    for m in (swap.then(ident), ident.then(swap)):
+        assert m.matrices == swap.matrices and lefschetz_number(m) == 0
+    poset_homology.cache_clear()
+
+
+def test_a_level_whose_walk_disagrees_with_its_base_raises(monkeypatch):
+    L = build_tower(SPHERE, 2).levels[2]
+    hp = poset_homology.__wrapped__(L)
+    route = homology_module._homology
+
+    def wrong(K, faces):
+        out = route(K, faces)
+        out.torsion = [[], [2], []]
+        return out
+
+    monkeypatch.setattr(homology_module, "_homology", wrong)
+    with pytest.raises(BasisSolveFailure, match="subdivision level"):
+        hp.free_basis
+
+
+def test_a_linked_level_over_the_chain_budget_raises_at_the_call(monkeypatch):
+    # level 3 of S2 has 5186 chains, level 2 has 866
+    t = build_tower(SPHERE, 3)
+    monkeypatch.setattr(poset_module, "DEFAULT_BUDGET", 5000)
+    assert poset_homology.__wrapped__(t.levels[2]).betti == [1, 0, 1]
+    with pytest.raises(BudgetExceeded):
+        poset_homology.__wrapped__(t.levels[3])
+
+
+def test_subdivision_levels_walk_once_on_the_first_basis_read(monkeypatch):
+    # Betti numbers of levels 1-3 build level 0's matching only and walk
+    # no chain above it; the first basis read builds one matching on one
+    # walk, which also fills the complex
+    t = build_tower(SPHERE, 3)
+    assert all(L._base is t.levels[0] for L in t.levels[1:])
+    assert getattr(t.levels[0], "_base", None) is None
+    built, walked = [], []
+
+    class Spy(homology_module._Coreduction):
+        def __init__(self, K, faces):
+            built.append(K)
+            super().__init__(K, faces)
+
+    def walk(P, depth=None):
+        walked.append(P)
+        return index_chains(P, depth)
+
+    index_chains = FinitePoset._index_chains
+    monkeypatch.setattr(homology_module, "_Coreduction", Spy)
+    poset_homology.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(FinitePoset, "_index_chains", walk)
+        assert poset_homology(t.levels[0]).betti == [1, 0, 1]
+    assert len(built) == 1 and walked == [t.levels[0]]
+    with monkeypatch.context() as m:
+        m.setattr(FinitePoset, "_index_chains", _no_walk)
+        profiles = [poset_homology(L) for L in t.levels[1:]]
+        assert [hp.betti for hp in profiles] == [[1, 0, 1]] * 3
+    assert len(built) == 1
+    hp, walked[:] = profiles[-1], []
+    with monkeypatch.context() as m:
+        m.setattr(FinitePoset, "_index_chains", walk)
+        basis = hp.free_basis
+    assert len(built) == 2 and len(walked) == 1 and walked[0] is t.levels[3]
+    with monkeypatch.context() as m:
+        m.setattr(FinitePoset, "_index_chains", _no_walk)
+        simplices = hp.complex._isimplices
+        assert hp.free_basis is basis and hp._free_proj
+    assert simplices == order_complex(t.levels[3])._isimplices
+    poset_homology.cache_clear()
 
 
 # -- induced maps above dimension 0 ---------------------------------------------
