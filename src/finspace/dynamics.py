@@ -10,9 +10,15 @@ approximated map.
 """
 
 import warnings
-from itertools import compress
+from bisect import bisect_left
+from collections import Counter
+from functools import cache
+from itertools import accumulate, compress, permutations
+from math import factorial
 
+from . import poset
 from .errors import (
+    BudgetExceeded,
     CertificationFailed,
     EmptyValue,
     IndexRange,
@@ -21,7 +27,7 @@ from .errors import (
 )
 from .homology import _coincidence_number, induced_map_of_poset_map
 from .maps import MultiMap, _fiber_multimap, is_vietoris_like_map
-from .complexes import _subdivision
+from .complexes import _index_extends, _perm_sign, _subdivision
 from .poset import _map, _positions, identity_map, require_continuous
 
 DEFAULT_SIZE_BUDGET = 20000
@@ -32,14 +38,22 @@ class Tower:
     """Iterated subdivisions with their chain-maximum comparison maps.
 
     levels[n] is X^n; elements of levels[n+1] are the nonempty chains of
-    levels[n].  h_maps[n] is h_{n,n+1}: X^{n+1} -> X^n.
+    levels[n].  h_maps[n] is h_{n,n+1}: X^{n+1} -> X^n.  The levels and
+    maps are not to be changed after construction.
+
+    A tower from build_tower has a per-step cache (_steps, one entry per
+    step, filled on first need by _step), and lambda_nm counts fixed
+    flags on it.  A hand-built tower leaves _steps None: nothing then
+    says its levels are subdivisions and its h chain-maximum maps, so
+    lambda_nm takes the route through certificates and homology.
     """
 
-    __slots__ = ("levels", "h_maps")
+    __slots__ = ("levels", "h_maps", "_steps")
 
     def __init__(self, levels, h_maps):
         self.levels = list(levels)
         self.h_maps = list(h_maps)
+        self._steps = None
 
     @property
     def depth(self):
@@ -57,7 +71,8 @@ def build_tower(X0, depth, size_budget=DEFAULT_SIZE_BUDGET):
     against the budget and the warning size before the level is built.
     One walk of X^n gives X^{n+1} and the positions of h_n
     (complexes._subdivision): chain_max_map's maxima, with no chain
-    looked up by its elements.
+    looked up by its elements.  The tower gets an empty per-step cache,
+    which marks it as built here (Tower); nothing is read into it here.
     """
     if depth < 0:
         raise IndexRange(f"negative depth {depth}")
@@ -76,7 +91,28 @@ def build_tower(X0, depth, size_budget=DEFAULT_SIZE_BUDGET):
         Xn1, hpos = _subdivision(Xn)
         levels.append(Xn1)
         h_maps.append(_map(Xn1, Xn, hpos))
-    return Tower(levels, h_maps)
+    t = Tower(levels, h_maps)
+    t._steps = [None] * depth
+    return t
+
+
+def _step(t, k):
+    """(vertices, back) of step k of a tower from build_tower, built on
+    first need and kept: vertices[p] lists, ascending, the positions in
+    X^k of the vertices of the point p of X^(k+1), and back maps each
+    such tuple to its point.
+
+    A point of X^(k+1) is a chain of X^k.  _subdivided lists the
+    singletons first, in X^k's order, so the vertices of a point are the
+    entries of its down list below |X^k|; a singleton is its own vertex.
+    """
+    step = t._steps[k]
+    if step is None:
+        size = len(t.levels[k])
+        vertices = [tuple(down[:bisect_left(down, size)]) or (p,)
+                    for p, down in enumerate(t.levels[k + 1]._down)]
+        step = t._steps[k] = vertices, dict(zip(vertices, range(len(vertices))))
+    return step
 
 
 def _stack(t, maps, n, m):
@@ -218,17 +254,24 @@ def compose_f(seq, n, m):
 def lambda_nm(seq, n, m):
     """Lefschetz number of f_{n,m*} o h_{n,m*}^{-1} on H(X^n).
 
-    Steps cancel from the top down: while step k = j - 1 has f_k = h_k
-    (equal positions in the tower's listing of both levels) and h_k is
-    Vietoris-like, h_{k*} is an isomorphism (McCord, Duke Math. J. 1966;
-    Barmak, Mrozek & Wanner, Math. Z. 2020), so f_{n,j*} h_{n,j*}^{-1} =
-    f_{n,k*} h_{k*} h_{k*}^{-1} h_{n,k*}^{-1} = f_{n,k*} h_{n,k*}^{-1}.
-    A step with f_k != h_k certifies nothing, and h_k keeps its
-    certificate, so only the first call (or a certified attach) pays for
-    it.  If every step cancels, the map is the identity on H(X^n), whose
-    Lefschetz number is the Euler characteristic of X^n, a chain count.
-    Otherwise both induced maps of the shorter pair (n, j) are built from
-    the stacked maps, and neither is kept.
+    Steps cancel from the top down while step k = j - 1 has f_k = h_k
+    (equal positions in the tower's listing of both levels).  If every
+    step cancels, the map is the identity on H(X^n), whose Lefschetz
+    number is the Euler characteristic of X^n, a chain count.
+
+    On a tower from build_tower a step cancels on its positions alone,
+    since h_# Sd = id on chains (_fixed_flag_count), and the rest is a
+    signed count of fixed flags, with no certificate, induced map or
+    level homology.
+
+    On a hand-built Tower a step cancels only if h_k is also
+    Vietoris-like: h_{k*} is then an isomorphism (McCord, Duke Math. J.
+    1966; Barmak, Mrozek & Wanner, Math. Z. 2020), so f_{n,j*}
+    h_{n,j*}^{-1} = f_{n,k*} h_{k*} h_{k*}^{-1} h_{n,k*}^{-1} =
+    f_{n,k*} h_{n,k*}^{-1}.  h_k keeps its certificate, so only the
+    first call (or a certified attach) pays for it.  Both induced maps of
+    the shorter pair (n, j) are then built from the stacked maps, and
+    neither is kept.
     """
     if not n < m:
         raise IndexRange(f"need n < m, got {n} >= {m}")
@@ -237,12 +280,119 @@ def lambda_nm(seq, n, m):
     t._check_level(m)
     j = m
     while (j > n and seq._fpos[j - 1] == seq._hpos[j - 1]
-           and is_vietoris_like_map(t.h_maps[j - 1]).ok):
+           and (t._steps is not None or is_vietoris_like_map(t.h_maps[j - 1]).ok)):
         j -= 1
     if j == n:
         return t.levels[n].euler_characteristic()
+    if t._steps is not None:
+        return _fixed_flag_count(seq, n, j)
     return _coincidence_number(induced_map_of_poset_map(compose_h(t, n, j)),
                                induced_map_of_poset_map(compose_f(seq, n, j)))
+
+
+def _fixed_flag_count(seq, n, j):
+    """lambda(n, j) of a tower from build_tower, as a signed count of
+    fixed flags.
+
+    Orient each simplex sigma = [v_0 < ... < v_d] of K(X^k) increasingly
+    in the order, and let Sd sigma = sum_p sgn(p) [c_0 < ... < c_d], p
+    running over the orderings of sigma's vertices and c_i the set of
+    the first i + 1 of them, a point of X^(k+1).  Sd is the subdivision
+    chain map, and h_# Sd = id exactly: the maxima of c_0, ..., c_d are
+    distinct only for p = id, where h(c_i) = v_i.  So f_{n,m#} Sd^(m-n)
+    = f_{n,j#} Sd^(j-n) when f_k = h_k for k >= j.  h_* is an isomorphism
+    (McCord, Duke Math. J. 1966), so Sd_* = h_*^{-1}, and by the Hopf
+    trace formula (Munkres, Elements of Algebraic Topology, sections 17
+    and 22) lambda(n, j) = sum_d (-1)^d tr(f_{n,j#} Sd^(j-n) on C_d).
+    f = f_{n,j} preserves the order, so it maps an increasing flag to an
+    increasing tuple, with no sign.  The coefficient of sigma is then the
+    signed number of its iterated flags tau (through levels n..j) with
+    f(tau_i) = v_i for every i, each flag signed by the product of its
+    orderings' signs.
+
+    The chains sigma of X^n are the points of X^(n+1).  When X^n's index
+    order is no linear extension, sigma's vertices are listed by index
+    and its orientation differs from v's by the sign of that reordering.
+    A d-chain has ((d + 1)!)^(j - n) iterated flags, so BudgetExceeded is
+    raised before any walk when their total exceeds poset.DEFAULT_BUDGET.
+    The flags stream depth first, one generator per step (_subdivide),
+    and the last step is pruned (_fixed_flags).
+    """
+    t = seq.tower
+    vertices = _step(t, n)[0]
+    leaves = sum(count * factorial(size) ** (j - n)
+                 for size, count in Counter(map(len, vertices)).items())
+    if leaves > poset.DEFAULT_BUDGET:
+        raise BudgetExceeded(f"lambda({n}, {j}) walks {leaves} flags "
+                             f"(budget {poset.DEFAULT_BUDGET})")
+    *backs, last = [_step(t, k)[1] for k in range(n, j)]
+    f = seq._fpos[j - 1]
+    for k in range(j - 2, n - 1, -1):
+        f = list(map(seq._fpos[k].__getitem__, f))
+    X = t.levels[n]
+    if _index_extends(X):
+        flags = (((-1) ** (len(c) - 1), c, c) for c in vertices)
+    else:
+        rank = X._rank
+        flags = (((-1) ** (len(c) - 1) * _perm_sign([rank[x] for x in c]), c,
+                  tuple(sorted(c, key=rank.__getitem__))) for c in vertices)
+    for back in backs:
+        flags = _subdivide(flags, back)
+    # the top point of c's flags is c itself, so f of it must be v[d]
+    return sum(w * _fixed_flags(c, last, f, v) for w, c, v in flags if f[last[c]] == v[-1])
+
+
+@cache
+def _orderings(size):
+    """(sgn p, prefix masks) for each ordering p of size positions: the
+    i-th mask holds the first i + 1 positions p_0, ..., p_i."""
+    return tuple((_perm_sign(p), tuple(accumulate(1 << i for i in p)))
+                 for p in permutations(range(size)))
+
+
+@cache
+def _selectors(size):
+    """Per mask below 2^size, its bits as compress selectors."""
+    return tuple(tuple(mask >> i & 1 for i in range(size)) for mask in range(1 << size))
+
+
+def _subdivide(flags, back):
+    """Sd on weighted chains: a chain c (ascending positions in X^k) of
+    weight w gives, per ordering p of its points, its flag of points of
+    X^(k+1) (back of each prefix set), of weight w sgn p.  The flag's
+    points are ascending, since each holds more vertices than the last.
+    Each chain carries v, the vertices of the chain of X^n it comes from."""
+    for w, c, v in flags:
+        # mask 0, the empty set, is no point
+        points = [back.get(tuple(compress(c, bits))) for bits in _selectors(len(c))]
+        for sign, masks in _orderings(len(c)):
+            yield w * sign, tuple(map(points.__getitem__, masks)), v
+
+
+def _fixed_flags(c, back, f, v):
+    """The signed number of flags of the chain c of X^(j-1) whose i-th
+    point f sends to v[i]: the last step of the count, pruned.
+
+    The flag's top point is c itself, so f of it must be v[d]; the
+    caller tests that first.  The orderings then grow one position at a
+    time, and a prefix of i + 1 positions is kept only while f sends its
+    point to v[i].  Both are the leaf condition checked early.  Prefixes
+    of one set merge, their signed counts summed; adding position i
+    after a prefix adds one inversion per position above i in it.
+    """
+    size = len(c)
+    # the point of X^j that is the singleton {x} is x itself
+    counts = {1 << i: 1 for i, x in enumerate(c) if f[x] == v[0]}
+    for r in range(1, size):
+        grown = {}
+        for mask, k in counts.items():
+            for i in range(size):
+                if not mask >> i & 1:
+                    grown[mask | 1 << i] = grown.get(mask | 1 << i, 0) + (
+                        -k if (mask >> i).bit_count() & 1 else k)
+        counts = {mask: k for mask, k in grown.items() if k and (
+            r == size - 1 or f[back[tuple(compress(c, _selectors(size)[mask]))]] == v[r])}
+    return counts.get((1 << size) - 1, 0)
 
 
 def fixed_points_of_level(seq, n1):

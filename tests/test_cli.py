@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import finspace
-from finspace import cli
+from finspace import cli, poset
 from finspace.cli import main
 from finspace.dynamics import build_tower
 from finspace.formats import parse_poset_text, serialize_map
@@ -265,6 +265,25 @@ def test_tower_attach_and_lambda(capsys, tmp_path):
     )
     assert code == 0
     assert rep["chains"] == [["M", "(M)", "((M))"]]
+
+
+def test_tower_lambda_of_a_sphere_swap(capsys, tmp_path, monkeypatch):
+    """The S^2 model's tower at depth 2 with the lifted one-pair swap: a
+    reflection, degree -1 on H_2, so lambda = 1 + (-1)^(m - n); counted
+    flags past the chain budget exit 3."""
+    from test_dynamics import _swap_maps
+
+    X = parse_poset_text(Path(fixture("ex2_3_X.txt")).read_text())
+    for n, f in enumerate(_swap_maps(build_tower(X, 2), 1)):
+        (tmp_path / f"f{n}.txt").write_text(serialize_map(f))
+    argv = ("tower", "lambda", "--poset", fixture("ex2_3_X.txt"), "--depth", "2",
+            "--maps", str(tmp_path))
+    for n, m, value in [(0, 1, 0), (1, 2, 0), (0, 2, 2)]:
+        code, rep, _ = run_json(capsys, *argv, "--n", str(n), "--m", str(m))
+        assert code == 0 and rep["lambda"] == value, (n, m, rep)
+    monkeypatch.setattr(poset, "DEFAULT_BUDGET", 100)
+    code, _, err = run(capsys, *argv, "--n", "0", "--m", "2")
+    assert code == 3 and "budget" in err
 
 
 def test_paper_suite_verb(capsys):

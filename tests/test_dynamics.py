@@ -1,14 +1,16 @@
 """Subdivision towers and approximative sequences."""
 
 import importlib
+import itertools
 import random
 from importlib import resources
 from itertools import compress
 
 import pytest
 
-from finspace import dynamics, maps
+from finspace import complexes, dynamics, maps
 from finspace.complexes import (
+    _perm_sign,
     barycentric_subdivision_space,
     chain_map_of,
     chain_max_map,
@@ -26,6 +28,7 @@ from finspace.dynamics import (
     lambda_nm,
 )
 from finspace.errors import (
+    BudgetExceeded,
     CertificationFailed,
     EmptyValue,
     IndexRange,
@@ -562,11 +565,24 @@ def test_lambda_constant_maps(chain2):
     assert lambda_nm(seq, 1, 2) == 1
 
 
+def _flag_count_only(mp):
+    """Refuse, from now on, what lambda_nm's flag count never does: certify
+    an h or read a level's homology; returns the induced-map spy."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certificate or a level's homology was read")
+
+    mp.setattr(dynamics, "is_vietoris_like_map", refuse)
+    mp.setattr(homology_module, "poset_homology", refuse)
+    return _spy_induced_maps(mp)
+
+
 def test_lambda_builds_induced_maps_only_below_the_cancelled_steps(monkeypatch):
     # the top steps with f = h on the tower's listing of their levels
     # cancel, also when f is given on an equal level listed in another
-    # order; lambda_nm(n, m) builds h_{n,j*} and f_{n,j*} for the first
-    # step j - 1 from the top with f != h, and no induced map if none
+    # order.  On a hand-built copy of the tower, lambda_nm(n, m) builds
+    # h_{n,j*} and f_{n,j*} for the first step j - 1 from the top with
+    # f != h, and no induced map if none; on the tower from build_tower
+    # it counts fixed flags: no induced map, certificate or homology
     t = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 2)
     relisted = [PosetMap(_reordered(t.levels[n + 1]), t.levels[n], h.assignment)
                 for n, h in enumerate(t.h_maps)]
@@ -574,19 +590,32 @@ def test_lambda_builds_induced_maps_only_below_the_cancelled_steps(monkeypatch):
 
     # the pair (n, j) of the induced maps lambda_nm(n, m) builds, if any
     everywhere_h = {(0, 1): None, (1, 2): None, (0, 2): None}
-    for name, f_maps, built in [
+    cases = [
         ("f = h", t.h_maps, everywhere_h),
         ("f = h, relisted", relisted, everywhere_h),
         ("f_0 constant", [const, t.h_maps[1]], {(0, 1): (0, 1), (1, 2): None, (0, 2): (0, 1)}),
-    ]:
+    ]
+    want = {(name, nm): _lambda_oracle(t, f_maps, *nm)
+            for name, f_maps, built in cases for nm in built}
+    for name, f_maps, built in cases:
         for n, m in built:
-            want = _lambda_oracle(t, f_maps, n, m)
             seq = attach_level_maps(t, f_maps, certify=False)
+            with monkeypatch.context() as mp:
+                calls = _flag_count_only(mp)
+                got = lambda_nm(seq, n, m)
+            label = f"{name}: lambda_nm({n}, {m}) = {got}, oracle {want[name, (n, m)]}"
+            assert got == want[name, (n, m)] and not calls, label
+    assert all(h._certificate is None for h in t.h_maps)
+
+    hand = Tower(t.levels, t.h_maps)
+    for name, f_maps, built in cases:
+        for n, m in built:
+            seq = attach_level_maps(hand, f_maps, certify=False)
             calls = _spy_induced_maps(monkeypatch)
             got = lambda_nm(seq, n, m)
             monkeypatch.undo()
             label = f"{name}: lambda_nm({n}, {m})"
-            assert got == want, f"{label} = {got}, oracle {want}"
+            assert got == want[name, (n, m)], f"{label} = {got}, oracle {want[name, (n, m)]}"
             pair = built[n, m]
             assert [(f.target, f.source) for f in calls] == (
                 [] if pair is None else [(t.levels[pair[0]], t.levels[pair[1]])] * 2
@@ -618,27 +647,139 @@ def _random_top_h_maps(seed, count=12):
 
 
 @pytest.mark.parametrize("seed", range(760, 763))
-def test_lambda_with_f_equal_to_h_on_the_top_steps_matches_oracle(seed):
-    # the top steps cancel and the rest take the homology route: every pair
-    # agrees with the oracle, and the table certifies h_k exactly on the
-    # steps k with f_k = h_k, so a step with f_k != h_k certifies nothing
+def test_lambda_with_f_equal_to_h_on_the_top_steps_matches_oracle(seed, monkeypatch):
+    # the top steps cancel and the rest is counted: on the tower from
+    # build_tower every pair agrees with the oracle with no h certified,
+    # no induced map built and no level homology read.  On a hand-built
+    # copy the rest takes the homology route: every pair agrees, and the
+    # table certifies h_k exactly on the steps k with f_k = h_k, so a
+    # step with f_k != h_k certifies nothing
     partial = nowhere_h = 0
     for i, X0, t, f_maps, cut in _random_top_h_maps(seed):
         label = (f"seed {seed} instance {i} cut {cut}: X0 = {serialize_poset(X0)!r} "
                  + " ".join(f"f_{k} = {serialize_map(g)!r}" for k, g in enumerate(f_maps)))
-        seq = attach_level_maps(t, f_maps, certify=False)
+        hand = Tower(t.levels, t.h_maps)
+        seq, hand_seq = (attach_level_maps(T, f_maps, certify=False) for T in (t, hand))
         differ = [seq._fpos[k] != seq._hpos[k] for k in range(t.depth)]
         d = max((k for k in range(t.depth) if differ[k]), default=-1)
-        for n in range(t.depth):
-            for m in range(n + 1, t.depth + 1):
-                want = _lambda_oracle(t, f_maps, n, m)
+        pairs = [(n, m) for n in range(t.depth) for m in range(n + 1, t.depth + 1)]
+        want = {nm: _lambda_oracle(t, f_maps, *nm) for nm in pairs}
+        for n, m in pairs:
+            with monkeypatch.context() as mp:
+                calls = _flag_count_only(mp)
                 got = lambda_nm(seq, n, m)
-                assert got == want, f"{label}: lambda_nm({n}, {m}) = {got}, oracle {want}"
-                partial += n <= d < m - 1
+            assert got == want[n, m] and not calls, (
+                f"{label}: lambda_nm({n}, {m}) = {got}, oracle {want[n, m]}")
+            partial += n <= d < m - 1
+        assert all(h._certificate is None for h in t.h_maps), label
+        for n, m in pairs:
+            got = lambda_nm(hand_seq, n, m)
+            assert got == want[n, m], (
+                f"{label}: hand-built lambda_nm({n}, {m}) = {got}, oracle {want[n, m]}")
         assert [h._certificate is None for h in t.h_maps] == differ, label
         nowhere_h += all(differ)
     assert partial >= 5, f"seed {seed}: only {partial} pairs cancel a step and keep one"
     assert nowhere_h, f"seed {seed}: no instance with f != h on every step"
+
+
+def test_lambda_on_relisted_towers_matches_oracle():
+    # X^0 listed in reverse or shuffled, so its index order is mostly no
+    # linear extension: a chain's vertices are then listed by index, out
+    # of order, and its orientation carries the sign of the reordering
+    from test_homology import _shuffled
+
+    seed = 790
+    rng = random.Random(seed)
+    relisted = 0
+    for i, X0, t0, _ in _random_level_maps(seed, count=20):
+        for name, X in (("reversed", _reversed(X0)), ("shuffled", _shuffled(rng, X0))):
+            t = build_tower(X, t0.depth)
+            f_maps = []
+            for n in range(t.depth):
+                f = random_monotone_map(rng, t.levels[n + 1], t.levels[n], attempts=30)
+                f_maps.append(f if f is not None else t.h_maps[n])
+            seq = attach_level_maps(t, f_maps, certify=False)
+            for n in range(t.depth):
+                for m in range(n + 1, t.depth + 1):
+                    want = _lambda_oracle(t, f_maps, n, m)
+                    assert lambda_nm(seq, n, m) == want, (
+                        f"seed {seed} instance {i} {name}: X0 = {serialize_poset(X)!r} "
+                        f"level maps = {[serialize_map(f) for f in f_maps]!r}")
+            relisted += not complexes._index_extends(X)
+    assert relisted >= 10, f"only {relisted} towers over an X^0 listed out of order"
+
+
+@pytest.mark.parametrize("k, closed_form", [
+    (1, lambda n, m: 1 + (-1) ** (m - n)),
+    (2, lambda n, m: 2),
+    (3, lambda n, m: 1 + (-1) ** (m - n)),
+])
+def test_lambda_of_sphere_pair_swaps_at_depth_3(k, closed_form):
+    # a swap of k pairs has degree (-1)^k on H_2, so lambda = 1 + (-1)^(k(m - n))
+    t = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 3)
+    seq = attach_level_maps(t, _swap_maps(t, k), certify=False)
+    for n in range(3):
+        for m in range(n + 1, 4):
+            assert lambda_nm(seq, n, m) == closed_form(n, m), (k, n, m)
+
+
+def test_lambda_of_rp2_automorphisms_is_one():
+    # every self-map of RP2 has rational Lefschetz number 1; the lifted
+    # automorphisms act on a level whose H_1 is torsion
+    from test_homology import _rp2_automorphisms
+
+    cases = _rp2_automorphisms(6)
+    t = build_tower(cases[0][1], 2)
+    for label, _, sigma in cases:
+        seq = attach_level_maps(t, _lifted_maps(t, sigma), certify=False)
+        assert [lambda_nm(seq, n, m) for n, m in [(0, 1), (1, 2), (0, 2)]] == [1] * 3, label
+
+
+def _sd(X, sigma):
+    """Sd of the simplex sigma (a leq-increasing tuple of points of X) as
+    a chain of the next level: sgn(p) [c_0, ..., c_d] per ordering p of
+    its points, c_i the chain of the first i + 1 of them."""
+    out = {}
+    for p in itertools.permutations(range(len(sigma))):
+        flag = tuple(tuple(sorted((sigma[i] for i in p[:r + 1]), key=X.index))
+                     for r in range(len(p)))
+        out[flag] = out.get(flag, 0) + _perm_sign(p)
+    return out
+
+
+def test_h_after_sd_is_the_identity_on_chains():
+    # h sends each point of a flag to its maximum; the images are distinct
+    # only for the flag of the increasing ordering, which h sends back to
+    # sigma, so h_# Sd z = z for every chain z, checked on a random
+    # combination of simplices of each level
+    rng = random.Random(795)
+    for X0 in (parse_poset_text(_fixture("ex2_3_X.txt")), _reversed(parse_poset_text(_fixture("circle4.txt")))):
+        t = build_tower(X0, 3)
+        for k in range(3):
+            X, h = t.levels[k], t.h_maps[k]
+            z = {s: rng.randint(-3, 3) for s in X.all_chains()}
+            image = {}
+            for s, a in z.items():
+                for flag, b in _sd(X, s).items():
+                    down = tuple(map(h, flag))
+                    if len(set(down)) == len(down):
+                        image[down] = image.get(down, 0) + a * b
+            assert {s: a for s, a in image.items() if a} == {s: a for s, a in z.items() if a}, k
+
+
+def test_lambda_counts_flags_within_the_chain_budget(monkeypatch):
+    # lambda(0, 2) of the one-pair swap walks 6 + 12 * 2!^2 + 8 * 3!^2 =
+    # 342 flags, counted before any walk; with f = h every step cancels
+    # and nothing is walked
+    t = build_tower(parse_poset_text(_fixture("ex2_3_X.txt")), 2)
+    seq = attach_level_maps(t, _swap_maps(t, 1), certify=False)
+    ident = attach_level_maps(t, t.h_maps, certify=False)
+    monkeypatch.setattr(poset_module, "DEFAULT_BUDGET", 342)
+    assert lambda_nm(seq, 0, 2) == 2
+    monkeypatch.setattr(poset_module, "DEFAULT_BUDGET", 341)
+    with pytest.raises(BudgetExceeded, match="342"):
+        lambda_nm(seq, 0, 2)
+    assert lambda_nm(ident, 0, 2) == 2
 
 
 def test_lambda_matches_multimap_lefschetz(circle):
@@ -762,6 +903,26 @@ def _lifted(X1, X, sigma):
     return {c: tuple(sorted(map(sigma.__getitem__, c), key=X.index)) for c in X1.elements}
 
 
+def _swap_maps(t, k):
+    """_lifted_maps on a tower of the S2 model for the automorphism that
+    swaps the first k of the pairs {A, B}, {C, D}, {E, F}; test_cli
+    imports it."""
+    sigma = {x: x for x in t.levels[0].elements}
+    for a, b in ("AB", "CD", "EF")[:k]:
+        sigma[a], sigma[b] = b, a
+    return _lifted_maps(t, sigma)
+
+
+def _lifted_maps(t, sigma):
+    """The level maps h_n o sigma_(n+1) of the automorphism sigma of
+    level 0 (a dict), sigma_(n+1) its lift to level n + 1."""
+    f_maps = []
+    for n, h in enumerate(t.h_maps):
+        sigma = _lifted(t.levels[n + 1], t.levels[n], sigma)
+        f_maps.append(PosetMap(h.source, h.target, {x: h(sigma[x]) for x in h.source.elements}))
+    return f_maps
+
+
 def _sphere_level_map_cases():
     """(label, tower, level maps) on the S2 model at depth 2: f = h, a
     constant f, and h o sigma for the three pair swaps sigma, lifted."""
@@ -770,14 +931,7 @@ def _sphere_level_map_cases():
     yield "constant", t, [constant_map(t.levels[n + 1], t.levels[n], t.levels[n].elements[-1])
                           for n in range(2)]
     for k in (1, 2, 3):
-        sigma = {x: x for x in t.levels[0].elements}
-        for a, b in ("AB", "CD", "EF")[:k]:
-            sigma[a], sigma[b] = b, a
-        f_maps = []
-        for n, h in enumerate(t.h_maps):
-            sigma = _lifted(t.levels[n + 1], t.levels[n], sigma)
-            f_maps.append(PosetMap(h.source, h.target, {x: h(sigma[x]) for x in h.source.elements}))
-        yield f"{k} pairs swapped", t, f_maps
+        yield f"{k} pairs swapped", t, _swap_maps(t, k)
 
 
 def test_deferred_multimaps_equal_the_eager_ones(monkeypatch):
